@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import Channel, canonicalize
 
-__all__ = ["instance_rng", "random_channel", "random_mixture_pair"]
+__all__ = ["instance_rng", "random_channel"]
 
 
 def instance_rng(seed: int, index: int) -> np.random.Generator:
@@ -32,9 +32,3 @@ def random_channel(rng: np.random.Generator, m: int) -> Channel:
         if chan.size == m:
             return chan
 
-
-def random_mixture_pair(
-    rng: np.random.Generator, m: int, n: int
-) -> tuple[Channel, Channel]:
-    """A channel Q with m particles and an independent one with n."""
-    return random_channel(rng, n), random_channel(rng, m)

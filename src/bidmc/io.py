@@ -53,7 +53,8 @@ def reduce_transition_matrix(rows: list[list[float]], tol: float = 1e-9) -> Chan
 
     Output y with likelihoods (a, b) = (P(y|0), P(y|1)) carries probability
     (a + b)/2 and conditional crossover b/(a + b); folding the LR-profile
-    about 1/2 gives the particles.  Asymmetric profiles are rejected.
+    about 1/2 gives the particles.  Asymmetric profiles, paired within
+    ``tol`` after sorting, are rejected.
     """
     mat = np.asarray(rows, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != 2:
@@ -63,21 +64,25 @@ def reduce_transition_matrix(rows: list[list[float]], tol: float = 1e-9) -> Chan
     sums = mat.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > tol):
         raise ChannelFormatError(f"transition rows sum to {sums.tolist()}, not 1")
-    raw = []
-    profile: dict[float, float] = {}
+    outputs = []
     for a, b in mat.T:
         mass = (a + b) / 2.0
-        if mass <= 0.0:
-            continue
-        eps = b / (a + b)
-        profile[round(eps, 12)] = profile.get(round(eps, 12), 0.0) + mass
-        raw.append((min(eps, 1.0 - eps), mass))
-    for eps, mass in profile.items():
-        mirror = profile.get(round(1.0 - eps, 12), 0.0)
-        if abs(mass - mirror) > tol:
+        if mass > 0.0:
+            outputs.append((b / (a + b), mass))
+    # Outputs whose crossovers agree within tol form one profile atom; the
+    # profile is symmetric when the k-th atoms from either end pair up.
+    atoms: list[list[float]] = []
+    for eps, mass in sorted(outputs):
+        if atoms and eps - atoms[-1][0] <= tol:
+            atoms[-1][1] += mass
+        else:
+            atoms.append([eps, mass])
+    for (eps, mass), (e_mirror, mirror) in zip(atoms, reversed(atoms)):
+        if abs(eps + e_mirror - 1.0) > tol or abs(mass - mirror) > tol:
             raise ChannelFormatError(
-                f"LR-profile asymmetric at {eps}: mass {mass} vs {mirror}"
+                f"LR-profile asymmetric at {eps}: mass {mass} vs {mirror} at {e_mirror}"
             )
+    raw = [(min(eps, 1.0 - eps), mass) for eps, mass in outputs]
     return canonicalize(raw)
 
 

@@ -455,16 +455,23 @@ def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
     return _plan_from_segments(q, segs)
 
 
-def _cut_ok(eps_l: float, eps_r: float, sig_lo: float, sig_hi: float) -> bool:
-    """Strict threshold-window test at one cut.
+def _cut_ok(eps_l, eps_r, sig_lo, sig_hi) -> np.ndarray:
+    """Strict threshold-window test at cuts, elementwise over broadcast arrays.
 
+    A cut fails only when its means satisfy 0 < eps_l < eps_r < 1/2 and
+    split_threshold(eps_l, eps_r) is not strictly inside (sig_lo, sig_hi).
     Boundary cuts (left mean 0 or right mean 1/2) have forced structure in
-    any valid plan and pass without evaluating the threshold.
+    any valid plan and pass; so do means out of that order, which only
+    round-off produces, and NaN means.
     """
-    if eps_l <= 0.0 or eps_r >= 0.5:
-        return True
-    t = split_threshold(eps_l, eps_r)
-    return (t - sig_lo > PHI_STRICT_TOL) and (sig_hi - t > PHI_STRICT_TOL)
+    eps_l = np.asarray(eps_l, dtype=np.float64)
+    eps_r = np.asarray(eps_r, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = eps_r - eps_l
+        num = np.log1p(d / (1.0 - eps_r))
+        t = num / (num + np.log1p(d / eps_l))
+    inside = (t - sig_lo > PHI_STRICT_TOL) & (sig_hi - t > PHI_STRICT_TOL)
+    return inside | ~((0.0 < eps_l) & (eps_l < eps_r) & (eps_r < 0.5))
 
 
 def is_c_degradation(plan: PPlusPlan) -> bool:
@@ -475,10 +482,8 @@ def is_c_degradation(plan: PPlusPlan) -> bool:
     """
     s = plan.source.sigmas
     _, means = plan.group_stats()
-    for j, k in enumerate(plan.cuts):
-        if not _cut_ok(means[j], means[j + 1], s[k - 2], s[k - 1]):
-            return False
-    return True
+    k = np.asarray(plan.cuts, dtype=np.int64)
+    return bool(_cut_ok(means[:-1], means[1:], s[k - 2], s[k - 1]).all())
 
 
 def refine_cuts(plan: PPlusPlan) -> PPlusPlan:

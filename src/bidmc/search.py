@@ -9,10 +9,10 @@ m.  Three searchers are provided:
   incremental means and early window cut-off;
 - ``brute_force_c_optimal``: direct maximization over all cut vectors,
   guarded by a combinatorial bound (the independent oracle);
-- ``c_optimal_degradation``: dynamic program over partial degradations with
-  SMAWK row-maxima on the stage matrices, optionally pruning states whose
-  decision-implied cut prefix fails a threshold-window test (the candidate
-  filter soundly keeps every optimal traceback).
+- ``c_optimal_degradation``: dynamic program over partial degradations,
+  one masked numpy kernel per stage, optionally pruning entries whose
+  committed cut fails a threshold-window test (every optimal traceback
+  passes them, so the pruning is sound).
 
 The DP state value S_j(i) is the maximum partial capacity over degradations
 of the first i particles into j groups:
@@ -20,11 +20,13 @@ of the first i particles into j groups:
     S_j(i) = max_{j-1 <= a < i} S_{j-1}(a) + iota(a + 1, i)
 
 with iota(s, e) the capacity contribution mass * (1 - h(mean)) of collapsing
-particles s..e into one.  Stage j's values form an implicit matrix over
-(row a = end state, column b = previous state) whose feasible lower triangle
-is totally monotone and whose upper triangle holds a dominated sentinel, so
-SMAWK applies.  The greedy merge baseline ``tv_greedy_degrade`` is included
-for the capacity-loss comparisons.
+particles s..e into one.  Stage j's values form a matrix over (row a = end
+state, column b = previous state) whose feasible lower triangle is totally
+monotone.  The DP takes each row's leftmost maximum over that triangle
+directly; ``StageMatrix`` exposes the same matrix, with a dominated sentinel
+in the upper triangle, to SMAWK (``smawk.py``), which the tests keep as an
+independent reference.  The greedy merge baseline ``tv_greedy_degrade`` is
+included for the capacity-loss comparisons.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import Channel, binary_entropy
-from .refine import PHI_STRICT_TOL, PPlusPlan, _cut_ok, realize_pplus, split_threshold
-from .smawk import smawk_row_maxima
+from .refine import PPlusPlan, _cut_ok, realize_pplus
 
 __all__ = [
     "BRUTE_FORCE_GUARD",
@@ -159,27 +160,19 @@ def enumerate_c_degradations(q: Channel, n: int) -> list[PPlusPlan]:
     out: list[PPlusPlan] = []
     cuts: list[int] = []
 
-    def window(eps_l: float, eps_r: float, k_prev: int) -> tuple[bool, bool]:
-        """(cut ok, hopeless for any larger right group)."""
-        if eps_l <= 0.0 or eps_r >= 0.5:
-            return True, False
-        t = split_threshold(eps_l, eps_r)
-        if t >= s[k_prev - 1] - PHI_STRICT_TOL:
-            return False, True
-        return t - s[k_prev - 2] > PHI_STRICT_TOL, False
-
     def rec(j: int, start: int, eps_prev: float) -> None:
         if j == n:
             eps = _group_mean(w, s, start - 1, m)
-            ok, _ = window(eps_prev, eps, start)
-            if ok:
+            if _cut_ok(eps_prev, eps, s[start - 2], s[start - 1]):
                 out.append(PPlusPlan(q, tuple(cuts)))
             return
         for k in range(start + 1, m - n + j + 2):
             eps = _group_mean(w, s, start - 1, k - 1)
             if j > 1:
-                ok, hopeless = window(eps_prev, eps, start)
-                if hopeless:
+                # The first verdict drops the lower bound: once the threshold
+                # reaches the upper sigma, no larger right group passes.
+                below_hi, ok = _cut_ok(eps_prev, eps, (-np.inf, s[start - 2]), s[start - 1])
+                if not below_hi:
                     break
                 if not ok:
                     continue
@@ -227,40 +220,76 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
     return PPlusPlan(q, tuple(int(k) for k in combos[best])), float(caps[best])
 
 
-# Window scans replace SMAWK at a stage only when the surviving-pair total
-# stays below this cap, so the pruned run's evaluation count cannot exceed
-# the SMAWK count of the unpruned run (>= 1 evaluation per row always; and
-# empirically >= 3.5 per row once the band exceeds _SCAN_SMALL).
-_SCAN_SMALL = 16
-_SCAN_FACTOR = 2.5
+# Rows per block of the stage kernel, which bounds its temporaries to
+# about _STAGE_BLOCK x (m - n + 1) entries.
+_STAGE_BLOCK = 32
 
 
-def _bisect_first(lo: int, hi: int, pred) -> int:
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _stage_maxima(
+    stage: int,
+    rows: np.ndarray,
+    s_prev: np.ndarray,
+    eps_prev: np.ndarray,
+    band: np.ndarray,
+    prefix: tuple[np.ndarray, np.ndarray],
+    s: np.ndarray,
+    pruning: bool,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Leftmost row maxima of one DP stage over its candidate entries.
+
+    Entry (a, b) is s_prev[b] + iota(stage + b, stage + a): row a covers
+    particles up to stage + a, and the new group starts after the state at
+    column b.  It is a candidate when b <= a, column b is alive (s_prev not
+    NaN) and, with ``pruning``, the cut it commits passes ``_cut_ok``.  Only
+    candidates are computed, and a NaN candidate is never selected.  Returns
+    the maxima (NaN for a row without candidates), their columns (-1 there)
+    and the number of candidates.
+    """
+    cq, cqs = prefix
+    cols = np.flatnonzero(~np.isnan(s_prev))
+    best = np.full(rows.size, np.nan)
+    dec = np.full(rows.size, -1, dtype=np.int64)
+    count = 0
+    for r0 in range(0, rows.size, _STAGE_BLOCK):
+        a = rows[r0 : r0 + _STAGE_BLOCK]
+        b = cols[: np.searchsorted(cols, a[-1], side="right")]
+        mask = b[None, :] <= a[:, None]
+        if pruning:
+            hi = (stage + a)[:, None]
+            lo = stage + b - 1  # prefix index before the new group
+            with np.errstate(divide="ignore", invalid="ignore"):  # b > a
+                eps = (cqs[hi] - cqs[lo]) / (cq[hi] - cq[lo])
+            mask &= _cut_ok(eps_prev[b], eps, s[lo - 1], s[lo])
+        ri, ci = np.nonzero(mask)
+        count += ri.size
+        bc = b[ci]
+        vals = s_prev[bc] + band[a[ri] - bc, stage + bc]
+        vals[np.isnan(vals)] = -np.inf
+        blk = np.full(mask.shape, -np.inf)
+        blk[ri, ci] = vals
+        arg = blk.argmax(axis=1)
+        top = blk[np.arange(a.size), arg]
+        live = np.flatnonzero(top > -np.inf)
+        best[r0 + live] = top[live]
+        dec[r0 + live] = b[arg[live]]
+    return best, dec, count
 
 
 def c_optimal_degradation(
     q: Channel, n: int, pruning: bool = True
 ) -> tuple[PPlusPlan, DpTable]:
-    """Capacity-optimal cut plan via the SMAWK dynamic program.
+    """Capacity-optimal cut plan via the dynamic program.
 
-    With ``pruning``, stage entries are only evaluated when the cut they
-    would commit (between the predecessor state's decision-implied group
-    and the new group) passes the threshold-window test, and states whose
-    stored decision fails its window are dropped from later stages.  Every
-    state on an optimal traceback passes its window tests, because optimal
-    partial solutions are C-degradations of their sub-channels; the pruned
-    run therefore reaches the same final capacity.  Per stage the windows
-    are contiguous row runs (the threshold is increasing in the group
-    mean), found by bisection; when they are not collectively small the
-    stage falls back to plain SMAWK over the surviving columns, which keeps
-    the pruned evaluation count below the unpruned one on every instance.
+    Every stage, the one-row last stage included, takes the leftmost row
+    maxima of its matrix over the alive columns of the lower triangle (see
+    ``_stage_maxima``).  With ``pruning``, an entry is computed only when
+    the cut it would commit (between the previous state's decision-implied
+    last group and the new group) passes the threshold-window test, and a
+    state with no such entry is dropped from later stages.  Every state on
+    an optimal traceback passes its window tests, because optimal partial
+    solutions are C-degradations of their sub-channels; the pruned run
+    therefore reaches the same final capacity.  ``evaluations`` counts the
+    entries computed, so the pruned count never exceeds the unpruned one.
     ``pruning=False`` is the soundness baseline.
     """
     m = q.size
@@ -272,149 +301,40 @@ def c_optimal_degradation(
     band = iota_band(q, size)
     cq = np.concatenate([[0.0], np.cumsum(w)])
     cqs = np.concatenate([[0.0], np.cumsum(w * s)])
-    table = DpTable(values=[], decisions=[], pruned=[])
+    offsets = np.arange(size)
 
-    s1 = band[np.arange(size), 1].copy()
-    table.values.append(s1)
-    table.decisions.append(np.full(size, -1, dtype=np.int64))
-    table.pruned.append(np.zeros(size, dtype=bool))
+    s_prev = band[offsets, 1]
+    table = DpTable(
+        values=[s_prev],
+        decisions=[np.full(size, -1, dtype=np.int64)],
+        pruned=[np.zeros(size, dtype=bool)],
+    )
     # Mean crossover of each state's last group, per its stored decision.
     eps_prev = (cqs[1 : size + 1] - cqs[0]) / (cq[1 : size + 1] - cq[0])
-    s_prev = s1
-
-    def windows_for(stage: int, alive: list[int]) -> tuple[list[tuple[int, int, int]], int]:
-        """Per column: contiguous rows passing the cut-(stage-1) window."""
-        wins = []
-        total = 0
-        for b in alive:
-            start = stage + b - 1  # 0-indexed first particle of the new group
-            e_prev = float(eps_prev[b])
-            if e_prev <= 0.0:
-                wins.append((b, b, size))
-                total += size - b
-                continue
-            sig_lo, sig_hi = float(s[start - 1]), float(s[start])
-
-            def thr(a: int, _e=e_prev, _st=start, _stage=stage, _b=b) -> float:
-                mean = float(cqs[_stage + a] - cqs[_st]) / float(cq[_stage + a] - cq[_st])
-                return split_threshold(_e, min(mean, 0.5 - 1e-15))
-
-            lo = _bisect_first(b, size, lambda a: thr(a) - sig_lo > PHI_STRICT_TOL)
-            hi = _bisect_first(lo, size, lambda a: thr(a) >= sig_hi - PHI_STRICT_TOL)
-            wins.append((b, lo, hi))
-            total += hi - lo
-        return wins, total
-
-    for stage in range(2, n):
-        s_cur = np.full(size, np.nan)
-        dec = np.full(size, -1, dtype=np.int64)
-        eps_cur = np.full(size, np.nan)
-        alive = [b for b in range(size) if not np.isnan(s_prev[b])]
-        scan_cap = size if size < _SCAN_SMALL else int(_SCAN_FACTOR * size)
-        wins = None
-        if pruning:
-            wins, total = windows_for(stage, alive)
-        if wins is not None and total <= scan_cap:
-            best = np.full(size, -np.inf)
-            for b, lo, hi in wins:
-                if hi <= lo:
-                    continue
-                rows = np.arange(lo, hi)
-                vals = s_prev[b] + band[rows - b, stage + b]
-                table.evaluations += hi - lo
-                view = best[lo:hi]
-                upd = vals > view
-                view[upd] = vals[upd]
-                dec[lo:hi][upd] = b
-            for a in np.nonzero(dec >= 0)[0]:
-                b = dec[a]
-                s_cur[a] = best[a]
-                eps_cur[a] = float(cqs[stage + a] - cqs[stage + b - 1]) / float(
-                    cq[stage + a] - cq[stage + b - 1]
-                )
-        else:
-            mat = StageMatrix(stage, s_prev, band, size)
-            if pruning:
-                maxima = _smawk_subcolumns(mat, alive)
-            else:
-                maxima = smawk_row_maxima(mat)
-            table.evaluations += mat.evaluations
-            for a, (b, val) in enumerate(maxima):
-                if b > a or np.isnan(s_prev[b]):
-                    continue
-                eps_group = float(cqs[stage + a] - cqs[stage + b - 1]) / float(
-                    cq[stage + a] - cq[stage + b - 1]
-                )
-                if pruning and not _cut_ok(
-                    float(eps_prev[b]), eps_group, s[stage + b - 2], s[stage + b - 1]
-                ):
-                    continue
-                s_cur[a] = val
-                dec[a] = b
-                eps_cur[a] = eps_group
-        dead = np.isnan(s_cur)
+    for stage in range(2, n + 1):
+        rows = offsets if stage < n else offsets[-1:]
+        s_prev, dec, count = _stage_maxima(
+            stage, rows, s_prev, eps_prev, band, (cq, cqs), s, pruning
+        )
+        dead = dec < 0
+        table.evaluations += count
         table.pruned_states += int(dead.sum())
-        table.values.append(s_cur)
+        table.values.append(s_prev)
         table.decisions.append(dec)
         table.pruned.append(dead)
-        s_prev = s_cur
-        eps_prev = eps_cur
-
-    # Final stage: the single state covering all m particles; with pruning,
-    # candidates whose last-cut window fails are not evaluated.
-    best_v = -np.inf
-    best_b = -1
-    for b in range(size):
-        if np.isnan(s_prev[b]):
-            continue
-        if pruning:
-            eps_last = float(cqs[m] - cqs[n + b - 1]) / float(cq[m] - cq[n + b - 1])
-            if not _cut_ok(float(eps_prev[b]), eps_last, s[n + b - 2], s[n + b - 1]):
-                continue
-        v = float(s_prev[b]) + float(band[m - n - b, n + b])
-        table.evaluations += 1
-        if v > best_v:
-            best_v = v
-            best_b = b
-    if best_b < 0:
+        hi, lo = stage + rows, stage + dec - 1
+        eps_prev = np.where(dead, np.nan, (cqs[hi] - cqs[lo]) / (cq[hi] - cq[lo]))
+    if dead[0]:
         raise RuntimeError("no feasible traceback state")
-    table.values.append(np.array([best_v]))
-    table.decisions.append(np.array([best_b], dtype=np.int64))
-    table.pruned.append(np.zeros(1, dtype=bool))
-    table.capacity = best_v
+    table.capacity = float(s_prev[0])
 
     cuts = []
-    b = best_b
-    i_end = (n - 1) + b  # last particle of group n-1
-    cuts.append(i_end + 1)
-    for stage in range(n - 1, 1, -1):
-        row = i_end - stage
-        b = int(table.decisions[stage - 1][row])
-        i_end = (stage - 1) + b
-        cuts.append(i_end + 1)
+    row = 0
+    for stage in range(n, 1, -1):
+        row = int(table.decisions[stage - 1][row])
+        cuts.append(stage + row)  # group `stage` starts after state (stage - 1, row)
     cuts.reverse()
     return PPlusPlan(q, tuple(cuts)), table
-
-
-def _smawk_subcolumns(mat: StageMatrix, alive: list[int]) -> list[tuple[int, float]]:
-    """Row maxima of the submatrix restricted to the alive columns.
-
-    A column subset of a totally monotone matrix is totally monotone, so
-    SMAWK still applies; results are reported in original column indices.
-    """
-    if not alive:
-        return [(mat.ncols, -np.inf)] * mat.nrows
-
-    class _View:
-        nrows = mat.nrows
-        ncols = len(alive)
-
-        @staticmethod
-        def value(a: int, b: int) -> float:
-            return mat.value(a, alive[b])
-
-    maxima = smawk_row_maxima(_View())
-    return [(alive[b], v) for b, v in maxima]
 
 
 def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:

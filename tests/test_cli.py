@@ -71,6 +71,14 @@ def test_reduce_transition_matrix_bsc():
     assert equivalent(chan, bsc(0.1))
 
 
+def test_reduce_transition_matrix_bsc_13_digit_crossover():
+    # The two outputs' crossovers differ in the last bit and straddle a
+    # 12-digit rounding boundary.
+    e = 0.2587837918765
+    chan = reduce_transition_matrix([[1.0 - e, e], [e, 1.0 - e]])
+    assert equivalent(chan, bsc(e))
+
+
 def test_reduce_transition_matrix_bec():
     chan = reduce_transition_matrix([[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
     assert equivalent(chan, canonicalize([(0.0, 0.5), (0.5, 0.5)]))

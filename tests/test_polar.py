@@ -5,6 +5,7 @@ from bidmc import (
     arikan_minus,
     arikan_plus,
     bsc,
+    c_optimal_degradation,
     canonicalize,
     capacity,
     construct,
@@ -148,3 +149,22 @@ def test_construct_validates_args():
         construct(bsc(0.1), 0, 4)
     with pytest.raises(ValueError):
         construct(bsc(0.1), 1, 1)
+
+
+@pytest.mark.parametrize("seed, index, n", [(0, 4, 4), (0, 28, 4), (1, 0, 8)])
+def test_construct_skewed_chains_complete(seed, index, n):
+    # Depth-5 chains reach means within 1e-9 of 1/2.  There a window found by
+    # bisection can miss every candidate of a stage, and a prefix-sum mean
+    # can leave split_threshold's domain.
+    run = construct(random_channel(instance_rng(seed, index), n), 5, n)
+    for alpha, rec in run.records.items():
+        if not alpha:
+            continue
+        parent = run.records[alpha[:-1]].quantized
+        transform = arikan_plus(parent) if alpha[-1] == "1" else arikan_minus(parent)
+        if transform.size <= n:
+            best = capacity(transform)
+        else:
+            plan, _ = c_optimal_degradation(transform, n, pruning=False)
+            best = capacity(realize_pplus(plan))
+        assert capacity(rec.quantized) == pytest.approx(best, abs=1e-9), alpha

@@ -1,6 +1,12 @@
 import numpy as np
 
-from bidmc import CountingMatrix, instance_rng, random_channel, smawk_row_maxima
+from bidmc import (
+    CountingMatrix,
+    c_optimal_degradation,
+    instance_rng,
+    random_channel,
+    smawk_row_maxima,
+)
 from bidmc.search import StageMatrix, iota_band
 
 
@@ -72,7 +78,8 @@ def test_dp_stage_matrices_match_naive_and_avoid_sentinels():
         size = m - n + 1
         band = iota_band(q, size)
         s_prev = band[np.arange(size), 1]
-        for stage in range(2, n):
+        _, table = c_optimal_degradation(q, n, pruning=False)
+        for stage in range(2, n + 1):
             mat = StageMatrix(stage, s_prev, band, size)
             got = smawk_row_maxima(mat)
             assert got == naive_row_maxima(mat)
@@ -80,3 +87,8 @@ def test_dp_stage_matrices_match_naive_and_avoid_sentinels():
             for a, (b, _) in enumerate(got):
                 assert b <= a
             s_prev = np.array([v for _, v in got])
+            # SMAWK is the independent oracle for the DP's stage kernel,
+            # whose last stage keeps only the row covering all particles.
+            rows = slice(None) if stage < n else slice(-1, None)
+            assert np.array_equal(s_prev[rows], table.values[stage - 1])
+            assert np.array_equal(np.array([b for b, _ in got])[rows], table.decisions[stage - 1])

@@ -25,12 +25,15 @@ state, column b = previous state) whose feasible lower triangle is totally
 monotone.  The DP takes each row's leftmost maximum over that triangle
 directly; ``StageMatrix`` exposes the same matrix, with a dominated sentinel
 in the upper triangle, to SMAWK (``smawk.py``), which the tests keep as an
-independent reference.  The greedy merge baseline ``tv_greedy_degrade`` is
-included for the capacity-loss comparisons.
+independent reference.  The greedy merge baseline ``tv_greedy_plan`` (and
+``tv_greedy_degrade``), after Tal & Vardy, is included for the capacity-loss
+comparisons; it keeps the adjacent pair losses in a heap with lazy
+invalidation, so each merge re-scores only the merged group's two pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,12 +72,17 @@ def _group_mean(q: np.ndarray, s: np.ndarray, a: int, b: int) -> float:
     return float((q[a:b] * s[a:b]).sum()) / float(q[a:b].sum())
 
 
+# Rows per block of the stage kernel and offsets per block of ``iota_band``,
+# which bounds their temporaries to about _STAGE_BLOCK x m entries.
+_STAGE_BLOCK = 32
+
+
 def iota_band(q: Channel, max_len: int) -> np.ndarray:
     """Partial-capacity table: band[d, s] for particles s..s+d (1-indexed s).
 
     band[d, s] = mass * (1 - h(mean)) of the group of d+1 particles starting
     at s; entries outside 1 <= s <= m - d are NaN.  Built from prefix sums
-    of q and q * sigma.
+    of q and q * sigma, in blocks of _STAGE_BLOCK offsets.
     """
     m = q.size
     w = q.weights
@@ -83,11 +91,16 @@ def iota_band(q: Channel, max_len: int) -> np.ndarray:
     cqs = np.concatenate([[0.0], np.cumsum(w * s)])
     band = np.full((max_len, m + 1), np.nan)
     band[0, 1 : m + 1] = w * (1.0 - binary_entropy(s))
-    for d in range(1, max_len):
-        starts = np.arange(1, m - d + 1)
-        mass = cq[starts + d] - cq[starts - 1]
-        mean = (cqs[starts + d] - cqs[starts - 1]) / mass
-        band[d, starts] = mass * (1.0 - binary_entropy(mean))
+    for d0 in range(1, max_len, _STAGE_BLOCK):
+        d, start = np.broadcast_arrays(
+            np.arange(d0, min(d0 + _STAGE_BLOCK, max_len))[:, None],
+            np.arange(1, m - d0 + 1)[None, :],
+        )
+        keep = start + d <= m
+        d, start = d[keep], start[keep]
+        mass = cq[start + d] - cq[start - 1]
+        mean = (cqs[start + d] - cqs[start - 1]) / mass
+        band[d, start] = mass * (1.0 - binary_entropy(mean))
     return band
 
 
@@ -220,11 +233,6 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
     return PPlusPlan(q, tuple(int(k) for k in combos[best])), float(caps[best])
 
 
-# Rows per block of the stage kernel, which bounds its temporaries to
-# about _STAGE_BLOCK x (m - n + 1) entries.
-_STAGE_BLOCK = 32
-
-
 def _stage_maxima(
     stage: int,
     rows: np.ndarray,
@@ -341,8 +349,10 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
     """Greedy least-capacity-loss adjacent merging, as a cut plan.
 
     Repeatedly merges the adjacent group pair whose collapse to the joint
-    mean loses the least capacity until n groups remain (leftmost pair on
-    ties).
+    mean loses the least capacity until n groups remain; on tied losses the
+    leftmost pair merges.  The pair losses sit in a heap keyed by (loss,
+    left edge), so each merge re-scores only the two pairs that touch the
+    merged group: O(m log m) time and O(m) scalar entropy evaluations.
     """
     m = q.size
     if not (2 <= n <= m):
@@ -357,18 +367,38 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
         mean = float(cqs[b] - cqs[a]) / mass
         return mass * (1.0 - float(binary_entropy(mean)))
 
-    edges = list(range(m + 1))  # group j = [edges[j], edges[j+1])
-    while len(edges) - 1 > n:
-        best_loss = np.inf
-        best_j = -1
-        for j in range(len(edges) - 2):
-            a, b, c = edges[j], edges[j + 1], edges[j + 2]
-            loss = iota(a, b) + iota(b, c) - iota(a, c)
-            if loss < best_loss:
-                best_loss = loss
-                best_j = j
-        del edges[best_j + 1]
-    return PPlusPlan(q, tuple(e + 1 for e in edges[1:-1]))
+    # Group edges as a linked list: the live group starting at edge e is
+    # [e, nxt[e]), prv[e] is its left neighbour's edge, and gain[e] its
+    # iota.  A removed edge gets nxt = -1.
+    nxt = list(range(1, m + 2))
+    prv = list(range(-1, m))
+    gain = [iota(e, e + 1) for e in range(m)]
+    # A pair's loss is iota(a, b) + iota(b, c) - iota(a, c) in that order,
+    # from cached iotas equal to recomputed ones, so every loss, and hence
+    # every merge, matches a full re-scoring scan bit for bit.
+    heap = [(gain[a] + gain[a + 1] - iota(a, a + 2), a, a + 1, a + 2) for a in range(m - 1)]
+    heapq.heapify(heap)
+    for _ in range(m - n):
+        while True:
+            _, a, b, c = heapq.heappop(heap)
+            if nxt[a] == b and nxt[b] == c:
+                break  # both groups still live and adjacent; else stale
+        nxt[a] = c
+        nxt[b] = -1
+        prv[c] = a
+        gain[a] = iota(a, c)
+        if a > 0:
+            p = prv[a]
+            heapq.heappush(heap, (gain[p] + gain[a] - iota(p, c), p, a, c))
+        if c < m:
+            d = nxt[c]
+            heapq.heappush(heap, (gain[a] + gain[c] - iota(a, d), a, c, d))
+    cuts = []
+    e = nxt[0]
+    while e < m:
+        cuts.append(e + 1)
+        e = nxt[e]
+    return PPlusPlan(q, tuple(cuts))
 
 
 def tv_greedy_degrade(q: Channel, n: int) -> Channel:

@@ -6,6 +6,8 @@ import pytest
 
 from bidmc import (
     PPlusPlan,
+    arikan_plus,
+    binary_entropy,
     brute_force_c_optimal,
     c_optimal_degradation,
     canonicalize,
@@ -27,8 +29,6 @@ Q3 = canonicalize([(0.1, 0.5), (0.2, 0.3), (0.4, 0.2)])
 
 
 def test_iota_band_matches_direct_groups():
-    from bidmc import binary_entropy
-
     rng = instance_rng(51, 0)
     for _ in range(20):
         m = int(rng.integers(3, 12))
@@ -40,6 +40,34 @@ def test_iota_band_matches_direct_groups():
                 mean = sum(p.weight * p.sigma for p in q.particles[s - 1 : e]) / mass
                 expect = mass * (1.0 - binary_entropy(mean))
                 assert band[e - s, s] == pytest.approx(expect, abs=1e-12)
+
+
+def test_iota_band_matches_offset_loop_exactly():
+    """The blocked band equals a per-offset fill from the same prefix sums."""
+
+    def reference(q, max_len):
+        m = q.size
+        w = q.weights
+        s = q.sigmas
+        cq = np.concatenate([[0.0], np.cumsum(w)])
+        cqs = np.concatenate([[0.0], np.cumsum(w * s)])
+        band = np.full((max_len, m + 1), np.nan)
+        band[0, 1 : m + 1] = w * (1.0 - binary_entropy(s))
+        for d in range(1, max_len):
+            starts = np.arange(1, m - d + 1)
+            mass = cq[starts + d] - cq[starts - 1]
+            mean = (cqs[starts + d] - cqs[starts - 1]) / mass
+            band[d, starts] = mass * (1.0 - binary_entropy(mean))
+        return band
+
+    channels = [random_channel(instance_rng(52, m), m) for m in (2, 5, 33, 70, 128)]
+    # Skewed two-step chains: masses down to ~1e-10, crossovers near 0.
+    channels += [arikan_plus(arikan_plus(random_channel(instance_rng(52, 1000 + i), 4))) for i in range(3)]
+    for q in channels:
+        m = q.size
+        for n in sorted({2, min(4, m), min(10, m)}):
+            for max_len in (m - n + 1, m):
+                assert np.array_equal(iota_band(q, max_len), reference(q, max_len), equal_nan=True)
 
 
 def test_enumerate_example_channel():
@@ -189,6 +217,53 @@ def test_tv_greedy_identity_and_bound():
         )
         _, best = brute_force_c_optimal(q, n)
         assert capacity(w) <= best + 1e-9
+
+
+def _tv_greedy_reference(q, n):
+    """The O(m^2) greedy merge that re-scores every adjacent pair per merge."""
+    m = q.size
+    if not (2 <= n <= m):
+        raise ValueError(f"need 2 <= n <= m, got n={n}, m={m}")
+    w = q.weights
+    s = q.sigmas
+    cq = np.concatenate([[0.0], np.cumsum(w)])
+    cqs = np.concatenate([[0.0], np.cumsum(w * s)])
+
+    def iota(a: int, b: int) -> float:  # particles a..b-1, 0-indexed half-open
+        mass = float(cq[b] - cq[a])
+        mean = float(cqs[b] - cqs[a]) / mass
+        return mass * (1.0 - float(binary_entropy(mean)))
+
+    edges = list(range(m + 1))  # group j = [edges[j], edges[j+1])
+    while len(edges) - 1 > n:
+        best_loss = np.inf
+        best_j = -1
+        for j in range(len(edges) - 2):
+            a, b, c = edges[j], edges[j + 1], edges[j + 2]
+            loss = iota(a, b) + iota(b, c) - iota(a, c)
+            if loss < best_loss:
+                best_loss = loss
+                best_j = j
+        del edges[best_j + 1]
+    return PPlusPlan(q, tuple(e + 1 for e in edges[1:-1]))
+
+
+def test_tv_greedy_matches_reference():
+    cases = []
+    for n in range(4, 11):
+        # A subsample of the criterion-06 ensemble.
+        for i in range(0, 300 if n <= 8 else 200, 10):
+            q = arikan_plus(random_channel(instance_rng(106, 1000 * n + i), n))
+            if q.size > n:
+                cases.append((q, n))
+        for m in (16, 32, 64, 128):
+            cases.append((random_channel(instance_rng(53, 100 * m + n), m), n))
+    for m in (2, 3, 16, 64):
+        q = random_channel(instance_rng(54, m), m)
+        cases += [(q, n) for n in sorted({2, m - 1, m}) if n >= 2]
+    cases.append((random_channel(instance_rng(55, 256), 256), 16))
+    for q, n in cases:
+        assert tv_greedy_plan(q, n).cuts == _tv_greedy_reference(q, n).cuts, (q.size, n)
 
 
 def test_method_ordering_instancewise():

@@ -24,6 +24,7 @@ from .channel import (
     bsc,
     canonicalize,
     capacity,
+    capacity_loss_rate,
     equivalent,
     error_probability,
     lr_functional,

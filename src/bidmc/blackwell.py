@@ -74,15 +74,6 @@ class OneMatrix:
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
-    def column_means(self, sigmas: np.ndarray) -> np.ndarray:
-        """Per-column crossover means sum_i k[i,j] sigma_i / p_j (p_j > 0)."""
-        mass = self.entries.sum(axis=0)
-        mom = sigmas @ self.entries
-        out = np.zeros_like(mass)
-        pos = mass > 0.0
-        out[pos] = mom[pos] / mass[pos]
-        return out
-
     def to_json_dict(self) -> dict:
         m, n = self.entries.shape
         return {"rows": m, "cols": n, "k": self.entries.tolist()}
@@ -103,33 +94,20 @@ class IntermediateRealization:
 
 
 def _witness_system(w: Channel, q: Channel, equality: bool):
-    """Assemble the LP for a witness of pattern (q.weights; w.weights)."""
+    """Assemble the LP for a witness of pattern (q.weights; w.weights).
+
+    Variable i * n + j is k[i, j]: rows sum to q, columns to w, and column
+    j's moment sum_i k[i, j] sigma_i is bounded by (or, with ``equality``,
+    equal to) w's p_j eps_j.
+    """
     m, n = q.size, w.size
-    nv = m * n
-    rows_eq = []
-    rhs_eq = []
-    for i in range(m):
-        row = np.zeros(nv)
-        row[i * n : (i + 1) * n] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(q.particles[i].weight)
-    for j in range(n):
-        row = np.zeros(nv)
-        row[j::n] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(w.particles[j].weight)
-    mom_rows = []
-    mom_rhs = []
-    for j in range(n):
-        row = np.zeros(nv)
-        row[j::n] = q.sigmas
-        mom_rows.append(row)
-        mom_rhs.append(w.particles[j].weight * w.particles[j].sigma)
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+    b_eq = np.concatenate([q.weights, w.weights])
+    a_mom = np.kron(q.sigmas, np.eye(n))
+    b_mom = w.weights * w.sigmas
     if equality:
-        rows_eq.extend(mom_rows)
-        rhs_eq.extend(mom_rhs)
-        return np.array(rows_eq), np.array(rhs_eq), None, None
-    return np.array(rows_eq), np.array(rhs_eq), np.array(mom_rows), np.array(mom_rhs)
+        return np.vstack([a_eq, a_mom]), np.concatenate([b_eq, b_mom]), None, None
+    return a_eq, b_eq, a_mom, b_mom
 
 
 def _solve_witness(w: Channel, q: Channel, equality: bool) -> OneMatrix | None:

@@ -38,6 +38,7 @@ __all__ = [
     "bsc",
     "canonicalize",
     "capacity",
+    "capacity_loss_rate",
     "error_probability",
     "lr_functional",
     "mix",
@@ -183,6 +184,11 @@ def bsc(eps: float) -> Channel:
 def capacity(w: Channel) -> float:
     """Symmetric capacity I(W) = 1 - sum_i q_i h(sigma_i), in [0, 1]."""
     return float(np.sum(w.weights * (1.0 - binary_entropy(w.sigmas))))
+
+
+def capacity_loss_rate(cap_src: float, cap_deg: float) -> float:
+    """Relative capacity loss (I(Q) - I(W)) / I(Q), clamped at 0; 0 when I(Q) <= 0."""
+    return 0.0 if cap_src <= 0.0 else max(0.0, (cap_src - cap_deg) / cap_src)
 
 
 def error_probability(w: Channel) -> float:

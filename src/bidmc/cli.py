@@ -21,7 +21,14 @@ from multiprocessing import Pool
 import numpy as np
 
 from .blackwell import find_degradation_witness, risk_dominates
-from .channel import Channel, capacity, error_probability, lr_functional, lr_profile
+from .channel import (
+    Channel,
+    capacity,
+    capacity_loss_rate,
+    error_probability,
+    lr_functional,
+    lr_profile,
+)
 from .ensembles import instance_rng, random_channel
 from .io import ChannelFormatError, channel_to_csv, channel_to_json_dict, load_channel
 from .polar import arikan_minus, arikan_plus, construct
@@ -151,18 +158,16 @@ def cmd_degrade(args) -> int:
             evaluations = table.evaluations
             pruned_states = table.pruned_states
     elif args.method == "tv":
-        plan = tv_greedy_plan(chan, n) if n < m else _identity_plan(chan)
+        plan = tv_greedy_plan(chan, n)
         degraded = realize_pplus(plan)
     elif args.method == "tv-star":
-        plan = tv_greedy_plan(chan, n) if n < m else _identity_plan(chan)
-        plan = refine_cuts(plan)
+        plan = refine_cuts(tv_greedy_plan(chan, n))
         degraded = realize_pplus(plan)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown method {args.method}")
 
-    cap_q = capacity(chan)
     cap_w = capacity(degraded)
-    clr = 0.0 if cap_q <= 0.0 else max(0.0, (cap_q - cap_w) / cap_q)
+    clr = capacity_loss_rate(capacity(chan), cap_w)
     if args.oracle and args.method != "mean" and n is not None and n < m:
         if math.comb(m - 1, n - 1) > BRUTE_FORCE_GUARD:
             raise ValidationError("oracle infeasible: brute-force guard exceeded")
@@ -211,7 +216,7 @@ def cmd_enumerate(args) -> int:
             {
                 "cuts": list(plan.cuts),
                 "capacity": cap_w,
-                "clr": 0.0 if cap_q <= 0.0 else (cap_q - cap_w) / cap_q,
+                "clr": capacity_loss_rate(cap_q, cap_w),
             }
         )
     rows.sort(key=lambda r: (-r["capacity"], r["cuts"]))
@@ -266,17 +271,13 @@ def cmd_check(args) -> int:
 # experiment workers (top level for multiprocessing)
 
 
-def _clr(cap_src: float, cap_deg: float) -> float:
-    return 0.0 if cap_src <= 0.0 else max(0.0, (cap_src - cap_deg) / cap_src)
-
-
 def _pplus_instance(task) -> dict:
     seed, idx, m, n = task
     rng = instance_rng(seed, idx)
     q = random_channel(rng, m)
     plans = enumerate_c_degradations(q, n)
     cap_q = capacity(q)
-    clrs = [_clr(cap_q, capacity(realize_pplus(p))) for p in plans]
+    clrs = [capacity_loss_rate(cap_q, capacity(realize_pplus(p))) for p in plans]
     # The candidate set always contains the capacity-optimal plan, so its
     # best CLR is the optimal degradation's CLR.
     return {
@@ -291,7 +292,7 @@ def _optclr_instance(task) -> dict:
     q = random_channel(rng, m)
     plan, table = c_optimal_degradation(q, n, pruning=True)
     out = {
-        "clr": _clr(capacity(q), capacity(realize_pplus(plan))),
+        "clr": capacity_loss_rate(capacity(q), capacity(realize_pplus(plan))),
         "evaluations": table.evaluations,
         "pruned_states": table.pruned_states,
     }
@@ -319,13 +320,13 @@ def _arikan_instance(task) -> dict:
     plan_tv = tv_greedy_plan(q, n)
     plan_tvs = refine_cuts(plan_tv)
     out = {
-        "opt_clr": _clr(cap_q, capacity(realize_pplus(plan_opt))),
-        "tv_clr": _clr(cap_q, capacity(realize_pplus(plan_tv))),
-        "tv_star_clr": _clr(cap_q, capacity(realize_pplus(plan_tvs))),
+        "opt_clr": capacity_loss_rate(cap_q, capacity(realize_pplus(plan_opt))),
+        "tv_clr": capacity_loss_rate(cap_q, capacity(realize_pplus(plan_tv))),
+        "tv_star_clr": capacity_loss_rate(cap_q, capacity(realize_pplus(plan_tvs))),
     }
     if c_stats:
         plans = enumerate_c_degradations(q, n)
-        clrs = [_clr(cap_q, capacity(realize_pplus(p))) for p in plans]
+        clrs = [capacity_loss_rate(cap_q, capacity(realize_pplus(p))) for p in plans]
         out["c_count"] = float(len(plans))
         out["c_clr"] = float(np.mean(clrs)) if clrs else 0.0
     return out

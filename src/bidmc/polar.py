@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channel import Channel, canonicalize, capacity
+from .channel import Channel, canonicalize, capacity, capacity_loss_rate
 from .refine import realize_pplus
 from .search import c_optimal_degradation
 
@@ -173,9 +173,7 @@ def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
                     if exact.size > EXACT_SIZE_GUARD:
                         exact = None
                 reference = exact if exact is not None else quant_ref
-                iref = capacity(reference)
-                iq = capacity(quantized)
-                clr = 0.0 if iref <= 0.0 else max(0.0, (iref - iq) / iref)
+                clr = capacity_loss_rate(capacity(reference), capacity(quantized))
                 records[child] = BranchRecord(child, exact, quantized, clr, exact is not None)
                 nxt.append(child)
         frontier = nxt

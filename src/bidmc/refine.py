@@ -29,7 +29,6 @@ set that provably contains every capacity-optimal degradation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -57,7 +56,8 @@ __all__ = [
 
 # Window tests treat a threshold within this distance of a boundary sigma as
 # failing: exact equality is a local capacity minimum, so the conservative
-# verdict is "not a C-degradation".
+# verdict is "not a C-degradation".  The DP's pruning takes the other side
+# and drops only thresholds beyond a boundary by more than this.
 PHI_STRICT_TOL = 1e-12
 
 _MASS_TOL = 1e-15
@@ -71,6 +71,25 @@ class DegradationOrderError(ValueError):
     """Raised when a required degradation relation does not hold."""
 
 
+def _threshold(eps_l, eps_r) -> np.ndarray:
+    """split_threshold elementwise over broadcast arrays, NaN outside its domain.
+
+    This is the one place the threshold is computed.  Window tests compare
+    the margins t - sigma_lo and sigma_hi - t with PHI_STRICT_TOL; a NaN
+    margin compares false, so it never fails, moves or prunes a cut.
+    Out-of-domain means are boundary cuts (left mean 0 or right mean 1/2),
+    whose structure is forced in any valid plan, or means out of order,
+    which only round-off produces.
+    """
+    eps_l = np.asarray(eps_l, dtype=np.float64)
+    eps_r = np.asarray(eps_r, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = eps_r - eps_l
+        num = np.log1p(d / (1.0 - eps_r))
+        t = num / (num + np.log1p(d / eps_l))
+    return np.where((0.0 < eps_l) & (eps_l < eps_r) & (eps_r < 0.5), t, np.nan)
+
+
 def split_threshold(eps1: float, eps2: float) -> float:
     """Threshold crossover separating "join left group" from "join right".
 
@@ -79,10 +98,19 @@ def split_threshold(eps1: float, eps2: float) -> float:
     """
     if not (0.0 < eps1 < eps2 < 0.5):
         raise ValueError(f"split_threshold needs 0 < eps1 < eps2 < 1/2, got ({eps1}, {eps2})")
-    d = eps2 - eps1
-    num = math.log1p(d / (1.0 - eps2))
-    den = num + math.log1p(d / eps1)
-    return num / den
+    return float(_threshold(eps1, eps2))
+
+
+def _group_stat(q: np.ndarray, s: np.ndarray, a: int, b: int) -> tuple[float, float]:
+    """Mass and mean crossover of particles a..b-1 (0-indexed, half-open).
+
+    A singleton takes its sigma exactly.  Group statistics and enumeration
+    both use it, so their means and window verdicts agree bit for bit.
+    """
+    if b - a == 1:
+        return float(q[a]), float(s[a])
+    w = float(q[a:b].sum())
+    return w, float((q[a:b] * s[a:b]).sum()) / w
 
 
 def _rows_stats(rows: list[tuple[int, float]], sigmas: np.ndarray) -> tuple[float, float]:
@@ -134,16 +162,7 @@ class PPlusPlan:
         """Masses and mean crossovers of the groups."""
         q = self.source.weights
         s = self.source.sigmas
-        masses = []
-        means = []
-        for a, b in self.bounds():
-            if b - a == 1:
-                masses.append(float(q[a - 1]))
-                means.append(float(s[a - 1]))
-            else:
-                w = float(q[a - 1 : b - 1].sum())
-                masses.append(w)
-                means.append(float((q[a - 1 : b - 1] * s[a - 1 : b - 1]).sum()) / w)
+        masses, means = zip(*(_group_stat(q, s, a - 1, b - 1) for a, b in self.bounds()))
         return np.array(masses), np.array(means)
 
     def to_json_dict(self) -> dict:
@@ -455,25 +474,6 @@ def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
     return _plan_from_segments(q, segs)
 
 
-def _cut_ok(eps_l, eps_r, sig_lo, sig_hi) -> np.ndarray:
-    """Strict threshold-window test at cuts, elementwise over broadcast arrays.
-
-    A cut fails only when its means satisfy 0 < eps_l < eps_r < 1/2 and
-    split_threshold(eps_l, eps_r) is not strictly inside (sig_lo, sig_hi).
-    Boundary cuts (left mean 0 or right mean 1/2) have forced structure in
-    any valid plan and pass; so do means out of that order, which only
-    round-off produces, and NaN means.
-    """
-    eps_l = np.asarray(eps_l, dtype=np.float64)
-    eps_r = np.asarray(eps_r, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = eps_r - eps_l
-        num = np.log1p(d / (1.0 - eps_r))
-        t = num / (num + np.log1p(d / eps_l))
-    inside = (t - sig_lo > PHI_STRICT_TOL) & (sig_hi - t > PHI_STRICT_TOL)
-    return inside | ~((0.0 < eps_l) & (eps_l < eps_r) & (eps_r < 0.5))
-
-
 def is_c_degradation(plan: PPlusPlan) -> bool:
     """True iff every cut passes the strict threshold-window test.
 
@@ -483,40 +483,34 @@ def is_c_degradation(plan: PPlusPlan) -> bool:
     s = plan.source.sigmas
     _, means = plan.group_stats()
     k = np.asarray(plan.cuts, dtype=np.int64)
-    return bool(_cut_ok(means[:-1], means[1:], s[k - 2], s[k - 1]).all())
+    t = _threshold(means[:-1], means[1:])
+    return not bool(((t - s[k - 2] <= PHI_STRICT_TOL) | (s[k - 1] - t <= PHI_STRICT_TOL)).any())
 
 
 def refine_cuts(plan: PPlusPlan) -> PPlusPlan:
     """Move cut boundaries until every threshold window is satisfied.
 
     A cut k_j moves right when the threshold is at or above sigma_{k_j} and
-    left when at or below sigma_{k_j - 1} (never emptying a group); each
-    move strictly increases capacity, so the loop terminates.
+    left when at or below sigma_{k_j - 1} (never emptying a group); the
+    first cut that can move does, right before left.  Each move strictly
+    increases capacity, so the loop terminates.
     """
+    s = plan.source.sigmas
     cuts = list(plan.cuts)
     seen = {tuple(cuts)}
     for _ in range(100000):
-        s = plan.source.sigmas
         cur = PPlusPlan(plan.source, tuple(cuts))
         _, means = cur.group_stats()
-        edges = [1] + cuts + [plan.source.size + 1]
-        moved = False
-        for j in range(len(cuts)):
-            k = cuts[j]
-            eps_l, eps_r = means[j], means[j + 1]
-            if eps_l <= 0.0 or eps_r >= 0.5:
-                continue
-            t = split_threshold(eps_l, eps_r)
-            if t >= s[k - 1] - PHI_STRICT_TOL and k + 1 < edges[j + 2]:
-                cuts[j] = k + 1
-                moved = True
-                break
-            if t <= s[k - 2] + PHI_STRICT_TOL and eps_l + s[k - 2] > 0.0 and k - 1 > edges[j]:
-                cuts[j] = k - 1
-                moved = True
-                break
-        if not moved:
+        k = np.asarray(cuts, dtype=np.int64)
+        edges = np.concatenate([[1], k, [plan.source.size + 1]])
+        t = _threshold(means[:-1], means[1:])
+        right = (s[k - 1] - t <= PHI_STRICT_TOL) & (k + 1 < edges[2:])
+        left = (t - s[k - 2] <= PHI_STRICT_TOL) & (k - 1 > edges[:-2])
+        move = np.flatnonzero(right | left)
+        if move.size == 0:
             return cur
+        j = int(move[0])
+        cuts[j] += 1 if right[j] else -1
         key = tuple(cuts)
         if key in seen:
             # Floating-point dust oscillation at a window boundary; the

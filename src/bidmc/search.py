@@ -11,8 +11,8 @@ m.  Three searchers are provided:
   guarded by a combinatorial bound (the independent oracle);
 - ``c_optimal_degradation``: dynamic program over partial degradations,
   one masked numpy kernel per stage, optionally pruning entries whose
-  committed cut fails a threshold-window test (every optimal traceback
-  passes them, so the pruning is sound).
+  committed cut surely fails a threshold-window test (every optimal
+  traceback passes them, so the pruning is sound).
 
 The DP state value S_j(i) is the maximum partial capacity over degradations
 of the first i particles into j groups:
@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import Channel, binary_entropy
-from .refine import PPlusPlan, _cut_ok, realize_pplus
+from .refine import PHI_STRICT_TOL, PPlusPlan, _group_stat, _threshold, realize_pplus
 
 __all__ = [
     "BRUTE_FORCE_GUARD",
@@ -59,17 +59,6 @@ __all__ = [
 BRUTE_FORCE_GUARD = 10**6
 
 _SENTINEL_DEAD = -1e9
-
-
-def _group_mean(q: np.ndarray, s: np.ndarray, a: int, b: int) -> float:
-    """Mean crossover of particles a..b-1 (0-indexed, half-open).
-
-    Must round identically to PPlusPlan.group_stats so that enumeration and
-    the window test agree bit-for-bit; singletons take sigma exactly.
-    """
-    if b - a == 1:
-        return float(s[a])
-    return float((q[a:b] * s[a:b]).sum()) / float(q[a:b].sum())
 
 
 # Rows per block of the stage kernel and offsets per block of ``iota_band``,
@@ -174,20 +163,22 @@ def enumerate_c_degradations(q: Channel, n: int) -> list[PPlusPlan]:
     cuts: list[int] = []
 
     def rec(j: int, start: int, eps_prev: float) -> None:
+        sig_lo, sig_hi = s[start - 2], s[start - 1]
         if j == n:
-            eps = _group_mean(w, s, start - 1, m)
-            if _cut_ok(eps_prev, eps, s[start - 2], s[start - 1]):
+            _, eps = _group_stat(w, s, start - 1, m)
+            t = _threshold(eps_prev, eps)
+            if not (t - sig_lo <= PHI_STRICT_TOL or sig_hi - t <= PHI_STRICT_TOL):
                 out.append(PPlusPlan(q, tuple(cuts)))
             return
         for k in range(start + 1, m - n + j + 2):
-            eps = _group_mean(w, s, start - 1, k - 1)
+            _, eps = _group_stat(w, s, start - 1, k - 1)
             if j > 1:
-                # The first verdict drops the lower bound: once the threshold
-                # reaches the upper sigma, no larger right group passes.
-                below_hi, ok = _cut_ok(eps_prev, eps, (-np.inf, s[start - 2]), s[start - 1])
-                if not below_hi:
+                t = _threshold(eps_prev, eps)
+                # Once the threshold reaches the upper sigma, no larger
+                # right group passes.
+                if sig_hi - t <= PHI_STRICT_TOL:
                     break
-                if not ok:
+                if t - sig_lo <= PHI_STRICT_TOL:
                     continue
             cuts.append(k)
             rec(j + 1, k, eps)
@@ -248,10 +239,11 @@ def _stage_maxima(
     Entry (a, b) is s_prev[b] + iota(stage + b, stage + a): row a covers
     particles up to stage + a, and the new group starts after the state at
     column b.  It is a candidate when b <= a, column b is alive (s_prev not
-    NaN) and, with ``pruning``, the cut it commits passes ``_cut_ok``.  Only
-    candidates are computed, and a NaN candidate is never selected.  Returns
-    the maxima (NaN for a row without candidates), their columns (-1 there)
-    and the number of candidates.
+    NaN) and, with ``pruning``, the cut it commits does not surely fail its
+    window (a margin below -PHI_STRICT_TOL).  Only candidates are computed,
+    and a NaN candidate is never selected.  Returns the maxima (NaN for a
+    row without candidates), their columns (-1 there) and the number of
+    candidates.
     """
     cq, cqs = prefix
     cols = np.flatnonzero(~np.isnan(s_prev))
@@ -267,7 +259,9 @@ def _stage_maxima(
             lo = stage + b - 1  # prefix index before the new group
             with np.errstate(divide="ignore", invalid="ignore"):  # b > a
                 eps = (cqs[hi] - cqs[lo]) / (cq[hi] - cq[lo])
-            mask &= _cut_ok(eps_prev[b], eps, s[lo - 1], s[lo])
+            t = _threshold(eps_prev[b], eps)
+            # Sure failures only: a near-tie or prefix-sum round-off must not prune the optimal path.
+            mask &= ~((t - s[lo - 1] < -PHI_STRICT_TOL) | (s[lo] - t < -PHI_STRICT_TOL))
         ri, ci = np.nonzero(mask)
         count += ri.size
         bc = b[ci]
@@ -292,11 +286,11 @@ def c_optimal_degradation(
     maxima of its matrix over the alive columns of the lower triangle (see
     ``_stage_maxima``).  With ``pruning``, an entry is computed only when
     the cut it would commit (between the previous state's decision-implied
-    last group and the new group) passes the threshold-window test, and a
-    state with no such entry is dropped from later stages.  Every state on
-    an optimal traceback passes its window tests, because optimal partial
-    solutions are C-degradations of their sub-channels; the pruned run
-    therefore reaches the same final capacity.  ``evaluations`` counts the
+    last group and the new group) does not surely fail the threshold-window
+    test, and a state with no such entry is dropped from later stages.
+    Every state on an optimal traceback passes its window tests, because
+    optimal partial solutions are C-degradations of their sub-channels; the
+    pruned run therefore reaches the same final capacity.  ``evaluations`` counts the
     entries computed, so the pruned count never exceeds the unpruned one.
     ``pruning=False`` is the soundness baseline.
     """

@@ -265,3 +265,42 @@ def test_witness_json_shape():
     d = wit.to_json_dict()
     assert d["rows"] == 2 and d["cols"] == 1
     assert np.allclose(np.array(d["k"]).sum(), 1.0, atol=1e-9)
+
+
+def _witness_system_loops(w, q, equality):
+    # Row-by-row assembly of the witness LP, the reference for the
+    # Kronecker-product form.
+    m, n = q.size, w.size
+    rows_eq, rhs_eq, mom_rows, mom_rhs = [], [], [], []
+    for i in range(m):
+        row = np.zeros(m * n)
+        row[i * n : (i + 1) * n] = 1.0
+        rows_eq.append(row)
+        rhs_eq.append(q.particles[i].weight)
+    for j in range(n):
+        row = np.zeros(m * n)
+        row[j::n] = 1.0
+        rows_eq.append(row)
+        rhs_eq.append(w.particles[j].weight)
+    for j in range(n):
+        row = np.zeros(m * n)
+        row[j::n] = q.sigmas
+        mom_rows.append(row)
+        mom_rhs.append(w.particles[j].weight * w.particles[j].sigma)
+    if equality:
+        return np.array(rows_eq + mom_rows), np.array(rhs_eq + mom_rhs), None, None
+    return np.array(rows_eq), np.array(rhs_eq), np.array(mom_rows), np.array(mom_rhs)
+
+
+@pytest.mark.parametrize("equality", [False, True])
+def test_witness_system_matches_row_loops(equality):
+    from bidmc.blackwell import _witness_system
+
+    for i, (m, n) in enumerate([(3, 2), (5, 4), (12, 7), (32, 10), (2, 9)]):
+        q = random_channel(instance_rng(41, i), m)
+        w = random_channel(instance_rng(42, i), n)
+        for got, want in zip(_witness_system(w, q, equality), _witness_system_loops(w, q, equality)):
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape and np.array_equal(got, want)

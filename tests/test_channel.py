@@ -7,6 +7,7 @@ from bidmc import (
     bsc,
     canonicalize,
     capacity,
+    capacity_loss_rate,
     equivalent,
     error_probability,
     instance_rng,
@@ -174,3 +175,11 @@ def test_equivalent_is_equivalence_relation():
             for c in chans:
                 if equivalent(a, b) and equivalent(b, c):
                     assert equivalent(a, c)
+
+
+def test_capacity_loss_rate_clamps_and_handles_zero_capacity():
+    assert capacity_loss_rate(0.5, 0.25) == 0.5
+    # A degradation computed a round-off above its source loses nothing.
+    assert capacity_loss_rate(0.5, 0.5 + 1e-16) == 0.0
+    assert capacity_loss_rate(0.0, 0.0) == 0.0
+    assert capacity_loss_rate(-1e-18, 0.0) == 0.0

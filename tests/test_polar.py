@@ -151,11 +151,15 @@ def test_construct_validates_args():
         construct(bsc(0.1), 1, 1)
 
 
-@pytest.mark.parametrize("seed, index, n", [(0, 4, 4), (0, 28, 4), (1, 0, 8)])
+@pytest.mark.parametrize(
+    "seed, index, n", [(0, 4, 4), (0, 28, 4), (1, 0, 8), (1, 25, 4), (3, 83, 4), (3, 108, 4)]
+)
 def test_construct_skewed_chains_complete(seed, index, n):
     # Depth-5 chains reach means within 1e-9 of 1/2.  There a window found by
-    # bisection can miss every candidate of a stage, and a prefix-sum mean
-    # can leave split_threshold's domain.
+    # bisection can miss every candidate of a stage, a prefix-sum mean can
+    # leave split_threshold's domain, and every cut vector of a branch can
+    # have a window margin below PHI_STRICT_TOL, so pruning on the
+    # conservative side of the tolerance leaves no traceback state.
     run = construct(random_channel(instance_rng(seed, index), n), 5, n)
     for alpha, rec in run.records.items():
         if not alpha:

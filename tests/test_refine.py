@@ -7,9 +7,12 @@ from bidmc import (
     InvalidPlanError,
     PPlusPlan,
     PStarPlan,
+    brute_force_c_optimal,
     bsc,
+    c_optimal_degradation,
     canonicalize,
     capacity,
+    enumerate_c_degradations,
     equivalent,
     error_probability,
     improving_moves,
@@ -282,6 +285,18 @@ def test_to_pstar_plan_rejects_non_degradation():
 def test_is_c_degradation_examples():
     assert is_c_degradation(PPlusPlan(Q3, (2,)))
     assert is_c_degradation(PPlusPlan(Q3, (3,)))
+
+
+def test_boundary_cuts_pass_every_window_test():
+    # A left group of mean 0 or a right group of mean 1/2 puts the threshold
+    # outside its domain; such a cut's structure is forced, so it never
+    # fails, moves or prunes.
+    q = canonicalize([(0.0, 0.3), (0.1, 0.2), (0.3, 0.2), (0.5, 0.3)])
+    plan = PPlusPlan(q, (2, 4))
+    assert is_c_degradation(plan)
+    assert refine_cuts(plan).cuts == (2, 4)
+    assert [p.cuts for p in enumerate_c_degradations(q, 3)] == [(2, 3), (2, 4), (3, 4)]
+    assert c_optimal_degradation(q, 3)[0].cuts == brute_force_c_optimal(q, 3)[0].cuts == (2, 3)
 
 
 def test_refine_cuts_fixpoint_unchanged():

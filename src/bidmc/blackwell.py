@@ -249,11 +249,7 @@ def intermediate_output(q: Channel, real: IntermediateRealization) -> Channel:
     """Channel produced by splitting Q by the witness, flipping, merging."""
     k = real.witness.entries
     cols = k.sum(axis=0)
-    raw = []
-    for j in range(k.shape[1]):
-        if cols[j] <= 0.0:
-            continue
-        mean = float(q.sigmas @ k[:, j] / cols[j])
-        e = float(real.column_flip[j])
-        raw.append((mean * (1.0 - e) + (1.0 - mean) * e, float(cols[j])))
-    return canonicalize(raw)
+    used = np.flatnonzero(cols > 0.0)
+    means = np.array([q.sigmas @ k[:, j] for j in used]) / cols[used]
+    e = real.column_flip[used]
+    return canonicalize(np.column_stack((means * (1.0 - e) + (1.0 - means) * e, cols[used])))

@@ -3,9 +3,9 @@
 A symmetric binary-input discrete memoryless channel is identified, up to
 output relabeling, by the distribution of the likelihood ratio of its output
 (the LR-profile).  Every such channel is equivalent to a finite mixture of
-binary symmetric channels, so the canonical value type here is a sorted list
-of particles (sigma_i, q_i): crossover probabilities 0 <= sigma_1 < ... <
-sigma_n <= 1/2 carrying positive weights q_i summing to one.
+binary symmetric channels, so the canonical value type here is a sorted
+array pair of particles (sigma_i, q_i): crossover probabilities 0 <= sigma_1
+< ... < sigma_n <= 1/2 carrying positive weights q_i summing to one.
 
 Capacity and decoding error probability are linear functionals of the
 LR-profile:
@@ -75,44 +75,69 @@ def binary_entropy(x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Canonical symmetric BIDMC: sorted BSC mixture with positive weights.
 
-    Use :func:`canonicalize` (or :func:`bsc` / :func:`mix`) to build
-    instances; the constructor only validates canonical form.
+    Stored as two read-only float64 arrays, ``sigmas`` and ``weights``;
+    ``particles`` is the same data as a tuple of :class:`Particle`, built on
+    first use.  Use :func:`canonicalize` (or :func:`bsc` / :func:`mix`) to
+    build instances; the constructor only validates canonical form.
     """
 
-    particles: tuple[Particle, ...]
+    sigmas: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if not self.particles:
+        s = np.array(self.sigmas, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)
+        if s.ndim != 1 or s.shape != w.shape:
+            raise ValueError("sigmas and weights must be 1-d arrays of equal length")
+        if not s.size:
             raise InvalidDistributionError("channel needs at least one particle")
-        prev = -1.0
-        total = 0.0
-        for p in self.particles:
-            if not (0.0 <= p.sigma <= 0.5):
-                raise ValueError(f"crossover {p.sigma} outside [0, 1/2]")
-            if p.weight <= 0.0:
-                raise InvalidDistributionError(f"non-positive weight {p.weight}")
-            if p.sigma <= prev:
-                raise ValueError("crossover probabilities must be strictly increasing")
-            prev = p.sigma
-            total += p.weight
+        # Strictly increasing from >= 0 to <= 1/2 puts every crossover in
+        # range (a NaN fails the increase).
+        valid = 0.0 <= s[0] and s[-1] <= 0.5 and not np.count_nonzero(w <= 0.0)
+        if not (valid and (s[1:] > s[:-1]).all()):
+            # The first failing particle raises, with its first failing check.
+            bad_sigma = ~((0.0 <= s) & (s <= 0.5))
+            bad = bad_sigma | (w <= 0.0)
+            bad[1:] |= s[1:] <= s[:-1]
+            i = int(bad.argmax())
+            if bad_sigma[i]:
+                raise ValueError(f"crossover {float(s[i])} outside [0, 1/2]")
+            if w[i] <= 0.0:
+                raise InvalidDistributionError(f"non-positive weight {float(w[i])}")
+            raise ValueError("crossover probabilities must be strictly increasing")
+        total = float(w.cumsum()[-1])  # summed in sequence, not pairwise
         if abs(total - 1.0) > SUM_TOL:
             raise InvalidDistributionError(f"weights sum to {total}, not 1")
+        s.flags.writeable = False
+        w.flags.writeable = False
+        object.__setattr__(self, "sigmas", s)
+        object.__setattr__(self, "weights", w)
 
     @cached_property
-    def sigmas(self) -> np.ndarray:
-        return np.array([p.sigma for p in self.particles], dtype=np.float64)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return np.array([p.weight for p in self.particles], dtype=np.float64)
+    def particles(self) -> tuple[Particle, ...]:
+        return tuple(map(Particle, self.sigmas.tolist(), self.weights.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.particles)
+        return self.sigmas.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Channel):
+            return NotImplemented
+        return bool(
+            np.array_equal(self.sigmas, other.sigmas)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.particles)
+
+    def __reduce__(self):
+        return (Channel, (self.sigmas, self.weights))
 
     def __repr__(self) -> str:
         terms = " + ".join(f"{p.weight:.6g}*B({p.sigma:.6g})" for p in self.particles)
@@ -135,45 +160,123 @@ class LrProfile:
         return sum(m for _, m in self.atoms)
 
 
-def canonicalize(raw: Iterable[tuple[float, float]]) -> Channel:
+def canonicalize(raw: np.ndarray | Iterable[tuple[float, float]]) -> Channel:
     """Reduce raw (sigma, weight) pairs to the canonical sorted merged form.
 
-    Crossovers above 1/2 are reflected to 1 - sigma (B(s) and B(1-s) have the
-    same LR-profile).  Entries within MERGE_TOL of each other are coalesced,
+    ``raw`` is an (N, 2) array or an iterable of pairs.  Crossovers above
+    1/2 are reflected to 1 - sigma (B(s) and B(1-s) have the same
+    LR-profile).  Entries within MERGE_TOL of each other are coalesced,
     zero-weight entries dropped, and the weight vector normalized; a weight
     sum off by more than WEIGHT_SUM_INPUT_TOL raises.
+
+    The result is bit for bit that of one sequential pass over the pairs
+    sorted by (sigma, weight), which folds each pair into the running mean
+    of the current group while it lies within MERGE_TOL of that mean and
+    otherwise opens a group.
     """
-    pairs = []
-    total = 0.0
-    for sigma, weight in raw:
-        if weight < -MERGE_TOL:
-            raise InvalidDistributionError(f"negative weight {weight}")
-        weight = max(float(weight), 0.0)
-        total += weight
-        if weight == 0.0:
-            continue
-        sigma = float(sigma)
-        if sigma > 0.5:
-            sigma = 1.0 - sigma
-        if not (0.0 - MERGE_TOL <= sigma <= 0.5 + MERGE_TOL):
-            raise ValueError(f"crossover {sigma} outside [0, 1]")
-        pairs.append((min(max(sigma, 0.0), 0.5), weight))
+    pairs = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=np.float64)
+    if not pairs.size:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("raw input must be (sigma, weight) pairs")
+    sig, wt = pairs.T
+    # Positive weights on crossovers in [0, 1/2] need no cleaning.
+    if not (wt.size and wt.min() > 0.0 and 0.0 <= sig.min() and sig.max() <= 0.5):
+        sig, wt = _clean_pairs(pairs)
+    # Summed in sequence in input order; dropped zero weights add nothing.
+    total = float(wt.cumsum()[-1]) if wt.size else 0.0
     if abs(total - 1.0) > WEIGHT_SUM_INPUT_TOL:
         raise InvalidDistributionError(f"weights sum to {total}, not 1")
-    if not pairs:
+    if not wt.size:
         raise InvalidDistributionError("no positive-weight particles")
-    pairs.sort()
+    order = sig.argsort()
+    s, w = sig[order], wt[order]
+    gap = s[1:] - s[:-1]
+    # A running group mean exceeds its largest member by a few ulps at
+    # most, so a sorted gap above 2 * MERGE_TOL surely opens a group.
+    close = gap <= 2.0 * MERGE_TOL
+    if np.count_nonzero(close):
+        tie = gap == 0.0
+        if np.count_nonzero(tie & (w[1:] < w[:-1])):
+            # Most ties are exact (sigma, weight) twins, from pairs (i, j)
+            # and (j, i); where they are not, break ties by weight rank, at
+            # the cost of two more argsorts rather than one lexsort.
+            rank = np.empty(s.size, dtype=np.int64)
+            rank[wt.argsort()] = np.arange(s.size)
+            block = np.concatenate(([0], np.cumsum(~tie)))
+            order = order[(block * s.size + rank[order]).argsort()]
+            s, w = sig[order], wt[order]
+        s, w = _merge_runs(s, w, np.concatenate(([True], ~close)))
+    return Channel(s, w / total)
 
-    merged: list[list[float]] = []
-    for sigma, weight in pairs:
-        if merged and sigma - merged[-1][0] <= MERGE_TOL:
-            s0, w0 = merged[-1]
-            w = w0 + weight
-            merged[-1] = [(s0 * w0 + sigma * weight) / w, w]
-        else:
-            merged.append([sigma, weight])
-    particles = tuple(Particle(s, w / total) for s, w in merged)
-    return Channel(particles)
+
+def _clean_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated crossovers and positive weights of raw pairs, in input order.
+
+    Zero weights, and weights within MERGE_TOL below 0, are dropped;
+    crossovers above 1/2 are reflected and those within MERGE_TOL outside
+    [0, 1/2] clamped.  The first pair with a negative weight, or a positive
+    weight and a crossover outside [0, 1], raises.
+    """
+    sig, wt = pairs.T
+    negative = wt < -MERGE_TOL
+    keep = ~(wt <= 0.0)  # a NaN weight is kept, as the sequential pass keeps it
+    sig = np.where(sig > 0.5, 1.0 - sig, sig)
+    bad = negative | (keep & ~((0.0 - MERGE_TOL <= sig) & (sig <= 0.5 + MERGE_TOL)))
+    if np.count_nonzero(bad):
+        i = int(bad.argmax())
+        if negative[i]:
+            raise InvalidDistributionError(f"negative weight {float(pairs[i, 1])}")
+        raise ValueError(f"crossover {float(sig[i])} outside [0, 1]")
+    sig = sig[keep]
+    return np.where(0.0 > sig, 0.0, sig), wt[keep]
+
+
+def _merge_runs(s: np.ndarray, w: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and masses of the groups of sorted pairs, by running means.
+
+    ``head`` flags the pairs that surely open a group; the pairs after each
+    are replayed one step at a time, all runs in step: a pair within
+    MERGE_TOL of its group's running mean is folded into it, any other
+    opens a group and gets its ``head`` flag set.  The last run left
+    finishes in a scalar loop, which is faster than numpy steps over one
+    pair each.
+    """
+    gs, gw = s.copy(), w.copy()
+    start = head.nonzero()[0]
+    length = np.diff(np.append(start, s.size))
+    start, length = start[length > 1], length[length > 1]
+    cur = start.copy()  # head of each run's current group
+    step = 1
+    while start.size > 1:
+        k = start + step
+        join = s[k] - gs[cur] <= MERGE_TOL
+        c, kj = cur[join], k[join]
+        w0, wk = gw[c], w[kj]
+        mass = w0 + wk
+        gs[c] = (gs[c] * w0 + s[kj] * wk) / mass
+        gw[c] = mass
+        opened = k[~join]
+        head[opened] = True
+        cur[~join] = opened
+        step += 1
+        live = length > step
+        start, length, cur = start[live], length[live], cur[live]
+    if start.size:
+        c = int(cur[0])
+        g, m = float(gs[c]), float(gw[c])
+        lo, hi = int(start[0]) + step, int(start[0] + length[0])
+        for k, sk, wk in zip(range(lo, hi), s[lo:hi].tolist(), w[lo:hi].tolist()):
+            if sk - g <= MERGE_TOL:
+                mass = m + wk
+                g = (g * m + sk * wk) / mass
+                m = mass
+            else:
+                gs[c], gw[c] = g, m
+                head[k] = True
+                c, g, m = k, sk, wk
+        gs[c], gw[c] = g, m
+    return gs[head], gw[head]
 
 
 def bsc(eps: float) -> Channel:
@@ -215,16 +318,17 @@ def mix(components: Sequence[tuple[float, Channel]]) -> Channel:
     if not components:
         raise InvalidDistributionError("empty mixture")
     wsum = 0.0
-    raw: list[tuple[float, float]] = []
+    sigmas, masses = [], []
     for weight, chan in components:
         if weight < -MERGE_TOL:
             raise InvalidDistributionError(f"negative mixture weight {weight}")
-        wsum += max(float(weight), 0.0)
-        for p in chan.particles:
-            raw.append((p.sigma, max(float(weight), 0.0) * p.weight))
+        weight = max(float(weight), 0.0)
+        wsum += weight
+        sigmas.append(chan.sigmas)
+        masses.append(weight * chan.weights)
     if abs(wsum - 1.0) > WEIGHT_SUM_INPUT_TOL:
         raise InvalidDistributionError(f"mixture weights sum to {wsum}, not 1")
-    return canonicalize(raw)
+    return canonicalize(np.column_stack((np.concatenate(sigmas), np.concatenate(masses))))
 
 
 def lr_profile(w: Channel) -> LrProfile:

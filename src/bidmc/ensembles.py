@@ -28,7 +28,7 @@ def random_channel(rng: np.random.Generator, m: int) -> Channel:
     while True:
         sigmas = np.sort(rng.uniform(0.0, 0.5, size=m))
         weights = rng.dirichlet(np.ones(m))
-        chan = canonicalize(zip(sigmas.tolist(), weights.tolist()))
+        chan = canonicalize(np.column_stack((sigmas, weights)))
         if chan.size == m:
             return chan
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import Channel, canonicalize, capacity, capacity_loss_rate
 from .refine import realize_pplus
 from .search import c_optimal_degradation
@@ -42,39 +44,43 @@ __all__ = [
 EXACT_SIZE_GUARD = 10**4
 
 
-def star(a: float, b: float) -> float:
-    """Crossover of a serial BSC pair: (1-a)b + a(1-b)."""
+def star(a, b):
+    """Crossover of a serial BSC pair: (1-a)b + a(1-b), elementwise."""
     return (1.0 - a) * b + a * (1.0 - b)
 
 
-def diamond(a: float, b: float) -> float:
-    """Crossover a # b = ab / ((1-a) * b); 0 when either argument is 0 or 1."""
-    if a in (0.0, 1.0) or b in (0.0, 1.0):
-        return 0.0
-    return a * b / star(1.0 - a, b)
+def diamond(a, b):
+    """Crossover a # b = ab / ((1-a) * b), elementwise; 0 where a or b is 0 or 1."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    inner = (a != 0.0) & (a != 1.0) & (b != 0.0) & (b != 1.0)
+    out = np.zeros(inner.shape)
+    np.divide(a * b, star(1.0 - a, b), out=out, where=inner)
+    return float(out) if out.ndim == 0 else out
 
 
 def arikan_minus(w: Channel) -> Channel:
     """Minus (check) transform: pairwise star mixture."""
-    raw = []
-    for i, pi in enumerate(w.particles):
-        for pj in w.particles:
-            raw.append((star(pi.sigma, pj.sigma), pi.weight * pj.weight))
-    return canonicalize(raw)
+    s, p = w.sigmas, w.weights
+    sig = star(s[:, None], s[None, :])
+    mass = p[:, None] * p[None, :]
+    return canonicalize(np.column_stack((sig.ravel(), mass.ravel())))
 
 
 def arikan_plus(w: Channel) -> Channel:
-    """Plus (copy) transform: pairwise diamond mixture, <= n^2 + 1 particles."""
-    raw = []
-    for pi in w.particles:
-        for pj in w.particles:
-            mass = pi.weight * pj.weight
-            good = star(1.0 - pi.sigma, pj.sigma)
-            if good > 0.0:
-                raw.append((diamond(pi.sigma, pj.sigma), mass * good))
-            if good < 1.0:
-                raw.append((diamond(1.0 - pi.sigma, pj.sigma), mass * (1.0 - good)))
-    return canonicalize(raw)
+    """Plus (copy) transform: pairwise diamond mixture, <= n^2 + 1 particles.
+
+    Pair (i, j) contributes a good and a bad output, in that order, each
+    only when its mass factor is nonzero.
+    """
+    si, sj = w.sigmas[:, None], w.sigmas[None, :]
+    mass = w.weights[:, None] * w.weights[None, :]
+    good = star(1.0 - si, sj)
+    # [i, j, 0] is the good output of pair (i, j), [i, j, 1] the bad one.
+    sig = diamond(np.stack((si, 1.0 - si), axis=-1), sj[..., None])
+    mass = np.stack((mass * good, mass * (1.0 - good)), axis=-1)
+    keep = np.stack((good > 0.0, good < 1.0), axis=-1)
+    return canonicalize(np.stack((sig, mass), axis=-1)[keep])
 
 
 def _transform(w: Channel, bit: str) -> Channel:

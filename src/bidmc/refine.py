@@ -259,13 +259,13 @@ class PStarPlan:
 def realize_pstar(plan: PStarPlan) -> Channel:
     """Channel realized by a segment plan: one mean particle per segment."""
     masses, means = plan.segment_stats()
-    return canonicalize(list(zip(means, masses)))
+    return canonicalize(np.column_stack((means, masses)))
 
 
 def realize_pplus(plan: PPlusPlan) -> Channel:
     """Channel realized by a cut plan: contiguous-group means."""
     masses, means = plan.group_stats()
-    return canonicalize(list(zip(means, masses)))
+    return canonicalize(np.column_stack((means, masses)))
 
 
 def pplus_as_pstar(plan: PPlusPlan) -> PStarPlan:

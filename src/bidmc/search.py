@@ -76,8 +76,7 @@ def iota_band(q: Channel, max_len: int) -> np.ndarray:
     m = q.size
     w = q.weights
     s = q.sigmas
-    cq = np.concatenate([[0.0], np.cumsum(w)])
-    cqs = np.concatenate([[0.0], np.cumsum(w * s)])
+    prefix = _prefix_sums(w, s)
     band = np.full((max_len, m + 1), np.nan)
     band[0, 1 : m + 1] = w * (1.0 - binary_entropy(s))
     for d0 in range(1, max_len, _STAGE_BLOCK):
@@ -87,10 +86,33 @@ def iota_band(q: Channel, max_len: int) -> np.ndarray:
         )
         keep = start + d <= m
         d, start = d[keep], start[keep]
-        mass = cq[start + d] - cq[start - 1]
-        mean = (cqs[start + d] - cqs[start - 1]) / mass
+        mass, mean = _segment_stats(prefix, w, s, start - 1, start + d)
         band[d, start] = mass * (1.0 - binary_entropy(mean))
     return band
+
+
+def _prefix_sums(w: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of q and q * sigma, each with a leading 0."""
+    return np.concatenate([[0.0], np.cumsum(w)]), np.concatenate([[0.0], np.cumsum(w * s)])
+
+
+def _segment_stats(
+    prefix: tuple[np.ndarray, np.ndarray], w: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masses and means of the groups of particles lo..hi-1 (0-indexed, half-open).
+
+    From prefix-sum differences; a group whose difference mass cancels to
+    <= 0 (masses near 1e-17 after a prefix near 1) takes direct sums over
+    the group, as ``refine._group_stat`` does.
+    """
+    cq, cqs = prefix
+    mass = cq[hi] - cq[lo]
+    cancelled = (mass <= 0.0).nonzero()[0]
+    mass[cancelled] = np.inf  # a finite placeholder quotient, replaced below
+    mean = (cqs[hi] - cqs[lo]) / mass
+    for i in cancelled:
+        mass[i], mean[i] = _group_stat(w, s, lo[i], hi[i])
+    return mass, mean
 
 
 @dataclass
@@ -301,8 +323,7 @@ def c_optimal_degradation(
     s = q.sigmas
     size = m - n + 1
     band = iota_band(q, size)
-    cq = np.concatenate([[0.0], np.cumsum(w)])
-    cqs = np.concatenate([[0.0], np.cumsum(w * s)])
+    prefix = _prefix_sums(w, s)
     offsets = np.arange(size)
 
     s_prev = band[offsets, 1]
@@ -312,11 +333,11 @@ def c_optimal_degradation(
         pruned=[np.zeros(size, dtype=bool)],
     )
     # Mean crossover of each state's last group, per its stored decision.
-    eps_prev = (cqs[1 : size + 1] - cqs[0]) / (cq[1 : size + 1] - cq[0])
+    _, eps_prev = _segment_stats(prefix, w, s, np.zeros(size, dtype=np.int64), offsets + 1)
     for stage in range(2, n + 1):
         rows = offsets if stage < n else offsets[-1:]
         s_prev, dec, count = _stage_maxima(
-            stage, rows, s_prev, eps_prev, band, (cq, cqs), s, pruning
+            stage, rows, s_prev, eps_prev, band, prefix, s, pruning
         )
         dead = dec < 0
         table.evaluations += count
@@ -324,8 +345,8 @@ def c_optimal_degradation(
         table.values.append(s_prev)
         table.decisions.append(dec)
         table.pruned.append(dead)
-        hi, lo = stage + rows, stage + dec - 1
-        eps_prev = np.where(dead, np.nan, (cqs[hi] - cqs[lo]) / (cq[hi] - cq[lo]))
+        _, eps = _segment_stats(prefix, w, s, stage + dec - 1, stage + rows)
+        eps_prev = np.where(dead, np.nan, eps)
     if dead[0]:
         raise RuntimeError("no feasible traceback state")
     table.capacity = float(s_prev[0])
@@ -353,8 +374,7 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
         raise ValueError(f"need 2 <= n <= m, got n={n}, m={m}")
     w = q.weights
     s = q.sigmas
-    cq = np.concatenate([[0.0], np.cumsum(w)])
-    cqs = np.concatenate([[0.0], np.cumsum(w * s)])
+    cq, cqs = _prefix_sums(w, s)
 
     def iota(a: int, b: int) -> float:  # particles a..b-1, 0-indexed half-open
         mass = float(cq[b] - cq[a])

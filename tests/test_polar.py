@@ -152,14 +152,17 @@ def test_construct_validates_args():
 
 
 @pytest.mark.parametrize(
-    "seed, index, n", [(0, 4, 4), (0, 28, 4), (1, 0, 8), (1, 25, 4), (3, 83, 4), (3, 108, 4)]
+    "seed, index, n",
+    [(0, 4, 4), (0, 28, 4), (1, 0, 8), (1, 21, 4), (1, 25, 4), (3, 83, 4), (3, 108, 4)],
 )
 def test_construct_skewed_chains_complete(seed, index, n):
     # Depth-5 chains reach means within 1e-9 of 1/2.  There a window found by
     # bisection can miss every candidate of a stage, a prefix-sum mean can
     # leave split_threshold's domain, and every cut vector of a branch can
     # have a window margin below PHI_STRICT_TOL, so pruning on the
-    # conservative side of the tolerance leaves no traceback state.
+    # conservative side of the tolerance leaves no traceback state.  In
+    # (1, 21, 4) a branch has particles of mass near 1e-17 after a mass near
+    # 1, whose prefix-difference group masses cancel to exactly 0.
     run = construct(random_channel(instance_rng(seed, index), n), 5, n)
     for alpha, rec in run.records.items():
         if not alpha:

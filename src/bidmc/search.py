@@ -378,7 +378,10 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
 
     def iota(a: int, b: int) -> float:  # particles a..b-1, 0-indexed half-open
         mass = float(cq[b] - cq[a])
-        mean = float(cqs[b] - cqs[a]) / mass
+        if mass <= 0.0:  # cancelled, as in _segment_stats
+            mass, mean = _group_stat(w, s, a, b)
+        else:
+            mean = float(cqs[b] - cqs[a]) / mass
         return mass * (1.0 - float(binary_entropy(mean)))
 
     # Group edges as a linked list: the live group starting at edge e is

@@ -7,6 +7,8 @@ The array code must reproduce them bit for bit, so results are compared by
 the ``.hex()`` of every float, and failures by exception type and message.
 """
 
+import copy
+import pickle
 import sys
 
 import numpy as np
@@ -215,6 +217,11 @@ def test_channel_arrays_are_read_only():
     with pytest.raises(ValueError):
         q.sigmas[1] = 0.2
     assert q.particles == ((0.1, 0.4), (0.3, 0.6))
+    # Copies are rebuilt through the constructor, so they stay read-only.
+    for c in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
+        assert c == q
+        with pytest.raises(ValueError):
+            c.weights[0] = 0.0
 
 
 def test_channel_validates_like_the_reference():

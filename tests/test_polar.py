@@ -16,6 +16,7 @@ from bidmc import (
     random_channel,
     realize_pplus,
     star,
+    tv_greedy_plan,
 )
 from bidmc.refine import PPlusPlan
 
@@ -162,7 +163,8 @@ def test_construct_skewed_chains_complete(seed, index, n):
     # have a window margin below PHI_STRICT_TOL, so pruning on the
     # conservative side of the tolerance leaves no traceback state.  In
     # (1, 21, 4) a branch has particles of mass near 1e-17 after a mass near
-    # 1, whose prefix-difference group masses cancel to exactly 0.
+    # 1, whose prefix-difference group masses cancel to exactly 0, in the DP
+    # and in the greedy merge alike.
     run = construct(random_channel(instance_rng(seed, index), n), 5, n)
     for alpha, rec in run.records.items():
         if not alpha:
@@ -174,4 +176,6 @@ def test_construct_skewed_chains_complete(seed, index, n):
         else:
             plan, _ = c_optimal_degradation(transform, n, pruning=False)
             best = capacity(realize_pplus(plan))
+            greedy = capacity(realize_pplus(tv_greedy_plan(transform, n)))
+            assert greedy <= best + 1e-12, alpha
         assert capacity(rec.quantized) == pytest.approx(best, abs=1e-9), alpha

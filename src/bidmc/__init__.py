@@ -58,7 +58,6 @@ from .refine import (
 )
 from .search import (
     DpTable,
-    StageMatrix,
     brute_force_c_optimal,
     c_optimal_degradation,
     enumerate_c_degradations,
@@ -66,6 +65,5 @@ from .search import (
     tv_greedy_degrade,
     tv_greedy_plan,
 )
-from .smawk import CountingMatrix, smawk_row_maxima
 
 __version__ = "0.1.0"

@@ -75,6 +75,27 @@ def binary_entropy(x):
     return float(out) if out.ndim == 0 else out
 
 
+def _capacity_term(sigma, x):
+    """1 - h(sigma) in bits, elementwise over equal shapes, given x = 1 - 2 sigma.
+
+    Near 1/2, 1 - h(sigma) is about x^2 / (2 ln 2), far below the round-off
+    of h(sigma).  So for sigma >= 1/4 it is (2x atanh(x) + log1p(-x^2)) /
+    (2 ln 2), whose two terms cancel by at most half; x must carry its own
+    digits there (1 - 2 sigma is exact for sigma >= 1/4, and a group's mean
+    of its particles' x keeps them).  Below 1/4 it is 1 - h(sigma), which
+    is at least 0.18 there.
+    """
+    sigma = np.asarray(sigma, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(sigma.shape)
+    far = sigma < 0.25
+    near = ~far
+    xn = x[near]
+    out[near] = (2.0 * xn * np.arctanh(xn) + np.log1p(-xn * xn)) / (2.0 * np.log(2.0))
+    out[far] = 1.0 - binary_entropy(sigma[far])
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Canonical symmetric BIDMC: sorted BSC mixture with positive weights.
@@ -280,7 +301,7 @@ def bsc(eps: float) -> Channel:
 
 def capacity(w: Channel) -> float:
     """Symmetric capacity I(W) = 1 - sum_i q_i h(sigma_i), in [0, 1]."""
-    return float(np.sum(w.weights * (1.0 - binary_entropy(w.sigmas))))
+    return float(np.sum(w.weights * _capacity_term(w.sigmas, 1.0 - 2.0 * w.sigmas)))
 
 
 def capacity_loss_rate(cap_src: float, cap_deg: float) -> float:

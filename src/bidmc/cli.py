@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze, degrade, enumerate, experiment, polar, check.
-Exit codes: 0 ok, 1 usage, 2 validation, 3 oracle mismatch.  The BIDMC_SEED
+Exit codes: 0 ok, 1 usage, 2 validation, 3 oracle mismatch, 4 internal
+error (a RuntimeError raised inside the library).  The BIDMC_SEED
 environment variable overrides --seed.  Every output artifact records the
 seed it was produced with; a fixed configuration reproduces bit-identical
 output.
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_ORACLE = 3
+EXIT_INTERNAL = 4
 
 ORACLE_TOL = 1e-9
 
@@ -549,6 +551,9 @@ def main(argv=None) -> int:
     except (ChannelFormatError, ValidationError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

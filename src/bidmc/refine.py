@@ -33,9 +33,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blackwell import OneMatrix, find_degradation_witness
-from .channel import Channel, binary_entropy, canonicalize
+from .channel import Channel, canonicalize
 
 __all__ = [
     "PHI_STRICT_TOL",
@@ -101,16 +102,44 @@ def split_threshold(eps1: float, eps2: float) -> float:
     return float(_threshold(eps1, eps2))
 
 
+def _segment_terms(q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows q, q sigma and q (1 - 2 sigma): the summands of group statistics."""
+    return np.stack((q, q * s, q * (1.0 - 2.0 * s)))
+
+
+def _segment_table(
+    q: np.ndarray, s: np.ndarray, max_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mass, mean crossover and mean bias x = 1 - 2 sigma of contiguous groups.
+
+    Entry [d, i] of each (max_len, m) table is the group of particles
+    i..i+d (0-indexed); where i + d >= m it sums only the particles up to
+    m.  Each statistic is a forward sum, from the group's first particle,
+    of the nonnegative terms q, q sigma and q (1 - 2 sigma), so no mass or
+    moment cancels and a mean stays within round-off of its group's
+    crossovers.  A singleton takes its sigma and 1 - 2 sigma exactly.
+    """
+    m = q.size
+    terms = np.zeros((3, m + max_len - 1))
+    terms[:, :m] = _segment_terms(q, s)
+    mass, moment, bias = np.cumsum(sliding_window_view(terms, m, axis=1), axis=1)
+    mean = moment / mass
+    xbar = bias / mass
+    mean[0] = s
+    xbar[0] = 1.0 - 2.0 * s
+    return mass, mean, xbar
+
+
 def _group_stat(q: np.ndarray, s: np.ndarray, a: int, b: int) -> tuple[float, float]:
     """Mass and mean crossover of particles a..b-1 (0-indexed, half-open).
 
-    A singleton takes its sigma exactly.  Group statistics and enumeration
-    both use it, so their means and window verdicts agree bit for bit.
+    The scalar read of ``_segment_table``'s sums, so group statistics, the
+    DP and enumeration see the same means and window verdicts bit for bit.
     """
     if b - a == 1:
         return float(q[a]), float(s[a])
-    w = float(q[a:b].sum())
-    return w, float((q[a:b] * s[a:b]).sum()) / w
+    mass = float(np.cumsum(q[a:b])[-1])
+    return mass, float(np.cumsum(q[a:b] * s[a:b])[-1]) / mass
 
 
 def _rows_stats(rows: list[tuple[int, float]], sigmas: np.ndarray) -> tuple[float, float]:
@@ -518,30 +547,3 @@ def refine_cuts(plan: PPlusPlan) -> PPlusPlan:
             return cur
         seen.add(key)
     raise RuntimeError("cut refinement did not terminate")
-
-
-# Capacity bookkeeping for boundary-mass moves between adjacent segments:
-# a segment of mass p and mean e that absorbs mass x at crossover sigma
-# contributes (p + x) * (1 - h((p e + x sigma)/(p + x))) to capacity.
-
-
-def _segment_term(sigma: float, eps: float, p: float, x) -> np.ndarray | float:
-    x = np.asarray(x, dtype=np.float64)
-    mass = p + x
-    mean = (p * eps + x * sigma) / mass
-    out = mass * (1.0 - binary_entropy(mean))
-    return float(out) if out.ndim == 0 else out
-
-
-def _boundary_shift_gain(
-    sigma: float, eps1: float, p1: float, eps2: float, p2: float, x
-) -> np.ndarray | float:
-    """Total capacity of two adjacent segments after shifting boundary mass.
-
-    Mass x >= 0 at crossover sigma moves from the left segment (mean eps1,
-    mass p1) into the right one (mean eps2, mass p2); x < 0 moves the other
-    way.  Increasing on x >= 0 when sigma >= split_threshold(eps1, eps2),
-    decreasing on x <= 0 when sigma <= split_threshold(eps1, eps2).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return _segment_term(sigma, eps1, p1, -x) + _segment_term(sigma, eps2, p2, x)

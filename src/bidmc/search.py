@@ -5,8 +5,8 @@ cut plan, so the search space is the cut vectors 1 < k_1 < ... < k_{n-1} <=
 m.  Three searchers are provided:
 
 - ``enumerate_c_degradations``: depth-first enumeration of exactly the cut
-  plans passing every threshold-window test (the C-degradations), with
-  incremental means and early window cut-off;
+  plans passing every threshold-window test (the C-degradations), one
+  vectorized window test per node and early window cut-off;
 - ``brute_force_c_optimal``: direct maximization over all cut vectors,
   guarded by a combinatorial bound (the independent oracle);
 - ``c_optimal_degradation``: dynamic program over partial degradations,
@@ -20,15 +20,19 @@ of the first i particles into j groups:
     S_j(i) = max_{j-1 <= a < i} S_{j-1}(a) + iota(a + 1, i)
 
 with iota(s, e) the capacity contribution mass * (1 - h(mean)) of collapsing
-particles s..e into one.  Stage j's values form a matrix over (row a = end
-state, column b = previous state) whose feasible lower triangle is totally
-monotone.  The DP takes each row's leftmost maximum over that triangle
-directly; ``StageMatrix`` exposes the same matrix, with a dominated sentinel
-in the upper triangle, to SMAWK (``smawk.py``), which the tests keep as an
-independent reference.  The greedy merge baseline ``tv_greedy_plan`` (and
-``tv_greedy_degrade``), after Tal & Vardy, is included for the capacity-loss
-comparisons; it keeps the adjacent pair losses in a heap with lazy
-invalidation, so each merge re-scores only the merged group's two pairs.
+particles s..e into one.  Group masses and means come from one primitive,
+``refine._segment_table``: forward sums of nonnegative terms from each
+group's first particle, so the band, the DP's pruning means, enumeration,
+``PPlusPlan.group_stats`` and the window tests all see the same means, and
+none cancels.  The capacity term is ``channel._capacity_term``, accurate
+for means within round-off of 1/2.  Stage j's values form a matrix over
+(row a = end state, column b = previous state) whose feasible lower
+triangle is totally monotone.  The DP takes each row's leftmost maximum
+over that triangle directly; the tests check it against SMAWK.  The greedy
+merge baseline ``tv_greedy_plan`` (and ``tv_greedy_degrade``), after Tal &
+Vardy, is included for the capacity-loss comparisons; it keeps the
+adjacent pair losses in a heap with lazy invalidation, so each merge
+re-scores only the merged group's two pairs.
 """
 
 from __future__ import annotations
@@ -41,13 +45,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import Channel, binary_entropy
-from .refine import PHI_STRICT_TOL, PPlusPlan, _group_stat, _threshold, realize_pplus
+from .channel import Channel, _capacity_term
+from .refine import (
+    PHI_STRICT_TOL,
+    PPlusPlan,
+    _segment_table,
+    _segment_terms,
+    _threshold,
+    realize_pplus,
+)
 
 __all__ = [
     "BRUTE_FORCE_GUARD",
     "DpTable",
-    "StageMatrix",
     "iota_band",
     "enumerate_c_degradations",
     "brute_force_c_optimal",
@@ -58,11 +68,8 @@ __all__ = [
 
 BRUTE_FORCE_GUARD = 10**6
 
-_SENTINEL_DEAD = -1e9
-
-
-# Rows per block of the stage kernel and offsets per block of ``iota_band``,
-# which bounds their temporaries to about _STAGE_BLOCK x m entries.
+# Rows per block of the stage kernel, which bounds its temporaries to
+# about _STAGE_BLOCK x m entries.
 _STAGE_BLOCK = 32
 
 
@@ -70,49 +77,19 @@ def iota_band(q: Channel, max_len: int) -> np.ndarray:
     """Partial-capacity table: band[d, s] for particles s..s+d (1-indexed s).
 
     band[d, s] = mass * (1 - h(mean)) of the group of d+1 particles starting
-    at s; entries outside 1 <= s <= m - d are NaN.  Built from prefix sums
-    of q and q * sigma, in blocks of _STAGE_BLOCK offsets.
+    at s, from ``refine._segment_table``; entries outside 1 <= s <= m - d
+    are NaN.
     """
-    m = q.size
-    w = q.weights
-    s = q.sigmas
-    prefix = _prefix_sums(w, s)
+    return _band(*_segment_table(q.weights, q.sigmas, max_len))
+
+
+def _band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray) -> np.ndarray:
+    """iota_band from the segment tables, computed on the channel's groups only."""
+    max_len, m = mass.shape
+    group = np.arange(m) < m - np.arange(max_len)[:, None]
     band = np.full((max_len, m + 1), np.nan)
-    band[0, 1 : m + 1] = w * (1.0 - binary_entropy(s))
-    for d0 in range(1, max_len, _STAGE_BLOCK):
-        d, start = np.broadcast_arrays(
-            np.arange(d0, min(d0 + _STAGE_BLOCK, max_len))[:, None],
-            np.arange(1, m - d0 + 1)[None, :],
-        )
-        keep = start + d <= m
-        d, start = d[keep], start[keep]
-        mass, mean = _segment_stats(prefix, w, s, start - 1, start + d)
-        band[d, start] = mass * (1.0 - binary_entropy(mean))
+    band[:, 1:][group] = mass[group] * _capacity_term(mean[group], xbar[group])
     return band
-
-
-def _prefix_sums(w: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of q and q * sigma, each with a leading 0."""
-    return np.concatenate([[0.0], np.cumsum(w)]), np.concatenate([[0.0], np.cumsum(w * s)])
-
-
-def _segment_stats(
-    prefix: tuple[np.ndarray, np.ndarray], w: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masses and means of the groups of particles lo..hi-1 (0-indexed, half-open).
-
-    From prefix-sum differences; a group whose difference mass cancels to
-    <= 0 (masses near 1e-17 after a prefix near 1) takes direct sums over
-    the group, as ``refine._group_stat`` does.
-    """
-    cq, cqs = prefix
-    mass = cq[hi] - cq[lo]
-    cancelled = (mass <= 0.0).nonzero()[0]
-    mass[cancelled] = np.inf  # a finite placeholder quotient, replaced below
-    mean = (cqs[hi] - cqs[lo]) / mass
-    for i in cancelled:
-        mass[i], mean[i] = _group_stat(w, s, lo[i], hi[i])
-    return mass, mean
 
 
 @dataclass
@@ -133,41 +110,6 @@ class DpTable:
     capacity: float = math.nan
 
 
-class StageMatrix:
-    """Implicit totally monotone DP stage matrix.
-
-    Row a corresponds to covering particles up to j + a with j groups,
-    column b to the previous state at particle j - 1 + b.  The feasible
-    lower triangle (b <= a) is S_prev[b] + iota(j + b, j + a); the upper
-    triangle holds the dominated sentinel 1 - 2(b - a).  Lower-triangle
-    evaluations are memoized and counted.
-    """
-
-    def __init__(self, stage: int, s_prev: np.ndarray, band: np.ndarray, size: int):
-        self.stage = stage
-        self.s_prev = s_prev
-        self.band = band
-        self.nrows = size
-        self.ncols = size
-        self._memo: dict[tuple[int, int], float] = {}
-        self.evaluations = 0
-
-    def value(self, a: int, b: int) -> float:
-        if b > a:
-            return 1.0 - 2.0 * (b - a)
-        key = (a, b)
-        v = self._memo.get(key)
-        if v is None:
-            prev = self.s_prev[b]
-            if np.isnan(prev):
-                v = _SENTINEL_DEAD + b - a
-            else:
-                v = float(prev) + float(self.band[a - b, self.stage + b])
-                self.evaluations += 1
-            self._memo[key] = v
-        return v
-
-
 def enumerate_c_degradations(q: Channel, n: int) -> list[PPlusPlan]:
     """All cut plans passing every threshold-window test, in cut order.
 
@@ -179,31 +121,31 @@ def enumerate_c_degradations(q: Channel, n: int) -> list[PPlusPlan]:
     m = q.size
     if not (2 <= n < m):
         raise ValueError(f"need 2 <= n < m, got n={n}, m={m}")
-    w = q.weights
     s = q.sigmas
+    _, means, _ = _segment_table(q.weights, s, m - n + 1)
     out: list[PPlusPlan] = []
     cuts: list[int] = []
 
     def rec(j: int, start: int, eps_prev: float) -> None:
-        sig_lo, sig_hi = s[start - 2], s[start - 1]
-        if j == n:
-            _, eps = _group_stat(w, s, start - 1, m)
+        # Group j starts at particle `start`; each candidate last particle
+        # fixes its mean and, from group 2 on, the window test of cut `start`.
+        ends = np.arange(start, m - n + j + 1)
+        eps = means[ends - start, start - 1]
+        keep = np.ones(ends.size, dtype=bool)
+        if j > 1:
             t = _threshold(eps_prev, eps)
-            if not (t - sig_lo <= PHI_STRICT_TOL or sig_hi - t <= PHI_STRICT_TOL):
-                out.append(PPlusPlan(q, tuple(cuts)))
+            # Once the threshold reaches the upper sigma, no larger group passes.
+            past = np.logical_or.accumulate(s[start - 1] - t <= PHI_STRICT_TOL)
+            keep = ~(past | (t - s[start - 2] <= PHI_STRICT_TOL))
+        if j == n - 1:
+            # The last group, particles end+1..m, fixes the last cut's test.
+            t = _threshold(eps, means[m - 1 - ends, ends])
+            keep &= ~((t - s[ends - 1] <= PHI_STRICT_TOL) | (s[ends] - t <= PHI_STRICT_TOL))
+            out.extend(PPlusPlan(q, (*cuts, end + 1)) for end in ends[keep].tolist())
             return
-        for k in range(start + 1, m - n + j + 2):
-            _, eps = _group_stat(w, s, start - 1, k - 1)
-            if j > 1:
-                t = _threshold(eps_prev, eps)
-                # Once the threshold reaches the upper sigma, no larger
-                # right group passes.
-                if sig_hi - t <= PHI_STRICT_TOL:
-                    break
-                if t - sig_lo <= PHI_STRICT_TOL:
-                    continue
-            cuts.append(k)
-            rec(j + 1, k, eps)
+        for end, e in zip(ends[keep].tolist(), eps[keep].tolist()):
+            cuts.append(end + 1)
+            rec(j + 1, end + 1, e)
             cuts.pop()
 
     rec(1, 1, 0.0)
@@ -231,9 +173,7 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
     BRUTE_FORCE_GUARD on the number of cut vectors.
     """
     m = q.size
-    if n == m:
-        return PPlusPlan(q, tuple(range(2, m + 1))), float(np.dot(q.weights, 1.0 - binary_entropy(q.sigmas)))
-    if not (2 <= n < m):
+    if not (2 <= n <= m):
         raise ValueError(f"need 2 <= n <= m, got n={n}, m={m}")
     if math.comb(m - 1, n - 1) > BRUTE_FORCE_GUARD:
         raise ValueError(
@@ -252,7 +192,7 @@ def _stage_maxima(
     s_prev: np.ndarray,
     eps_prev: np.ndarray,
     band: np.ndarray,
-    prefix: tuple[np.ndarray, np.ndarray],
+    means: np.ndarray,
     s: np.ndarray,
     pruning: bool,
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -267,7 +207,6 @@ def _stage_maxima(
     row without candidates), their columns (-1 there) and the number of
     candidates.
     """
-    cq, cqs = prefix
     cols = np.flatnonzero(~np.isnan(s_prev))
     best = np.full(rows.size, np.nan)
     dec = np.full(rows.size, -1, dtype=np.int64)
@@ -277,12 +216,11 @@ def _stage_maxima(
         b = cols[: np.searchsorted(cols, a[-1], side="right")]
         mask = b[None, :] <= a[:, None]
         if pruning:
-            hi = (stage + a)[:, None]
-            lo = stage + b - 1  # prefix index before the new group
-            with np.errstate(divide="ignore", invalid="ignore"):  # b > a
-                eps = (cqs[hi] - cqs[lo]) / (cq[hi] - cq[lo])
-            t = _threshold(eps_prev[b], eps)
-            # Sure failures only: a near-tie or prefix-sum round-off must not prune the optimal path.
+            lo = stage + b - 1  # 0-indexed first particle of the new group
+            # Entries above the diagonal (b > a) wrap to other rows of the
+            # table; the mask drops them.
+            t = _threshold(eps_prev[b], means[a[:, None] - b, lo])
+            # Sure failures only: a near-tie must not prune the optimal path.
             mask &= ~((t - s[lo - 1] < -PHI_STRICT_TOL) | (s[lo] - t < -PHI_STRICT_TOL))
         ri, ci = np.nonzero(mask)
         count += ri.size
@@ -319,11 +257,10 @@ def c_optimal_degradation(
     m = q.size
     if not (2 <= n < m):
         raise ValueError(f"need 2 <= n < m, got n={n}, m={m}")
-    w = q.weights
     s = q.sigmas
     size = m - n + 1
-    band = iota_band(q, size)
-    prefix = _prefix_sums(w, s)
+    mass, means, xbar = _segment_table(q.weights, s, size)
+    band = _band(mass, means, xbar)
     offsets = np.arange(size)
 
     s_prev = band[offsets, 1]
@@ -333,11 +270,11 @@ def c_optimal_degradation(
         pruned=[np.zeros(size, dtype=bool)],
     )
     # Mean crossover of each state's last group, per its stored decision.
-    _, eps_prev = _segment_stats(prefix, w, s, np.zeros(size, dtype=np.int64), offsets + 1)
+    eps_prev = means[offsets, 0]
     for stage in range(2, n + 1):
         rows = offsets if stage < n else offsets[-1:]
         s_prev, dec, count = _stage_maxima(
-            stage, rows, s_prev, eps_prev, band, prefix, s, pruning
+            stage, rows, s_prev, eps_prev, band, means, s, pruning
         )
         dead = dec < 0
         table.evaluations += count
@@ -345,8 +282,8 @@ def c_optimal_degradation(
         table.values.append(s_prev)
         table.decisions.append(dec)
         table.pruned.append(dead)
-        _, eps = _segment_stats(prefix, w, s, stage + dec - 1, stage + rows)
-        eps_prev = np.where(dead, np.nan, eps)
+        b = np.maximum(dec, 0)  # a dead state reads any group, then NaN
+        eps_prev = np.where(dead, np.nan, means[rows - b, stage + b - 1])
     if dead[0]:
         raise RuntimeError("no feasible traceback state")
     table.capacity = float(s_prev[0])
@@ -367,33 +304,30 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
     mean loses the least capacity until n groups remain; on tied losses the
     leftmost pair merges.  The pair losses sit in a heap keyed by (loss,
     left edge), so each merge re-scores only the two pairs that touch the
-    merged group: O(m log m) time and O(m) scalar entropy evaluations.
+    merged group: O(m log m) heap steps, and one capacity-term call per
+    merge for the merged group and its two new pairs.
     """
     m = q.size
     if not (2 <= n <= m):
         raise ValueError(f"need 2 <= n <= m, got n={n}, m={m}")
-    w = q.weights
-    s = q.sigmas
-    cq, cqs = _prefix_sums(w, s)
+    gain, pair = iota_band(q, 2)[:, 1:].tolist()  # each particle, each adjacent pair
+    terms = _segment_terms(q.weights, q.sigmas)
 
-    def iota(a: int, b: int) -> float:  # particles a..b-1, 0-indexed half-open
-        mass = float(cq[b] - cq[a])
-        if mass <= 0.0:  # cancelled, as in _segment_stats
-            mass, mean = _group_stat(w, s, a, b)
-        else:
-            mean = float(cqs[b] - cqs[a]) / mass
-        return mass * (1.0 - float(binary_entropy(mean)))
+    def iotas(groups: list[tuple[int, int]]) -> list[float]:
+        # Particles a..b-1 (0-indexed) of each group, summed forward as in
+        # _segment_table, so every iota equals its iota_band entry.
+        mass, moment, bias = np.array([np.cumsum(terms[:, a:b], axis=1)[:, -1] for a, b in groups]).T
+        return (mass * _capacity_term(moment / mass, bias / mass)).tolist()
 
     # Group edges as a linked list: the live group starting at edge e is
     # [e, nxt[e]), prv[e] is its left neighbour's edge, and gain[e] its
     # iota.  A removed edge gets nxt = -1.
     nxt = list(range(1, m + 2))
     prv = list(range(-1, m))
-    gain = [iota(e, e + 1) for e in range(m)]
     # A pair's loss is iota(a, b) + iota(b, c) - iota(a, c) in that order,
     # from cached iotas equal to recomputed ones, so every loss, and hence
     # every merge, matches a full re-scoring scan bit for bit.
-    heap = [(gain[a] + gain[a + 1] - iota(a, a + 2), a, a + 1, a + 2) for a in range(m - 1)]
+    heap = [(gain[a] + gain[a + 1] - pair[a], a, a + 1, a + 2) for a in range(m - 1)]
     heapq.heapify(heap)
     for _ in range(m - n):
         while True:
@@ -403,13 +337,19 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
         nxt[a] = c
         nxt[b] = -1
         prv[c] = a
-        gain[a] = iota(a, c)
+        groups = [(a, c)]
         if a > 0:
             p = prv[a]
-            heapq.heappush(heap, (gain[p] + gain[a] - iota(p, c), p, a, c))
+            groups.append((p, c))
         if c < m:
             d = nxt[c]
-            heapq.heappush(heap, (gain[a] + gain[c] - iota(a, d), a, c, d))
+            groups.append((a, d))
+        vals = iotas(groups)
+        gain[a] = vals[0]
+        if a > 0:
+            heapq.heappush(heap, (gain[p] + gain[a] - vals[1], p, a, c))
+        if c < m:
+            heapq.heappush(heap, (gain[a] + gain[c] - vals[-1], a, c, d))
     cuts = []
     e = nxt[0]
     while e < m:

@@ -1,5 +1,7 @@
 """Row maxima of implicit totally monotone matrices in linear time.
 
+The tests' reference for the DP stage kernel, which does not use it.
+
 A matrix M is totally monotone (for maxima) when for every pair of rows
 r < r' and columns c < c': M[r][c] <= M[r][c'] implies M[r'][c] <= M[r'][c'].
 Leftmost row-maximum positions are then nondecreasing down the rows, and the
@@ -14,7 +16,11 @@ from __future__ import annotations
 
 from typing import Protocol
 
-__all__ = ["ImplicitMatrix", "CountingMatrix", "smawk_row_maxima"]
+import numpy as np
+
+__all__ = ["ImplicitMatrix", "CountingMatrix", "StageMatrix", "smawk_row_maxima"]
+
+_SENTINEL_DEAD = -1e9
 
 
 class ImplicitMatrix(Protocol):
@@ -89,3 +95,38 @@ def smawk_row_maxima(matrix: ImplicitMatrix) -> list[tuple[int, float]]:
     cols = list(range(matrix.ncols))
     arg = _smawk(rows, cols, matrix.value)
     return [(arg[r], matrix.value(r, arg[r])) for r in rows]
+
+
+class StageMatrix:
+    """Implicit totally monotone DP stage matrix over an ``iota_band``.
+
+    Row a corresponds to covering particles up to j + a with j groups,
+    column b to the previous state at particle j - 1 + b.  The feasible
+    lower triangle (b <= a) is S_prev[b] + iota(j + b, j + a); the upper
+    triangle holds the dominated sentinel 1 - 2(b - a).  Lower-triangle
+    evaluations are memoized and counted.
+    """
+
+    def __init__(self, stage: int, s_prev: np.ndarray, band: np.ndarray, size: int):
+        self.stage = stage
+        self.s_prev = s_prev
+        self.band = band
+        self.nrows = size
+        self.ncols = size
+        self._memo: dict[tuple[int, int], float] = {}
+        self.evaluations = 0
+
+    def value(self, a: int, b: int) -> float:
+        if b > a:
+            return 1.0 - 2.0 * (b - a)
+        key = (a, b)
+        v = self._memo.get(key)
+        if v is None:
+            prev = self.s_prev[b]
+            if np.isnan(prev):
+                v = _SENTINEL_DEAD + b - a
+            else:
+                v = float(prev) + float(self.band[a - b, self.stage + b])
+                self.evaluations += 1
+            self._memo[key] = v
+        return v

@@ -39,7 +39,9 @@ from bidmc import (
     split_threshold,
     tv_greedy_plan,
 )
-from bidmc.refine import InvalidPlanError, _boundary_shift_gain
+from bidmc.refine import InvalidPlanError
+
+from boundary_shift import _boundary_shift_gain
 
 REFERENCE_OPT_CLR = {
     128: [0.0232, 0.0145, 0.0097, 0.0069, 0.0051, 0.0040, 0.0030],

@@ -263,7 +263,7 @@ def _raw_pairs(draw):
     return list(zip(sigmas, weights))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_raw_pairs())
 def test_canonicalize_property_matches_reference(raw):
     _assert_same(raw)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bidmc import (
@@ -16,6 +17,9 @@ from bidmc import (
     mix,
     random_channel,
 )
+from bidmc.channel import _capacity_term
+
+import decimal_oracle
 
 
 def h2(x):
@@ -183,3 +187,18 @@ def test_capacity_loss_rate_clamps_and_handles_zero_capacity():
     assert capacity_loss_rate(0.5, 0.5 + 1e-16) == 0.0
     assert capacity_loss_rate(0.0, 0.0) == 0.0
     assert capacity_loss_rate(-1e-18, 0.0) == 0.0
+
+
+def test_capacity_term_matches_decimal_oracle():
+    # 2000 points across [0, 1/2] and 2000 approaching 1/2 down to 1e-12.
+    sigmas = np.concatenate([np.linspace(0.0, 0.5, 2000), 0.5 - np.logspace(-12, math.log10(0.5), 2000)])
+    got = _capacity_term(sigmas, 1.0 - 2.0 * sigmas)
+    for sigma, value in zip(sigmas.tolist(), got.tolist()):
+        expect = float(decimal_oracle.sigma_capacity_term(sigma))
+        assert abs(value - expect) <= 1e-13 * expect, sigma
+
+
+def test_capacity_near_half():
+    # 1 - h(sigma) is far below h's round-off here; 1 - h computed directly gives 0.
+    assert capacity(bsc(0.5 - 1e-10)) == pytest.approx(2.885390559254438e-20, rel=1e-13)
+    assert capacity(bsc(0.5)) == 0.0

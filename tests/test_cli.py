@@ -237,6 +237,19 @@ def test_check_oracle_mismatch_exits_3(q3_file, tmp_path, capsys, monkeypatch):
     assert "oracle" in err
 
 
+def test_internal_error_exits_4(q3_file, capsys, monkeypatch):
+    import bidmc.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("no feasible traceback state")
+
+    monkeypatch.setattr(cli_mod, "c_optimal_degradation", fail)
+    code, out, err = run_cli(["degrade", q3_file, "--n", "2"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: no feasible traceback state\n"
+
+
 def test_experiment_pplus_stats_deterministic(capsys):
     args = [
         "experiment",

@@ -29,7 +29,8 @@ from bidmc import (
     split_threshold,
     to_pstar_plan,
 )
-from bidmc.refine import _boundary_shift_gain
+
+from boundary_shift import _boundary_shift_gain
 
 Q3 = canonicalize([(0.1, 0.5), (0.2, 0.3), (0.4, 0.2)])
 

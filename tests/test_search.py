@@ -1,11 +1,15 @@
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bidmc import (
     PPlusPlan,
+    arikan_minus,
     arikan_plus,
     binary_entropy,
     brute_force_c_optimal,
@@ -23,7 +27,10 @@ from bidmc import (
     tv_greedy_degrade,
     tv_greedy_plan,
 )
+from bidmc.refine import _group_stat, _segment_table
 from bidmc.search import iota_band
+
+import decimal_oracle
 
 Q3 = canonicalize([(0.1, 0.5), (0.2, 0.3), (0.4, 0.2)])
 
@@ -42,32 +49,42 @@ def test_iota_band_matches_direct_groups():
                 assert band[e - s, s] == pytest.approx(expect, abs=1e-12)
 
 
-def test_iota_band_matches_offset_loop_exactly():
-    """The blocked band equals a per-offset fill from the same prefix sums."""
+@st.composite
+def _polar_chain_inputs(draw):
+    """A DP input from a degrade-then-transform chain at depth 5 or 6.
 
-    def reference(q, max_len):
-        m = q.size
-        w = q.weights
-        s = q.sigmas
-        cq = np.concatenate([[0.0], np.cumsum(w)])
-        cqs = np.concatenate([[0.0], np.cumsum(w * s)])
-        band = np.full((max_len, m + 1), np.nan)
-        band[0, 1 : m + 1] = w * (1.0 - binary_entropy(s))
-        for d in range(1, max_len):
-            starts = np.arange(1, m - d + 1)
-            mass = cq[starts + d] - cq[starts - 1]
-            mean = (cqs[starts + d] - cqs[starts - 1]) / mass
-            band[d, starts] = mass * (1.0 - binary_entropy(mean))
-        return band
+    The base has 2-4 particles and each level re-quantizes to n = 3 or 4
+    particles, so the last transform has at most n^2 + 1; the all-plus and
+    all-minus branches drive crossovers towards 0 and 1/2 and masses down
+    to round-off.
+    """
+    n = draw(st.integers(3, 4))
+    q = random_channel(instance_rng(draw(st.integers(0, 10**6)), 0), draw(st.integers(2, 4)))
+    bits = draw(st.lists(st.booleans(), min_size=5, max_size=6))
+    for bit in bits:
+        if q.size > n:
+            q = realize_pplus(c_optimal_degradation(q, n)[0])
+        q = arikan_plus(q) if bit else arikan_minus(q)
+    assume(q.size > n)
+    return q, n
 
-    channels = [random_channel(instance_rng(52, m), m) for m in (2, 5, 33, 70, 128)]
-    # Skewed two-step chains: masses down to ~1e-10, crossovers near 0.
-    channels += [arikan_plus(arikan_plus(random_channel(instance_rng(52, 1000 + i), 4))) for i in range(3)]
-    for q in channels:
-        m = q.size
-        for n in sorted({2, min(4, m), min(10, m)}):
-            for max_len in (m - n + 1, m):
-                assert np.array_equal(iota_band(q, max_len), reference(q, max_len), equal_nan=True)
+
+@settings(max_examples=40)
+@given(_polar_chain_inputs())
+def test_iota_band_and_optimum_match_decimal_oracle(inp):
+    q, n = inp
+    m = q.size
+    w, s = q.weights.tolist(), q.sigmas.tolist()
+    groups = decimal_oracle.band(w, s)
+    band = iota_band(q, m)
+    _, means, _ = _segment_table(q.weights, q.sigmas, m)
+    for (a, b), expect in groups.items():
+        assert abs(band[b - a - 1, a + 1] - float(expect)) <= 1e-13 * float(expect), (a, b)
+        assert s[a] <= means[b - a - 1, a] <= s[b - 1], (a, b)
+        assert _group_stat(q.weights, q.sigmas, a, b)[1] == means[b - a - 1, a], (a, b)
+    best = decimal_oracle.optimum(groups, m, n)
+    for plan in (brute_force_c_optimal(q, n)[0], c_optimal_degradation(q, n)[0]):
+        assert best - decimal_oracle.plan_capacity(groups, m, plan.cuts) <= Decimal("1e-9") * best
 
 
 def test_enumerate_example_channel():
@@ -224,15 +241,10 @@ def _tv_greedy_reference(q, n):
     m = q.size
     if not (2 <= n <= m):
         raise ValueError(f"need 2 <= n <= m, got n={n}, m={m}")
-    w = q.weights
-    s = q.sigmas
-    cq = np.concatenate([[0.0], np.cumsum(w)])
-    cqs = np.concatenate([[0.0], np.cumsum(w * s)])
+    band = iota_band(q, m)
 
     def iota(a: int, b: int) -> float:  # particles a..b-1, 0-indexed half-open
-        mass = float(cq[b] - cq[a])
-        mean = float(cqs[b] - cqs[a]) / mass
-        return mass * (1.0 - float(binary_entropy(mean)))
+        return float(band[b - a - 1, a + 1])
 
     edges = list(range(m + 1))  # group j = [edges[j], edges[j+1])
     while len(edges) - 1 > n:

@@ -1,13 +1,9 @@
 import numpy as np
 
-from bidmc import (
-    CountingMatrix,
-    c_optimal_degradation,
-    instance_rng,
-    random_channel,
-    smawk_row_maxima,
-)
-from bidmc.search import StageMatrix, iota_band
+from smawk import CountingMatrix, StageMatrix, smawk_row_maxima
+
+from bidmc import c_optimal_degradation, instance_rng, random_channel
+from bidmc.search import iota_band
 
 
 def naive_row_maxima(matrix):

@@ -46,7 +46,6 @@ from .refine import (
     InvalidPlanError,
     PPlusPlan,
     PStarPlan,
-    improving_moves,
     is_c_degradation,
     plan_witness,
     pplus_as_pstar,

@@ -13,9 +13,15 @@ Requiring equality instead characterizes the minimum-error (P-) degradations:
 degradations of Q to n particles whose decoding error probability is the
 lowest achievable, namely Perr(Q) itself.
 
+Witnesses are built, not searched for: a water level lowers W's largest
+crossovers until their mean is Perr(Q), and the left-curtain coupling routes
+Q's mass to those column means in one sweep.  The construction succeeds
+exactly when W <= Q, and it serves the plain and the equality witness alike.
+
 An independent second route to the same order is Bayes-risk dominance: W is a
 degradation of Q iff the prior-weighted MLD error of W is at least that of Q
-at every prior.  Both routes are exposed so each can check the other.
+at every prior.  Both routes are exposed so each can check the other; the
+construction never consults the curves.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, canonicalize, equivalent, error_probability
-from .simplex import feasible_point
+from .channel import Channel, canonicalize, error_probability
 
 __all__ = [
     "WITNESS_TOL",
@@ -44,6 +49,8 @@ __all__ = [
 ]
 
 WITNESS_TOL = 1e-9
+# Remaining masses at or below this are spent, so quantile edges increase.
+_DUST = 1e-15
 
 
 @dataclass(frozen=True)
@@ -93,42 +100,87 @@ class IntermediateRealization:
     witness: OneMatrix
 
 
-def _witness_system(w: Channel, q: Channel, equality: bool):
-    """Assemble the LP for a witness of pattern (q.weights; w.weights).
+def _water_level(w: Channel, perr_q: float) -> np.ndarray | None:
+    """Column means mu_j = min(eps_j, tau) with sum_j p_j mu_j = Perr(Q).
 
-    Variable i * n + j is k[i, j]: rows sum to q, columns to w, and column
-    j's moment sum_i k[i, j] sigma_i is bounded by (or, with ``equality``,
-    equal to) w's p_j eps_j.
+    For theta <= 1/2 the Bayes risk of a mixture is e_W(theta) =
+    sum_j p_j min(theta, eps_j), so W <= Q exactly when (mu, p) is below
+    Q's crossover law (sigma, q) in convex order.  If it is, a martingale
+    coupling of the two (Strassen) is a witness, since mu <= eps.  If
+    W <= Q, then e_W >= e_Q; sum_j p_j min(theta, mu_j) is e_W(theta) for
+    theta <= tau and Perr(Q) >= e_Q(theta) above, so (mu, p) and (sigma, q)
+    have equal means and ordered risks, which is the convex order.
+
+    The sum rises continuously from 0 to Perr(W) with tau, so tau exists
+    iff Perr(W) >= Perr(Q) (None when it falls short by more than
+    WITNESS_TOL), and mu = eps when the two agree.  For tau in
+    [eps_{k-1}, eps_k) the sum is below_k + tau above_k.
     """
-    m, n = q.size, w.size
-    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
-    b_eq = np.concatenate([q.weights, w.weights])
-    a_mom = np.kron(q.sigmas, np.eye(n))
-    b_mom = w.weights * w.sigmas
-    if equality:
-        return np.vstack([a_eq, a_mom]), np.concatenate([b_eq, b_mom]), None, None
-    return a_eq, b_eq, a_mom, b_mom
-
-
-def _solve_witness(w: Channel, q: Channel, equality: bool) -> OneMatrix | None:
-    a_eq, b_eq, a_ub, b_ub = _witness_system(w, q, equality)
-    x = feasible_point(a_eq, b_eq, a_ub, b_ub)
-    if x is None:
+    eps, p = w.sigmas, w.weights
+    perr_w = error_probability(w)
+    if perr_w < perr_q - WITNESS_TOL:
         return None
-    k = x.reshape(q.size, w.size)
-    return OneMatrix(k, q.weights.copy(), w.weights.copy())
+    if perr_w <= perr_q:
+        return eps
+    below = np.concatenate(([0.0], np.cumsum(p * eps)[:-1]))
+    above = np.cumsum(p[::-1])[::-1]
+    # The last level is Perr(W) up to round-off, so k is clamped to it.
+    k = min(int(np.searchsorted(below + eps * above, perr_q, side="right")), eps.size - 1)
+    return np.minimum(eps, (perr_q - below[k]) / above[k])
+
+
+def _left_curtain(q: Channel, w: Channel, mu: np.ndarray) -> np.ndarray | None:
+    """Martingale coupling of (mu, p) into (sigma, q), columns in rising mu.
+
+    Column j takes the window of Q's remaining mass, contiguous in sigma
+    order, with mass p_j and mean mu_j: the shadow of an atom in the
+    left-curtain coupling (Beiglboeck & Juillet, Ann. Probab. 44(1), 2016),
+    which exists for every column when (mu, p) is below (sigma, q) in
+    convex order.  The window's moment G(u + p_j) - G(u), with G the moment
+    of the remaining mass below quantile u, is nondecreasing and piecewise
+    linear in the start u, so a search over its breakpoints and one linear
+    solve place it.  Where no window has mean mu_j the nearest is taken, and
+    the coupling fails (None) once the columns' moments exceed p_j eps_j by
+    more than WITNESS_TOL in total.  By Jensen, e_Q(theta) is at most
+    sum_j p_j min(theta, m_j) for column means m_j, so a returned witness
+    bounds e_W - e_Q below by -WITNESS_TOL, the tolerance of the curves.
+    """
+    s, p = q.sigmas, w.weights
+    rest = q.weights.copy()
+    k = np.zeros((q.size, p.size))
+    excess = 0.0
+    for j in range(p.size):
+        live = np.flatnonzero(rest > _DUST)
+        edges = np.concatenate(([0.0], np.cumsum(rest[live])))
+        moments = np.concatenate(([0.0], np.cumsum(rest[live] * s[live])))
+        width = min(p[j], edges[-1])
+        starts = np.unique(np.clip(np.concatenate((edges, edges - width)), 0.0, edges[-1] - width))
+        f = np.interp(starts + width, edges, moments) - np.interp(starts, edges, moments)
+        target = width * mu[j]
+        i = min(int(np.searchsorted(f, target)), starts.size - 1)
+        u = starts[i]
+        if 0 < i and f[i] >= target:
+            u = starts[i - 1] + (target - f[i - 1]) * (u - starts[i - 1]) / (f[i] - f[i - 1])
+        take = np.maximum(np.minimum(edges[1:], u + width) - np.maximum(edges[:-1], u), 0.0)
+        excess += max(s[live] @ take - p[j] * w.sigmas[j], 0.0)
+        if excess > WITNESS_TOL:
+            return None
+        k[live, j] = take
+        rest[live] = np.maximum(rest[live] - take, 0.0)
+    return k
 
 
 def find_degradation_witness(w: Channel, q: Channel) -> OneMatrix | None:
     """Witness that W is a degradation of Q, or None when no witness exists.
 
-    Feasibility of the witness system is equivalent to the degradation
-    order itself, so ``None`` is the normal "not degraded" outcome.
+    The water level picks the column means (``_water_level``) and the
+    left-curtain coupling routes Q's mass to them (``_left_curtain``); the
+    construction succeeds exactly when W <= Q, so ``None`` is the normal
+    "not degraded" outcome.  On W = Q it returns the diagonal.
     """
-    if equivalent(w, q):
-        # Reflexive case: route every particle to itself.
-        return OneMatrix(np.diag(q.weights), q.weights.copy(), q.weights.copy())
-    return _solve_witness(w, q, equality=False)
+    mu = _water_level(w, error_probability(q))
+    k = None if mu is None else _left_curtain(q, w, mu)
+    return None if k is None else OneMatrix(k, q.weights.copy(), w.weights.copy())
 
 
 def is_degradation(w: Channel, q: Channel) -> bool:
@@ -141,14 +193,14 @@ def is_p_degradation(w: Channel, q: Channel) -> tuple[bool, OneMatrix | None]:
 
     Equivalent formulations: a witness with per-column equality
     sum_i k[i,j] sigma_i = p_j eps_j exists; or W <= Q and Perr(W) = Perr(Q).
-    Returns the equality witness when the answer is yes.
+    Returns the equality witness when the answer is yes: with equal error
+    probabilities the water level leaves mu = eps, so the construction
+    places every column at its own crossover.
     """
     if abs(error_probability(w) - error_probability(q)) > WITNESS_TOL:
         return False, None
-    witness = _solve_witness(w, q, equality=True)
-    if witness is None:
-        return False, None
-    return True, witness
+    witness = find_degradation_witness(w, q)
+    return witness is not None, witness
 
 
 def mean_degradation(q: Channel) -> Channel:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: analyze, degrade, enumerate, experiment, polar, check.
-Exit codes: 0 ok, 1 usage, 2 validation, 3 oracle mismatch, 4 internal
-error (a RuntimeError raised inside the library).  The BIDMC_SEED
+Exit codes: 0 ok, 1 usage, 2 validation (a malformed channel file, a missing
+file or an invalid option), 3 oracle mismatch, 4 internal error (a
+RuntimeError or ValueError raised inside the library).  The BIDMC_SEED
 environment variable overrides --seed.  Every output artifact records the
 seed it was produced with; a fixed configuration reproduces bit-identical
 output.
@@ -93,9 +94,10 @@ def _write_channel(chan: Channel, path: str) -> None:
 
 def _seed(args) -> int:
     env = os.environ.get("BIDMC_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    try:
+        return args.seed if env is None else int(env)
+    except ValueError:
+        raise ValidationError(f"BIDMC_SEED must be an integer, got {env!r}") from None
 
 
 def _identity_plan(q: Channel) -> PPlusPlan:
@@ -405,6 +407,7 @@ def cmd_experiment(args) -> int:
                 rows.append(row)
     elif args.table == "arikan-clr":
         for n in args.n:
+            _check_quantizer(n)
             tasks = [(seed, i, n, args.c_stats) for i in range(args.samples)]
             res = _run_tasks(_arikan_instance, tasks, args.jobs)
             opt_mean, opt_ci = _mean_ci([r["opt_clr"] for r in res])
@@ -425,6 +428,7 @@ def cmd_experiment(args) -> int:
             rows.append(row)
     elif args.table == "branch-clr":
         for n in args.n:
+            _check_quantizer(n, args.depth)
             tasks = [(seed, i, n, args.depth) for i in range(args.samples)]
             res = _run_tasks(_branch_instance, tasks, args.jobs)
             alphas = sorted(res[0].keys(), key=lambda a: (len(a), a)) if res else []
@@ -448,7 +452,15 @@ def cmd_experiment(args) -> int:
 # polar
 
 
+def _check_quantizer(n: int, depth: int = 1) -> None:
+    if n < 2:
+        raise ValidationError(f"--n must be >= 2, got {n}")
+    if depth < 1:
+        raise ValidationError(f"--depth must be >= 1, got {depth}")
+
+
 def cmd_polar(args) -> int:
+    _check_quantizer(args.n, args.depth)
     chan = load_channel(args.channel)
     run = construct(chan, args.depth, args.n)
     if args.oracle:
@@ -548,10 +560,10 @@ def main(argv=None) -> int:
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (ChannelFormatError, ValidationError, ValueError, FileNotFoundError) as exc:
+    except (ChannelFormatError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -10,7 +10,9 @@ and i_{j+1} whole, and ends with mass q_{i_{j+1}} - s_{j+1} of particle
 i_{j+1}.  We call these segment plans (P*-degradations).  When every split
 is 0 or the full particle weight, segments are contiguous whole-particle
 groups described by a cut vector k_1 < ... < k_{n-1} (P+-degradations, cut
-plans).
+plans).  ``to_pstar_plan`` reads a segment plan dominating any degradation
+W <= Q off Q's quantile line: the segments are Q's mass between W's
+cumulative weights.
 
 Capacity refinement revolves around the threshold crossover
 
@@ -30,7 +32,7 @@ set that provably contains every capacity-optimal degradation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import groupby
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,7 +50,6 @@ __all__ = [
     "realize_pplus",
     "pplus_as_pstar",
     "plan_witness",
-    "improving_moves",
     "to_pstar_plan",
     "split_threshold",
     "refine_cuts",
@@ -314,169 +315,82 @@ def plan_witness(plan: PStarPlan | PPlusPlan) -> OneMatrix:
     return OneMatrix(k, plan.source.weights.copy(), k.sum(axis=0))
 
 
-def _col_means(k: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column masses and means; single-support columns take sigma exactly."""
-    mass = k.sum(axis=0)
-    means = np.zeros_like(mass)
-    for j in range(k.shape[1]):
-        sup = np.nonzero(k[:, j] > _MASS_TOL)[0]
-        if sup.size == 1:
-            means[j] = s[sup[0]]
-        elif sup.size > 1:
-            means[j] = float(s[sup] @ k[sup, j]) / mass[j]
-    return mass, means
+def _quantile_segments(q: Channel, weights: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Q's mass cut at the cumulative ``weights``, as (particle, mass) rows.
 
-
-def _iter_moves(k: np.ndarray, s: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-    """Applicable improvement moves in canonical order (see improving_moves)."""
-    m, n = k.shape
-    _, means = _col_means(k, s)
-    for j in range(n - 1):
-        for i in range(m):
-            if k[i, j] > _MASS_TOL and s[i] >= means[j + 1]:
-                knew = k.copy()
-                knew[i, j + 1] += knew[i, j]
-                knew[i, j] = 0.0
-                yield "shift_right", knew
-    for j in range(1, n):
-        for i in range(m):
-            if k[i, j] > _MASS_TOL and s[i] <= means[j - 1]:
-                knew = k.copy()
-                knew[i, j - 1] += knew[i, j]
-                knew[i, j] = 0.0
-                yield "shift_left", knew
-    for jl in range(n - 1):
-        for jr in range(jl + 1, n):
-            for a in range(m - 1):
-                if k[a, jr] <= _MASS_TOL or s[a] < means[jl]:
-                    continue
-                for b in range(a + 1, m):
-                    if k[b, jl] <= _MASS_TOL or s[b] > means[jr]:
-                        continue
-                    delta = min(k[a, jr], k[b, jl])
-                    knew = k.copy()
-                    knew[a, jr] -= delta
-                    knew[b, jl] -= delta
-                    knew[a, jl] += delta
-                    knew[b, jr] += delta
-                    yield "uncross", knew
-
-
-def improving_moves(witness: OneMatrix, q: Channel) -> list[tuple[str, OneMatrix]]:
-    """All single improvement moves applicable to an equality witness.
-
-    The witness must satisfy the per-column equality constraints for the
-    channel it induces over ``q``, with columns sorted by mean.  Three move
-    kinds, each keeping error probability fixed while the induced channel
-    upgrades:
-
-    - ``shift_right``: entry k[i, j] > 0 with sigma_i >= mean of column j+1
-      moves wholly into column j+1;
-    - ``shift_left``: entry k[i, j] > 0 with sigma_i <= mean of column j-1
-      moves wholly into column j-1;
-    - ``uncross``: entries k[a, jr] > 0, k[b, jl] > 0 (jl < jr, a < b) with
-      mean_jl <= sigma_a < sigma_b <= mean_jr swap delta = min of the two.
-
-    An empty list means the witness is already interval-structured.
+    Slice j is Q's mass between the quantiles P_{j-1} and P_j, P_j the sum
+    of the first j weights, in sigma order.  A slice that lies inside one
+    particle, once the shares of particles already taken whole are gone,
+    takes that whole particle, and the slices beside it lose their parts.
     """
-    out = []
-    for kind, knew in _iter_moves(witness.entries, q.sigmas):
-        out.append((kind, OneMatrix(knew, witness.row_pattern.copy(), knew.sum(axis=0))))
-    return out
-
-
-def _normalize_columns(k: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Drop empty columns, merge equal-mean columns, sort columns by mean."""
-    mass, means = _col_means(k, s)
-    keep = mass > _MASS_TOL
-    k = k[:, keep]
-    means = means[keep]
-    order = np.argsort(means, kind="stable")
-    k = k[:, order]
-    means = means[order]
-    cols: list[np.ndarray] = []
-    col_means: list[float] = []
-    for j in range(k.shape[1]):
-        if cols and abs(means[j] - col_means[-1]) <= 1e-12:
-            cols[-1] = cols[-1] + k[:, j]
-            merged = cols[-1]
-            sup = np.nonzero(merged > _MASS_TOL)[0]
-            col_means[-1] = (
-                float(s[sup[0]])
-                if sup.size == 1
-                else float(s[sup] @ merged[sup]) / float(merged.sum())
-            )
-        else:
-            cols.append(k[:, j].copy())
-            col_means.append(float(means[j]))
-    return np.column_stack(cols)
-
-
-def _extract_segments(k: np.ndarray, s: np.ndarray) -> list[list[tuple[int, float]]]:
-    """Read (particle, mass) segments off an interval-structured matrix."""
-    m, n = k.shape
-    segs = []
-    for j in range(n):
-        rows = [(i + 1, float(k[i, j])) for i in range(m) if k[i, j] > _MASS_TOL]
-        segs.append(rows)
-    for j in range(n - 1):
-        if segs[j + 1][0][0] < segs[j][-1][0]:
-            raise RuntimeError("witness fixpoint is not interval-structured")
-    return segs
+    qw = q.weights
+    edges = np.concatenate(([0.0], np.cumsum(qw)))
+    cuts = np.concatenate(([0.0], np.cumsum(weights)[:-1], edges[-1:]))
+    take = np.minimum(edges[1:, None], cuts[None, 1:]) - np.maximum(edges[:-1, None], cuts[None, :-1])
+    segs = [
+        [(int(i) + 1, float(take[i, j])) for i in np.flatnonzero(take[:, j] > _MASS_TOL)]
+        for j in range(weights.size)
+    ]
+    owned: set[int] = set()
+    while True:
+        kept = ([r for r in rows if r[0] not in owned] for rows in segs)
+        lone = {rows[0][0] for rows in kept if len(rows) == 1 and rows[0][1] < qw[rows[0][0] - 1] - 1e-12}
+        if not lone:
+            break
+        owned |= lone
+    flat = [(j, i, wt) for j, rows in enumerate(segs) for i, wt in rows]
+    return [
+        [(key[1], float(qw[key[1] - 1]))] if key[0] else [(i, wt) for _, i, wt in grp]
+        for key, grp in groupby(flat, key=lambda r: (True, r[1]) if r[1] in owned else (False, r[0]))
+    ]
 
 
 def _plan_from_segments(source: Channel, segs: list[list[tuple[int, float]]]) -> PStarPlan:
     q = source.weights
-    indices = []
-    splits = []
-    for j in range(1, len(segs)):
-        i_first, w_first = segs[j][0]
-        prev_last = segs[j - 1][-1][0]
-        if prev_last == i_first:
-            indices.append(i_first)
-            splits.append(w_first)
-        else:
-            indices.append(i_first)
-            splits.append(float(q[i_first - 1]))
-    return PStarPlan(source, tuple(indices), tuple(splits))
+    splits = [
+        rows[0][1] if prev[-1][0] == rows[0][0] else float(q[rows[0][0] - 1])
+        for prev, rows in zip(segs, segs[1:])
+    ]
+    return PStarPlan(source, tuple(rows[0][0] for rows in segs[1:]), tuple(splits))
 
 
 def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
     """Canonicalize any degradation W <= Q into a segment plan.
 
     Returns a plan whose realization W1 satisfies W <= W1 with W1 a
-    minimum-error degradation of Q: starting from a degradation witness,
-    the per-column means replace W's crossovers (an upgrade), and
-    improvement moves run to their deterministic fixpoint, which is
-    interval-structured and therefore a segment plan.
+    minimum-error degradation of Q.  The plan is Q's quantile slices:
+    Q's cumulative mass cut at W's cumulative weights P_J, taken in W's
+    crossover order, and a slice that lies inside one particle takes that
+    whole particle.
+
+    Why W <= W1.  Let mu_j = min(eps_j, tau) be W's water-level means
+    (see ``blackwell``): W <= Q gives a coupling whose column j has mass
+    p_j and mean mu_j.  Its columns 1..J hold mass P_J of Q, so their
+    moment sum_{j<=J} p_j mu_j is at least that of Q's lowest mass P_J,
+    which is sum_{j<=J} p_j s_j with s_j the slice means; at J = n both
+    are Perr(Q).  mu and s both rise with j and share the weights p, so
+    by weighted majorization (mu, p) is below (s, p) in convex order, and
+    mu <= eps makes W a degradation of the slices.  Giving a slice the
+    whole particle it lies inside moves that particle's part out of a
+    neighbouring slice into it: the two means a <= b spread to a' <= a and
+    b' >= b at a fixed total moment, both old atoms lie in [a', b'], so the
+    old pair is below the new one in convex order and each such shift
+    upgrades.  The segments partition Q's mass, so Perr(W1) = Perr(Q).
 
     ``n`` sets the number of segments (default: W's particle count, capped
-    at Q's size); segments beyond the fixpoint's natural count are produced
-    by mass-balanced splitting, which only refines the realization further.
+    at Q's size); segments beyond the slices' count are produced by
+    mass-balanced splitting, which only refines the realization further.
 
     Raises DegradationOrderError when W is not a degradation of Q.
     """
-    witness = find_degradation_witness(w, q)
-    if witness is None:
+    if find_degradation_witness(w, q) is None:
         raise DegradationOrderError("W is not a degradation of Q")
     if n is None:
         n = w.size
     n = min(max(int(n), 1), q.size)
 
-    s = q.sigmas
-    k = _normalize_columns(witness.entries, s)
-    guard = 0
-    while True:
-        step = next(_iter_moves(k, s), None)
-        if step is None:
-            break
-        k = _normalize_columns(step[1], s)
-        guard += 1
-        if guard > 400 * q.size * max(k.shape[1], 1):
-            raise RuntimeError("improvement moves did not reach a fixpoint")
-    segs = _extract_segments(k, s)
-
     qw = q.weights
+    segs = _quantile_segments(q, w.weights)
 
     def legal_half(rows: list[tuple[int, float]]) -> bool:
         # A sub-segment may not be a lone partial particle.

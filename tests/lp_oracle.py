@@ -1,6 +1,11 @@
-"""Dense phase-one simplex for small linear feasibility systems.
+"""The degradation-witness LP and a dense phase-one simplex to solve it.
 
-Solves
+The tests' oracle for the witness construction in ``bidmc.blackwell``, which
+does not use it.  ``witness_system`` writes the witness of pattern
+(q.weights; w.weights) as a linear feasibility system and ``lp_witness``
+solves it.
+
+``feasible_point`` solves
 
     find x >= 0  with  A_eq x = b_eq  and  A_ub x <= b_ub
 
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FEAS_TOL", "feasible_point"]
+__all__ = ["FEAS_TOL", "feasible_point", "witness_system", "lp_witness"]
 
 FEAS_TOL = 1e-9
 
@@ -117,3 +122,30 @@ def feasible_point(
     x = np.zeros(n_total)
     x[basis] = tab[:m_rows, -1]
     return np.maximum(x[:n_var], 0.0)
+
+
+def witness_system(w, q, equality: bool):
+    """Assemble the LP for a witness of pattern (q.weights; w.weights).
+
+    Variable i * n + j is k[i, j]: rows sum to q, columns to w, and column
+    j's moment sum_i k[i, j] sigma_i is bounded by (or, with ``equality``,
+    equal to) w's p_j eps_j.
+    """
+    m, n = q.size, w.size
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+    b_eq = np.concatenate([q.weights, w.weights])
+    a_mom = np.kron(q.sigmas, np.eye(n))
+    b_mom = w.weights * w.sigmas
+    if equality:
+        return np.vstack([a_eq, a_mom]), np.concatenate([b_eq, b_mom]), None, None
+    return a_eq, b_eq, a_mom, b_mom
+
+
+def lp_witness(w, q, equality: bool = False) -> np.ndarray | None:
+    """The simplex's witness entries (m x n), or None when it finds none.
+
+    The point is returned as the simplex gives it, unchecked: the simplex
+    can report a point that breaks the system by more than its tolerance.
+    """
+    x = feasible_point(*witness_system(w, q, equality))
+    return None if x is None else x.reshape(q.size, w.size)

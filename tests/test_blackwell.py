@@ -3,10 +3,14 @@ import pytest
 
 from bidmc import (
     OneMatrix,
+    PStarPlan,
+    arikan_minus,
+    arikan_plus,
     bayes_risk_curve,
     bsc,
     canonicalize,
     capacity,
+    construct,
     equivalent,
     error_probability,
     find_degradation_witness,
@@ -19,8 +23,12 @@ from bidmc import (
     mix,
     random_channel,
     realize_intermediate,
+    realize_pstar,
     risk_dominates,
+    to_pstar_plan,
 )
+
+from lp_oracle import lp_witness, witness_system
 
 Q3 = canonicalize([(0.1, 0.5), (0.2, 0.3), (0.4, 0.2)])
 Q2 = canonicalize([(0.1, 0.5), (0.3, 0.5)])
@@ -151,6 +159,36 @@ def test_is_p_degradation_equals_witness_plus_error_match():
         assert got == expected
 
 
+def test_witness_and_p_degradation_on_a_pair_the_simplex_failed():
+    # A degraded m = 32, n = 8 pair (random routing, then extra noise per
+    # column) whose P* realization broke the simplex: its "feasible" point
+    # for the equality system missed Q's row sums by 0.099.
+    rng = instance_rng(404, 757)
+    q = random_channel(rng, 32)
+    k = np.zeros((32, 8))
+    for r, p in enumerate(q.particles):
+        k[r] = rng.dirichlet(np.ones(8)) * p.weight
+    cols = k.sum(axis=0)
+    means = (q.sigmas @ k) / cols
+    eps = means + rng.uniform(0.0, 1.0, size=8) * (0.5 - means)
+    w = canonicalize(list(zip(eps.tolist(), cols.tolist())))
+    wit = find_degradation_witness(w, q)
+    assert wit is not None
+    assert np.all(q.sigmas @ wit.entries <= w.weights * w.sigmas + 1e-9)
+    assert is_p_degradation(realize_pstar(to_pstar_plan(w, q)), q)[0]
+    # The realization the simplex failed on.
+    w1 = realize_pstar(
+        PStarPlan(
+            q,
+            (1, 3, 5, 11, 15, 22, 29),
+            (0.0, 0.0, 0.0, 0.0005619295064530402, 0.0, 0.0008107946248345852, 0.0016359039376968396),
+        )
+    )
+    ok, wit = is_p_degradation(w1, q)
+    assert ok
+    assert np.allclose(q.sigmas @ wit.entries, w1.weights * w1.sigmas, rtol=0.0, atol=1e-9)
+
+
 def test_bayes_risk_curve_values():
     assert bayes_risk_curve(bsc(0.5))(0.3) == pytest.approx(0.3, abs=1e-12)
     curve0 = bayes_risk_curve(bsc(0.0))
@@ -176,11 +214,29 @@ def test_witness_and_risk_curve_agree():
             w0 = random_degradation_of(rng, q, n)
             jitter = 1.0 - float(rng.uniform(0.0, 0.01))
             w = canonicalize([(p.sigma * jitter, p.weight) for p in w0.particles])
-        lp = find_degradation_witness(w, q) is not None
+        built = find_degradation_witness(w, q) is not None
         curve = risk_dominates(w, q)
-        assert lp == curve, f"verdicts disagree on trial {trial}"
+        lp = lp_witness(w, q) is not None
+        assert built == curve == lp, f"verdicts disagree on trial {trial}"
         agree += 1
     assert agree == 400
+
+
+@pytest.mark.parametrize("seed", [907, 910])
+def test_witness_and_risk_curve_agree_on_polar_chains(seed):
+    # Depth-6 polar chains hold skewed channels: capacities from 1e-29 to
+    # 1 - 1e-6 and masses down to 1e-16.  The transform of a quantized
+    # parent is compared with its quantization, both ways, and with the
+    # parent.  A witness is accepted only while its columns' total moment
+    # excess stays within the curves' tolerance.
+    run = construct(random_channel(instance_rng(seed, 0), 4), 6, 4)
+    for alpha, rec in run.records.items():
+        if not alpha:
+            continue
+        parent = run.records[alpha[:-1]].quantized
+        exact = (arikan_plus if alpha[-1] == "1" else arikan_minus)(parent)
+        for w, q in ((rec.quantized, exact), (exact, rec.quantized), (parent, exact)):
+            assert (find_degradation_witness(w, q) is not None) == risk_dominates(w, q), alpha
 
 
 def test_degradation_implies_capacity_and_error_ordering():
@@ -294,12 +350,10 @@ def _witness_system_loops(w, q, equality):
 
 @pytest.mark.parametrize("equality", [False, True])
 def test_witness_system_matches_row_loops(equality):
-    from bidmc.blackwell import _witness_system
-
     for i, (m, n) in enumerate([(3, 2), (5, 4), (12, 7), (32, 10), (2, 9)]):
         q = random_channel(instance_rng(41, i), m)
         w = random_channel(instance_rng(42, i), n)
-        for got, want in zip(_witness_system(w, q, equality), _witness_system_loops(w, q, equality)):
+        for got, want in zip(witness_system(w, q, equality), _witness_system_loops(w, q, equality)):
             if want is None:
                 assert got is None
             else:

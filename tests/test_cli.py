@@ -250,6 +250,42 @@ def test_internal_error_exits_4(q3_file, capsys, monkeypatch):
     assert err == "internal error: no feasible traceback state\n"
 
 
+def test_library_value_error_exits_4(q3_file, capsys, monkeypatch):
+    import bidmc.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise ValueError("row sums do not match the row pattern")
+
+    monkeypatch.setattr(cli_mod, "find_degradation_witness", fail)
+    code, out, err = run_cli(["check", q3_file, q3_file], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: row sums do not match the row pattern\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polar", "{q3}", "--depth", "0", "--n", "3"],
+        ["polar", "{q3}", "--n", "1"],
+        ["experiment", "--table", "arikan-clr", "--n", "1", "--samples", "2"],
+        ["experiment", "--table", "branch-clr", "--n", "3", "--depth", "0", "--samples", "2"],
+    ],
+)
+def test_quantizer_options_are_validated(argv, q3_file, capsys):
+    code, out, err = run_cli([a.format(q3=q3_file) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+
+
+def test_malformed_seed_env_exits_2(q3_file, capsys, monkeypatch):
+    monkeypatch.setenv("BIDMC_SEED", "seven")
+    code, _, err = run_cli(["analyze", q3_file], capsys)
+    assert code == 2
+    assert "BIDMC_SEED" in err
+
+
 def test_experiment_pplus_stats_deterministic(capsys):
     args = [
         "experiment",

@@ -1,0 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bidmc
+
+
+def test_every_library_module_is_imported_by_the_package_or_its_cli():
+    # src/bidmc holds only what the library runs: importing the package and
+    # its command-line front end (which alone loads the file formats in
+    # bidmc.io) loads every module.  Test-only code lives under tests/.
+    src = Path(bidmc.__file__).resolve().parent
+    expected = sorted(f"bidmc.{p.stem}" for p in src.glob("*.py") if p.stem != "__init__")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bidmc.cli; print(*sorted(m for m in sys.modules if m.startswith('bidmc.')))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = proc.stdout.split()
+    assert [m for m in expected if m not in loaded] == []

@@ -15,7 +15,6 @@ from bidmc import (
     enumerate_c_degradations,
     equivalent,
     error_probability,
-    improving_moves,
     instance_rng,
     is_c_degradation,
     is_degradation,
@@ -167,60 +166,6 @@ def test_plan_witness_satisfies_equality():
 
 
 # ----------------------------------------------------------------------
-# improvement moves
-
-
-def test_interval_witness_has_no_moves():
-    rng = instance_rng(31, 3)
-    for _ in range(25):
-        q = random_channel(rng, int(rng.integers(3, 9)))
-        n = int(rng.integers(2, q.size))
-        plan = random_pstar_plan(rng, q, n)
-        assert improving_moves(plan_witness(plan), q) == []
-
-
-def test_crossed_witness_improves():
-    q = canonicalize([(0.1, 1 / 3), (0.2, 1 / 3), (0.3, 1 / 3)])
-    # Column 1 mixes sigma_1 and sigma_3; column 2 holds sigma_2: crossing.
-    k = np.array([[1 / 3, 0.0], [0.0, 1 / 3], [1 / 3, 0.0]])
-    from bidmc import OneMatrix
-
-    wit = OneMatrix(k, q.weights.copy(), k.sum(axis=0))
-    moves = improving_moves(wit, q)
-    assert moves, "expected at least one applicable move"
-    w_before = canonicalize(
-        [(0.2, 2 / 3), (0.2, 1 / 3)]
-    )  # means: col1 = 0.2, col2 = 0.2
-    for kind, new_wit in moves:
-        cols = new_wit.entries.sum(axis=0)
-        means = (q.sigmas @ new_wit.entries) / np.where(cols > 0, cols, 1.0)
-        pairs = [(m, c) for m, c in zip(means, cols) if c > 1e-12]
-        w_after = canonicalize(pairs)
-        assert error_probability(w_after) == pytest.approx(
-            error_probability(q), abs=1e-12
-        )
-        assert capacity(w_after) >= capacity(w_before) - 1e-12
-        assert is_degradation(w_before, w_after)
-
-
-def test_moves_preserve_error_probability():
-    rng = instance_rng(31, 4)
-    for _ in range(20):
-        q = random_channel(rng, int(rng.integers(3, 7)))
-        n = int(rng.integers(2, q.size))
-        # Random equality witness (P-degradation, not segment structured).
-        k = np.zeros((q.size, n))
-        for i, p in enumerate(q.particles):
-            k[i] = rng.dirichlet(np.ones(n)) * p.weight
-        from bidmc import OneMatrix
-
-        wit = OneMatrix(k, q.weights.copy(), k.sum(axis=0))
-        for kind, new_wit in improving_moves(wit, q):
-            mom_total = float(q.sigmas @ new_wit.entries.sum(axis=1))
-            assert mom_total == pytest.approx(error_probability(q), abs=1e-12)
-
-
-# ----------------------------------------------------------------------
 # canonicalization into a segment plan
 
 
@@ -270,6 +215,20 @@ def test_to_pstar_plan_sandwich_and_structure():
         masses, _ = plan.segment_stats()
         assert masses[0] >= q.particles[0].weight - 1e-12
         assert masses[-1] >= q.particles[-1].weight - 1e-12
+
+
+def test_to_pstar_plan_slices_inside_a_particle_take_it_whole():
+    # Q's quantile line cut at W's cumulative weights 0.2 and 0.6: slice 1
+    # lies inside particle 1, so it takes particle 1 whole; slice 2 is then
+    # left inside particle 2 and takes it whole; slice 3 keeps particle 3.
+    w = canonicalize([(0.1, 0.2), (0.15, 0.4), (0.275, 0.4)])
+    plan = to_pstar_plan(w, Q3)
+    assert (plan.indices, plan.splits) == ((1, 2), (0.0, 0.0))
+    assert equivalent(realize_pstar(plan), Q3)
+    # Two slices inside particle 1 merge into one segment owning it.
+    w = canonicalize([(0.1, 0.1), (0.12, 0.1), (0.25, 0.8)])
+    plan = to_pstar_plan(w, Q3, n=2)
+    assert (plan.indices, plan.splits) == ((1,), (0.0,))
 
 
 def test_to_pstar_plan_rejects_non_degradation():

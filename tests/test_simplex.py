@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bidmc.simplex import feasible_point
+from lp_oracle import feasible_point
 
 
 def test_simple_equality_system():

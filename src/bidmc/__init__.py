@@ -59,6 +59,7 @@ from .search import (
     DpTable,
     brute_force_c_optimal,
     c_optimal_degradation,
+    c_optimal_degradations,
     enumerate_c_degradations,
     iota_band,
     tv_greedy_degrade,

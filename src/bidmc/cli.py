@@ -3,7 +3,8 @@
 Subcommands: analyze, degrade, enumerate, experiment, polar, check.
 Exit codes: 0 ok, 1 usage, 2 validation (a malformed channel file, a missing
 file or an invalid option), 3 oracle mismatch, 4 internal error (a
-RuntimeError or ValueError raised inside the library).  The BIDMC_SEED
+RuntimeError or ValueError raised inside the library, reported with the
+subcommand it stopped).  The BIDMC_SEED
 environment variable overrides --seed.  Every output artifact records the
 seed it was produced with; a fixed configuration reproduces bit-identical
 output.
@@ -564,7 +565,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RuntimeError, ValueError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error in {args.command}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

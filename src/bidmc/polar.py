@@ -16,7 +16,8 @@ constructions finite.
 transform branch it tracks the quantized chain (optimal 2n-output
 degradation after each transform) and, while the particle count stays under
 a guard, the exact synthetic channel, reporting the capacity-loss rate per
-branch.
+branch.  The branches of one level do not depend on each other, so each
+level is quantized in one batched DP call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .channel import Channel, canonicalize, capacity, capacity_loss_rate
 from .refine import realize_pplus
-from .search import c_optimal_degradation
+from .search import c_optimal_degradations
 
 __all__ = [
     "EXACT_SIZE_GUARD",
@@ -131,19 +132,14 @@ class ConstructionRun:
         return self.records[alpha]
 
 
-def _quantize(w: Channel, n: int) -> Channel:
-    if w.size <= n:
-        return w
-    plan, _ = c_optimal_degradation(w, n)
-    return realize_pplus(plan)
-
-
 def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
     """Degrade-then-transform over every branch of length <= depth.
 
-    Breadth-first over branches; each level transforms the parent's
-    quantized channel and re-quantizes to n particles with the optimal
-    degradation.  The capacity-loss rate of branch alpha*a is
+    Level by level: each level transforms every quantized parent of the
+    level above and re-quantizes the transforms larger than n to n
+    particles with the optimal degradation, all of them in one
+    ``c_optimal_degradations`` call.  The capacity-loss rate of branch
+    alpha*a is
 
         (I(exact) - I(quantized)) / I(exact)
 
@@ -158,29 +154,29 @@ def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
     records: dict[str, BranchRecord] = {
         "": BranchRecord("", base, base, 0.0, True)
     }
-    frontier = [""]
+    level = [""]
     for _ in range(depth):
-        nxt = []
-        for alpha in frontier:
-            parent = records[alpha]
-            for bit in ("0", "1"):
-                child = alpha + bit
-                quant_ref = _transform(parent.quantized, bit)
-                quantized = _quantize(quant_ref, n)
-                exact: Channel | None = None
-                if (
-                    parent.exact is not None
-                    and parent.exact.size ** 2 + 1 <= 4 * EXACT_SIZE_GUARD
-                ):
-                    # Merging usually shrinks the transform well below the
-                    # n^2 + 1 bound, so attempt within a small over-budget
-                    # and keep the result only if it actually fits.
-                    exact = _transform(parent.exact, bit)
-                    if exact.size > EXACT_SIZE_GUARD:
-                        exact = None
-                reference = exact if exact is not None else quant_ref
-                clr = capacity_loss_rate(capacity(reference), capacity(quantized))
-                records[child] = BranchRecord(child, exact, quantized, clr, exact is not None)
-                nxt.append(child)
-        frontier = nxt
+        level = [alpha + bit for alpha in level for bit in ("0", "1")]
+        refs = [_transform(records[child[:-1]].quantized, child[-1]) for child in level]
+        quantized = list(refs)
+        large = [i for i, w in enumerate(refs) if w.size > n]
+        plans = c_optimal_degradations([refs[i] for i in large], n)
+        for i, (plan, _) in zip(large, plans):
+            quantized[i] = realize_pplus(plan)
+        for child, quant_ref, quant in zip(level, refs, quantized):
+            parent = records[child[:-1]]
+            exact: Channel | None = None
+            if (
+                parent.exact is not None
+                and parent.exact.size ** 2 + 1 <= 4 * EXACT_SIZE_GUARD
+            ):
+                # Merging usually shrinks the transform well below the
+                # n^2 + 1 bound, so attempt within a small over-budget
+                # and keep the result only if it actually fits.
+                exact = _transform(parent.exact, child[-1])
+                if exact.size > EXACT_SIZE_GUARD:
+                    exact = None
+            reference = exact if exact is not None else quant_ref
+            clr = capacity_loss_rate(capacity(reference), capacity(quant))
+            records[child] = BranchRecord(child, exact, quant, clr, exact is not None)
     return ConstructionRun(base, n, depth, records)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .blackwell import OneMatrix, find_degradation_witness
 from .channel import Channel, canonicalize
@@ -104,8 +104,11 @@ def split_threshold(eps1: float, eps2: float) -> float:
 
 
 def _segment_terms(q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows q, q sigma and q (1 - 2 sigma): the summands of group statistics."""
-    return np.stack((q, q * s, q * (1.0 - 2.0 * s)))
+    """Rows q, q sigma and q (1 - 2 sigma): the summands of group statistics.
+
+    Over a stack of channels, shape (..., m), the rows stack on axis -2.
+    """
+    return np.stack((q, q * s, q * (1.0 - 2.0 * s)), axis=-2)
 
 
 def _segment_table(
@@ -119,15 +122,28 @@ def _segment_table(
     of the nonnegative terms q, q sigma and q (1 - 2 sigma), so no mass or
     moment cancels and a mean stays within round-off of its group's
     crossovers.  A singleton takes its sigma and 1 - 2 sigma exactly.
+
+    A stack of channels, q and s of shape (B, m) zero-padded past each
+    channel's own size, gives (B, max_len, m) tables.  Adding a zero term
+    changes no sum, so every group inside a channel reads exactly the
+    single channel's entry; groups starting in the padding have mass 0 and
+    NaN means.
     """
-    m = q.size
-    terms = np.zeros((3, m + max_len - 1))
-    terms[:, :m] = _segment_terms(q, s)
-    mass, moment, bias = np.cumsum(sliding_window_view(terms, m, axis=1), axis=1)
-    mean = moment / mass
-    xbar = bias / mass
-    mean[0] = s
-    xbar[0] = 1.0 - 2.0 * s
+    m = q.shape[-1]
+    terms = np.zeros(q.shape[:-1] + (3, m + max_len - 1))
+    terms[..., :m] = _segment_terms(q, s)
+    # windows[..., k, d, i] = terms[..., k, i + d], a view (cheaper to build
+    # than sliding_window_view's, which matters at small m).
+    windows = as_strided(
+        terms, terms.shape[:-1] + (max_len, m), terms.strides + terms.strides[-1:], writeable=False
+    )
+    sums = np.cumsum(windows, axis=-2)
+    mass, moment, bias = (sums[..., k, :, :] for k in range(3))
+    with np.errstate(invalid="ignore"):
+        mean = moment / mass
+        xbar = bias / mass
+    mean[..., 0, :] = s
+    xbar[..., 0, :] = 1.0 - 2.0 * s
     return mass, mean, xbar
 
 

@@ -9,10 +9,14 @@ m.  Three searchers are provided:
   vectorized window test per node and early window cut-off;
 - ``brute_force_c_optimal``: direct maximization over all cut vectors,
   guarded by a combinatorial bound (the independent oracle);
-- ``c_optimal_degradation``: dynamic program over partial degradations,
-  one masked numpy kernel per stage, optionally pruning entries whose
+- ``c_optimal_degradations``: dynamic program over partial degradations
+  of a stack of channels that share n, one masked numpy kernel per stage
+  over (instance, row, column) blocks, optionally pruning entries whose
   committed cut surely fails a threshold-window test (every optimal
-  traceback passes them, so the pruning is sound).
+  traceback passes them, so the pruning is sound).  Ragged sizes are
+  padded with dead states, and every entry is computed by the same float
+  expression as alone, so each channel's result equals its single call,
+  ``c_optimal_degradation`` (the stack of one), bit for bit.
 
 The DP state value S_j(i) is the maximum partial capacity over degradations
 of the first i particles into j groups:
@@ -62,6 +66,7 @@ __all__ = [
     "enumerate_c_degradations",
     "brute_force_c_optimal",
     "c_optimal_degradation",
+    "c_optimal_degradations",
     "tv_greedy_plan",
     "tv_greedy_degrade",
 ]
@@ -69,8 +74,15 @@ __all__ = [
 BRUTE_FORCE_GUARD = 10**6
 
 # Rows per block of the stage kernel, which bounds its temporaries to
-# about _STAGE_BLOCK x m entries.
+# about _STAGE_BLOCK x m entries per instance.
 _STAGE_BLOCK = 32
+
+# Table entries (states x particles) per stack of c_optimal_degradations;
+# larger stacks run in chunks.  At 2^17 (1 MiB per table) the tables the
+# stage kernel gathers from stay in cache: on a 2-core Xeon VM, m = 128,
+# n = 10 took 3.3 ms per instance against 3.9 ms at 2^20, and m = 16 the
+# same.
+_BATCH_ENTRIES = 1 << 17
 
 
 def iota_band(q: Channel, max_len: int) -> np.ndarray:
@@ -80,15 +92,21 @@ def iota_band(q: Channel, max_len: int) -> np.ndarray:
     at s, from ``refine._segment_table``; entries outside 1 <= s <= m - d
     are NaN.
     """
-    return _band(*_segment_table(q.weights, q.sigmas, max_len))
+    band = np.full((max_len, q.size + 1), np.nan)
+    band[:, 1:] = _band(*_segment_table(q.weights, q.sigmas, max_len), q.size)
+    return band
 
 
-def _band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray) -> np.ndarray:
-    """iota_band from the segment tables, computed on the channel's groups only."""
-    max_len, m = mass.shape
-    group = np.arange(m) < m - np.arange(max_len)[:, None]
-    band = np.full((max_len, m + 1), np.nan)
-    band[:, 1:][group] = mass[group] * _capacity_term(mean[group], xbar[group])
+def _band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray, m) -> np.ndarray:
+    """Capacity terms of the segment tables' groups, NaN past the channel's end.
+
+    Entry [d, i] is iota of particles i..i+d (0-indexed), as in the tables;
+    over a stack of tables, ``m`` holds each channel's own size.
+    """
+    max_len, width = mass.shape[-2:]
+    group = np.arange(width) < np.asarray(m)[..., None, None] - np.arange(max_len)[:, None]
+    band = np.full(mass.shape, np.nan)
+    band[group] = mass[group] * _capacity_term(mean[group], xbar[group])
     return band
 
 
@@ -189,51 +207,64 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
 def _stage_maxima(
     stage: int,
     rows: np.ndarray,
+    row_at: np.ndarray,
     s_prev: np.ndarray,
     eps_prev: np.ndarray,
     band: np.ndarray,
     means: np.ndarray,
     s: np.ndarray,
     pruning: bool,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Leftmost row maxima of one DP stage over its candidate entries.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leftmost row maxima of one DP stage over a stack of instances.
 
-    Entry (a, b) is s_prev[b] + iota(stage + b, stage + a): row a covers
-    particles up to stage + a, and the new group starts after the state at
-    column b.  It is a candidate when b <= a, column b is alive (s_prev not
+    Instance k's entry (a, b) is s_prev[k, b] + iota(stage + b, stage + a):
+    row a = rows[k, r] covers particles up to stage + a, and the new group
+    starts after the state at column b.  It is a candidate when b <= a
+    (so a padding row, a = -1, has none), column b is alive (s_prev not
     NaN) and, with ``pruning``, the cut it commits does not surely fail its
-    window (a margin below -PHI_STRICT_TOL).  Only candidates are computed,
-    and a NaN candidate is never selected.  Returns the maxima (NaN for a
-    row without candidates), their columns (-1 there) and the number of
-    candidates.
+    window (a margin below -PHI_STRICT_TOL).  A non-candidate or NaN entry
+    reads -inf, so it is never selected.  Each row block reads the columns
+    alive in any instance, in increasing order, so each instance's maxima,
+    leftmost columns and counts are those of the same stage run alone.
+    The new group of entry (a, b) is entry [k, a - b, stage + b - 1] of the
+    (B, size, width) tables ``band`` and ``means``, at flat index
+    row_at[k, r] + stage - 1 + b (1 - width); above the diagonal (b > a)
+    that wraps to other entries, which the mask drops.  Returns the maxima
+    (NaN for a row without candidates), their columns (-1 there) and each
+    instance's number of candidates.
     """
-    cols = np.flatnonzero(~np.isnan(s_prev))
-    best = np.full(rows.size, np.nan)
-    dec = np.full(rows.size, -1, dtype=np.int64)
-    count = 0
-    for r0 in range(0, rows.size, _STAGE_BLOCK):
-        a = rows[r0 : r0 + _STAGE_BLOCK]
-        b = cols[: np.searchsorted(cols, a[-1], side="right")]
-        mask = b[None, :] <= a[:, None]
+    n_inst, n_rows = rows.shape
+    width = means.shape[-1]
+    alive = ~np.isnan(s_prev)
+    alive_any = alive.any(axis=0)
+    best = np.full(rows.shape, np.nan)
+    dec = np.full(rows.shape, -1, dtype=np.int64)
+    count = np.zeros(n_inst, dtype=np.int64)
+    for r0 in range(0, n_rows, _STAGE_BLOCK):
+        blk_rows = slice(r0, r0 + _STAGE_BLOCK)
+        a = rows[:, blk_rows, None]
+        cols = np.flatnonzero(alive_any[: a.max() + 1])
+        if cols.size == 0:
+            continue
+        mask = (cols <= a) & alive.take(cols, axis=1)[:, None]
+        at = row_at[:, blk_rows, None] + (stage - 1 + cols * (1 - width))
         if pruning:
-            lo = stage + b - 1  # 0-indexed first particle of the new group
-            # Entries above the diagonal (b > a) wrap to other rows of the
-            # table; the mask drops them.
-            t = _threshold(eps_prev[b], means[a[:, None] - b, lo])
+            lo = stage + cols - 1  # 0-indexed first particle of the new group
+            t = _threshold(eps_prev.take(cols, axis=1)[:, None], means.take(at))
             # Sure failures only: a near-tie must not prune the optimal path.
-            mask &= ~((t - s[lo - 1] < -PHI_STRICT_TOL) | (s[lo] - t < -PHI_STRICT_TOL))
-        ri, ci = np.nonzero(mask)
-        count += ri.size
-        bc = b[ci]
-        vals = s_prev[bc] + band[a[ri] - bc, stage + bc]
-        vals[np.isnan(vals)] = -np.inf
-        blk = np.full(mask.shape, -np.inf)
-        blk[ri, ci] = vals
-        arg = blk.argmax(axis=1)
-        top = blk[np.arange(a.size), arg]
-        live = np.flatnonzero(top > -np.inf)
-        best[r0 + live] = top[live]
-        dec[r0 + live] = b[arg[live]]
+            mask &= ~(
+                (t - s.take(lo - 1, axis=1)[:, None] < -PHI_STRICT_TOL)
+                | (s.take(lo, axis=1)[:, None] - t < -PHI_STRICT_TOL)
+            )
+        count += mask.reshape(n_inst, -1).sum(axis=1)
+        blk = np.where(mask, s_prev.take(cols, axis=1)[:, None] + band.take(at), -np.inf)
+        top = blk.max(axis=2)
+        if np.isnan(top).any():  # a NaN candidate: rule it out
+            blk[np.isnan(blk)] = -np.inf
+            top = blk.max(axis=2)
+        found = top > -np.inf
+        best[:, blk_rows] = np.where(found, top, np.nan)
+        dec[:, blk_rows] = np.where(found, cols[blk.argmax(axis=2)], -1)
     return best, dec, count
 
 
@@ -252,49 +283,107 @@ def c_optimal_degradation(
     optimal partial solutions are C-degradations of their sub-channels; the
     pruned run therefore reaches the same final capacity.  ``evaluations`` counts the
     entries computed, so the pruned count never exceeds the unpruned one.
-    ``pruning=False`` is the soundness baseline.
+    ``pruning=False`` is the soundness baseline.  This is the batch of one
+    of ``c_optimal_degradations``.
     """
-    m = q.size
-    if not (2 <= n < m):
-        raise ValueError(f"need 2 <= n < m, got n={n}, m={m}")
-    s = q.sigmas
-    size = m - n + 1
-    mass, means, xbar = _segment_table(q.weights, s, size)
-    band = _band(mass, means, xbar)
-    offsets = np.arange(size)
+    return c_optimal_degradations([q], n, pruning)[0]
 
-    s_prev = band[offsets, 1]
-    table = DpTable(
-        values=[s_prev],
-        decisions=[np.full(size, -1, dtype=np.int64)],
-        pruned=[np.zeros(size, dtype=bool)],
-    )
+
+def c_optimal_degradations(
+    qs: list[Channel], n: int, pruning: bool = True
+) -> list[tuple[PPlusPlan, DpTable]]:
+    """``c_optimal_degradation`` of each channel, in one DP over the stack.
+
+    The channels, each with more than n particles, run stage by stage
+    together; each result (cuts, capacity, counters and every stage's
+    values, decisions and pruned flags) equals the channel's single call bit
+    for bit.  Raises the single call's ValueError for a channel with m <= n
+    and its RuntimeError when any channel has no feasible traceback state.
+    """
+    qs = list(qs)
+    for q in qs:
+        if not (2 <= n < q.size):
+            raise ValueError(f"need 2 <= n < m, got n={n}, m={q.size}")
+    if not qs:
+        return []
+    m = max(q.size for q in qs)
+    chunk = max(1, _BATCH_ENTRIES // ((m - n + 1) * m))
+    out: list[tuple[PPlusPlan, DpTable]] = []
+    for k in range(0, len(qs), chunk):
+        out += _dp_stack(qs[k : k + chunk], n, pruning)
+    return out
+
+
+def _dp_stack(qs: list[Channel], n: int, pruning: bool) -> list[tuple[PPlusPlan, DpTable]]:
+    """The DP over one stack, padded to its largest channel with dead states."""
+    m = np.array([q.size for q in qs])
+    width = max(q.size for q in qs)
+    sizes = m - n + 1
+    size = width - n + 1
+    w = np.zeros((len(qs), width))
+    s = np.zeros(w.shape)
+    for k, q in enumerate(qs):
+        w[k, : q.size] = q.weights
+        s[k, : q.size] = q.sigmas
+    mass, means, xbar = _segment_table(w, s, size)
+    band = _band(mass, means, xbar, m)
+    offsets = np.arange(size)
+    inst = np.arange(len(qs))
+    live = offsets < sizes[:, None]
+    rows = np.where(live, offsets, -1)  # a padding row is -1
+
+    s_prev = np.where(live, band[:, :, 0], np.nan)
+    values = [s_prev]
+    decisions = [np.full(rows.shape, -1, dtype=np.int64)]
+    pruned = [np.zeros(rows.shape, dtype=bool)]
+    evaluations = np.zeros(len(qs), dtype=np.int64)
+    # Padding rows are dead in each of the n - 2 stages between the first
+    # and the last.
+    pruned_states = (2 - n) * (size - sizes)
     # Mean crossover of each state's last group, per its stored decision.
-    eps_prev = means[offsets, 0]
+    eps_prev = means[:, :, 0]
+    # Flat index of entry [k, a, 0] of the tables, for row a of instance k.
+    row_at = (inst[:, None] * size + rows) * width
     for stage in range(2, n + 1):
-        rows = offsets if stage < n else offsets[-1:]
+        if stage == n:
+            rows = (sizes - 1)[:, None]
+            row_at = (inst[:, None] * size + rows) * width
         s_prev, dec, count = _stage_maxima(
-            stage, rows, s_prev, eps_prev, band, means, s, pruning
+            stage, rows, row_at, s_prev, eps_prev, band, means, s, pruning
         )
         dead = dec < 0
-        table.evaluations += count
-        table.pruned_states += int(dead.sum())
-        table.values.append(s_prev)
-        table.decisions.append(dec)
-        table.pruned.append(dead)
-        b = np.maximum(dec, 0)  # a dead state reads any group, then NaN
-        eps_prev = np.where(dead, np.nan, means[rows - b, stage + b - 1])
-    if dead[0]:
+        evaluations += count
+        pruned_states += dead.sum(axis=1)
+        values.append(s_prev)
+        decisions.append(dec)
+        pruned.append(dead)
+        if stage < n:
+            b = np.maximum(dec, 0)  # a dead state reads any group, then NaN
+            eps_prev = np.where(dead, np.nan, means.take(row_at + (stage - 1) + b * (1 - width)))
+    if dead.any():
         raise RuntimeError("no feasible traceback state")
-    table.capacity = float(s_prev[0])
 
-    cuts = []
-    row = 0
+    row = np.zeros(len(qs), dtype=np.int64)
+    cuts = np.empty((len(qs), n - 1), dtype=np.int64)
     for stage in range(n, 1, -1):
-        row = int(table.decisions[stage - 1][row])
-        cuts.append(stage + row)  # group `stage` starts after state (stage - 1, row)
-    cuts.reverse()
-    return PPlusPlan(q, tuple(cuts)), table
+        row = decisions[stage - 1][inst, row]
+        cuts[:, stage - 2] = stage + row  # group `stage` starts after state (stage - 1, row)
+
+    out = []
+    for k, (q, evals, dropped, cap, plan) in enumerate(
+        zip(qs, evaluations.tolist(), pruned_states.tolist(), s_prev[:, 0].tolist(), cuts.tolist())
+    ):
+        own = slice(0, q.size - n + 1)  # each stage's own states; the last has one
+        table = DpTable(
+            values=[v[k, own] for v in values],
+            decisions=[d[k, own] for d in decisions],
+            pruned=[p[k, own] for p in pruned],
+            evaluations=evals,
+            pruned_states=dropped,
+            capacity=cap,
+        )
+        out.append((PPlusPlan(q, tuple(plan)), table))
+    return out
 
 
 def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:

@@ -19,6 +19,7 @@ from bidmc import (
     arikan_plus,
     brute_force_c_optimal,
     c_optimal_degradation,
+    c_optimal_degradations,
     canonicalize,
     capacity,
     enumerate_c_degradations,
@@ -181,12 +182,14 @@ def test_criterion_05_optimal_clr_grid():
     grid = {}
     for m in (16, 32, 64, 128):
         for j, n in enumerate(range(4, 11)):
-            vals = []
-            for i in range(samples[m]):
-                rng = instance_rng(105, 1_000_000 * m + 10_000 * n + i)
-                q = random_channel(rng, m)
-                plan, _ = c_optimal_degradation(q, n)
-                vals.append(clr_of(q, realize_pplus(plan)))
+            qs = [
+                random_channel(instance_rng(105, 1_000_000 * m + 10_000 * n + i), m)
+                for i in range(samples[m])
+            ]
+            vals = [
+                clr_of(q, realize_pplus(plan))
+                for q, (plan, _) in zip(qs, c_optimal_degradations(qs, n))
+            ]
             grid[(m, n)] = float(np.mean(vals))
     elapsed = time.time() - t0
 

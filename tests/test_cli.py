@@ -247,7 +247,7 @@ def test_internal_error_exits_4(q3_file, capsys, monkeypatch):
     code, out, err = run_cli(["degrade", q3_file, "--n", "2"], capsys)
     assert code == 4
     assert out == ""
-    assert err == "internal error: no feasible traceback state\n"
+    assert err == "internal error in degrade: no feasible traceback state\n"
 
 
 def test_library_value_error_exits_4(q3_file, capsys, monkeypatch):
@@ -260,7 +260,7 @@ def test_library_value_error_exits_4(q3_file, capsys, monkeypatch):
     code, out, err = run_cli(["check", q3_file, q3_file], capsys)
     assert code == 4
     assert out == ""
-    assert err == "internal error: row sums do not match the row pattern\n"
+    assert err == "internal error in check: row sums do not match the row pattern\n"
 
 
 @pytest.mark.parametrize(

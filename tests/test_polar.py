@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidmc import (
+    BranchRecord,
     arikan_minus,
     arikan_plus,
     bsc,
     c_optimal_degradation,
     canonicalize,
     capacity,
+    capacity_loss_rate,
     construct,
     diamond,
     equivalent,
@@ -18,6 +22,7 @@ from bidmc import (
     star,
     tv_greedy_plan,
 )
+from bidmc.polar import EXACT_SIZE_GUARD
 from bidmc.refine import PPlusPlan
 
 
@@ -179,3 +184,57 @@ def test_construct_skewed_chains_complete(seed, index, n):
             greedy = capacity(realize_pplus(tv_greedy_plan(transform, n)))
             assert greedy <= best + 1e-12, alpha
         assert capacity(rec.quantized) == pytest.approx(best, abs=1e-9), alpha
+
+
+def _construct_per_branch(base, depth, n):
+    """Records of the breadth-first construction that quantizes each branch
+    with its own c_optimal_degradation call."""
+    records = {"": BranchRecord("", base, base, 0.0, True)}
+    frontier = [""]
+    for _ in range(depth):
+        nxt = []
+        for alpha in frontier:
+            parent = records[alpha]
+            for bit in ("0", "1"):
+                child = alpha + bit
+                transform = arikan_minus if bit == "0" else arikan_plus
+                quant_ref = transform(parent.quantized)
+                quantized = quant_ref
+                if quant_ref.size > n:
+                    quantized = realize_pplus(c_optimal_degradation(quant_ref, n)[0])
+                exact = None
+                if parent.exact is not None and parent.exact.size ** 2 + 1 <= 4 * EXACT_SIZE_GUARD:
+                    exact = transform(parent.exact)
+                    if exact.size > EXACT_SIZE_GUARD:
+                        exact = None
+                reference = exact if exact is not None else quant_ref
+                clr = capacity_loss_rate(capacity(reference), capacity(quantized))
+                records[child] = BranchRecord(child, exact, quantized, clr, exact is not None)
+                nxt.append(child)
+        frontier = nxt
+    return records
+
+
+def _same_channel(a, b):
+    return a.sigmas.tobytes() == b.sigmas.tobytes() and a.weights.tobytes() == b.weights.tobytes()
+
+
+@settings(max_examples=12)
+@given(
+    seed=st.integers(0, 10**6),
+    size=st.integers(1, 5),
+    depth=st.integers(4, 5),
+    n=st.integers(3, 5),
+)
+def test_construct_equals_per_branch_loop(seed, size, depth, n):
+    base = random_channel(instance_rng(seed, 0), size)
+    got = construct(base, depth, n).records
+    want = _construct_per_branch(base, depth, n)
+    assert list(got) == list(want)
+    for alpha, rec in want.items():
+        new = got[alpha]
+        assert _same_channel(new.quantized, rec.quantized), alpha
+        assert (new.exact is None) == (rec.exact is None), alpha
+        assert rec.exact is None or _same_channel(new.exact, rec.exact), alpha
+        assert new.clr.hex() == rec.clr.hex(), alpha
+        assert new.exact_reference == rec.exact_reference, alpha

@@ -14,6 +14,7 @@ from bidmc import (
     binary_entropy,
     brute_force_c_optimal,
     c_optimal_degradation,
+    c_optimal_degradations,
     canonicalize,
     capacity,
     enumerate_c_degradations,
@@ -27,6 +28,7 @@ from bidmc import (
     tv_greedy_degrade,
     tv_greedy_plan,
 )
+from bidmc import search
 from bidmc.refine import _group_stat, _segment_table
 from bidmc.search import iota_band
 
@@ -50,21 +52,28 @@ def test_iota_band_matches_direct_groups():
 
 
 @st.composite
-def _polar_chain_inputs(draw):
-    """A DP input from a degrade-then-transform chain at depth 5 or 6.
+def _polar_chain(draw, n):
+    """A channel from a degrade-then-transform chain at depth 5 or 6.
 
-    The base has 2-4 particles and each level re-quantizes to n = 3 or 4
-    particles, so the last transform has at most n^2 + 1; the all-plus and
-    all-minus branches drive crossovers towards 0 and 1/2 and masses down
-    to round-off.
+    The base has 2-4 particles and each level re-quantizes to n particles,
+    so the last transform has at most n^2 + 1; the all-plus and all-minus
+    branches drive crossovers towards 0 and 1/2 and masses down to
+    round-off.
     """
-    n = draw(st.integers(3, 4))
     q = random_channel(instance_rng(draw(st.integers(0, 10**6)), 0), draw(st.integers(2, 4)))
     bits = draw(st.lists(st.booleans(), min_size=5, max_size=6))
     for bit in bits:
         if q.size > n:
             q = realize_pplus(c_optimal_degradation(q, n)[0])
         q = arikan_plus(q) if bit else arikan_minus(q)
+    return q
+
+
+@st.composite
+def _polar_chain_inputs(draw):
+    """A DP input from a polar chain with n = 3 or 4."""
+    n = draw(st.integers(3, 4))
+    q = draw(_polar_chain(n))
     assume(q.size > n)
     return q, n
 
@@ -301,3 +310,98 @@ def test_dp_rejects_bad_n():
         c_optimal_degradation(Q3, 3)
     with pytest.raises(ValueError):
         enumerate_c_degradations(Q3, 5)
+
+
+def _assert_same_result(got, want):
+    """Cuts, capacity bits, counters and every stage's arrays are equal."""
+    (plan_g, table_g), (plan_w, table_w) = got, want
+    assert plan_g.cuts == plan_w.cuts
+    assert table_g.capacity.hex() == table_w.capacity.hex()
+    assert table_g.evaluations == table_w.evaluations
+    assert table_g.pruned_states == table_w.pruned_states
+    for field in ("values", "decisions", "pruned"):
+        stages_g, stages_w = getattr(table_g, field), getattr(table_w, field)
+        assert len(stages_g) == len(stages_w), field
+        for g, w in zip(stages_g, stages_w):
+            assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True), field
+
+
+@pytest.mark.parametrize("pruning", [True, False])
+def test_batch_equals_single_calls_on_ragged_stacks(pruning):
+    rng = instance_rng(51, 12)
+    for n in (2, 4, 7):
+        sizes = rng.permutation(np.arange(n + 1, 41))
+        qs = [random_channel(rng, int(m)) for m in sizes]
+        for stack in (qs, qs[:1]):
+            for q, got in zip(stack, c_optimal_degradations(stack, n, pruning), strict=True):
+                _assert_same_result(got, c_optimal_degradation(q, n, pruning))
+
+
+@st.composite
+def _polar_chain_stacks(draw):
+    n = draw(st.integers(3, 4))
+    qs = [q for q in draw(st.lists(_polar_chain(n), min_size=1, max_size=6)) if q.size > n]
+    assume(qs)
+    return qs, n
+
+
+@settings(max_examples=30)
+@given(_polar_chain_stacks(), st.booleans())
+def test_batch_equals_single_calls_on_polar_chains(stack, pruning):
+    qs, n = stack
+    for q, got in zip(qs, c_optimal_degradations(qs, n, pruning), strict=True):
+        _assert_same_result(got, c_optimal_degradation(q, n, pruning))
+
+
+def test_batch_edge_cases():
+    assert c_optimal_degradations([], 4) == []
+    q = random_channel(instance_rng(51, 13), 10)
+    with pytest.raises(ValueError) as single:
+        c_optimal_degradation(Q3, 3)
+    with pytest.raises(ValueError) as batch:
+        c_optimal_degradations([q, Q3], 3)
+    assert str(batch.value) == str(single.value)
+
+
+def test_batch_equals_single_calls_with_dead_states(monkeypatch):
+    # A negative window tolerance also prunes cuts that pass their window by
+    # less than 0.003, so states die inside channels (valid channels almost
+    # never lose one): each instance must keep its own alive columns.
+    monkeypatch.setattr(search, "PHI_STRICT_TOL", -3e-3)
+    rng = instance_rng(51, 15)
+    for n in (3, 5):
+        qs, singles = [], []
+        for m in rng.permutation(np.arange(n + 1, 41)):
+            q = random_channel(rng, int(m))
+            try:
+                singles.append(c_optimal_degradation(q, n))
+            except RuntimeError:
+                continue
+            qs.append(q)
+        assert sum(table.pruned_states > 0 for _, table in singles) >= 10
+        for got, want in zip(c_optimal_degradations(qs, n), singles, strict=True):
+            _assert_same_result(got, want)
+
+
+@pytest.mark.parametrize(
+    "safe, cuts",
+    [
+        ([(0.0, 0.3), (0.2, 0.3), (0.4, 0.4)], (2,)),
+        ([(0.0, 0.25), (0.2, 0.25), (0.4, 0.25), (0.5, 0.25)], (2, 4)),
+    ],
+)
+def test_batch_with_an_infeasible_instance_raises(monkeypatch, safe, cuts):
+    # A window tolerance of -1 prunes every entry whose threshold is
+    # defined.  A cut after a group of mean 0 or before one of mean 1/2 has
+    # none, so `safe` keeps such cuts, and a channel without them loses
+    # every state (at n = 3, a whole stage before the last).
+    monkeypatch.setattr(search, "PHI_STRICT_TOL", -1.0)
+    safe = canonicalize(safe)
+    bad = random_channel(instance_rng(51, 14), 6)
+    n = len(cuts) + 1
+    assert c_optimal_degradation(safe, n)[0].cuts == cuts
+    with pytest.raises(RuntimeError) as single:
+        c_optimal_degradation(bad, n)
+    with pytest.raises(RuntimeError) as batch:
+        c_optimal_degradations([safe, bad, safe], n)
+    assert str(batch.value) == str(single.value) == "no feasible traceback state"

@@ -1,16 +1,16 @@
 """Arikan channel transforms on BSC mixtures and construction experiments.
 
 The two polar-coding synthetic channels of W = sum_j p_j B(e_j) are again
-BSC mixtures:
+BSC mixtures, summed over unordered pairs with c_ii = 1 and c_ij = 2 (i < j):
 
-    minus:  sum_{i,j} p_i p_j B(e_i * e_j)
-    plus:   sum_{i,j} p_i p_j [ (~e_i * e_j) B(e_i # e_j)
-                                + (e_i * e_j) B(~e_i # e_j) ]
+    minus:  sum_{i<=j} c_ij p_i p_j B(e_i * e_j)
+    plus:   sum_{i<=j} c_ij p_i p_j [ (~e_i * e_j) B(e_i # e_j)
+                                      + (e_i * e_j) B(~e_i # e_j) ]
 
 with a * b = (1-a)b + a(1-b) and a # b = ab / ((1-a) * b) (0 when either
-argument is 0 or 1).  The plus transform of an n-particle mixture has at
-most n^2 + 1 particles after canonicalization, which keeps iterated
-constructions finite.
+argument is 0 or 1); pair (j, i) repeats (i, j), its bad output reflected.
+The plus transform of an n-particle mixture has at most n^2 + 1 particles
+after canonicalization, which keeps iterated constructions finite.
 
 ``construct`` runs the degrade-then-transform experiment: along every
 transform branch it tracks the quantized chain (optimal 2n-output
@@ -60,28 +60,35 @@ def diamond(a, b):
     return float(out) if out.ndim == 0 else out
 
 
+def _pairs(w: Channel):
+    """Unordered pairs i <= j: e_i, e_j and mass p_i p_j, doubled off the diagonal."""
+    i, j = np.triu_indices(w.size)
+    return w.sigmas[i], w.sigmas[j], np.where(i == j, 1.0, 2.0) * w.weights[i] * w.weights[j]
+
+
 def arikan_minus(w: Channel) -> Channel:
-    """Minus (check) transform: pairwise star mixture."""
-    s, p = w.sigmas, w.weights
-    sig = star(s[:, None], s[None, :])
-    mass = p[:, None] * p[None, :]
-    return canonicalize(np.column_stack((sig.ravel(), mass.ravel())))
+    """Minus (check) transform: star mixture over unordered pairs."""
+    si, sj, mass = _pairs(w)
+    return canonicalize(np.column_stack((star(si, sj), mass)))
 
 
 def arikan_plus(w: Channel) -> Channel:
-    """Plus (copy) transform: pairwise diamond mixture, <= n^2 + 1 particles.
+    """Plus (copy) transform: diamond mixture over unordered pairs.
 
-    Pair (i, j) contributes a good and a bad output, in that order, each
-    only when its mass factor is nonzero.
+    Pair i <= j contributes a good and a bad output, in that order, each
+    only when its mass factor is nonzero.  A diagonal pair (e_i = e_j, since
+    a channel's crossovers are distinct) has its bad output set to exactly
+    ~e # e = 1/2, which the division misses by up to 1.4e-17 / e.  So these
+    merge into one, and at most n(n+1)/2 + n(n-1)/2 + 1 = n^2 + 1 remain.
     """
-    si, sj = w.sigmas[:, None], w.sigmas[None, :]
-    mass = w.weights[:, None] * w.weights[None, :]
+    si, sj, mass = _pairs(w)
     good = star(1.0 - si, sj)
-    # [i, j, 0] is the good output of pair (i, j), [i, j, 1] the bad one.
-    sig = diamond(np.stack((si, 1.0 - si), axis=-1), sj[..., None])
-    mass = np.stack((mass * good, mass * (1.0 - good)), axis=-1)
-    keep = np.stack((good > 0.0, good < 1.0), axis=-1)
-    return canonicalize(np.stack((sig, mass), axis=-1)[keep])
+    # Column 0 is the good output of a pair, column 1 the bad one.
+    factor = np.column_stack((good, 1.0 - good))
+    sig = diamond(np.column_stack((si, 1.0 - si)), sj[:, None])
+    sig[si == sj, 1] = 0.5
+    keep = factor > 0.0
+    return canonicalize(np.column_stack((sig[keep], (mass[:, None] * factor)[keep])))
 
 
 def _transform(w: Channel, bit: str) -> Channel:
@@ -127,9 +134,6 @@ class ConstructionRun:
     quantizer_size: int
     depth: int
     records: dict[str, BranchRecord]
-
-    def branch(self, alpha: str) -> BranchRecord:
-        return self.records[alpha]
 
 
 def construct(base: Channel, depth: int, n: int) -> ConstructionRun:

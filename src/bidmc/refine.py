@@ -195,10 +195,6 @@ class PPlusPlan:
                 raise InvalidPlanError(f"cut {k} outside ({prev}, {m}]")
             prev = k
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.cuts) + 1
-
     def bounds(self) -> list[tuple[int, int]]:
         """Half-open particle ranges [start, stop) of each group, 1-indexed."""
         edges = (1,) + self.cuts + (self.source.size + 1,)

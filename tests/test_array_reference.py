@@ -3,6 +3,8 @@
 The references are the sequential per-pair implementations: a loop that
 validates, reflects and clamps each pair, sorts the list, and folds each pair
 into the running mean of the last group while it lies within MERGE_TOL of it.
+The transform references loop over the unordered particle pairs i <= j, with
+the mass of a pair off the diagonal doubled.
 The array code must reproduce them bit for bit, so results are compared by
 the ``.hex()`` of every float, and failures by exception type and message.
 """
@@ -73,24 +75,32 @@ def _diamond_reference(a, b):
     return a * b / _star_reference(1.0 - a, b)
 
 
+def _unordered_pairs(w):
+    """Particle pairs i <= j with mass p_i p_j, doubled off the diagonal."""
+    parts = w.particles
+    for i, pi in enumerate(parts):
+        for j in range(i, len(parts)):
+            pj = parts[j]
+            yield pi.sigma, pj.sigma, (2.0 if j > i else 1.0) * pi.weight * pj.weight
+
+
 def _arikan_minus_reference(w):
     raw = []
-    for i, pi in enumerate(w.particles):
-        for pj in w.particles:
-            raw.append((_star_reference(pi.sigma, pj.sigma), pi.weight * pj.weight))
+    for si, sj, mass in _unordered_pairs(w):
+        raw.append((_star_reference(si, sj), mass))
     return _canonicalize_reference(raw)
 
 
 def _arikan_plus_reference(w):
     raw = []
-    for pi in w.particles:
-        for pj in w.particles:
-            mass = pi.weight * pj.weight
-            good = _star_reference(1.0 - pi.sigma, pj.sigma)
-            if good > 0.0:
-                raw.append((_diamond_reference(pi.sigma, pj.sigma), mass * good))
-            if good < 1.0:
-                raw.append((_diamond_reference(1.0 - pi.sigma, pj.sigma), mass * (1.0 - good)))
+    for si, sj, mass in _unordered_pairs(w):
+        good = _star_reference(1.0 - si, sj)
+        if good > 0.0:
+            raw.append((_diamond_reference(si, sj), mass * good))
+        if good < 1.0:
+            # On the diagonal (sigmas are strictly increasing), ~e # e = 1/2 exactly.
+            bad = 0.5 if si == sj else _diamond_reference(1.0 - si, sj)
+            raw.append((bad, mass * (1.0 - good)))
     return _canonicalize_reference(raw)
 
 

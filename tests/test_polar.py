@@ -15,6 +15,7 @@ from bidmc import (
     construct,
     diamond,
     equivalent,
+    error_probability,
     instance_rng,
     is_degradation,
     random_channel,
@@ -22,8 +23,11 @@ from bidmc import (
     star,
     tv_greedy_plan,
 )
+from bidmc import polar
 from bidmc.polar import EXACT_SIZE_GUARD
 from bidmc.refine import PPlusPlan
+
+import ordered_pairs
 
 
 def test_star_values():
@@ -238,3 +242,108 @@ def test_construct_equals_per_branch_loop(seed, size, depth, n):
         assert rec.exact is None or _same_channel(new.exact, rec.exact), alpha
         assert new.clr.hex() == rec.clr.hex(), alpha
         assert new.exact_reference == rec.exact_reference, alpha
+
+
+# The transforms build each unordered pair once; ``ordered_pairs`` keeps the
+# n^2 transforms they replaced as the oracle.  The two agree to round-off.
+
+
+def _assert_close_to_ordered(w):
+    minus, plus = arikan_minus(w), arikan_plus(w)
+    for bit, new in (("0", minus), ("1", plus)):
+        old = ordered_pairs.transform(w, bit)
+        assert abs(capacity(new) - capacity(old)) <= 1e-13, bit
+        assert abs(error_probability(new) - error_probability(old)) <= 1e-13, bit
+    assert plus.size <= w.size**2 + 1
+    assert abs(capacity(minus) + capacity(plus) - 2.0 * capacity(w)) <= 1e-12
+
+
+@st.composite
+def _exact_chain(draw):
+    """The exact channels along one unquantized transform branch of depth 4 or 5.
+
+    The base has 2 or 3 particles.  As in ``construct``, a channel is
+    transformed only while its n^2 + 1 bound is within 4 * EXACT_SIZE_GUARD,
+    which also keeps the n^2 oracle small.
+    """
+    w = random_channel(instance_rng(draw(st.integers(0, 10**6)), 0), draw(st.integers(2, 3)))
+    chain = []
+    for bit in draw(st.lists(st.sampled_from("01"), min_size=4, max_size=5)):
+        if w.size**2 + 1 > 4 * EXACT_SIZE_GUARD:
+            break
+        chain.append(w)
+        w = polar._transform(w, bit)
+    return chain
+
+
+@settings(max_examples=40)
+@given(_exact_chain())
+def test_transforms_match_ordered_pairs_on_exact_chains(chain):
+    for w in chain:
+        _assert_close_to_ordered(w)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [(0.0, 1.0)],
+        [(0.5, 1.0)],
+        [(0.1, 1.0)],
+        [(1e-9, 1.0)],
+        [(0.0, 0.5), (0.5, 0.5)],
+        [(0.0, 0.3), (1e-6, 0.3), (0.5, 0.4)],
+        # repeated crossovers, merged by canonicalize, and crossovers just
+        # more than MERGE_TOL apart
+        [(0.2, 0.25), (0.2, 0.25), (0.3, 0.5)],
+        [(0.2, 0.3), (0.2 + 2.5e-12, 0.3), (0.2 + 5e-12, 0.4)],
+        [(1e-5, 0.25), (1e-5 + 2e-12, 0.25), (0.5 - 2e-12, 0.25), (0.5, 0.25)],
+    ],
+)
+def test_transforms_match_ordered_pairs_on_edge_channels(raw):
+    _assert_close_to_ordered(canonicalize(raw))
+
+
+def test_plus_size_bound_with_small_crossovers():
+    # Crossover 1.09e-5: the division puts its diagonal bad output 1.3e-12
+    # below 1/2, more than MERGE_TOL from the others, and the n^2 transform
+    # gives 11 particles.  Set exactly to 1/2, they merge.
+    w = random_channel(instance_rng(4, 0), 3)
+    assert w.sigmas[0] < 2e-5
+    assert ordered_pairs.arikan_plus(w).size == 11
+    assert arikan_plus(w).size <= 10
+
+
+def test_transforms_pass_unordered_pair_counts(monkeypatch):
+    counts = []
+
+    def counting(raw):
+        counts.append(len(raw))
+        return canonicalize(raw)
+
+    monkeypatch.setattr(polar, "canonicalize", counting)
+    rng = instance_rng(61, 6)
+    for m in range(1, 10):
+        w = random_channel(rng, m)
+        arikan_minus(w)
+        assert counts[-1] == m * (m + 1) // 2
+        arikan_plus(w)
+        assert counts[-1] <= m * (m + 1)
+
+
+def test_construct_matches_ordered_pair_oracle(monkeypatch):
+    bases = [random_channel(instance_rng(62, i), 4) for i in range(20)]
+    runs = [construct(base, 5, 4).records for base in bases]
+    monkeypatch.setattr(polar, "_transform", ordered_pairs.transform)
+    for base, got in zip(bases, runs):
+        want = construct(base, 5, 4).records
+        for alpha, rec in want.items():
+            new = got[alpha]
+            assert new.quantized.size == rec.quantized.size, alpha
+            assert new.exact_reference == rec.exact_reference, alpha
+            if not alpha:
+                continue
+            reference = rec.exact
+            if reference is None:
+                reference = ordered_pairs.transform(want[alpha[:-1]].quantized, alpha[-1])
+            if capacity(reference) >= 1e-12:
+                assert abs(new.clr - rec.clr) <= 1e-9, alpha

@@ -75,6 +75,9 @@ def binary_entropy(x):
     return float(out) if out.ndim == 0 else out
 
 
+_TWO_LN2 = 2.0 * np.log(2.0)
+
+
 def _capacity_term(sigma, x):
     """1 - h(sigma) in bits, elementwise over equal shapes, given x = 1 - 2 sigma.
 
@@ -91,7 +94,7 @@ def _capacity_term(sigma, x):
     far = sigma < 0.25
     near = ~far
     xn = x[near]
-    out[near] = (2.0 * xn * np.arctanh(xn) + np.log1p(-xn * xn)) / (2.0 * np.log(2.0))
+    out[near] = (2.0 * xn * np.arctanh(xn) + np.log1p(-xn * xn)) / _TWO_LN2
     out[far] = 1.0 - binary_entropy(sigma[far])
     return float(out) if out.ndim == 0 else out
 
@@ -193,58 +196,141 @@ def canonicalize(raw: np.ndarray | Iterable[tuple[float, float]]) -> Channel:
     The result is bit for bit that of one sequential pass over the pairs
     sorted by (sigma, weight), which folds each pair into the running mean
     of the current group while it lies within MERGE_TOL of that mean and
-    otherwise opens a group.
+    otherwise opens a group.  This is the stack of one of
+    ``_canonicalize_stack``, which ``polar.construct`` calls once per level
+    for the transforms of all quantized parents.  Since a running group mean exceeds
+    its largest member by a few ulps at most, the first sort already bounds
+    the merged size from below (one plus the sorted gaps above
+    2 * MERGE_TOL), and an exact transform that this bound already puts
+    over the size guard is dropped there, which changes no result.
     """
     pairs = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=np.float64)
     if not pairs.size:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("raw input must be (sigma, weight) pairs")
-    sig, wt = _clean_pairs(pairs)
-    # Summed in sequence in input order; dropped zero weights add nothing.
-    total = float(wt.cumsum()[-1]) if wt.size else 0.0
-    if abs(total - 1.0) > WEIGHT_SUM_INPUT_TOL:
-        raise InvalidDistributionError(f"weights sum to {total}, not 1")
-    if not wt.size:
-        raise InvalidDistributionError("no positive-weight particles")
-    order = sig.argsort()
-    s = sig[order]
+    return _canonicalize_stack(pairs, [len(pairs)])[0]
+
+
+def _canonicalize_stack(
+    pairs: np.ndarray, sizes: Sequence[int], limit: int | None = None
+) -> list[Channel | None]:
+    """``canonicalize`` of each member of a stack of pair lists, in one pass.
+
+    ``pairs`` is an (N, 2) float64 array of the members' pairs one after
+    another, ``sizes`` their counts.  Each member's result equals its
+    single call's bit for bit, and a malformed member raises the error its
+    single call raises.
+
+    - Each member's total is summed in sequence, in input order, as a row
+      zero-padded to the largest member.  Zeros change no sum, but the
+      padding costs memory, so a stack should hold members of similar size.
+    - The pairs are put in (member, sigma, weight) order: an argsort of each
+      member's row on sigma, the padding last, then one argsort of (tie
+      block, weight rank) keys over just the pairs whose crossovers are
+      equal.  One ``_merge_runs`` replay then folds every member's runs.
+    - With ``limit``, a member whose canonical form has more than
+      ``limit`` particles comes back as None, without Channel validation.
+      A running group mean exceeds its largest member by a few ulps at
+      most, so a sorted gap above 2 * MERGE_TOL surely opens a group, and
+      one plus the number of such gaps in a member is a lower bound on its
+      canonical size.  When that bound already exceeds ``limit`` for every
+      member, the call returns right after the sigma sort, before the
+      weight order and the merge; the early stop is exact, since the bound
+      never exceeds the size.
+    """
+    n_mem = len(sizes)
+    sig, wt, keep = _clean_pairs(pairs)
+    if n_mem == 1:
+        # Summed in sequence in input order; dropped zero weights add nothing.
+        total = float(wt.cumsum()[-1]) if wt.size else 0.0
+        if abs(total - 1.0) > WEIGHT_SUM_INPUT_TOL:
+            raise InvalidDistributionError(f"weights sum to {total}, not 1")
+        order = sig.argsort()
+        s, w = sig[order], wt[order]
+    else:
+        # Row k holds member k's kept pairs in input order, padded with
+        # weight 0 and crossover inf, which sorts last.
+        member = np.repeat(np.arange(n_mem), sizes)[keep]
+        count = np.bincount(member, minlength=n_mem)
+        start = count.cumsum() - count
+        at = (member, np.arange(member.size) - start[member])
+        rows = np.zeros((n_mem, max(count.max(), 1)))
+        rows[at] = wt
+        total = rows.cumsum(axis=1)[:, -1]
+        off = np.abs(total - 1.0) > WEIGHT_SUM_INPUT_TOL
+        if np.count_nonzero(off):
+            raise InvalidDistributionError(f"weights sum to {float(total[off.argmax()])}, not 1")
+        srows = np.full(rows.shape, np.inf)
+        srows[at] = sig
+        width = rows.shape[1]
+        order = srows.argsort(axis=1) + np.arange(0, rows.size, width)[:, None]
+        order = order[np.arange(width) < count[:, None]]
+        s, w = srows.ravel()[order], rows.ravel()[order]
     gap = s[1:] - s[:-1]
-    # A running group mean exceeds its largest member by a few ulps at
-    # most, so a sorted gap above 2 * MERGE_TOL surely opens a group.
     close = gap <= 2.0 * MERGE_TOL
-    if not np.count_nonzero(close):
-        return Channel(s, wt[order] / total)
-    # Equal crossovers go in weight order, as in a sort by (sigma, weight):
-    # one argsort of (tie block, weight rank) keys, faster than np.lexsort.
-    rank = np.empty(s.size, dtype=np.int64)
-    rank[wt.argsort()] = np.arange(s.size)
-    block = np.concatenate(([0], np.cumsum(gap != 0.0)))
-    order = order[(block * s.size + rank[order]).argsort()]
-    s, w = _merge_runs(sig[order], wt[order], np.concatenate(([True], ~close)))
-    return Channel(s, w / total)
+    if n_mem > 1:
+        close[start[1:] - 1] = False  # a member's first pair opens a group
+    if limit is not None:
+        # A member has at least as many groups as pairs that surely open one.
+        sure = np.concatenate(([True], ~close))
+        bound = np.add.reduceat(sure, start) if n_mem > 1 else np.count_nonzero(sure)
+        if np.all(bound > limit):
+            return [None] * n_mem
+    if np.count_nonzero(close):
+        # Equal crossovers go in weight order, as in a sort by (sigma, weight);
+        # only the pairs in runs of equal crossovers move.
+        tied = close & (gap == 0.0)
+        if np.count_nonzero(tied):
+            mark = np.concatenate((tied, [False]))
+            mark[1:] |= tied
+            tie = np.flatnonzero(mark)
+            # (tie block, weight rank) keys sort faster than np.lexsort.
+            rank = np.empty(tie.size, dtype=np.int64)
+            rank[w[tie].argsort()] = np.arange(tie.size)
+            block = np.concatenate(([0], np.cumsum(~tied)))[tie]
+            perm = tie[(block * tie.size + rank).argsort()]
+            s[tie], w[tie] = s[perm], w[perm]
+        head = np.concatenate(([True], ~close))
+        s, w = _merge_runs(s, w, head)
+        if n_mem > 1:
+            count = np.add.reduceat(head, start)
+    if n_mem == 1:
+        return [Channel(s, w / total) if limit is None or s.size <= limit else None]
+    count = count.tolist()
+    w = w / np.repeat(total, count)
+    out: list[Channel | None] = []
+    end = 0
+    for size in count:
+        end += size
+        fits = limit is None or size <= limit
+        out.append(Channel(s[end - size : end], w[end - size : end]) if fits else None)
+    return out
 
 
-def _clean_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _clean_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated crossovers and positive weights of raw pairs, in input order.
 
     Zero weights, and weights within MERGE_TOL below 0, are dropped;
     crossovers above 1/2 are reflected and those within MERGE_TOL outside
     [0, 1/2] clamped.  The first pair with a negative weight, or a positive
-    weight and a crossover outside [0, 1], raises.
+    weight and a crossover outside [0, 1], raises.  Also returns the mask
+    of the pairs kept.
     """
     sig, wt = pairs.T
     negative = wt < -MERGE_TOL
     keep = ~(wt <= 0.0)  # a NaN weight is kept, as the sequential pass keeps it
-    sig = np.where(sig > 0.5, 1.0 - sig, sig)
-    bad = negative | (keep & ~((0.0 - MERGE_TOL <= sig) & (sig <= 0.5 + MERGE_TOL)))
+    sig = np.minimum(sig, 1.0 - sig)  # reflects above 1/2, exactly
+    # Reflected crossovers are at most 1/2; a NaN fails the lower bound.
+    bad = negative | (keep & ~(sig >= 0.0 - MERGE_TOL))
     if np.count_nonzero(bad):
         i = int(bad.argmax())
         if negative[i]:
             raise InvalidDistributionError(f"negative weight {float(pairs[i, 1])}")
         raise ValueError(f"crossover {float(sig[i])} outside [0, 1]")
-    sig = sig[keep]
-    return np.where(0.0 > sig, 0.0, sig), wt[keep]
+    if not keep.all():
+        sig, wt = sig[keep], wt[keep]
+    return np.where(0.0 > sig, 0.0, sig), wt, keep
 
 
 def _merge_runs(s: np.ndarray, w: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,8 +386,30 @@ def bsc(eps: float) -> Channel:
 
 
 def capacity(w: Channel) -> float:
-    """Symmetric capacity I(W) = 1 - sum_i q_i h(sigma_i), in [0, 1]."""
-    return float(np.sum(w.weights * _capacity_term(w.sigmas, 1.0 - 2.0 * w.sigmas)))
+    """Symmetric capacity I(W) = 1 - sum_i q_i h(sigma_i), in [0, 1].
+
+    The stack of one of ``_capacities``.
+    """
+    return _capacities([w])[0]
+
+
+def _capacities(ws: Sequence[Channel]) -> list[float]:
+    """``capacity`` of each channel: one capacity-term evaluation over the
+    concatenated particles, then each channel's own ``np.sum``, so each
+    value equals its single call bit for bit."""
+    if len(ws) == 1:
+        s, q = ws[0].sigmas, ws[0].weights
+    else:
+        s = np.concatenate([w.sigmas for w in ws])
+        q = np.concatenate([w.weights for w in ws])
+    terms = q * _capacity_term(s, 1.0 - 2.0 * s)
+    if len(ws) == 1:
+        return [float(np.sum(terms))]
+    out, end = [], 0
+    for w in ws:
+        out.append(float(np.sum(terms[end : end + w.size])))
+        end += w.size
+    return out
 
 
 def capacity_loss_rate(cap_src: float, cap_deg: float) -> float:

@@ -54,11 +54,19 @@ def reduce_transition_matrix(rows: list[list[float]], tol: float = 1e-9) -> Chan
     Output y with likelihoods (a, b) = (P(y|0), P(y|1)) carries probability
     (a + b)/2 and conditional crossover b/(a + b); folding the LR-profile
     about 1/2 gives the particles.  Asymmetric profiles, paired within
-    ``tol`` after sorting, are rejected.
+    ``tol`` after sorting, are rejected, and so is any input that is not two
+    equal-length rows of finite numbers.
     """
-    mat = np.asarray(rows, dtype=np.float64)
+    try:
+        mat = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ChannelFormatError(
+            "transition_matrix must be rows of numbers of equal length"
+        ) from exc
     if mat.ndim != 2 or mat.shape[0] != 2:
         raise ChannelFormatError("transition_matrix must have exactly two rows")
+    if not np.isfinite(mat).all():
+        raise ChannelFormatError("transition probabilities must be finite")
     if np.any(mat < -tol):
         raise ChannelFormatError("transition probabilities must be nonnegative")
     sums = mat.sum(axis=1)
@@ -83,7 +91,10 @@ def reduce_transition_matrix(rows: list[list[float]], tol: float = 1e-9) -> Chan
                 f"LR-profile asymmetric at {eps}: mass {mass} vs {mirror} at {e_mirror}"
             )
     raw = [(min(eps, 1.0 - eps), mass) for eps, mass in outputs]
-    return canonicalize(raw)
+    try:
+        return canonicalize(raw)
+    except (InvalidDistributionError, ValueError) as exc:
+        raise ChannelFormatError(str(exc)) from exc
 
 
 def parse_channel_json(text: str) -> Channel:

@@ -17,17 +17,26 @@ transform branch it tracks the quantized chain (optimal 2n-output
 degradation after each transform) and, while the particle count stays under
 a guard, the exact synthetic channel, reporting the capacity-loss rate per
 branch.  The branches of one level do not depend on each other, so each
-level is quantized in one batched DP call.
+level is one stacked pass: one call transforms every quantized parent, one
+``canonicalize`` pass reduces the transforms, one DP call quantizes them,
+one call realizes the plans and one capacity-term evaluation serves the
+level's capacity-loss rates.  Each stacked call equals its single calls bit
+for bit; ``arikan_minus``, ``arikan_plus``, ``canonicalize``,
+``realize_pplus`` and ``capacity`` are their stacks of one.  An exact
+transform whose sorted crossovers already prove more particles than the
+guard is dropped before its merge (see ``construct``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, canonicalize, capacity, capacity_loss_rate
-from .refine import realize_pplus
+from .channel import Channel, _canonicalize_stack, _capacities, capacity_loss_rate
+from .refine import _realize_pplus_stack
 from .search import c_optimal_degradations
 
 __all__ = [
@@ -60,16 +69,81 @@ def diamond(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def _pairs(w: Channel):
-    """Unordered pairs i <= j: e_i, e_j and mass p_i p_j, doubled off the diagonal."""
-    i, j = np.triu_indices(w.size)
-    return w.sigmas[i], w.sigmas[j], np.where(i == j, 1.0, 2.0) * w.weights[i] * w.weights[j]
+@lru_cache(maxsize=8)
+def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unordered pairs i <= j of m particles: i, j, the mass factor c_ij and the diagonal.
+
+    Built once per size as read-only arrays, like ``search._cut_vectors``:
+    ``np.triu_indices`` alone takes about 20 us at m = 4 (on a 2-core Xeon
+    VM), and most transforms of a construction are of channels of at most
+    n particles.  The indices are int32, which halves the index arrays the
+    cache keeps alive for the exact chain's large sizes.
+    """
+    i, j = (a.astype(np.int32) for a in np.triu_indices(m))
+    diag = i == j
+    factor = np.where(diag, 1.0, 2.0)
+    for a in (i, j, diag, factor):
+        a.flags.writeable = False
+    return i, j, factor, diag
+
+
+def _transforms(
+    ws: Sequence[Channel], bits: Sequence[str], limit: int | None = None
+) -> list[Channel | None]:
+    """Transform bits[k] ("0" minus, "1" plus) of each channel ws[k], in one pass.
+
+    Channels of one bit and one size are transformed together, as rows of
+    (channel, pair) arrays, and one ``_canonicalize_stack`` call reduces
+    every transform; each result equals its single call bit for bit.  With
+    ``limit``, a transform of more than ``limit`` particles is None.
+    """
+    if not ws:
+        return []
+    groups: dict[tuple[str, int], list[int]] = {}
+    for k, (w, bit) in enumerate(zip(ws, bits)):
+        groups.setdefault((bit, w.size), []).append(k)
+    chunks, sizes, members = [], [], []
+    for (bit, m), ks in groups.items():
+        i, j, factor, diag = _pair_indices(m)
+        sig = np.array([ws[k].sigmas for k in ks])
+        wt = np.array([ws[k].weights for k in ks])
+        si, sj = sig.take(i, axis=1), sig.take(j, axis=1)
+        mass = factor * wt.take(i, axis=1) * wt.take(j, axis=1)
+        members += ks
+        if bit == "0":
+            pairs = np.empty(si.shape + (2,))
+            pairs[..., 0] = star(si, sj)
+            pairs[..., 1] = mass
+            chunks.append(pairs.reshape(-1, 2))
+            sizes += [i.size] * len(ks)
+            continue
+        # Pair i <= j contributes a good and a bad output, in that order, each
+        # only when its mass factor is nonzero; [..., 0] is the good one.
+        good = star(1.0 - si, sj)
+        out_factor = np.empty(si.shape + (2,))
+        out_factor[..., 0] = good
+        out_factor[..., 1] = 1.0 - good
+        first = np.empty(si.shape + (2,))
+        first[..., 0] = si
+        first[..., 1] = 1.0 - si
+        pairs = np.empty(si.shape + (2, 2))
+        pairs[..., 0] = diamond(first, sj[..., None])
+        pairs[:, diag, 1, 0] = 0.5
+        pairs[..., 1] = mass[..., None] * out_factor
+        keep = out_factor > 0.0
+        # compress is much faster than a 3-d boolean index here.
+        chunks.append(pairs.reshape(-1, 2).compress(keep.ravel(), axis=0))
+        sizes += keep.sum(axis=(1, 2)).tolist()
+    pairs = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    out: list[Channel | None] = [None] * len(ws)
+    for k, chan in zip(members, _canonicalize_stack(pairs, sizes, limit)):
+        out[k] = chan
+    return out
 
 
 def arikan_minus(w: Channel) -> Channel:
     """Minus (check) transform: star mixture over unordered pairs."""
-    si, sj, mass = _pairs(w)
-    return canonicalize(np.column_stack((star(si, sj), mass)))
+    return _transforms([w], "0")[0]
 
 
 def arikan_plus(w: Channel) -> Channel:
@@ -81,18 +155,7 @@ def arikan_plus(w: Channel) -> Channel:
     ~e # e = 1/2, which the division misses by up to 1.4e-17 / e.  So these
     merge into one, and at most n(n+1)/2 + n(n-1)/2 + 1 = n^2 + 1 remain.
     """
-    si, sj, mass = _pairs(w)
-    good = star(1.0 - si, sj)
-    # Column 0 is the good output of a pair, column 1 the bad one.
-    factor = np.column_stack((good, 1.0 - good))
-    sig = diamond(np.column_stack((si, 1.0 - si)), sj[:, None])
-    sig[si == sj, 1] = 0.5
-    keep = factor > 0.0
-    return canonicalize(np.column_stack((sig[keep], (mass[:, None] * factor)[keep])))
-
-
-def _transform(w: Channel, bit: str) -> Channel:
-    return arikan_minus(w) if bit == "0" else arikan_plus(w)
+    return _transforms([w], "1")[0]
 
 
 @dataclass(frozen=True)
@@ -139,17 +202,27 @@ class ConstructionRun:
 def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
     """Degrade-then-transform over every branch of length <= depth.
 
-    Level by level: each level transforms every quantized parent of the
-    level above and re-quantizes the transforms larger than n to n
-    particles with the optimal degradation, all of them in one
-    ``c_optimal_degradations`` call.  The capacity-loss rate of branch
-    alpha*a is
+    Each level is one stacked pass over its branches: one ``_transforms``
+    call transforms every quantized parent of the level above, one
+    ``c_optimal_degradations`` call finds the optimal n-particle
+    degradation of each transform larger than n, one
+    ``_realize_pplus_stack`` call builds those, and one ``_capacities``
+    call evaluates the level.  Every stacked call equals its single calls
+    bit for bit, so the records are those of a branch-by-branch loop.  The
+    capacity-loss rate of branch alpha*a is
 
         (I(exact) - I(quantized)) / I(exact)
 
     with exact = A_a(exact parent) while the exact chain stays within the
     size guard; beyond it the reference falls back to A_a(quantized parent)
-    and the record is flagged.
+    and the record is flagged.  An exact parent is transformed while its
+    n^2 + 1 bound is within 4 * EXACT_SIZE_GUARD, each in its own call
+    (a stack pads its members to the largest), with EXACT_SIZE_GUARD as
+    the limit: ``_canonicalize_stack`` drops a transform as soon as its
+    sigma sort proves more particles than the guard, before the weight
+    order and the merge.  The early stop is exact: the proof is a lower
+    bound on the merged size, so a dropped transform is one the guard
+    would have discarded after merging.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -161,26 +234,24 @@ def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
     level = [""]
     for _ in range(depth):
         level = [alpha + bit for alpha in level for bit in ("0", "1")]
-        refs = [_transform(records[child[:-1]].quantized, child[-1]) for child in level]
+        parents = [records[child[:-1]] for child in level]
+        bits = [child[-1] for child in level]
+        refs = _transforms([p.quantized for p in parents], bits)
         quantized = list(refs)
-        large = [i for i, w in enumerate(refs) if w.size > n]
-        plans = c_optimal_degradations([refs[i] for i in large], n)
-        for i, (plan, _) in zip(large, plans):
-            quantized[i] = realize_pplus(plan)
-        for child, quant_ref, quant in zip(level, refs, quantized):
-            parent = records[child[:-1]]
-            exact: Channel | None = None
-            if (
-                parent.exact is not None
-                and parent.exact.size ** 2 + 1 <= 4 * EXACT_SIZE_GUARD
-            ):
-                # Merging usually shrinks the transform well below the
-                # n^2 + 1 bound, so attempt within a small over-budget
-                # and keep the result only if it actually fits.
-                exact = _transform(parent.exact, child[-1])
-                if exact.size > EXACT_SIZE_GUARD:
-                    exact = None
-            reference = exact if exact is not None else quant_ref
-            clr = capacity_loss_rate(capacity(reference), capacity(quant))
-            records[child] = BranchRecord(child, exact, quant, clr, exact is not None)
+        large = [k for k, w in enumerate(refs) if w.size > n]
+        plans = c_optimal_degradations([refs[k] for k in large], n)
+        for k, w in zip(large, _realize_pplus_stack([plan for plan, _ in plans])):
+            quantized[k] = w
+        # Merging usually shrinks the transform well below the n^2 + 1
+        # bound, so attempt within a small over-budget and keep the result
+        # only if it actually fits.
+        exact: list[Channel | None] = [None] * len(level)
+        for k, p in enumerate(parents):
+            if p.exact is not None and p.exact.size ** 2 + 1 <= 4 * EXACT_SIZE_GUARD:
+                exact[k] = _transforms([p.exact], bits[k], EXACT_SIZE_GUARD)[0]
+        references = [e if e is not None else r for e, r in zip(exact, refs)]
+        caps = _capacities(references + quantized)
+        for k, child in enumerate(level):
+            clr = capacity_loss_rate(caps[k], caps[len(level) + k])
+            records[child] = BranchRecord(child, exact[k], quantized[k], clr, exact[k] is not None)
     return ConstructionRun(base, n, depth, records)

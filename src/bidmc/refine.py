@@ -33,12 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .blackwell import OneMatrix, find_degradation_witness
-from .channel import Channel, canonicalize
+from .channel import Channel, _canonicalize_stack, canonicalize
 
 __all__ = [
     "PHI_STRICT_TOL",
@@ -147,16 +148,23 @@ def _segment_table(
     return mass, mean, xbar
 
 
-def _group_stat(q: np.ndarray, s: np.ndarray, a: int, b: int) -> tuple[float, float]:
-    """Mass and mean crossover of particles a..b-1 (0-indexed, half-open).
+def _group_stats(
+    q: np.ndarray, s: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masses and mean crossovers of the groups of particles starts[g]..stops[g]-1.
 
-    The scalar read of ``_segment_table``'s sums, so group statistics, the
-    DP and enumeration see the same means and window verdicts bit for bit.
+    Each group's q and q sigma are laid out as a row zero-padded to the
+    longest group and summed forward, from the group's first particle, in
+    one cumsum: adding zeros changes no sum, so every entry equals
+    ``_segment_table``'s entry for the group bit for bit, and group
+    statistics, the DP and enumeration see the same means and window
+    verdicts.  A singleton takes its sigma exactly.
     """
-    if b - a == 1:
-        return float(q[a]), float(s[a])
-    mass = float(np.cumsum(q[a:b])[-1])
-    return mass, float(np.cumsum(q[a:b] * s[a:b])[-1]) / mass
+    length = stops - starts
+    offset = np.arange(length.max())
+    terms = np.array((q, q * s)).take(starts[:, None] + offset, axis=1, mode="clip")
+    mass, moment = np.where(offset < length[:, None], terms, 0.0).cumsum(axis=2)[..., -1]
+    return mass, np.where(length == 1, s[starts], moment / mass)
 
 
 def _rows_stats(rows: list[tuple[int, float]], sigmas: np.ndarray) -> tuple[float, float]:
@@ -202,10 +210,8 @@ class PPlusPlan:
 
     def group_stats(self) -> tuple[np.ndarray, np.ndarray]:
         """Masses and mean crossovers of the groups."""
-        q = self.source.weights
-        s = self.source.sigmas
-        masses, means = zip(*(_group_stat(q, s, a - 1, b - 1) for a, b in self.bounds()))
-        return np.array(masses), np.array(means)
+        starts, stops = np.array(self.bounds()).T - 1
+        return _group_stats(self.source.weights, self.source.sigmas, starts, stops)
 
     def to_json_dict(self) -> dict:
         return {"cuts": list(self.cuts)}
@@ -305,9 +311,34 @@ def realize_pstar(plan: PStarPlan) -> Channel:
 
 
 def realize_pplus(plan: PPlusPlan) -> Channel:
-    """Channel realized by a cut plan: contiguous-group means."""
-    masses, means = plan.group_stats()
-    return canonicalize(np.column_stack((means, masses)))
+    """Channel realized by a cut plan: contiguous-group means.
+
+    The stack of one of ``_realize_pplus_stack``.
+    """
+    return _realize_pplus_stack([plan])[0]
+
+
+def _realize_pplus_stack(plans: Sequence[PPlusPlan]) -> list[Channel]:
+    """``realize_pplus`` of each plan, in one pass and bit for bit.
+
+    The plans' sources are concatenated, every group of every plan goes
+    through one ``_group_stats`` call, and one ``_canonicalize_stack`` call
+    reduces every plan's (mean, mass) pairs.
+    """
+    if not plans:
+        return []
+    if len(plans) == 1:
+        q, s = plans[0].source.weights, plans[0].source.sigmas
+    else:
+        q = np.concatenate([p.source.weights for p in plans])
+        s = np.concatenate([p.source.sigmas for p in plans])
+    bounds, base = [], 0
+    for p in plans:
+        bounds += [(base + a - 1, base + b - 1) for a, b in p.bounds()]
+        base += p.source.size
+    starts, stops = np.array(bounds).T
+    masses, means = _group_stats(q, s, starts, stops)
+    return _canonicalize_stack(np.array((means, masses)).T, [len(p.cuts) + 1 for p in plans])
 
 
 def pplus_as_pstar(plan: PPlusPlan) -> PStarPlan:

@@ -28,7 +28,7 @@ from bidmc import (
     random_channel,
 )
 from bidmc import polar
-from bidmc.channel import MERGE_TOL, WEIGHT_SUM_INPUT_TOL
+from bidmc.channel import MERGE_TOL, WEIGHT_SUM_INPUT_TOL, _canonicalize_stack
 
 
 def _canonicalize_reference(raw):
@@ -142,18 +142,18 @@ def test_transforms_match_reference_on_edge_channels(monkeypatch):
     # The pair counts must agree too: they are what a trace of canonicalize
     # reports per call.
     counts = {"fast": [], "slow": []}
+    reference = _canonicalize_reference
 
-    def recorder(fn, key):
-        def wrapped(raw):
-            counts[key].append(len(raw))
-            return fn(raw)
+    def fast_recorder(pairs, sizes, limit=None):
+        counts["fast"].extend(sizes)
+        return _canonicalize_stack(pairs, sizes, limit)
 
-        return wrapped
+    def slow_recorder(raw):
+        counts["slow"].append(len(raw))
+        return reference(raw)
 
-    monkeypatch.setattr(polar, "canonicalize", recorder(canonicalize, "fast"))
-    monkeypatch.setattr(
-        sys.modules[__name__], "_canonicalize_reference", recorder(_canonicalize_reference, "slow")
-    )
+    monkeypatch.setattr(polar, "_canonicalize_stack", fast_recorder)
+    monkeypatch.setattr(sys.modules[__name__], "_canonicalize_reference", slow_recorder)
     for raw in (
         [(0.0, 0.5), (0.5, 0.5)],
         [(0.0, 0.3), (0.2, 0.3), (0.5, 0.4)],

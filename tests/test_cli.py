@@ -138,6 +138,31 @@ def test_analyze_malformed_input_exits_2(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0.5, 0.5], [0.5]], "rows of numbers of equal length"),
+        ("abc", "rows of numbers of equal length"),
+        ([[0.5, float("nan")], [0.5, 0.5]], "must be finite"),
+    ],
+)
+def test_malformed_transition_matrix_exits_2(matrix, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"transition_matrix": matrix}))
+    with pytest.raises(ChannelFormatError, match=message):
+        load_channel(path)
+    code, out, err = run_cli(["degrade", str(path), "--n", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_transition_matrix_canonicalize_errors_are_format_errors():
+    # Symmetric, but the columns' masses sum to 1.5.
+    with pytest.raises(ChannelFormatError, match="weights sum"):
+        reduce_transition_matrix([[0.9, 0.6], [0.6, 0.9]], tol=1.0)
+
+
 def test_usage_error_exits_1(capsys):
     code, _, _ = run_cli(["degrade"], capsys)
     assert code == 1

@@ -23,7 +23,8 @@ from bidmc import (
     star,
     tv_greedy_plan,
 )
-from bidmc import polar
+from bidmc import channel, polar
+from bidmc.channel import MERGE_TOL, _canonicalize_stack
 from bidmc.polar import EXACT_SIZE_GUARD
 from bidmc.refine import PPlusPlan
 
@@ -244,6 +245,53 @@ def test_construct_equals_per_branch_loop(seed, size, depth, n):
         assert new.exact_reference == rec.exact_reference, alpha
 
 
+def test_construct_drops_exact_transforms_over_the_guard_before_merging(monkeypatch):
+    # On this base two exact plus transforms exceed the guard.  Their sorted
+    # crossovers already prove it, so neither reaches the merge.
+    base = random_channel(instance_rng(0, 0), 4)
+    calls = []
+    merges = []
+    stack, merge = polar._canonicalize_stack, channel._merge_runs
+
+    def recording_stack(pairs, sizes, limit=None):
+        before = len(merges)
+        out = stack(pairs, sizes, limit)
+        calls.append((pairs, limit, out, len(merges) - before))
+        return out
+
+    def recording_merge(s, w, head):
+        merges.append(s.size)
+        return merge(s, w, head)
+
+    monkeypatch.setattr(polar, "_canonicalize_stack", recording_stack)
+    monkeypatch.setattr(channel, "_merge_runs", recording_merge)
+    got = construct(base, 5, 4).records
+    dropped = [(pairs, limit, merged) for pairs, limit, out, merged in calls if out == [None]]
+    assert len(dropped) == 2
+    for pairs, limit, merged in dropped:
+        assert limit == EXACT_SIZE_GUARD and merged == 0
+        sig = np.sort(np.minimum(pairs[:, 0], 1.0 - pairs[:, 0])[pairs[:, 1] > 0.0])
+        assert 1 + np.count_nonzero(np.diff(sig) > 2.0 * MERGE_TOL) > EXACT_SIZE_GUARD
+    over = [
+        alpha
+        for alpha, rec in got.items()
+        if alpha
+        and rec.exact is None
+        and got[alpha[:-1]].exact is not None
+        and got[alpha[:-1]].exact.size ** 2 + 1 <= 4 * EXACT_SIZE_GUARD
+    ]
+    assert len(over) == 2
+    monkeypatch.undo()
+    want = _construct_per_branch(base, 5, 4)
+    assert list(got) == list(want)
+    for alpha, rec in want.items():
+        new = got[alpha]
+        assert _same_channel(new.quantized, rec.quantized), alpha
+        assert (new.exact is None) == (rec.exact is None), alpha
+        assert rec.exact is None or _same_channel(new.exact, rec.exact), alpha
+        assert new.clr.hex() == rec.clr.hex(), alpha
+
+
 # The transforms build each unordered pair once; ``ordered_pairs`` keeps the
 # n^2 transforms they replaced as the oracle.  The two agree to round-off.
 
@@ -272,7 +320,7 @@ def _exact_chain(draw):
         if w.size**2 + 1 > 4 * EXACT_SIZE_GUARD:
             break
         chain.append(w)
-        w = polar._transform(w, bit)
+        w = polar._transforms([w], bit)[0]
     return chain
 
 
@@ -316,11 +364,11 @@ def test_plus_size_bound_with_small_crossovers():
 def test_transforms_pass_unordered_pair_counts(monkeypatch):
     counts = []
 
-    def counting(raw):
-        counts.append(len(raw))
-        return canonicalize(raw)
+    def counting(pairs, sizes, limit=None):
+        counts.extend(sizes)
+        return _canonicalize_stack(pairs, sizes, limit)
 
-    monkeypatch.setattr(polar, "canonicalize", counting)
+    monkeypatch.setattr(polar, "_canonicalize_stack", counting)
     rng = instance_rng(61, 6)
     for m in range(1, 10):
         w = random_channel(rng, m)
@@ -333,7 +381,12 @@ def test_transforms_pass_unordered_pair_counts(monkeypatch):
 def test_construct_matches_ordered_pair_oracle(monkeypatch):
     bases = [random_channel(instance_rng(62, i), 4) for i in range(20)]
     runs = [construct(base, 5, 4).records for base in bases]
-    monkeypatch.setattr(polar, "_transform", ordered_pairs.transform)
+
+    def ordered_transforms(ws, bits, limit=None):
+        out = [ordered_pairs.transform(w, bit) for w, bit in zip(ws, bits)]
+        return [None if limit is not None and w.size > limit else w for w in out]
+
+    monkeypatch.setattr(polar, "_transforms", ordered_transforms)
     for base, got in zip(bases, runs):
         want = construct(base, 5, 4).records
         for alpha, rec in want.items():

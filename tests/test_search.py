@@ -29,7 +29,7 @@ from bidmc import (
     tv_greedy_plan,
 )
 from bidmc import search
-from bidmc.refine import _group_stat, _segment_table
+from bidmc.refine import _group_stats, _segment_table
 from bidmc.search import iota_band
 
 import decimal_oracle
@@ -86,11 +86,13 @@ def test_iota_band_and_optimum_match_decimal_oracle(inp):
     w, s = q.weights.tolist(), q.sigmas.tolist()
     groups = decimal_oracle.band(w, s)
     band = iota_band(q, m)
-    _, means, _ = _segment_table(q.weights, q.sigmas, m)
-    for (a, b), expect in groups.items():
+    masses, means, _ = _segment_table(q.weights, q.sigmas, m)
+    starts, stops = np.array(list(groups)).T
+    group_masses, group_means = _group_stats(q.weights, q.sigmas, starts, stops)
+    for (a, b), expect, mass, mean in zip(groups, groups.values(), group_masses, group_means):
         assert abs(band[b - a - 1, a + 1] - float(expect)) <= 1e-13 * float(expect), (a, b)
         assert s[a] <= means[b - a - 1, a] <= s[b - 1], (a, b)
-        assert _group_stat(q.weights, q.sigmas, a, b)[1] == means[b - a - 1, a], (a, b)
+        assert (mass, mean) == (masses[b - a - 1, a], means[b - a - 1, a]), (a, b)
     best = decimal_oracle.optimum(groups, m, n)
     for plan in (brute_force_c_optimal(q, n)[0], c_optimal_degradation(q, n)[0]):
         assert best - decimal_oracle.plan_capacity(groups, m, plan.cuts) <= Decimal("1e-9") * best

@@ -1,0 +1,166 @@
+"""Stacked calls against the single calls they stack.
+
+``construct`` runs each level through stacked forms of the Arikan
+transforms, ``canonicalize``, ``realize_pplus`` and ``capacity``; each
+single call is the stack of one.  Every member of a stack must equal its
+single call bit for bit, so results are compared by ``tobytes()`` and
+``.hex()``, and a malformed member must raise its single call's error.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bidmc import (
+    InvalidDistributionError,
+    arikan_minus,
+    arikan_plus,
+    canonicalize,
+    capacity,
+    realize_pplus,
+)
+from bidmc.channel import MERGE_TOL, _canonicalize_stack, _capacities
+from bidmc.polar import _transforms
+from bidmc.refine import PPlusPlan, _realize_pplus_stack
+
+# Shared crossovers, so members of a stack and pairs of a transform meet
+# exact ties, with 0 and 1/2 among them.
+_SHARED = st.sampled_from([0.0, 0.5, 0.1, 0.25, 0.5 - 1e-13, 1e-13, 0.3])
+
+
+def _bytes(chan):
+    return chan.sigmas.tobytes(), chan.weights.tobytes()
+
+
+@st.composite
+def _channel(draw):
+    """A channel of 1 to 20 particles, some crossovers shared with others."""
+    size = draw(st.integers(1, 20))
+    sigmas = draw(
+        st.lists(
+            st.one_of(_SHARED, st.floats(0.0, 0.5)),
+            min_size=size,
+            max_size=size,
+            unique=True,
+        )
+    )
+    weights = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=size, max_size=size)))
+    return canonicalize(np.column_stack((sigmas, weights / weights.sum())))
+
+
+@st.composite
+def _raw(draw):
+    """A valid pair list of 1 to 20 pairs: ties, clusters near MERGE_TOL and reflections."""
+    size = draw(st.integers(1, 20))
+    sigmas = []
+    for _ in range(size):
+        kind = draw(st.integers(0, 3))
+        if kind == 0 or not sigmas:
+            sigmas.append(draw(st.one_of(_SHARED, st.floats(0.0, 1.0))))
+        elif kind == 1:
+            sigmas.append(draw(st.sampled_from(sigmas)))
+        elif kind == 2:
+            step = draw(st.sampled_from([0.4, 0.9, 1.0, 1.1, 1.9, 2.0, 2.1]))
+            sigmas.append(min(max(sigmas[-1] + step * MERGE_TOL, 0.0), 1.0))
+        else:
+            sigmas.append(1.0 - draw(st.sampled_from(sigmas)))
+    weights = draw(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5, 1e-15, 3.0]), min_size=size, max_size=size)
+    )
+    weights[0] = 1.0
+    return np.column_stack((sigmas, np.array(weights) / sum(weights)))
+
+
+def _sizes_and_pairs(raws):
+    return [len(raw) for raw in raws], np.concatenate(raws)
+
+
+@settings(max_examples=80)
+@given(st.lists(_raw(), min_size=1, max_size=8), st.integers(1, 12))
+def test_canonicalize_stack_matches_single_calls(raws, limit):
+    sizes, pairs = _sizes_and_pairs(raws)
+    singles = [canonicalize(raw) for raw in raws]
+    assert [_bytes(c) for c in _canonicalize_stack(pairs, sizes)] == [_bytes(c) for c in singles]
+    # With a limit, a member is None exactly when it has more particles.
+    limited = _canonicalize_stack(pairs, sizes, limit)
+    for got, want in zip(limited, singles):
+        assert (got is None) == (want.size > limit)
+        assert got is None or _bytes(got) == _bytes(want)
+
+
+@pytest.mark.parametrize(
+    "bad, exc",
+    [
+        ([(0.1, 0.5), (0.2, 0.6)], InvalidDistributionError),
+        ([(0.1, -0.2), (0.2, 1.2)], InvalidDistributionError),
+        ([(-0.1, 0.5), (0.2, 0.5)], ValueError),
+        ([(float("nan"), 0.5), (0.2, 0.5)], ValueError),
+        ([(3.0, 0.0), (0.2, 0.5)], InvalidDistributionError),
+    ],
+)
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_canonicalize_stack_raises_the_malformed_members_error(bad, exc, at):
+    raws = [
+        np.array([(0.1, 0.5), (0.3, 0.5)]),
+        np.array([(0.2, 1.0)]),
+        np.array([(0.4, 0.25), (0.4, 0.75)]),
+    ]
+    raws.insert(at, np.array(bad, dtype=np.float64))
+    with pytest.raises(exc) as single:
+        canonicalize(raws[at])
+    sizes, pairs = _sizes_and_pairs(raws)
+    with pytest.raises(exc) as stacked:
+        _canonicalize_stack(pairs, sizes)
+    assert str(stacked.value) == str(single.value)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.tuples(_channel(), st.sampled_from("01")), min_size=1, max_size=8))
+def test_transforms_stack_matches_single_calls(members):
+    ws, bits = zip(*members)
+    singles = [arikan_minus(w) if bit == "0" else arikan_plus(w) for w, bit in members]
+    assert [_bytes(c) for c in _transforms(ws, bits)] == [_bytes(c) for c in singles]
+    limit = int(np.median([c.size for c in singles]))
+    for got, want in zip(_transforms(ws, bits, limit), singles):
+        assert (got is None) == (want.size > limit)
+        assert got is None or _bytes(got) == _bytes(want)
+
+
+@st.composite
+def _plan(draw):
+    q = draw(_channel().filter(lambda c: c.size >= 2))
+    cuts = draw(st.lists(st.integers(2, q.size), min_size=0, max_size=q.size - 1, unique=True))
+    return PPlusPlan(q, tuple(sorted(cuts)))
+
+
+@settings(max_examples=30)
+@given(st.lists(_plan(), min_size=1, max_size=8))
+def test_realize_stack_matches_single_calls(plans):
+    singles = [realize_pplus(plan) for plan in plans]
+    assert [_bytes(c) for c in _realize_pplus_stack(plans)] == [_bytes(c) for c in singles]
+
+
+@settings(max_examples=30)
+@given(st.lists(_channel(), min_size=1, max_size=8))
+def test_capacities_match_single_calls(ws):
+    assert [c.hex() for c in _capacities(ws)] == [capacity(w).hex() for w in ws]
+
+
+def _sure_groups(raw):
+    """One plus the sorted gaps above 2 MERGE_TOL of the cleaned crossovers."""
+    sig, wt = np.asarray(raw, dtype=np.float64).T
+    sig = np.where(sig > 0.5, 1.0 - sig, sig)[wt > 0.0]
+    s = np.sort(np.maximum(sig, 0.0))
+    return 1 + int(np.count_nonzero(np.diff(s) > 2.0 * MERGE_TOL))
+
+
+@settings(max_examples=150)
+@given(_raw())
+def test_sorted_gaps_bound_the_canonical_size(raw):
+    chan = canonicalize(raw)
+    bound = _sure_groups(raw)
+    assert bound <= chan.size
+    # The early stop drops exactly the members beyond the limit.
+    assert _canonicalize_stack(raw, [len(raw)], bound - 1) == [None]
+    assert _bytes(_canonicalize_stack(raw, [len(raw)], chan.size)[0]) == _bytes(chan)

@@ -397,14 +397,9 @@ def _capacities(ws: Sequence[Channel]) -> list[float]:
     """``capacity`` of each channel: one capacity-term evaluation over the
     concatenated particles, then each channel's own ``np.sum``, so each
     value equals its single call bit for bit."""
-    if len(ws) == 1:
-        s, q = ws[0].sigmas, ws[0].weights
-    else:
-        s = np.concatenate([w.sigmas for w in ws])
-        q = np.concatenate([w.weights for w in ws])
+    s = np.concatenate([w.sigmas for w in ws])
+    q = np.concatenate([w.weights for w in ws])
     terms = q * _capacity_term(s, 1.0 - 2.0 * s)
-    if len(ws) == 1:
-        return [float(np.sum(terms))]
     out, end = [], 0
     for w in ws:
         out.append(float(np.sum(terms[end : end + w.size])))

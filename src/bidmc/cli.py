@@ -1,13 +1,13 @@
-"""Command-line front end.
+"""Command-line front end: it parses options, calls the library and prints.
 
-Subcommands: analyze, degrade, enumerate, experiment, polar, check.
-Exit codes: 0 ok, 1 usage, 2 validation (a malformed channel file, a missing
-file or an invalid option), 3 oracle mismatch, 4 internal error (a
-RuntimeError or ValueError raised inside the library, reported with the
-subcommand it stopped).  The BIDMC_SEED
-environment variable overrides --seed.  Every output artifact records the
-seed it was produced with; a fixed configuration reproduces bit-identical
-output.
+Subcommands: analyze, degrade, enumerate, experiment, polar, check; the
+experiment tables are ``bidmc.experiments``.  Exit codes: 0 ok, 1 usage, 2
+validation (a malformed channel file, a missing file or an invalid option),
+3 oracle mismatch, 4 internal error (a RuntimeError or ValueError raised
+inside the library, reported with the subcommand it stopped).  The
+BIDMC_SEED environment variable overrides --seed.  Every output artifact
+records the seed it was produced with; a fixed configuration reproduces
+bit-identical output.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _io
+import itertools
 import json
 import math
 import os
 import sys
-from multiprocessing import Pool
 
-import numpy as np
-
+from . import experiments
 from .blackwell import find_degradation_witness, risk_dominates
 from .channel import (
     Channel,
@@ -32,7 +31,6 @@ from .channel import (
     lr_functional,
     lr_profile,
 )
-from .ensembles import instance_rng, random_channel
 from .io import ChannelFormatError, channel_to_csv, channel_to_json_dict, load_channel
 from .polar import arikan_minus, arikan_plus, construct
 from .refine import (
@@ -101,13 +99,9 @@ def _seed(args) -> int:
         raise ValidationError(f"BIDMC_SEED must be an integer, got {env!r}") from None
 
 
-def _identity_plan(q: Channel) -> PPlusPlan:
-    return PPlusPlan(q, tuple(range(2, q.size + 1)))
-
-
 def _optimal_plan(q: Channel, n: int, pruning: bool):
     if n >= q.size:
-        return _identity_plan(q), None
+        return PPlusPlan(q, tuple(range(2, q.size + 1))), None
     return c_optimal_degradation(q, n, pruning=pruning)
 
 
@@ -213,21 +207,12 @@ def cmd_enumerate(args) -> int:
         raise ValidationError(f"--n must be in [2, {m - 1}], got {args.n}")
     plans = enumerate_c_degradations(chan, args.n)
     cap_q = capacity(chan)
-    rows = []
-    for plan in plans:
-        w = realize_pplus(plan)
-        cap_w = capacity(w)
-        rows.append(
-            {
-                "cuts": list(plan.cuts),
-                "capacity": cap_w,
-                "clr": capacity_loss_rate(cap_q, cap_w),
-            }
-        )
+    rows = [
+        {"cuts": list(plan.cuts), "capacity": cap_w, "clr": capacity_loss_rate(cap_q, cap_w)}
+        for plan, cap_w in zip(plans, experiments.realized_capacities(plans))
+    ]
     rows.sort(key=lambda r: (-r["capacity"], r["cuts"]))
     if args.oracle:
-        import itertools
-
         expect = {
             tuple(c)
             for c in itertools.combinations(range(2, m + 1), args.n - 1)
@@ -273,179 +258,32 @@ def cmd_check(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# experiment workers (top level for multiprocessing)
-
-
-def _pplus_instance(task) -> dict:
-    seed, idx, m, n = task
-    rng = instance_rng(seed, idx)
-    q = random_channel(rng, m)
-    plans = enumerate_c_degradations(q, n)
-    cap_q = capacity(q)
-    clrs = [capacity_loss_rate(cap_q, capacity(realize_pplus(p))) for p in plans]
-    # The candidate set always contains the capacity-optimal plan, so its
-    # best CLR is the optimal degradation's CLR.
-    return {
-        "c_count": len(plans),
-        "c_clr": float(np.min(clrs)) if clrs else 0.0,
-    }
-
-
-def _optclr_instance(task) -> dict:
-    seed, idx, m, n, compare_full = task
-    rng = instance_rng(seed, idx)
-    q = random_channel(rng, m)
-    plan, table = c_optimal_degradation(q, n, pruning=True)
-    out = {
-        "clr": capacity_loss_rate(capacity(q), capacity(realize_pplus(plan))),
-        "evaluations": table.evaluations,
-        "pruned_states": table.pruned_states,
-    }
-    if compare_full:
-        _, full = c_optimal_degradation(q, n, pruning=False)
-        out["evaluations_full"] = full.evaluations
-    return out
-
-
-def _arikan_instance(task) -> dict:
-    # The ensemble: plus transforms of random n-particle channels, the
-    # synthetic channels attaining the n^2 + 1 alphabet bound.
-    seed, idx, n, c_stats = task
-    rng = instance_rng(seed, idx)
-    w = random_channel(rng, n)
-    q = arikan_plus(w)
-    cap_q = capacity(q)
-    if q.size <= n:
-        out = {"opt_clr": 0.0, "tv_clr": 0.0, "tv_star_clr": 0.0}
-        if c_stats:
-            out["c_count"] = 0.0
-            out["c_clr"] = 0.0
-        return out
-    plan_opt, _ = c_optimal_degradation(q, n)
-    plan_tv = tv_greedy_plan(q, n)
-    plan_tvs = refine_cuts(plan_tv)
-    out = {
-        "opt_clr": capacity_loss_rate(cap_q, capacity(realize_pplus(plan_opt))),
-        "tv_clr": capacity_loss_rate(cap_q, capacity(realize_pplus(plan_tv))),
-        "tv_star_clr": capacity_loss_rate(cap_q, capacity(realize_pplus(plan_tvs))),
-    }
-    if c_stats:
-        plans = enumerate_c_degradations(q, n)
-        clrs = [capacity_loss_rate(cap_q, capacity(realize_pplus(p))) for p in plans]
-        out["c_count"] = float(len(plans))
-        out["c_clr"] = float(np.mean(clrs)) if clrs else 0.0
-    return out
-
-
-def _branch_instance(task) -> dict:
-    seed, idx, n, depth = task
-    rng = instance_rng(seed, idx)
-    w = random_channel(rng, n)
-    run = construct(w, depth, n)
-    return {alpha: rec.clr for alpha, rec in run.records.items() if alpha}
-
-
-def _run_tasks(worker, tasks, jobs: int):
-    if jobs <= 1:
-        return [worker(t) for t in tasks]
-    with Pool(jobs) as pool:
-        return pool.map(worker, tasks)
-
-
-def _mean_ci(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return 0.0, 0.0
-    half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size) if arr.size > 1 else 0.0
-    return float(arr.mean()), half
+# experiment
 
 
 def cmd_experiment(args) -> int:
     seed = _seed(args)
-    rows: list[dict] = []
+    for flag in ("samples", "jobs"):
+        if getattr(args, flag) < 1:
+            raise ValidationError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    grid = args.table in ("pplus-stats", "opt-clr")
+    for flag in ("m", "n") if grid else ("n",):
+        if not getattr(args, flag):
+            raise ValidationError(f"--{flag} needs at least one value")
+    for m, n in itertools.product(args.m if grid else [], args.n):
+        if not (2 <= n < m):
+            raise ValidationError(f"need 2 <= n < m, got n={n}, m={m}")
+    for n in [] if grid else args.n:
+        _check_quantizer(n, args.depth if args.table == "branch-clr" else 1)
     if args.table == "pplus-stats":
-        for m in args.m:
-            for n in args.n:
-                if not (2 <= n < m):
-                    raise ValidationError(f"need 2 <= n < m, got n={n}, m={m}")
-                tasks = [(seed, i, m, n) for i in range(args.samples)]
-                res = _run_tasks(_pplus_instance, tasks, args.jobs)
-                count_mean, count_ci = _mean_ci([r["c_count"] for r in res])
-                clr_mean, clr_ci = _mean_ci([r["c_clr"] for r in res])
-                rows.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "samples": args.samples,
-                        "pplus_count": math.comb(m - 1, n - 1),
-                        "mean_c_count": count_mean,
-                        "ci95_c_count": count_ci,
-                        "mean_c_clr": clr_mean,
-                        "ci95_c_clr": clr_ci,
-                    }
-                )
+        rows = experiments.pplus_stats_rows(seed, args.m, args.n, args.samples, args.jobs)
     elif args.table == "opt-clr":
-        for m in args.m:
-            for n in args.n:
-                if not (2 <= n < m):
-                    raise ValidationError(f"need 2 <= n < m, got n={n}, m={m}")
-                tasks = [(seed, i, m, n, args.compare_full) for i in range(args.samples)]
-                res = _run_tasks(_optclr_instance, tasks, args.jobs)
-                clr_mean, clr_ci = _mean_ci([r["clr"] for r in res])
-                row = {
-                    "m": m,
-                    "n": n,
-                    "samples": args.samples,
-                    "mean_clr": clr_mean,
-                    "ci95_clr": clr_ci,
-                    "mean_evaluations": float(np.mean([r["evaluations"] for r in res])),
-                    "mean_pruned_states": float(np.mean([r["pruned_states"] for r in res])),
-                }
-                if args.compare_full:
-                    row["mean_evaluations_full"] = float(
-                        np.mean([r["evaluations_full"] for r in res])
-                    )
-                rows.append(row)
+        rows = experiments.opt_clr_rows(seed, args.m, args.n, args.samples, args.jobs, args.compare_full)
     elif args.table == "arikan-clr":
-        for n in args.n:
-            _check_quantizer(n)
-            tasks = [(seed, i, n, args.c_stats) for i in range(args.samples)]
-            res = _run_tasks(_arikan_instance, tasks, args.jobs)
-            opt_mean, opt_ci = _mean_ci([r["opt_clr"] for r in res])
-            tv_mean, _ = _mean_ci([r["tv_clr"] for r in res])
-            tvs_mean, _ = _mean_ci([r["tv_star_clr"] for r in res])
-            row = {
-                "n": n,
-                "m_bound": n * n + 1,
-                "samples": args.samples,
-                "opt_clr": opt_mean,
-                "ci95_opt_clr": opt_ci,
-                "tv_clr": tv_mean,
-                "tv_star_clr": tvs_mean,
-            }
-            if args.c_stats:
-                row["mean_c_count"] = float(np.mean([r["c_count"] for r in res]))
-                row["mean_c_clr"] = float(np.mean([r["c_clr"] for r in res]))
-            rows.append(row)
-    elif args.table == "branch-clr":
-        for n in args.n:
-            _check_quantizer(n, args.depth)
-            tasks = [(seed, i, n, args.depth) for i in range(args.samples)]
-            res = _run_tasks(_branch_instance, tasks, args.jobs)
-            alphas = sorted(res[0].keys(), key=lambda a: (len(a), a)) if res else []
-            for alpha in alphas:
-                clr_mean, clr_ci = _mean_ci([r[alpha] for r in res])
-                rows.append(
-                    {
-                        "n": n,
-                        "alpha": alpha,
-                        "samples": args.samples,
-                        "mean_clr": clr_mean,
-                        "ci95_clr": clr_ci,
-                    }
-                )
-    report = {"table": args.table, "seed": seed, "rows": rows}
-    _emit(report, args.format, args.output, csv_rows=rows or [{}])
+        rows = experiments.arikan_clr_rows(seed, args.n, args.samples, args.jobs, args.c_stats)
+    else:
+        rows = experiments.branch_clr_rows(seed, args.n, args.samples, args.jobs, args.depth)
+    _emit({"table": args.table, "seed": seed, "rows": rows}, args.format, args.output, csv_rows=rows)
     return EXIT_OK
 
 

@@ -327,11 +327,8 @@ def _realize_pplus_stack(plans: Sequence[PPlusPlan]) -> list[Channel]:
     """
     if not plans:
         return []
-    if len(plans) == 1:
-        q, s = plans[0].source.weights, plans[0].source.sigmas
-    else:
-        q = np.concatenate([p.source.weights for p in plans])
-        s = np.concatenate([p.source.sigmas for p in plans])
+    q = np.concatenate([p.source.weights for p in plans])
+    s = np.concatenate([p.source.sigmas for p in plans])
     bounds, base = [], 0
     for p in plans:
         bounds += [(base + a - 1, base + b - 1) for a, b in p.bounds()]

@@ -19,7 +19,6 @@ from bidmc import (
     arikan_plus,
     brute_force_c_optimal,
     c_optimal_degradation,
-    c_optimal_degradations,
     canonicalize,
     capacity,
     enumerate_c_degradations,
@@ -35,11 +34,10 @@ from bidmc import (
     random_channel,
     realize_pplus,
     realize_pstar,
-    refine_cuts,
     risk_dominates,
     split_threshold,
-    tv_greedy_plan,
 )
+from bidmc.experiments import arikan_clr, opt_clr, pplus_stats
 from bidmc.refine import InvalidPlanError
 
 from boundary_shift import _boundary_shift_gain
@@ -59,11 +57,6 @@ REFERENCE_ARIKAN = {  # n -> (opt, tv, tv*)
     9: (0.0039, 0.0043, 0.0041),
     10: (0.0031, 0.0034, 0.0032),
 }
-
-
-def clr_of(q, w):
-    cq = capacity(q)
-    return 0.0 if cq <= 0.0 else (cq - capacity(w)) / cq
 
 
 def verdict(num, ok, detail):
@@ -151,14 +144,8 @@ def test_criterion_03_enumeration_exactness():
 
 
 def test_criterion_04_pplus_statistics():
-    counts = []
-    best_clrs = []
-    for i in range(2000):
-        rng = instance_rng(104, i)
-        q = random_channel(rng, 8)
-        plans = enumerate_c_degradations(q, 4)
-        counts.append(len(plans))
-        best_clrs.append(min(clr_of(q, realize_pplus(p)) for p in plans))
+    records = pplus_stats(104, range(2000), 8, 4)
+    counts, best_clrs = records["c_count"], records["c_clr"]
     pplus_count = math.comb(7, 3)
     mean_count = float(np.mean(counts))
     mean_clr = float(np.mean(best_clrs))
@@ -182,15 +169,8 @@ def test_criterion_05_optimal_clr_grid():
     grid = {}
     for m in (16, 32, 64, 128):
         for j, n in enumerate(range(4, 11)):
-            qs = [
-                random_channel(instance_rng(105, 1_000_000 * m + 10_000 * n + i), m)
-                for i in range(samples[m])
-            ]
-            vals = [
-                clr_of(q, realize_pplus(plan))
-                for q, (plan, _) in zip(qs, c_optimal_degradations(qs, n))
-            ]
-            grid[(m, n)] = float(np.mean(vals))
+            first = 1_000_000 * m + 10_000 * n
+            grid[(m, n)] = float(np.mean(opt_clr(105, range(first, first + samples[m]), m, n)["clr"]))
     elapsed = time.time() - t0
 
     for m in (16, 32, 64, 128):
@@ -217,27 +197,14 @@ def test_criterion_05_optimal_clr_grid():
 def test_criterion_06_baseline_ordering():
     means = {}
     for n in range(4, 11):
-        opt, tv, tvs = [], [], []
         nsamp = 300 if n <= 8 else 200
-        for i in range(nsamp):
-            rng = instance_rng(106, 1000 * n + i)
-            w = random_channel(rng, n)
-            q = arikan_plus(w)
-            if q.size <= n:
-                continue
-            plan_opt, _ = c_optimal_degradation(q, n)
-            plan_tv = tv_greedy_plan(q, n)
-            plan_tvs = refine_cuts(plan_tv)
-            c_opt = capacity(realize_pplus(plan_opt))
-            c_tv = capacity(realize_pplus(plan_tv))
-            c_tvs = capacity(realize_pplus(plan_tvs))
-            assert c_opt >= c_tvs - 1e-12, (n, i)
-            assert c_tvs >= c_tv - 1e-12, (n, i)
-            cq = capacity(q)
-            opt.append((cq - c_opt) / cq)
-            tv.append((cq - c_tv) / cq)
-            tvs.append((cq - c_tvs) / cq)
-        means[n] = (float(np.mean(opt)), float(np.mean(tv)), float(np.mean(tvs)))
+        rec = arikan_clr(106, range(1000 * n, 1000 * n + nsamp), n)
+        keep = rec["size"] > n
+        cq, c_opt, c_tv, c_tvs = (rec[key][keep] for key in ("capacity", "opt", "tv", "tv_star"))
+        i = np.flatnonzero(keep)  # instance 1000 n + i
+        assert (c_opt >= c_tvs - 1e-12).all(), (n, i[c_opt < c_tvs - 1e-12])
+        assert (c_tvs >= c_tv - 1e-12).all(), (n, i[c_tvs < c_tv - 1e-12])
+        means[n] = tuple(float(np.mean((cq - c) / cq)) for c in (c_opt, c_tv, c_tvs))
     for n, (p_opt, p_tv, p_tvs) in REFERENCE_ARIKAN.items():
         m_opt, m_tv, m_tvs = means[n]
         for got, ref in ((m_opt, p_opt), (m_tv, p_tv), (m_tvs, p_tvs)):

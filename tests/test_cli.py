@@ -295,6 +295,12 @@ def test_library_value_error_exits_4(q3_file, capsys, monkeypatch):
         ["polar", "{q3}", "--n", "1"],
         ["experiment", "--table", "arikan-clr", "--n", "1", "--samples", "2"],
         ["experiment", "--table", "branch-clr", "--n", "3", "--depth", "0", "--samples", "2"],
+        ["experiment", "--table", "opt-clr", "--samples", "0"],
+        ["experiment", "--table", "opt-clr", "--samples", "-3"],
+        ["experiment", "--table", "opt-clr", "--m", "", "--samples", "2"],
+        ["experiment", "--table", "pplus-stats", "--n", "", "--samples", "2"],
+        ["experiment", "--table", "arikan-clr", "--samples", "2", "--jobs", "0"],
+        ["experiment", "--table", "branch-clr", "--samples", "0", "--format", "csv"],
     ],
 )
 def test_quantizer_options_are_validated(argv, q3_file, capsys):
@@ -334,28 +340,26 @@ def test_experiment_pplus_stats_deterministic(capsys):
     assert 0 < row["mean_c_count"] <= 35
 
 
-def test_experiment_jobs_stable(capsys):
-    base = [
-        "experiment",
-        "--table",
-        "opt-clr",
-        "--m",
-        "12",
-        "--n",
-        "3",
-        "--samples",
-        "12",
-        "--seed",
-        "9",
-        "--compare-full",
-    ]
+@pytest.mark.parametrize(
+    "table",
+    [
+        ["opt-clr", "--m", "12", "--n", "3", "--samples", "12", "--compare-full"],
+        ["pplus-stats", "--m", "8", "--n", "3 4", "--samples", "9"],
+        ["arikan-clr", "--n", "3 4", "--samples", "9", "--c-stats"],
+        ["branch-clr", "--n", "3", "--depth", "2", "--samples", "5"],
+    ],
+    ids=lambda table: table[0],
+)
+def test_experiment_jobs_stable(table, capsys):
+    base = ["experiment", "--table", *table, "--seed", "9"]
     code, out1, _ = run_cli(base + ["--jobs", "1"], capsys)
     assert code == 0
     code, out2, _ = run_cli(base + ["--jobs", "2"], capsys)
     assert code == 0
     assert out1 == out2
-    row = json.loads(out1)["rows"][0]
-    assert row["mean_evaluations"] <= row["mean_evaluations_full"]
+    if table[0] == "opt-clr":
+        row = json.loads(out1)["rows"][0]
+        assert row["mean_evaluations"] <= row["mean_evaluations_full"]
 
 
 def test_experiment_seed_env_override(capsys, monkeypatch):

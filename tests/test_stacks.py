@@ -1,8 +1,9 @@
 """Stacked calls against the single calls they stack.
 
-``construct`` runs each level through stacked forms of the Arikan
-transforms, ``canonicalize``, ``realize_pplus`` and ``capacity``; each
-single call is the stack of one.  Every member of a stack must equal its
+``construct`` runs each level, and ``bidmc.experiments`` each batch of a
+table, through stacked forms of the Arikan transforms, ``canonicalize``,
+the DP, ``realize_pplus`` and ``capacity``; each single call is the stack
+of one.  Every member of a stack must equal its
 single call bit for bit, so results are compared by ``tobytes()`` and
 ``.hex()``, and a malformed member must raise its single call's error.
 """
@@ -16,11 +17,19 @@ from bidmc import (
     InvalidDistributionError,
     arikan_minus,
     arikan_plus,
+    c_optimal_degradation,
     canonicalize,
     capacity,
+    capacity_loss_rate,
+    enumerate_c_degradations,
+    instance_rng,
+    random_channel,
     realize_pplus,
+    refine_cuts,
+    tv_greedy_plan,
 )
 from bidmc.channel import MERGE_TOL, _canonicalize_stack, _capacities
+from bidmc.experiments import arikan_clr, opt_clr, pplus_stats
 from bidmc.polar import _transforms
 from bidmc.refine import PPlusPlan, _realize_pplus_stack
 
@@ -164,3 +173,34 @@ def test_sorted_gaps_bound_the_canonical_size(raw):
     # The early stop drops exactly the members beyond the limit.
     assert _canonicalize_stack(raw, [len(raw)], bound - 1) == [None]
     assert _bytes(_canonicalize_stack(raw, [len(raw)], chan.size)[0]) == _bytes(chan)
+
+
+def _clrs(q, plans):
+    cap_q = capacity(q)
+    return [capacity_loss_rate(cap_q, capacity(realize_pplus(p))) for p in plans]
+
+
+def test_experiment_records_match_per_instance_calls():
+    # Every record against its instance's single calls, one plan at a time.
+    seed, idx = 11, range(3, 11)
+    rec = pplus_stats(seed, idx, 8, 3)
+    for k, i in enumerate(idx):
+        q = random_channel(instance_rng(seed, i), 8)
+        clrs = _clrs(q, enumerate_c_degradations(q, 3))
+        assert (rec["c_count"][k], rec["c_clr"][k]) == (len(clrs), min(clrs))
+    rec = opt_clr(seed, idx, 12, 4, compare_full=True)
+    for k, i in enumerate(idx):
+        q = random_channel(instance_rng(seed, i), 12)
+        plan, table = c_optimal_degradation(q, 4)
+        full = c_optimal_degradation(q, 4, pruning=False)[1]
+        want = (*_clrs(q, [plan]), table.evaluations, table.pruned_states, full.evaluations)
+        assert tuple(rec[key][k] for key in rec) == want
+    rec = arikan_clr(seed, idx, 3, c_stats=True)
+    for k, i in enumerate(idx):
+        q = arikan_plus(random_channel(instance_rng(seed, i), 3))
+        assert q.size > 3
+        tv = tv_greedy_plan(q, 3)
+        plans = [c_optimal_degradation(q, 3)[0], tv, refine_cuts(tv)]
+        clrs = _clrs(q, enumerate_c_degradations(q, 3))
+        want = (q.size, capacity(q), *(capacity(realize_pplus(p)) for p in plans), len(clrs), np.mean(clrs))
+        assert tuple(rec[key][k] for key in rec) == want

@@ -72,9 +72,10 @@ class OneMatrix:
         k = self.entries
         if np.any(k < -WITNESS_TOL):
             raise ValueError("witness entries must be nonnegative")
-        if not np.allclose(k.sum(axis=1), self.row_pattern, rtol=0.0, atol=WITNESS_TOL):
+        # Written so that a NaN fails: its difference's max is NaN.
+        if not np.abs(k.sum(axis=1) - self.row_pattern).max() <= WITNESS_TOL:
             raise ValueError("row sums do not match the row pattern")
-        if not np.allclose(k.sum(axis=0), self.col_pattern, rtol=0.0, atol=WITNESS_TOL):
+        if not np.abs(k.sum(axis=0) - self.col_pattern).max() <= WITNESS_TOL:
             raise ValueError("column sums do not match the column pattern")
 
     @property

@@ -120,21 +120,21 @@ class Channel:
         if not s.size:
             raise InvalidDistributionError("channel needs at least one particle")
         # Strictly increasing from >= 0 to <= 1/2 puts every crossover in
-        # range (a NaN fails the increase).
-        valid = 0.0 <= s[0] and s[-1] <= 0.5 and not np.count_nonzero(w <= 0.0)
+        # range, and every check is written so that a NaN fails it.
+        valid = 0.0 <= s[0] and s[-1] <= 0.5 and np.count_nonzero(w > 0.0) == w.size
         if not (valid and (s[1:] > s[:-1]).all()):
             # The first failing particle raises, with its first failing check.
             bad_sigma = ~((0.0 <= s) & (s <= 0.5))
-            bad = bad_sigma | (w <= 0.0)
+            bad = bad_sigma | ~(w > 0.0)
             bad[1:] |= s[1:] <= s[:-1]
             i = int(bad.argmax())
             if bad_sigma[i]:
                 raise ValueError(f"crossover {float(s[i])} outside [0, 1/2]")
-            if w[i] <= 0.0:
+            if not w[i] > 0.0:
                 raise InvalidDistributionError(f"non-positive weight {float(w[i])}")
             raise ValueError("crossover probabilities must be strictly increasing")
         total = float(w.cumsum()[-1])  # summed in sequence, not pairwise
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise InvalidDistributionError(f"weights sum to {total}, not 1")
         s.flags.writeable = False
         w.flags.writeable = False
@@ -244,7 +244,7 @@ def _canonicalize_stack(
     if n_mem == 1:
         # Summed in sequence in input order; dropped zero weights add nothing.
         total = float(wt.cumsum()[-1]) if wt.size else 0.0
-        if abs(total - 1.0) > WEIGHT_SUM_INPUT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_INPUT_TOL:  # a NaN total fails
             raise InvalidDistributionError(f"weights sum to {total}, not 1")
         order = sig.argsort()
         s, w = sig[order], wt[order]
@@ -258,7 +258,7 @@ def _canonicalize_stack(
         rows = np.zeros((n_mem, max(count.max(), 1)))
         rows[at] = wt
         total = rows.cumsum(axis=1)[:, -1]
-        off = np.abs(total - 1.0) > WEIGHT_SUM_INPUT_TOL
+        off = ~(np.abs(total - 1.0) <= WEIGHT_SUM_INPUT_TOL)
         if np.count_nonzero(off):
             raise InvalidDistributionError(f"weights sum to {float(total[off.argmax()])}, not 1")
         srows = np.full(rows.shape, np.inf)

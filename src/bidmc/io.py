@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Channel, InvalidDistributionError, canonicalize
+from .channel import Channel, canonicalize
 
 __all__ = [
     "ChannelFormatError",
@@ -33,6 +33,14 @@ __all__ = [
 
 class ChannelFormatError(ValueError):
     """Raised with a line/field diagnostic for malformed channel files."""
+
+
+def _canonical(raw) -> Channel:
+    """``canonicalize``, its validation errors raised as ChannelFormatError."""
+    try:
+        return canonicalize(raw)
+    except ValueError as exc:
+        raise ChannelFormatError(str(exc)) from exc
 
 
 def channel_to_json_dict(chan: Channel) -> dict:
@@ -91,10 +99,7 @@ def reduce_transition_matrix(rows: list[list[float]], tol: float = 1e-9) -> Chan
                 f"LR-profile asymmetric at {eps}: mass {mass} vs {mirror} at {e_mirror}"
             )
     raw = [(min(eps, 1.0 - eps), mass) for eps, mass in outputs]
-    try:
-        return canonicalize(raw)
-    except (InvalidDistributionError, ValueError) as exc:
-        raise ChannelFormatError(str(exc)) from exc
+    return _canonical(raw)
 
 
 def parse_channel_json(text: str) -> Channel:
@@ -112,10 +117,7 @@ def parse_channel_json(text: str) -> Channel:
             raw.append((float(entry["sigma"]), float(entry["q"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ChannelFormatError(f"particle {idx}: {exc}") from exc
-    try:
-        return canonicalize(raw)
-    except (InvalidDistributionError, ValueError) as exc:
-        raise ChannelFormatError(str(exc)) from exc
+    return _canonical(raw)
 
 
 def parse_channel_csv(text: str) -> Channel:
@@ -133,10 +135,7 @@ def parse_channel_csv(text: str) -> Channel:
             raw.append((float(row[0]), float(row[1])))
         except ValueError as exc:
             raise ChannelFormatError(f"line {lineno}: {exc}") from exc
-    try:
-        return canonicalize(raw)
-    except (InvalidDistributionError, ValueError) as exc:
-        raise ChannelFormatError(str(exc)) from exc
+    return _canonical(raw)
 
 
 def load_channel(path: str | Path) -> Channel:

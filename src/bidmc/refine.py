@@ -27,12 +27,18 @@ must be a cut plan whose every cut k_j satisfies the strict window
 
 Cut plans passing every window test are the C-degradations: the candidate
 set that provably contains every capacity-optimal degradation.
+
+Segment plans have one array layout: the *entries* of all segments in order,
+each a source particle (0-indexed) and the mass taken from it, where a split
+particle gives its tail q_i - s_j to one segment and its head s_j to the
+next and masses <= _MASS_TOL are dropped, plus the bounds: segment j is
+entries bounds[j]:bounds[j+1].  ``_group_stats``, the one group-statistics
+function of cut and segment plans, reads their masses and means off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +70,8 @@ __all__ = [
 PHI_STRICT_TOL = 1e-12
 
 _MASS_TOL = 1e-15
+# A segment entry within this of its particle's weight owns the particle.
+_OWN_TOL = 1e-12
 
 
 class InvalidPlanError(ValueError):
@@ -148,38 +156,30 @@ def _segment_table(
     return mass, mean, xbar
 
 
+def _forward_sums(terms: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Running sums of ``terms`` over the groups of entries starts[g]..stops[g]-1.
+
+    Entry [..., g, c] sums the group's first c + 1 terms in order, as one
+    cumsum over rows zero-padded to the longest group: zeros change no sum.
+    """
+    length = stops - starts
+    offset = np.arange(length.max())
+    at = terms.take(starts[:, None] + offset, axis=-1, mode="clip")
+    return np.where(offset < length[:, None], at, 0.0).cumsum(axis=-1)
+
+
 def _group_stats(
     q: np.ndarray, s: np.ndarray, starts: np.ndarray, stops: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Masses and mean crossovers of the groups of particles starts[g]..stops[g]-1.
 
-    Each group's q and q sigma are laid out as a row zero-padded to the
-    longest group and summed forward, from the group's first particle, in
-    one cumsum: adding zeros changes no sum, so every entry equals
+    q and q sigma are summed by ``_forward_sums``, so every entry equals
     ``_segment_table``'s entry for the group bit for bit, and group
     statistics, the DP and enumeration see the same means and window
     verdicts.  A singleton takes its sigma exactly.
     """
-    length = stops - starts
-    offset = np.arange(length.max())
-    terms = np.array((q, q * s)).take(starts[:, None] + offset, axis=1, mode="clip")
-    mass, moment = np.where(offset < length[:, None], terms, 0.0).cumsum(axis=2)[..., -1]
-    return mass, np.where(length == 1, s[starts], moment / mass)
-
-
-def _rows_stats(rows: list[tuple[int, float]], sigmas: np.ndarray) -> tuple[float, float]:
-    """Mass and mean of a list of (1-indexed particle, mass) contributions.
-
-    A single-particle run takes the particle's crossover exactly, avoiding
-    the round-off of (q * sigma) / q.
-    """
-    if not rows:
-        return 0.0, 0.0
-    if len(rows) == 1:
-        return rows[0][1], float(sigmas[rows[0][0] - 1])
-    w = sum(wt for _, wt in rows)
-    mom = sum(wt * sigmas[i - 1] for i, wt in rows)
-    return w, mom / w
+    mass, moment = _forward_sums(np.array((q, q * s)), starts, stops)[..., -1]
+    return mass, np.where(stops - starts == 1, s[starts], moment / mass)
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,9 @@ class PStarPlan:
     split are rewritten to the equivalent (i_j - 1, 0) form when legal, so
     each plan has one canonical encoding.  Segments must be nonempty with
     strictly increasing means, and a segment whose support is a single
-    particle must own that particle fully.
+    particle must own that particle fully.  The segment layout (see the
+    module docstring) and the segments' masses and means are built once,
+    here, and every reader shares them.
     """
 
     source: Channel
@@ -239,66 +241,53 @@ class PStarPlan:
         if len(idx) != len(spl):
             raise InvalidPlanError("indices and splits must have equal length")
         m = self.source.size
-        q = self.source.weights
-        for l in range(len(idx)):
-            prev = idx[l - 1] if l > 0 else 0
-            if spl[l] >= q[idx[l] - 1] - _MASS_TOL and idx[l] - 1 > prev:
-                idx[l] -= 1
-                spl[l] = 0.0
+        q = self.source.weights.tolist()
+        prev = 0
+        for l, i in enumerate(idx):
+            if not (prev < i <= m):
+                raise InvalidPlanError(f"index {i} outside ({prev}, {m}]")
+            if not (-_MASS_TOL <= spl[l] <= q[i - 1] + _MASS_TOL):
+                raise InvalidPlanError(f"split {spl[l]} outside [0, q_{i}]")
+            if spl[l] >= q[i - 1] - _MASS_TOL and i - 1 > prev:
+                idx[l], spl[l] = i - 1, 0.0
+            prev = idx[l]
         object.__setattr__(self, "indices", tuple(idx))
         object.__setattr__(self, "splits", tuple(spl))
 
-        prev = 0
-        for l, i in enumerate(self.indices):
-            if not (prev < i <= m):
-                raise InvalidPlanError(f"index {i} outside ({prev}, {m}]")
-            if not (-_MASS_TOL <= self.splits[l] <= q[i - 1] + _MASS_TOL):
-                raise InvalidPlanError(f"split {self.splits[l]} outside [0, q_{i}]")
-            prev = i
-        segs = self._segment_rows()
-        stats = [_rows_stats(rows, self.source.sigmas) for rows in segs]
-        if any(not rows for rows in segs) or any(w <= _MASS_TOL for w, _ in stats):
+        part, mass, bounds = [], [], [0]
+        lo, head = 0, 0.0
+        for hi, split in zip(idx + [m + 1], spl + [0.0]):
+            if head > _MASS_TOL:
+                part.append(lo - 1)
+                mass.append(head)
+            part += range(lo, hi - 1)
+            mass += q[lo : hi - 1]
+            if hi <= m and q[hi - 1] - split > _MASS_TOL:
+                part.append(hi - 1)
+                mass.append(q[hi - 1] - split)
+            if len(part) == bounds[-1]:
+                raise InvalidPlanError("empty segment")
+            if len(part) - bounds[-1] == 1 and mass[-1] < q[part[-1]] - _OWN_TOL:
+                raise InvalidPlanError("single-particle segment must own the particle fully")
+            bounds.append(len(part))
+            lo, head = hi, split
+        part, mass, bounds = np.array(part), np.array(mass), np.array(bounds)
+        masses, means = _group_stats(mass, self.source.sigmas[part], bounds[:-1], bounds[1:])
+        if masses.min() <= _MASS_TOL:
             raise InvalidPlanError("empty segment")
-        means = [mu for _, mu in stats]
-        if any(b - a <= 0.0 for a, b in zip(means, means[1:])):
+        if np.count_nonzero(means[1:] <= means[:-1]):
             raise InvalidPlanError("segment means must be strictly increasing")
-        for rows in segs:
-            if len(rows) == 1:
-                i, wt = rows[0]
-                if wt < q[i - 1] - 1e-12:
-                    raise InvalidPlanError(
-                        "single-particle segment must own the particle fully"
-                    )
+        masses.flags.writeable = means.flags.writeable = False
+        object.__setattr__(self, "_layout", (part, mass, bounds))
+        object.__setattr__(self, "_stats", (masses, means))
 
     @property
     def n_segments(self) -> int:
         return len(self.indices) + 1
 
-    def _segment_rows(self) -> list[list[tuple[int, float]]]:
-        """Per segment: (particle index, mass taken) with positive masses."""
-        q = self.source.weights
-        m = self.source.size
-        idx = (0,) + self.indices + (m + 1,)
-        spl = (0.0,) + self.splits + (0.0,)
-        out = []
-        for j in range(len(idx) - 1):
-            lo, hi = idx[j], idx[j + 1]
-            rows: list[tuple[int, float]] = []
-            if lo >= 1 and spl[j] > _MASS_TOL:
-                rows.append((lo, spl[j]))
-            for i in range(lo + 1, hi):
-                rows.append((i, float(q[i - 1])))
-            if hi <= m:
-                tail = float(q[hi - 1]) - spl[j + 1]
-                if tail > _MASS_TOL:
-                    rows.append((hi, tail))
-            out.append(rows)
-        return out
-
     def segment_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """Masses and mean crossovers of the segments."""
-        stats = [_rows_stats(rows, self.source.sigmas) for rows in self._segment_rows()]
-        return np.array([w for w, _ in stats]), np.array([mu for _, mu in stats])
+        """Masses and mean crossovers of the segments (read-only arrays)."""
+        return self._stats
 
     def to_json_dict(self) -> dict:
         return {"indices": list(self.indices), "splits": list(self.splits)}
@@ -347,51 +336,10 @@ def plan_witness(plan: PStarPlan | PPlusPlan) -> OneMatrix:
     """Equality witness induced directly by a plan's segment structure."""
     if isinstance(plan, PPlusPlan):
         plan = pplus_as_pstar(plan)
-    rows = plan._segment_rows()
-    k = np.zeros((plan.source.size, len(rows)))
-    for j, seg in enumerate(rows):
-        for i, wt in seg:
-            k[i - 1, j] += wt
+    part, mass, bounds = plan._layout
+    k = np.zeros((plan.source.size, bounds.size - 1))
+    k[part, np.repeat(np.arange(bounds.size - 1), np.diff(bounds))] = mass
     return OneMatrix(k, plan.source.weights.copy(), k.sum(axis=0))
-
-
-def _quantile_segments(q: Channel, weights: np.ndarray) -> list[list[tuple[int, float]]]:
-    """Q's mass cut at the cumulative ``weights``, as (particle, mass) rows.
-
-    Slice j is Q's mass between the quantiles P_{j-1} and P_j, P_j the sum
-    of the first j weights, in sigma order.  A slice that lies inside one
-    particle, once the shares of particles already taken whole are gone,
-    takes that whole particle, and the slices beside it lose their parts.
-    """
-    qw = q.weights
-    edges = np.concatenate(([0.0], np.cumsum(qw)))
-    cuts = np.concatenate(([0.0], np.cumsum(weights)[:-1], edges[-1:]))
-    take = np.minimum(edges[1:, None], cuts[None, 1:]) - np.maximum(edges[:-1, None], cuts[None, :-1])
-    segs = [
-        [(int(i) + 1, float(take[i, j])) for i in np.flatnonzero(take[:, j] > _MASS_TOL)]
-        for j in range(weights.size)
-    ]
-    owned: set[int] = set()
-    while True:
-        kept = ([r for r in rows if r[0] not in owned] for rows in segs)
-        lone = {rows[0][0] for rows in kept if len(rows) == 1 and rows[0][1] < qw[rows[0][0] - 1] - 1e-12}
-        if not lone:
-            break
-        owned |= lone
-    flat = [(j, i, wt) for j, rows in enumerate(segs) for i, wt in rows]
-    return [
-        [(key[1], float(qw[key[1] - 1]))] if key[0] else [(i, wt) for _, i, wt in grp]
-        for key, grp in groupby(flat, key=lambda r: (True, r[1]) if r[1] in owned else (False, r[0]))
-    ]
-
-
-def _plan_from_segments(source: Channel, segs: list[list[tuple[int, float]]]) -> PStarPlan:
-    q = source.weights
-    splits = [
-        rows[0][1] if prev[-1][0] == rows[0][0] else float(q[rows[0][0] - 1])
-        for prev, rows in zip(segs, segs[1:])
-    ]
-    return PStarPlan(source, tuple(rows[0][0] for rows in segs[1:]), tuple(splits))
 
 
 def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
@@ -417,9 +365,11 @@ def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
     old pair is below the new one in convex order and each such shift
     upgrades.  The segments partition Q's mass, so Perr(W1) = Perr(Q).
 
-    ``n`` sets the number of segments (default: W's particle count, capped
-    at Q's size); segments beyond the slices' count are produced by
-    mass-balanced splitting, which only refines the realization further.
+    ``n`` is a floor on the number of segments (default: W's particle
+    count); it is capped at Q's size.  When the slices give fewer
+    segments, mass-balanced splitting of the heaviest segment adds more,
+    which only refines the realization further; when they give more, the
+    plan keeps them all.
 
     Raises DegradationOrderError when W is not a degradation of Q.
     """
@@ -430,31 +380,51 @@ def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
     n = min(max(int(n), 1), q.size)
 
     qw = q.weights
-    segs = _quantile_segments(q, w.weights)
-
-    def legal_half(rows: list[tuple[int, float]]) -> bool:
-        # A sub-segment may not be a lone partial particle.
-        return len(rows) > 1 or rows[0][1] >= qw[rows[0][0] - 1] - 1e-12
-
-    while len(segs) < n:
-        best = None
-        for j, rows in enumerate(segs):
-            if len(rows) < 2:
-                continue
-            total = sum(wt for _, wt in rows)
-            acc = 0.0
-            for cutpos in range(1, len(rows)):
-                acc += rows[cutpos - 1][1]
-                if not (legal_half(rows[:cutpos]) and legal_half(rows[cutpos:])):
-                    continue
-                score = (total, -abs(acc - total / 2.0))
-                if best is None or score > best[0]:
-                    best = (score, j, cutpos)
-        if best is None:
+    edges = np.concatenate(([0.0], np.cumsum(qw)))
+    cuts = np.concatenate(([0.0], np.cumsum(w.weights)[:-1], edges[-1:]))
+    take = np.minimum(edges[1:, None], cuts[None, 1:]) - np.maximum(edges[:-1, None], cuts[None, :-1])
+    # The slices' entries, in slice order.
+    seg, part = np.nonzero(take.T > _MASS_TOL)
+    mass = take[part, seg]
+    # A slice whose one entry left is part of a particle takes it whole.
+    owned = np.zeros(q.size, dtype=bool)
+    while True:
+        kept = ~owned[part]
+        alone = np.bincount(seg[kept], minlength=w.size)[seg] == 1
+        lone = part[kept & alone & (mass < qw[part] - _OWN_TOL)]
+        if not lone.size:
             break
-        _, j, cutpos = best
-        segs[j : j + 1] = [segs[j][:cutpos], segs[j][cutpos:]]
-    return _plan_from_segments(q, segs)
+        owned[lone] = True
+    # An owned particle's entries become one entry of its whole weight, in a
+    # segment of its own; the other entries keep their slices.
+    own = owned[part]
+    key = np.where(own, -1 - part, seg)
+    new = np.append(True, key[1:] != key[:-1])
+    keep = new | ~own
+    part, mass = part[keep], np.where(own, qw[part], mass)[keep]
+    bounds = np.append(np.flatnonzero(new[keep]), part.size)
+
+    full = mass >= qw[part] - _OWN_TOL
+    while bounds.size <= n:
+        # acc[j, c - 1] is the mass of segment j's first c entries.
+        acc = _forward_sums(mass, bounds[:-1], bounds[1:])
+        # Cutting segment j after c entries is legal unless a half would be
+        # a lone partial particle.
+        length = np.diff(bounds)[:, None]
+        c = np.arange(1, acc.shape[1])
+        legal = (c < length) & ((c > 1) | full[bounds[:-1], None]) & ((length - c > 1) | full[bounds[1:] - 1, None])
+        j, k = np.nonzero(legal)  # cut segment j after k + 1 entries
+        if not j.size:
+            break
+        # The heaviest segment, cut nearest its half mass; the first on ties.
+        total = acc[j, -1]
+        best = np.lexsort((np.abs(acc[j, k] - total / 2.0), -total))[0]
+        bounds = np.insert(bounds, j[best] + 1, bounds[j[best]] + k[best] + 1)
+    # Segment j + 1 starts with particle i_{j+1}; it takes s_{j+1} of it when
+    # segment j ends with the same particle, and the whole particle if not.
+    first = bounds[1:-1]
+    splits = np.where(part[first - 1] == part[first], mass[first], qw[part[first]])
+    return PStarPlan(q, tuple((part[first] + 1).tolist()), tuple(splits.tolist()))
 
 
 def is_c_degradation(plan: PPlusPlan) -> bool:

@@ -188,8 +188,6 @@ def test_transforms_match_reference_on_edge_channels(monkeypatch):
         [(-5e-13, 0.25), (3e-13, 0.25), (0.5 - 4e-13, 0.25), (1.0 + 5e-13, 0.25)],
         [(-0.0, 0.5), (0.3, 0.5)],
         [(-0.0, 0.5), (0.7, 0.5)],
-        # a NaN weight passes through, as in the sequential pass
-        [(0.1, float("nan")), (0.7, 1.0)],
         # twins beside ties of distinct weights
         [(0.1, 0.1), (0.1, 0.1), (0.3, 0.2), (0.3, 0.1), (0.3, 0.2), (0.1, 0.3)],
     ],
@@ -218,6 +216,18 @@ def test_canonicalize_errors_match_reference(raw, exc):
     with pytest.raises(exc):
         canonicalize(raw)
     _assert_same(raw)
+
+
+def test_a_nan_weight_is_rejected():
+    # The weight checks compare so that a NaN fails them: as one member of
+    # a stack, as a single input, and in the Channel constructor.
+    raw = [(0.1, float("nan")), (0.7, 1.0)]
+    with pytest.raises(InvalidDistributionError):
+        canonicalize(raw)
+    with pytest.raises(InvalidDistributionError):
+        _canonicalize_stack(np.array([(0.2, 1.0)] + raw), [1, 2])
+    with pytest.raises(InvalidDistributionError):
+        Channel([0.1, 0.3], [float("nan"), 1.0])
 
 
 def test_channel_arrays_are_read_only():

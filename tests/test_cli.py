@@ -139,6 +139,30 @@ def test_analyze_malformed_input_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["degrade", "--n", "2"], ["polar", "--depth", "2", "--n", "2"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        (
+            "nan.json",
+            '{"particles": [{"sigma": 0.1, "q": NaN}, {"sigma": 0.2, "q": 0.5}, {"sigma": 0.3, "q": 0.5}]}',
+        ),
+        ("nan.csv", "sigma,q\n0.1,nan\n0.2,0.5\n0.3,0.5\n"),
+    ],
+)
+def test_nan_weight_exits_2(argv, name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nan" in err
+
+
+@pytest.mark.parametrize(
     "matrix, message",
     [
         ([[0.5, 0.5], [0.5]], "rows of numbers of equal length"),

@@ -15,6 +15,7 @@ from bidmc import (
     enumerate_c_degradations,
     equivalent,
     error_probability,
+    find_degradation_witness,
     instance_rng,
     is_c_degradation,
     is_degradation,
@@ -29,6 +30,7 @@ from bidmc import (
     to_pstar_plan,
 )
 
+import segment_rows
 from boundary_shift import _boundary_shift_gain
 
 Q3 = canonicalize([(0.1, 0.5), (0.2, 0.3), (0.4, 0.2)])
@@ -120,6 +122,11 @@ def test_plan_validation_errors():
     with pytest.raises(InvalidPlanError):
         # Middle segment takes nothing of particle 2 and nothing of 3.
         PStarPlan(Q3, (2, 3), (0.0, Q3.particles[2].weight))
+    with pytest.raises(InvalidPlanError, match="index 5"):
+        PStarPlan(Q3, (5,), (0.1,))
+    with pytest.raises(InvalidPlanError, match="split 0.5"):
+        # A split above q_3 = 0.4 is rejected, not rewritten to a cut.
+        PStarPlan(canonicalize([(0.1, 0.3), (0.2, 0.3), (0.4, 0.4)]), (3,), (0.5,))
 
 
 def test_full_split_normalizes_to_cut_form():
@@ -414,3 +421,92 @@ def test_no_strict_upgrade_by_two_pattern_adjustments():
                     )
                 checked += 1
     assert checked > 0
+
+
+# ----------------------------------------------------------------------
+# the segment layout against the list-of-rows oracle
+
+
+def _edge_split(rng, qi):
+    """A split of 0, the full weight, an interior value or one within _MASS_TOL of an end."""
+    options = (0.0, qi, float(rng.uniform(0.0, qi)), 4e-16, -4e-16, qi - 4e-16, qi + 4e-16)
+    return options[int(rng.integers(len(options)))]
+
+
+def _hex_channel(chan):
+    return [x.hex() for x in chan.sigmas.tolist()], [x.hex() for x in chan.weights.tolist()]
+
+
+def test_segment_layout_matches_rows_reference():
+    rng = instance_rng(31, 12)
+    valid = 0
+    for _ in range(800):
+        m = int(rng.integers(3, 33))
+        q = random_channel(rng, m)
+        n = int(rng.integers(2, min(m, 8) + 1))
+        idx = tuple(int(i) for i in np.sort(rng.choice(np.arange(1, m + 1), size=n - 1, replace=False)))
+        spl = tuple(_edge_split(rng, float(q.weights[i - 1])) for i in idx)
+        try:
+            indices, splits = segment_rows.canonical_plan(q, idx, spl)
+        except InvalidPlanError:
+            with pytest.raises(InvalidPlanError):
+                PStarPlan(q, idx, spl)
+            continue
+        plan = PStarPlan(q, idx, spl)
+        assert plan.indices == indices
+        assert [s.hex() for s in plan.splits] == [s.hex() for s in splits]
+        got, expect = plan.segment_stats(), segment_rows.segment_stats(q, indices, splits)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+        assert _hex_channel(realize_pstar(plan)) == _hex_channel(segment_rows.realize_pstar(q, indices, splits))
+        assert plan_witness(plan).entries.tobytes() == segment_rows.plan_witness(q, indices, splits).entries.tobytes()
+        valid += 1
+    assert valid >= 300, valid
+
+
+def _criterion_07_pair(rng, kind, m, n):
+    """A (W, Q) pair of one of criterion 07's kinds."""
+    q = random_channel(rng, m)
+    if kind == "random":
+        return random_channel(rng, n), q
+    k = np.array([rng.dirichlet(np.ones(n)) * p for p in q.weights.tolist()])
+    cols = k.sum(axis=0)
+    means = (q.sigmas @ k) / cols
+    if kind == "upgraded":
+        eps = np.maximum(means - 0.01, 0.0)
+    else:
+        t = rng.uniform(0.0, 1.0 if kind == "degraded" else 0.02, size=n)
+        eps = means + t * (0.5 - means)
+    return canonicalize(list(zip(eps.tolist(), cols.tolist()))), q
+
+
+@pytest.mark.parametrize("m, n", [(6, 3), (32, 8)])
+def test_to_pstar_plan_matches_rows_reference(m, n):
+    kinds = ("random", "degraded", "slightly-degraded", "upgraded")
+    lone = split = checked = 0
+    for i in range(160):
+        w, q = _criterion_07_pair(instance_rng(107, i), kinds[i % 4], m, n)
+        if find_degradation_witness(w, q) is None:
+            continue
+        # The lone-particle rule fired iff it merged some particle's entries.
+        edges = np.concatenate(([0.0], np.cumsum(q.weights)))
+        cuts = np.concatenate(([0.0], np.cumsum(w.weights)[:-1], edges[-1:]))
+        take = np.minimum(edges[1:, None], cuts[None, 1:]) - np.maximum(edges[:-1, None], cuts[None, :-1])
+        slices = segment_rows._quantile_segments(q, w.weights)
+        lone += sum(map(len, slices)) < np.count_nonzero(take > 1e-15)
+        for size in (None, 1, n, m):
+            plan = to_pstar_plan(w, q, size)
+            indices, splits = segment_rows.to_pstar_plan(w, q, size)
+            assert plan.indices == indices
+            assert [s.hex() for s in plan.splits] == [s.hex() for s in splits]
+            split += len(slices) < min(size or w.size, m)
+            checked += 1
+    assert lone >= 10 and split >= 50 and checked >= 300, (lone, split, checked)
+
+
+def test_to_pstar_plan_segment_count_is_a_floor():
+    # The slices of a 3-particle W give 3 segments; a smaller n keeps them
+    # all, and a larger one is capped at Q's size.
+    w = canonicalize([(0.12, 0.4), (0.25, 0.3), (0.4, 0.3)])
+    assert find_degradation_witness(w, Q3) is not None
+    for n in (1, 2, 3, 5):
+        assert to_pstar_plan(w, Q3, n).n_segments == 3

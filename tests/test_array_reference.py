@@ -188,6 +188,8 @@ def test_transforms_match_reference_on_edge_channels(monkeypatch):
         [(-5e-13, 0.25), (3e-13, 0.25), (0.5 - 4e-13, 0.25), (1.0 + 5e-13, 0.25)],
         [(-0.0, 0.5), (0.3, 0.5)],
         [(-0.0, 0.5), (0.7, 0.5)],
+        # weights off 1 by less than WEIGHT_SUM_INPUT_TOL are renormalized
+        [(0.1, 0.3 + 4e-10), (0.7, 0.2), (0.25, 0.5 + 3e-10)],
         # twins beside ties of distinct weights
         [(0.1, 0.1), (0.1, 0.1), (0.3, 0.2), (0.3, 0.1), (0.3, 0.2), (0.1, 0.3)],
     ],

@@ -21,7 +21,13 @@ from .channel import _capacities, capacity_loss_rate
 from .ensembles import instance_rng, random_channel
 from .polar import _transforms, construct
 from .refine import PPlusPlan, _realize_pplus_stack, refine_cuts
-from .search import _BATCH_ENTRIES, c_optimal_degradations, enumerate_c_degradations, tv_greedy_plan
+from .search import (
+    _BATCH_ENTRIES,
+    _eager_degradations,
+    c_optimal_degradations,
+    enumerate_c_degradations,
+    tv_greedy_plan,
+)
 
 
 def realized_capacities(plans: Sequence[PPlusPlan]) -> list[float]:
@@ -51,9 +57,10 @@ def pplus_stats(seed: int, indices: Sequence[int], m: int, n: int) -> dict:
 
 def opt_clr(seed: int, indices: Sequence[int], m: int, n: int, compare_full: bool = False) -> dict:
     """Optimal-degradation CLR and DP counters of random m-particle channels
-    reduced to n; with ``compare_full``, the unpruned DP's evaluations too."""
+    reduced to n; with ``compare_full``, the unpruned DP's evaluations too.
+    The counters read every table, so the pruned DP builds them at once."""
     qs = [random_channel(instance_rng(seed, i), m) for i in indices]
-    found = c_optimal_degradations(qs, n)
+    found = _eager_degradations(qs, n, True)
     out = {"clr": np.array([c for c, in _plan_clrs(_capacities(qs), [[p] for p, _ in found])])}
     out["evaluations"] = np.array([table.evaluations for _, table in found])
     out["pruned_states"] = np.array([table.pruned_states for _, table in found])

@@ -90,11 +90,14 @@ def _threshold(eps_l, eps_r) -> np.ndarray:
     margin compares false, so it never fails, moves or prunes a cut.
     Out-of-domain means are boundary cuts (left mean 0 or right mean 1/2),
     whose structure is forced in any valid plan, or means out of order,
-    which only round-off produces.
+    which only round-off produces.  A subnormal left mean can overflow
+    d / eps_l to inf, and t then reads 0 where it is about 6e-4 (for
+    eps_r = 0.375), so such a cut passes its window like one beside a left
+    mean of 0.
     """
     eps_l = np.asarray(eps_l, dtype=np.float64)
     eps_r = np.asarray(eps_r, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = eps_r - eps_l
         num = np.log1p(d / (1.0 - eps_r))
         t = num / (num + np.log1p(d / eps_l))
@@ -182,6 +185,22 @@ def _group_stats(
     return mass, np.where(stops - starts == 1, s[starts], moment / mass)
 
 
+def _integers(values, name: str) -> list[int]:
+    """Plan entries as ints: ints, numpy ints and integral floats pass; any
+    other value (NaN and +-inf too) raises InvalidPlanError, so a malformed
+    entry is never truncated into another plan."""
+    out = []
+    for v in values:
+        try:
+            i = int(v)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != v:
+            raise InvalidPlanError(f"{name} {v} is not an integer")
+        out.append(i)
+    return out
+
+
 @dataclass(frozen=True)
 class PPlusPlan:
     """Contiguous-group degradation plan: cut vector over a source channel.
@@ -195,7 +214,7 @@ class PPlusPlan:
     cuts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cuts", tuple(int(k) for k in self.cuts))
+        object.__setattr__(self, "cuts", tuple(_integers(self.cuts, "cut")))
         m = self.source.size
         prev = 1
         for k in self.cuts:
@@ -236,7 +255,7 @@ class PStarPlan:
     splits: tuple[float, ...]
 
     def __post_init__(self):
-        idx = [int(i) for i in self.indices]
+        idx = _integers(self.indices, "index")
         spl = [float(s) for s in self.splits]
         if len(idx) != len(spl):
             raise InvalidPlanError("indices and splits must have equal length")

@@ -16,7 +16,13 @@ m.  Three searchers are provided:
   traceback passes them, so the pruning is sound).  Ragged sizes are
   padded with dead states, and every entry is computed by the same float
   expression as alone, so each channel's result equals its single call,
-  ``c_optimal_degradation`` (the stack of one), bit for bit.
+  ``c_optimal_degradation`` (the stack of one), bit for bit.  The pruned
+  DP's plans come from the unpruned kernel: a traceback none of whose cuts
+  surely fails its window test is the pruned run's too, so only the few
+  channels that fail this certificate run the pruned DP at once.  The
+  pruned run builds the other channels' per-stage tables and counters
+  (``evaluations``, ``pruned_states``) when they are first read, with the
+  values and meaning they always had.
 
 The DP state value S_j(i) is the maximum partial capacity over degradations
 of the first i particles into j groups:
@@ -44,7 +50,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -118,14 +124,42 @@ class DpTable:
     stages before the last, a single entry for the last); NaN marks states
     never computed.  ``decisions[j]`` holds the chosen previous band offset,
     -1 where unavailable.  ``pruned[j]`` flags skipped states.
+
+    A table of a pruned ``c_optimal_degradations`` call whose plan came from
+    the certified unpruned run holds only ``capacity`` at first; reading any
+    other field runs the pruned DP over the call's stack once and fills
+    every table of that stack, with the values an eager run gives.
     """
 
     values: list[np.ndarray]
     decisions: list[np.ndarray]
     pruned: list[np.ndarray]
-    evaluations: int = 0
-    pruned_states: int = 0
+    # Factories, not plain defaults, so that no class attribute answers for
+    # the missing fields of a table built on request (see __getattr__).
+    evaluations: int = field(default_factory=int)
+    pruned_states: int = field(default_factory=int)
     capacity: float = math.nan
+
+    @classmethod
+    def _on_request(cls, source: _PrunedTables, k: int, capacity: float) -> DpTable:
+        """A table of ``capacity`` whose other fields are those of
+        ``source.table(k)``, taken when one is first read."""
+        table = cls.__new__(cls)
+        table.capacity = capacity
+        table._source = (source, k)
+        return table
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks.  The fields are
+        # written before _source is dropped, so a concurrent read finds one
+        # or the other (a second build gives the same values).
+        lazy = self.__dict__.get("_source")
+        if lazy is None or name not in DpTable.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        source, k = lazy
+        vars(self).update(vars(source.table(k)))
+        vars(self).pop("_source", None)
+        return getattr(self, name)
 
 
 def enumerate_c_degradations(q: Channel, n: int) -> list[PPlusPlan]:
@@ -237,24 +271,24 @@ def _stage_maxima(
     width = means.shape[-1]
     alive = ~np.isnan(s_prev)
     alive_any = alive.any(axis=0)
-    best = np.full(rows.shape, np.nan)
-    dec = np.full(rows.shape, -1, dtype=np.int64)
+    best = np.empty(rows.shape)
+    dec = np.empty(rows.shape, dtype=np.int64)
     count = np.zeros(n_inst, dtype=np.int64)
     for r0 in range(0, n_rows, _STAGE_BLOCK):
         blk_rows = slice(r0, r0 + _STAGE_BLOCK)
         a = rows[:, blk_rows, None]
-        cols = np.flatnonzero(alive_any[: a.max() + 1])
+        cols = alive_any[: a.max() + 1].nonzero()[0]
         if cols.size == 0:
+            best[:, blk_rows] = np.nan
+            dec[:, blk_rows] = -1
             continue
         mask = (cols <= a) & alive.take(cols, axis=1)[:, None]
         at = row_at[:, blk_rows, None] + (stage - 1 + cols * (1 - width))
         if pruning:
             lo = stage + cols - 1  # 0-indexed first particle of the new group
             t = _threshold(eps_prev.take(cols, axis=1)[:, None], means.take(at))
-            # Sure failures only: a near-tie must not prune the optimal path.
-            mask &= ~(
-                (t - s.take(lo - 1, axis=1)[:, None] < -PHI_STRICT_TOL)
-                | (s.take(lo, axis=1)[:, None] - t < -PHI_STRICT_TOL)
+            mask &= ~_surely_fails(
+                t, s.take(lo - 1, axis=1)[:, None], s.take(lo, axis=1)[:, None]
             )
         count += mask.reshape(n_inst, -1).sum(axis=1)
         blk = np.where(mask, s_prev.take(cols, axis=1)[:, None] + band.take(at), -np.inf)
@@ -281,10 +315,16 @@ def c_optimal_degradation(
     test, and a state with no such entry is dropped from later stages.
     Every state on an optimal traceback passes its window tests, because
     optimal partial solutions are C-degradations of their sub-channels; the
-    pruned run therefore reaches the same final capacity.  ``evaluations`` counts the
-    entries computed, so the pruned count never exceeds the unpruned one.
-    ``pruning=False`` is the soundness baseline.  This is the batch of one
-    of ``c_optimal_degradations``.
+    pruned run therefore reaches the same final capacity.  ``evaluations``
+    counts the entries computed, so the pruned count never exceeds the
+    unpruned one.  ``pruning=False`` is the soundness baseline.
+
+    With ``pruning``, the plan and ``capacity`` come from the unpruned run
+    when its traceback passes every window test, which makes it the pruned
+    run's traceback too (see ``c_optimal_degradations``); the pruned run then
+    builds the table's other fields when one is first read, with the same
+    values, so ``evaluations`` and ``pruned_states`` keep their meaning.
+    This is the batch of one of ``c_optimal_degradations``.
     """
     return c_optimal_degradations([q], n, pruning)[0]
 
@@ -299,7 +339,35 @@ def c_optimal_degradations(
     values, decisions and pruned flags) equals the channel's single call bit
     for bit.  Raises the single call's ValueError for a channel with m <= n
     and its RuntimeError when any channel has no feasible traceback state.
+
+    With ``pruning``, the plans come from the unpruned DP, certified by the
+    window tests of their own cuts.  A pruned state's value maximizes over a
+    subset of the unpruned candidates, and float addition is monotone, so it
+    never exceeds the unpruned value.  Along an unpruned traceback whose
+    every cut passes its window, each winner therefore stays a candidate of
+    the pruned run (its previous state has the same decision, so the same
+    last group), keeps its value and stays leftmost: the pruned run has the
+    same plan and capacity.  The few channels whose traceback fails run the
+    pruned DP at once; the others' tables are built by one pruned run per
+    stack of channels when a table field other than ``capacity`` is first
+    read.
     """
+    if not pruning:
+        return _eager_degradations(qs, n, False)
+    return [found for stack in _stacks(qs, n) for found in _certified_stack(stack, n)]
+
+
+def _eager_degradations(
+    qs: list[Channel], n: int, pruning: bool
+) -> list[tuple[PPlusPlan, DpTable]]:
+    """``c_optimal_degradations`` with every table built at once, by the
+    DP with or without ``pruning`` (for callers that read every table)."""
+    return [found for stack in _stacks(qs, n) for found in _dp_stack(stack, n, pruning)]
+
+
+def _stacks(qs: list[Channel], n: int) -> list[list[Channel]]:
+    """The channels in stacks of at most _BATCH_ENTRIES table entries, each
+    checked to have more than n particles first."""
     qs = list(qs)
     for q in qs:
         if not (2 <= n < q.size):
@@ -308,14 +376,99 @@ def c_optimal_degradations(
         return []
     m = max(q.size for q in qs)
     chunk = max(1, _BATCH_ENTRIES // ((m - n + 1) * m))
-    out: list[tuple[PPlusPlan, DpTable]] = []
-    for k in range(0, len(qs), chunk):
-        out += _dp_stack(qs[k : k + chunk], n, pruning)
+    return [qs[k : k + chunk] for k in range(0, len(qs), chunk)]
+
+
+def _surely_fails(t: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
+    """Whether a cut between crossovers s_lo and s_hi, of threshold t, surely
+    fails its window test: a margin below -PHI_STRICT_TOL, so a near-tie
+    (which an optimal cut can meet) never fails, nor does a NaN margin."""
+    return (t - s_lo < -PHI_STRICT_TOL) | (s_hi - t < -PHI_STRICT_TOL)
+
+
+class _PrunedTables:
+    """The pruned DP's tables of a stack of channels, run on first read.
+
+    It holds the channels and n until then, not their segment tables.
+    """
+
+    def __init__(self, qs: list[Channel], n: int):
+        self.qs = qs
+        self.n = n
+        self.tables: list[DpTable] | None = None
+
+    def table(self, k: int) -> DpTable:
+        if self.tables is None:
+            self.tables = [table for _, table in _dp_stack(self.qs, self.n, True)]
+        return self.tables[k]
+
+
+def _certified_stack(qs: list[Channel], n: int) -> list[tuple[PPlusPlan, DpTable]]:
+    """The pruned DP's plans and capacities over one stack: the unpruned
+    run's where ``_certified`` holds, the pruned run's elsewhere, and each
+    table built on request where it holds."""
+    cuts, caps, _, means, s = _dp_run(qs, n, False)
+    certified = _certified(qs, cuts, means, s).tolist()
+    failed = [q for q, ok in zip(qs, certified) if not ok]
+    fallback = iter(_dp_stack(failed, n, True) if failed else [])
+    source = _PrunedTables([q for q, ok in zip(qs, certified) if ok], n)
+    lazy = itertools.count()
+    out = []
+    for q, ok, plan, cap in zip(qs, certified, cuts.tolist(), caps.tolist()):
+        if ok:
+            out.append((PPlusPlan(q, tuple(plan)), DpTable._on_request(source, next(lazy), cap)))
+        else:
+            out.append(next(fallback))
     return out
 
 
+def _certified(qs: list[Channel], cuts: np.ndarray, means: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Whether no cut of each traceback surely fails its window test.
+
+    ``cuts`` (B, n - 1) index the stack's (B, size, width) group means and
+    (B, width) crossovers, as ``_dp_run`` returns them.  Each cut's test
+    reads its two groups' table means, as the pruned kernel does for that
+    entry, and the kernel's ``_surely_fails``, so both decide alike.
+    """
+    k = np.arange(len(qs))[:, None]
+    lo = cuts - 1  # 0-indexed first particle of each group after the first
+    starts = np.hstack((np.zeros_like(k), lo))
+    stops = np.hstack((lo, [[q.size] for q in qs]))
+    eps = means[k, stops - starts - 1, starts]
+    t = _threshold(eps[:, :-1], eps[:, 1:])
+    return ~_surely_fails(t, s[k, lo - 1], s[k, lo]).any(axis=1)
+
+
 def _dp_stack(qs: list[Channel], n: int, pruning: bool) -> list[tuple[PPlusPlan, DpTable]]:
-    """The DP over one stack, padded to its largest channel with dead states."""
+    """The DP over one stack, each channel's plan with its table."""
+    cuts, caps, (values, decisions, pruned, evaluations, pruned_states), _, _ = _dp_run(
+        qs, n, pruning
+    )
+    out = []
+    for k, (q, evals, dropped, cap, plan) in enumerate(
+        zip(qs, evaluations.tolist(), pruned_states.tolist(), caps.tolist(), cuts.tolist())
+    ):
+        own = slice(0, q.size - n + 1)  # each stage's own states; the last has one
+        table = DpTable(
+            values=[v[k, own] for v in values],
+            decisions=[d[k, own] for d in decisions],
+            pruned=[p[k, own] for p in pruned],
+            evaluations=evals,
+            pruned_states=dropped,
+            capacity=cap,
+        )
+        out.append((PPlusPlan(q, tuple(plan)), table))
+    return out
+
+
+def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:
+    """The DP over one stack, padded to its largest channel with dead states.
+
+    Returns each channel's cuts (B, n - 1) and capacity (B,); the stage
+    arrays (values, decisions, pruned flags), each (B, size) before the last
+    stage and (B, 1) at it, with the (B,) counters; and the (B, size, width)
+    group means and (B, width) crossovers the run read.
+    """
     m = np.array([q.size for q in qs])
     width = max(q.size for q in qs)
     sizes = m - n + 1
@@ -340,7 +493,8 @@ def _dp_stack(qs: list[Channel], n: int, pruning: bool) -> list[tuple[PPlusPlan,
     # Padding rows are dead in each of the n - 2 stages between the first
     # and the last.
     pruned_states = (2 - n) * (size - sizes)
-    # Mean crossover of each state's last group, per its stored decision.
+    # Mean crossover of each state's last group, per its stored decision
+    # (read by the window tests only).
     eps_prev = means[:, :, 0]
     # Flat index of entry [k, a, 0] of the tables, for row a of instance k.
     row_at = (inst[:, None] * size + rows) * width
@@ -353,37 +507,23 @@ def _dp_stack(qs: list[Channel], n: int, pruning: bool) -> list[tuple[PPlusPlan,
         )
         dead = dec < 0
         evaluations += count
-        pruned_states += dead.sum(axis=1)
         values.append(s_prev)
         decisions.append(dec)
         pruned.append(dead)
-        if stage < n:
+        if pruning and stage < n:
             b = np.maximum(dec, 0)  # a dead state reads any group, then NaN
             eps_prev = np.where(dead, np.nan, means.take(row_at + (stage - 1) + b * (1 - width)))
     if dead.any():
         raise RuntimeError("no feasible traceback state")
+    pruned_states += np.hstack(pruned[1:]).sum(axis=1)
 
     row = np.zeros(len(qs), dtype=np.int64)
     cuts = np.empty((len(qs), n - 1), dtype=np.int64)
     for stage in range(n, 1, -1):
         row = decisions[stage - 1][inst, row]
         cuts[:, stage - 2] = stage + row  # group `stage` starts after state (stage - 1, row)
-
-    out = []
-    for k, (q, evals, dropped, cap, plan) in enumerate(
-        zip(qs, evaluations.tolist(), pruned_states.tolist(), s_prev[:, 0].tolist(), cuts.tolist())
-    ):
-        own = slice(0, q.size - n + 1)  # each stage's own states; the last has one
-        table = DpTable(
-            values=[v[k, own] for v in values],
-            decisions=[d[k, own] for d in decisions],
-            pruned=[p[k, own] for p in pruned],
-            evaluations=evals,
-            pruned_states=dropped,
-            capacity=cap,
-        )
-        out.append((PPlusPlan(q, tuple(plan)), table))
-    return out
+    stages = (values, decisions, pruned, evaluations, pruned_states)
+    return cuts, s_prev[:, 0], stages, means, s
 
 
 def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:

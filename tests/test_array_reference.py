@@ -48,7 +48,7 @@ def _canonicalize_reference(raw):
         if not (0.0 - MERGE_TOL <= sigma <= 0.5 + MERGE_TOL):
             raise ValueError(f"crossover {sigma} outside [0, 1]")
         pairs.append((min(max(sigma, 0.0), 0.5), weight))
-    if abs(total - 1.0) > WEIGHT_SUM_INPUT_TOL:
+    if not abs(total - 1.0) <= WEIGHT_SUM_INPUT_TOL:  # a NaN total fails too
         raise InvalidDistributionError(f"weights sum to {total}, not 1")
     if not pairs:
         raise InvalidDistributionError("no positive-weight particles")
@@ -192,6 +192,8 @@ def test_transforms_match_reference_on_edge_channels(monkeypatch):
         [(0.1, 0.3 + 4e-10), (0.7, 0.2), (0.25, 0.5 + 3e-10)],
         # twins beside ties of distinct weights
         [(0.1, 0.1), (0.1, 0.1), (0.3, 0.2), (0.3, 0.1), (0.3, 0.2), (0.1, 0.3)],
+        # a NaN weight fails the weight-sum check on both sides
+        [(0.1, float("nan")), (0.7, 1.0)],
     ],
 )
 def test_canonicalize_matches_reference_on_edge_inputs(raw):

@@ -127,6 +127,21 @@ def test_plan_validation_errors():
     with pytest.raises(InvalidPlanError, match="split 0.5"):
         # A split above q_3 = 0.4 is rejected, not rewritten to a cut.
         PStarPlan(canonicalize([(0.1, 0.3), (0.2, 0.3), (0.4, 0.4)]), (3,), (0.5,))
+    # Non-integral cuts and indices are rejected, not truncated.
+    for bad in (2.9, 2.5, float("nan"), float("inf"), -float("inf"), np.float64(2.9)):
+        with pytest.raises(InvalidPlanError, match="not an integer"):
+            PPlusPlan(Q3, (bad,))
+        with pytest.raises(InvalidPlanError, match="not an integer"):
+            PStarPlan(Q3, (bad,), (0.1,))
+
+
+def test_plan_entries_accept_integral_values():
+    # Python ints, numpy ints and integral floats all give the same plan.
+    for cut in (2, np.int64(2), np.int32(2), 2.0, np.float64(2.0)):
+        plan = PPlusPlan(Q3, (cut,))
+        assert plan.cuts == (2,) and type(plan.cuts[0]) is int
+        star = PStarPlan(Q3, (cut,), (0.1,))
+        assert star.indices == (2,) and type(star.indices[0]) is int
 
 
 def test_full_split_normalizes_to_cut_form():

@@ -42,8 +42,8 @@ from .refine import (
 )
 from .search import (
     BRUTE_FORCE_GUARD,
+    _eager_degradations,
     brute_force_c_optimal,
-    c_optimal_degradation,
     enumerate_c_degradations,
     tv_greedy_plan,
 )
@@ -100,9 +100,11 @@ def _seed(args) -> int:
 
 
 def _optimal_plan(q: Channel, n: int, pruning: bool):
+    # The report prints the table's counters, so the DP builds its table at
+    # once: one run, where the certified path would add the pruned run.
     if n >= q.size:
         return PPlusPlan(q, tuple(range(2, q.size + 1))), None
-    return c_optimal_degradation(q, n, pruning=pruning)
+    return _eager_degradations([q], n, pruning)[0]
 
 
 # ----------------------------------------------------------------------

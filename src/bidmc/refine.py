@@ -90,17 +90,23 @@ def _threshold(eps_l, eps_r) -> np.ndarray:
     margin compares false, so it never fails, moves or prunes a cut.
     Out-of-domain means are boundary cuts (left mean 0 or right mean 1/2),
     whose structure is forced in any valid plan, or means out of order,
-    which only round-off produces.  A subnormal left mean can overflow
-    d / eps_l to inf, and t then reads 0 where it is about 6e-4 (for
-    eps_r = 0.375), so such a cut passes its window like one beside a left
-    mean of 0.
+    which only round-off produces.  Beside a subnormal left mean d / eps_l
+    overflows to inf; there log1p(d / eps_l) is log(d) - log(eps_l) to
+    round-off, so that form is taken, and t is about 6.6e-4 beside
+    eps_l = 5e-324 and eps_r = 0.375, not 0.  Every finite quotient keeps
+    the log1p form.
     """
     eps_l = np.asarray(eps_l, dtype=np.float64)
     eps_r = np.asarray(eps_r, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = eps_r - eps_l
         num = np.log1p(d / (1.0 - eps_r))
-        t = num / (num + np.log1p(d / eps_l))
+        ratio = d / eps_l
+        den = np.log1p(ratio)
+        over = np.isinf(ratio)
+        if over.any():
+            den = np.where(over, np.log(d) - np.log(eps_l), den)
+        t = num / (num + den)
     return np.where((0.0 < eps_l) & (eps_l < eps_r) & (eps_r < 0.5), t, np.nan)
 
 

@@ -42,7 +42,10 @@ over that triangle directly; the tests check it against SMAWK.  The greedy
 merge baseline ``tv_greedy_plan`` (and ``tv_greedy_degrade``), after Tal &
 Vardy, is included for the capacity-loss comparisons; it keeps the
 adjacent pair losses in a heap with lazy invalidation, so each merge
-re-scores only the merged group's two pairs.
+re-scores only the merged group's two pairs.  It reads every iota from one
+``_segment_table`` bounded as the DP's stacks are (groups of up to
+min(m - n + 1, _BATCH_ENTRIES // m) particles) and sums only a longer
+group forward on its own.
 """
 
 from __future__ import annotations
@@ -205,17 +208,42 @@ def enumerate_c_degradations(q: Channel, n: int) -> list[PPlusPlan]:
 
 
 @lru_cache(maxsize=8)
-def _cut_vectors(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All cut vectors for (m, n) plus their group start/end index arrays."""
-    count = math.comb(m - 1, n - 1)
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(2, m + 1), n - 1)),
-        dtype=np.int64,
-        count=count * (n - 1),
-    ).reshape(count, n - 1)
-    starts = np.hstack([np.ones((count, 1), dtype=np.int64), combos])
-    ends = np.hstack([combos - 1, np.full((count, 1), m, dtype=np.int64)])
-    return combos, starts, ends
+def _cut_vectors(m: int, n: int) -> np.ndarray:
+    """All cut vectors for (m, n), as the band entries of their groups.
+
+    The cut vectors are the (n - 1)-combinations of 2..m in lexicographic
+    order, as ``itertools.combinations`` lists them, so the brute-force
+    tie-break is theirs.  Entry [v, g] is the flat index, in an
+    ``iota_band(q, m - n + 1)`` of m + 1 columns, of group g of cut vector
+    v: (length - 1) * (m + 1) + first particle, so a group's first
+    particle, which is cut g - 1 for g >= 1, is the index modulo m + 1.
+    Read-only, as the cache hands it to every caller.
+    """
+    k = n - 1
+    # Cut j (0-indexed) lies above cut j - 1 and leaves room for the
+    # k - 1 - j after it, so it is at most m - k + 1 + j.  Level j holds
+    # cut j of every admissible prefix, each prefix repeated once per next
+    # cut in rising order, and the index of the prefix it extends.
+    cuts = [np.arange(2, m - k + 2, dtype=np.int64)]
+    parents = []
+    for j in range(1, k):
+        last = cuts[-1]
+        fan = m - k + 1 + j - last
+        parent = np.repeat(np.arange(last.size), fan)
+        cuts.append(np.arange(parent.size) - (np.cumsum(fan) - fan - last - 1)[parent])
+        parents.append(parent)
+    at = np.empty((math.comb(m - 1, k), n), dtype=np.int64)
+    row = slice(None)  # each full cut vector's level-j prefix
+    stop = m + 1  # each vector's first particle after group j + 1
+    for j in range(k - 1, -1, -1):
+        start = cuts[j][row]
+        at[:, j + 1] = (stop - start - 1) * (m + 1) + start
+        stop = start
+        if j:
+            row = parents[j - 1][row]
+    at[:, 0] = (stop - 2) * (m + 1) + 1
+    at.flags.writeable = False
+    return at
 
 
 def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
@@ -231,11 +259,10 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
         raise ValueError(
             f"{math.comb(m - 1, n - 1)} cut vectors exceed the brute-force guard {BRUTE_FORCE_GUARD}"
         )
-    band = iota_band(q, m - n + 1)
-    combos, starts, ends = _cut_vectors(m, n)
-    caps = band[(ends - starts), starts].sum(axis=1)
+    at = _cut_vectors(m, n)
+    caps = iota_band(q, m - n + 1).take(at).sum(axis=1)
     best = int(np.argmax(caps))
-    return PPlusPlan(q, tuple(int(k) for k in combos[best])), float(caps[best])
+    return PPlusPlan(q, tuple((at[best, 1:] % (m + 1)).tolist())), float(caps[best])
 
 
 def _stage_maxima(
@@ -533,20 +560,28 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
     mean loses the least capacity until n groups remain; on tied losses the
     leftmost pair merges.  The pair losses sit in a heap keyed by (loss,
     left edge), so each merge re-scores only the two pairs that touch the
-    merged group: O(m log m) heap steps, and one capacity-term call per
-    merge for the merged group and its two new pairs.
+    merged group: O(m log m) heap steps.  Every iota of a group of up to
+    L = min(m - n + 1, _BATCH_ENTRIES // m) particles (the DP's table
+    depth, capped by its chunk size; at least 2) is read from one bounded
+    ``_segment_table``; only a longer group is summed forward on its own,
+    as the table would sum it.
     """
     m = q.size
     if not (2 <= n <= m):
         raise ValueError(f"need 2 <= n <= m, got n={n}, m={m}")
-    gain, pair = iota_band(q, 2)[:, 1:].tolist()  # each particle, each adjacent pair
+    depth = max(2, min(m - n + 1, _BATCH_ENTRIES // m))
+    band = _band(*_segment_table(q.weights, q.sigmas, depth), m)
+    gain, pair = band[:2].tolist()  # each particle, each adjacent pair
     terms = _segment_terms(q.weights, q.sigmas)
 
-    def iotas(groups: list[tuple[int, int]]) -> list[float]:
-        # Particles a..b-1 (0-indexed) of each group, summed forward as in
-        # _segment_table, so every iota equals its iota_band entry.
-        mass, moment, bias = np.array([np.cumsum(terms[:, a:b], axis=1)[:, -1] for a, b in groups]).T
-        return (mass * _capacity_term(moment / mass, bias / mass)).tolist()
+    def iota(a: int, c: int) -> float:
+        # Particles a..c-1 (0-indexed).  Past the table, the same forward
+        # sums from particle a and the same capacity term give the entry
+        # a deeper table would hold.
+        if c - a <= depth:
+            return band.item(c - a - 1, a)
+        mass, moment, bias = np.cumsum(terms[:, a:c], axis=1)[:, -1]
+        return float(mass * _capacity_term(moment / mass, bias / mass))
 
     # Group edges as a linked list: the live group starting at edge e is
     # [e, nxt[e]), prv[e] is its left neighbour's edge, and gain[e] its
@@ -554,7 +589,7 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
     nxt = list(range(1, m + 2))
     prv = list(range(-1, m))
     # A pair's loss is iota(a, b) + iota(b, c) - iota(a, c) in that order,
-    # from cached iotas equal to recomputed ones, so every loss, and hence
+    # from iotas equal to a full table's entries, so every loss, and hence
     # every merge, matches a full re-scoring scan bit for bit.
     heap = [(gain[a] + gain[a + 1] - pair[a], a, a + 1, a + 2) for a in range(m - 1)]
     heapq.heapify(heap)
@@ -566,19 +601,13 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
         nxt[a] = c
         nxt[b] = -1
         prv[c] = a
-        groups = [(a, c)]
+        gain[a] = iota(a, c)
         if a > 0:
             p = prv[a]
-            groups.append((p, c))
+            heapq.heappush(heap, (gain[p] + gain[a] - iota(p, c), p, a, c))
         if c < m:
             d = nxt[c]
-            groups.append((a, d))
-        vals = iotas(groups)
-        gain[a] = vals[0]
-        if a > 0:
-            heapq.heappush(heap, (gain[p] + gain[a] - vals[1], p, a, c))
-        if c < m:
-            heapq.heappush(heap, (gain[a] + gain[c] - vals[-1], a, c, d))
+            heapq.heappush(heap, (gain[a] + gain[c] - iota(a, d), a, c, d))
     cuts = []
     e = nxt[0]
     while e < m:

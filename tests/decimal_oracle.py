@@ -65,3 +65,27 @@ def plan_capacity(groups: dict[tuple[int, int], Decimal], m: int, cuts) -> Decim
 def optimum(groups: dict[tuple[int, int], Decimal], m: int, n: int) -> Decimal:
     """Largest capacity over all cut plans with n groups."""
     return max(plan_capacity(groups, m, cuts) for cuts in itertools.combinations(range(2, m + 1), n - 1))
+
+
+
+def _log1p(x: Decimal) -> Decimal:
+    """ln(1 + x), by its power series where 1 + x would round x away."""
+    if abs(x) >= Decimal("1e-3"):
+        return (1 + x).ln()
+    total, power, k = Decimal(0), x, 1
+    while power and abs(power) > abs(total).scaleb(-DIGITS - 2):
+        total += power / k
+        power *= -x
+        k += 1
+    return total
+
+
+def threshold(eps_l: float, eps_r: float) -> Decimal:
+    """split_threshold(e1, e2) = ln((1 - e1)/(1 - e2)) / ln((1 - e1) e2 / ((1 - e2) e1)),
+    for float means 0 < e1 < e2 < 1/2, as n / (n + ln(e2 / e1)) with
+    n = ln(1 + (e2 - e1) / (1 - e2)), so no 1 - e rounds a subnormal e away."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        e1, e2 = Decimal(eps_l), Decimal(eps_r)
+        num = _log1p((e2 - e1) / (1 - e2))
+        return num / (num + (e2 / e1).ln())

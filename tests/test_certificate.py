@@ -240,6 +240,7 @@ def test_skewed_channels_match_the_pruned_run(drawn):
 
 def test_a_subnormal_crossover_runs_without_warning():
     # Beside a subnormal left mean, d / eps_l in the threshold overflows;
-    # it reads 0 there, with no RuntimeWarning (an error in this suite).
+    # the threshold takes log(d) - log(eps_l) there, with no RuntimeWarning
+    # (an error in this suite).
     q = canonicalize([(5e-324, 0.99998), (0.25, 1e-5), (0.5, 1e-5)])
     _check_corpus([q], 2)

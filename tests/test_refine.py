@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from bidmc import (
     to_pstar_plan,
 )
 
+import decimal_oracle
 import segment_rows
 from boundary_shift import _boundary_shift_gain
 
@@ -80,6 +82,17 @@ def test_split_threshold_strictly_inside():
         e2 = float(rng.uniform(e1 + 1e-9, 0.5 - 1e-9))
         t = split_threshold(e1, e2)
         assert e1 < t < e2
+
+
+@pytest.mark.parametrize("eps_l", [5e-324, 1e-310, 3e-309])
+def test_threshold_beside_a_subnormal_left_mean_matches_decimal_oracle(eps_l):
+    # d / eps_l overflows for the two smaller left means (at eps_r = 0.375)
+    # and stays finite for the largest.
+    for eps_r in (1e-300, 1e-6, 0.1, 0.375, 0.5 - 1e-9):
+        got = split_threshold(eps_l, eps_r)
+        want = decimal_oracle.threshold(eps_l, eps_r)
+        assert abs(Decimal(got) - want) <= Decimal("1e-14") * want, (eps_l, eps_r, got)
+        assert eps_l < got < eps_r
 
 
 def test_split_threshold_domain_errors():

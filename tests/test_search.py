@@ -33,6 +33,7 @@ from bidmc.refine import _group_stats, _segment_table
 from bidmc.search import iota_band
 
 import decimal_oracle
+from test_acceptance import crit1_combos
 
 Q3 = canonicalize([(0.1, 0.5), (0.2, 0.3), (0.4, 0.2)])
 
@@ -145,6 +146,16 @@ def test_brute_force_guard():
         brute_force_c_optimal(q, 15)
 
 
+@pytest.mark.parametrize("m, n", crit1_combos() + [(2, 2), (3, 2), (5, 5), (9, 8)])
+def test_cut_vectors_match_itertools(m, n):
+    at = search._cut_vectors(m, n)
+    cuts = [(1, *c, m + 1) for c in itertools.combinations(range(2, m + 1), n - 1)]
+    edges = np.array(cuts, dtype=np.int64)
+    # Group g of each cut vector is entry [stop - start, start] of an
+    # iota_band with m + 1 columns, flattened.
+    assert np.array_equal(at, (np.diff(edges) - 1) * (m + 1) + edges[:, :-1])
+
+
 def test_brute_force_optimum_is_c_degradation():
     rng = instance_rng(51, 4)
     for _ in range(40):
@@ -252,10 +263,10 @@ def _tv_greedy_reference(q, n):
     m = q.size
     if not (2 <= n <= m):
         raise ValueError(f"need 2 <= n <= m, got n={n}, m={m}")
-    band = iota_band(q, m)
+    band = iota_band(q, m).tolist()
 
     def iota(a: int, b: int) -> float:  # particles a..b-1, 0-indexed half-open
-        return float(band[b - a - 1, a + 1])
+        return band[b - a - 1][a + 1]
 
     edges = list(range(m + 1))  # group j = [edges[j], edges[j+1])
     while len(edges) - 1 > n:
@@ -287,6 +298,34 @@ def test_tv_greedy_matches_reference():
     cases.append((random_channel(instance_rng(55, 256), 256), 16))
     for q, n in cases:
         assert tv_greedy_plan(q, n).cuts == _tv_greedy_reference(q, n).cuts, (q.size, n)
+
+
+@st.composite
+def _greedy_inputs(draw):
+    """A skewed polar-chain channel and any n from 2 to its size."""
+    q = draw(_polar_chain(draw(st.integers(3, 4))))
+    assume(q.size >= 2)
+    return q, draw(st.integers(2, q.size))
+
+
+@settings(max_examples=40)
+@given(_greedy_inputs(), st.booleans())
+def test_tv_greedy_matches_reference_on_polar_chains(inp, short_table):
+    # With the table budget at 3m the segment table holds groups of at most
+    # three particles, so every longer group takes the forward-sum path.
+    q, n = inp
+    with pytest.MonkeyPatch.context() as patch:
+        if short_table:
+            patch.setattr(search, "_BATCH_ENTRIES", 3 * q.size)
+        got = tv_greedy_plan(q, n).cuts
+    assert got == _tv_greedy_reference(q, n).cuts
+
+
+def test_tv_greedy_matches_reference_past_the_table():
+    # At m = 1024 the table holds groups of up to 128 particles, and the
+    # four final groups are longer.
+    q = random_channel(instance_rng(56, 1024), 1024)
+    assert tv_greedy_plan(q, 4).cuts == _tv_greedy_reference(q, 4).cuts
 
 
 def test_method_ordering_instancewise():

@@ -60,6 +60,7 @@ from .search import (
     brute_force_c_optimal,
     c_optimal_degradation,
     c_optimal_degradations,
+    dp_tables,
     enumerate_c_degradations,
     iota_band,
     tv_greedy_degrade,

@@ -42,8 +42,8 @@ from .refine import (
 )
 from .search import (
     BRUTE_FORCE_GUARD,
-    _eager_degradations,
     brute_force_c_optimal,
+    dp_tables,
     enumerate_c_degradations,
     tv_greedy_plan,
 )
@@ -100,11 +100,11 @@ def _seed(args) -> int:
 
 
 def _optimal_plan(q: Channel, n: int, pruning: bool):
-    # The report prints the table's counters, so the DP builds its table at
-    # once: one run, where the certified path would add the pruned run.
+    # The report prints the table's counters, which dp_tables builds in one
+    # DP run; c_optimal_degradation gives the plan and capacity only.
     if n >= q.size:
         return PPlusPlan(q, tuple(range(2, q.size + 1))), None
-    return _eager_degradations([q], n, pruning)[0]
+    return dp_tables([q], n, pruning)[0]
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .polar import _transforms, construct
 from .refine import PPlusPlan, _realize_pplus_stack, refine_cuts
 from .search import (
     _BATCH_ENTRIES,
-    _eager_degradations,
     c_optimal_degradations,
+    dp_tables,
     enumerate_c_degradations,
     tv_greedy_plan,
 )
@@ -57,15 +57,14 @@ def pplus_stats(seed: int, indices: Sequence[int], m: int, n: int) -> dict:
 
 def opt_clr(seed: int, indices: Sequence[int], m: int, n: int, compare_full: bool = False) -> dict:
     """Optimal-degradation CLR and DP counters of random m-particle channels
-    reduced to n; with ``compare_full``, the unpruned DP's evaluations too.
-    The counters read every table, so the pruned DP builds them at once."""
+    reduced to n; with ``compare_full``, the unpruned DP's evaluations too."""
     qs = [random_channel(instance_rng(seed, i), m) for i in indices]
-    found = _eager_degradations(qs, n, True)
+    found = dp_tables(qs, n, True)
     out = {"clr": np.array([c for c, in _plan_clrs(_capacities(qs), [[p] for p, _ in found])])}
     out["evaluations"] = np.array([table.evaluations for _, table in found])
     out["pruned_states"] = np.array([table.pruned_states for _, table in found])
     if compare_full:
-        full = c_optimal_degradations(qs, n, pruning=False)
+        full = dp_tables(qs, n, False)
         out["evaluations_full"] = np.array([table.evaluations for _, table in full])
     return out
 

@@ -16,13 +16,13 @@ m.  Three searchers are provided:
   traceback passes them, so the pruning is sound).  Ragged sizes are
   padded with dead states, and every entry is computed by the same float
   expression as alone, so each channel's result equals its single call,
-  ``c_optimal_degradation`` (the stack of one), bit for bit.  The pruned
-  DP's plans come from the unpruned kernel: a traceback none of whose cuts
-  surely fails its window test is the pruned run's too, so only the few
-  channels that fail this certificate run the pruned DP at once.  The
-  pruned run builds the other channels' per-stage tables and counters
-  (``evaluations``, ``pruned_states``) when they are first read, with the
-  values and meaning they always had.
+  ``c_optimal_degradation`` (the stack of one), bit for bit.  They return
+  plans and capacities only.  The pruned DP's plans come from the unpruned
+  kernel: a traceback none of whose cuts surely fails its window test is
+  the pruned run's too, so only the few channels that fail this
+  certificate run the pruned DP.  ``dp_tables`` runs the DP with or
+  without pruning and returns each plan with its per-stage tables and
+  counters (``evaluations``, ``pruned_states``).
 
 The DP state value S_j(i) is the maximum partial capacity over degradations
 of the first i particles into j groups:
@@ -51,9 +51,8 @@ group forward on its own.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -76,6 +75,7 @@ __all__ = [
     "brute_force_c_optimal",
     "c_optimal_degradation",
     "c_optimal_degradations",
+    "dp_tables",
     "tv_greedy_plan",
     "tv_greedy_degrade",
 ]
@@ -127,42 +127,16 @@ class DpTable:
     stages before the last, a single entry for the last); NaN marks states
     never computed.  ``decisions[j]`` holds the chosen previous band offset,
     -1 where unavailable.  ``pruned[j]`` flags skipped states.
-
-    A table of a pruned ``c_optimal_degradations`` call whose plan came from
-    the certified unpruned run holds only ``capacity`` at first; reading any
-    other field runs the pruned DP over the call's stack once and fills
-    every table of that stack, with the values an eager run gives.
+    ``evaluations`` counts the entries computed and ``pruned_states`` the
+    states dropped.  ``dp_tables`` builds them.
     """
 
     values: list[np.ndarray]
     decisions: list[np.ndarray]
     pruned: list[np.ndarray]
-    # Factories, not plain defaults, so that no class attribute answers for
-    # the missing fields of a table built on request (see __getattr__).
-    evaluations: int = field(default_factory=int)
-    pruned_states: int = field(default_factory=int)
+    evaluations: int = 0
+    pruned_states: int = 0
     capacity: float = math.nan
-
-    @classmethod
-    def _on_request(cls, source: _PrunedTables, k: int, capacity: float) -> DpTable:
-        """A table of ``capacity`` whose other fields are those of
-        ``source.table(k)``, taken when one is first read."""
-        table = cls.__new__(cls)
-        table.capacity = capacity
-        table._source = (source, k)
-        return table
-
-    def __getattr__(self, name: str):
-        # Reached only for an attribute the instance lacks.  The fields are
-        # written before _source is dropped, so a concurrent read finds one
-        # or the other (a second build gives the same values).
-        lazy = self.__dict__.get("_source")
-        if lazy is None or name not in DpTable.__dataclass_fields__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        source, k = lazy
-        vars(self).update(vars(source.table(k)))
-        vars(self).pop("_source", None)
-        return getattr(self, name)
 
 
 def enumerate_c_degradations(q: Channel, n: int) -> list[PPlusPlan]:
@@ -329,10 +303,8 @@ def _stage_maxima(
     return best, dec, count
 
 
-def c_optimal_degradation(
-    q: Channel, n: int, pruning: bool = True
-) -> tuple[PPlusPlan, DpTable]:
-    """Capacity-optimal cut plan via the dynamic program.
+def c_optimal_degradation(q: Channel, n: int, pruning: bool = True) -> tuple[PPlusPlan, float]:
+    """Capacity-optimal cut plan via the dynamic program, with its capacity.
 
     Every stage, the one-row last stage included, takes the leftmost row
     maxima of its matrix over the alive columns of the lower triangle (see
@@ -342,28 +314,22 @@ def c_optimal_degradation(
     test, and a state with no such entry is dropped from later stages.
     Every state on an optimal traceback passes its window tests, because
     optimal partial solutions are C-degradations of their sub-channels; the
-    pruned run therefore reaches the same final capacity.  ``evaluations``
-    counts the entries computed, so the pruned count never exceeds the
-    unpruned one.  ``pruning=False`` is the soundness baseline.
-
-    With ``pruning``, the plan and ``capacity`` come from the unpruned run
-    when its traceback passes every window test, which makes it the pruned
-    run's traceback too (see ``c_optimal_degradations``); the pruned run then
-    builds the table's other fields when one is first read, with the same
-    values, so ``evaluations`` and ``pruned_states`` keep their meaning.
-    This is the batch of one of ``c_optimal_degradations``.
+    pruned run therefore reaches the same final capacity.  ``pruning=False``
+    is the soundness baseline.  With ``pruning``, the plan and capacity are
+    the pruned run's, taken from the unpruned run where it certifies them (see
+    ``c_optimal_degradations``); ``dp_tables`` gives the tables and
+    counters.  This is the batch of one of ``c_optimal_degradations``.
     """
     return c_optimal_degradations([q], n, pruning)[0]
 
 
 def c_optimal_degradations(
     qs: list[Channel], n: int, pruning: bool = True
-) -> list[tuple[PPlusPlan, DpTable]]:
+) -> list[tuple[PPlusPlan, float]]:
     """``c_optimal_degradation`` of each channel, in one DP over the stack.
 
     The channels, each with more than n particles, run stage by stage
-    together; each result (cuts, capacity, counters and every stage's
-    values, decisions and pruned flags) equals the channel's single call bit
+    together; each plan and capacity equals the channel's single call bit
     for bit.  Raises the single call's ValueError for a channel with m <= n
     and its RuntimeError when any channel has no feasible traceback state.
 
@@ -374,22 +340,49 @@ def c_optimal_degradations(
     every cut passes its window, each winner therefore stays a candidate of
     the pruned run (its previous state has the same decision, so the same
     last group), keeps its value and stays leftmost: the pruned run has the
-    same plan and capacity.  The few channels whose traceback fails run the
-    pruned DP at once; the others' tables are built by one pruned run per
-    stack of channels when a table field other than ``capacity`` is first
-    read.
+    same plan and capacity.  Only the few channels whose traceback fails run
+    the pruned DP.
     """
-    if not pruning:
-        return _eager_degradations(qs, n, False)
-    return [found for stack in _stacks(qs, n) for found in _certified_stack(stack, n)]
+    out = []
+    for stack in _stacks(qs, n):
+        cuts, caps, _, means, s = _dp_run(stack, n, False)
+        if pruning:
+            failed = (~_certified(stack, cuts, means, s)).nonzero()[0]
+            if failed.size:
+                cuts[failed], caps[failed] = _dp_run([stack[k] for k in failed], n, True)[:2]
+        found = zip(stack, cuts.tolist(), caps.tolist())
+        out.extend((PPlusPlan(q, tuple(c)), cap) for q, c, cap in found)
+    return out
 
 
-def _eager_degradations(
-    qs: list[Channel], n: int, pruning: bool
-) -> list[tuple[PPlusPlan, DpTable]]:
-    """``c_optimal_degradations`` with every table built at once, by the
-    DP with or without ``pruning`` (for callers that read every table)."""
-    return [found for stack in _stacks(qs, n) for found in _dp_stack(stack, n, pruning)]
+def dp_tables(qs: list[Channel], n: int, pruning: bool = True) -> list[tuple[PPlusPlan, DpTable]]:
+    """Each channel's plan with its DP table, by the DP with or without
+    ``pruning`` over stacks of the channels.
+
+    Plans and capacities equal ``c_optimal_degradations``'s.  ``evaluations``
+    counts the entries computed, so the pruned count never exceeds the
+    unpruned one, and each table equals the channel's single call bit for
+    bit.
+    """
+    out = []
+    for stack in _stacks(qs, n):
+        cuts, caps, (values, decisions, pruned, evaluations, pruned_states), _, _ = _dp_run(
+            stack, n, pruning
+        )
+        for k, (q, evals, dropped, cap, plan) in enumerate(
+            zip(stack, evaluations.tolist(), pruned_states.tolist(), caps.tolist(), cuts.tolist())
+        ):
+            own = slice(0, q.size - n + 1)  # each stage's own states; the last has one
+            table = DpTable(
+                values=[v[k, own] for v in values],
+                decisions=[d[k, own] for d in decisions],
+                pruned=[p[k, own] for p in pruned],
+                evaluations=evals,
+                pruned_states=dropped,
+                capacity=cap,
+            )
+            out.append((PPlusPlan(q, tuple(plan)), table))
+    return out
 
 
 def _stacks(qs: list[Channel], n: int) -> list[list[Channel]]:
@@ -413,42 +406,6 @@ def _surely_fails(t: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarr
     return (t - s_lo < -PHI_STRICT_TOL) | (s_hi - t < -PHI_STRICT_TOL)
 
 
-class _PrunedTables:
-    """The pruned DP's tables of a stack of channels, run on first read.
-
-    It holds the channels and n until then, not their segment tables.
-    """
-
-    def __init__(self, qs: list[Channel], n: int):
-        self.qs = qs
-        self.n = n
-        self.tables: list[DpTable] | None = None
-
-    def table(self, k: int) -> DpTable:
-        if self.tables is None:
-            self.tables = [table for _, table in _dp_stack(self.qs, self.n, True)]
-        return self.tables[k]
-
-
-def _certified_stack(qs: list[Channel], n: int) -> list[tuple[PPlusPlan, DpTable]]:
-    """The pruned DP's plans and capacities over one stack: the unpruned
-    run's where ``_certified`` holds, the pruned run's elsewhere, and each
-    table built on request where it holds."""
-    cuts, caps, _, means, s = _dp_run(qs, n, False)
-    certified = _certified(qs, cuts, means, s).tolist()
-    failed = [q for q, ok in zip(qs, certified) if not ok]
-    fallback = iter(_dp_stack(failed, n, True) if failed else [])
-    source = _PrunedTables([q for q, ok in zip(qs, certified) if ok], n)
-    lazy = itertools.count()
-    out = []
-    for q, ok, plan, cap in zip(qs, certified, cuts.tolist(), caps.tolist()):
-        if ok:
-            out.append((PPlusPlan(q, tuple(plan)), DpTable._on_request(source, next(lazy), cap)))
-        else:
-            out.append(next(fallback))
-    return out
-
-
 def _certified(qs: list[Channel], cuts: np.ndarray, means: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Whether no cut of each traceback surely fails its window test.
 
@@ -464,28 +421,6 @@ def _certified(qs: list[Channel], cuts: np.ndarray, means: np.ndarray, s: np.nda
     eps = means[k, stops - starts - 1, starts]
     t = _threshold(eps[:, :-1], eps[:, 1:])
     return ~_surely_fails(t, s[k, lo - 1], s[k, lo]).any(axis=1)
-
-
-def _dp_stack(qs: list[Channel], n: int, pruning: bool) -> list[tuple[PPlusPlan, DpTable]]:
-    """The DP over one stack, each channel's plan with its table."""
-    cuts, caps, (values, decisions, pruned, evaluations, pruned_states), _, _ = _dp_run(
-        qs, n, pruning
-    )
-    out = []
-    for k, (q, evals, dropped, cap, plan) in enumerate(
-        zip(qs, evaluations.tolist(), pruned_states.tolist(), caps.tolist(), cuts.tolist())
-    ):
-        own = slice(0, q.size - n + 1)  # each stage's own states; the last has one
-        table = DpTable(
-            values=[v[k, own] for v in values],
-            decisions=[d[k, own] for d in decisions],
-            pruned=[p[k, own] for p in pruned],
-            evaluations=evals,
-            pruned_states=dropped,
-            capacity=cap,
-        )
-        out.append((PPlusPlan(q, tuple(plan)), table))
-    return out
 
 
 def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:

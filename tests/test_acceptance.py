@@ -21,6 +21,7 @@ from bidmc import (
     c_optimal_degradation,
     canonicalize,
     capacity,
+    dp_tables,
     enumerate_c_degradations,
     equivalent,
     error_probability,
@@ -83,9 +84,9 @@ def test_criterion_01_dp_equals_brute_force():
         m, n = combos[int(rng.integers(0, len(combos)))]
         q = random_channel(rng, m)
         _, cap_bf = brute_force_c_optimal(q, n)
-        _, table = c_optimal_degradation(q, n, pruning=True)
-        worst = max(worst, abs(table.capacity - cap_bf))
-        assert abs(table.capacity - cap_bf) <= 1e-9, (i, m, n)
+        _, cap = c_optimal_degradation(q, n, pruning=True)
+        worst = max(worst, abs(cap - cap_bf))
+        assert abs(cap - cap_bf) <= 1e-9, (i, m, n)
     elapsed = time.time() - t0
     verdict(
         1,
@@ -102,8 +103,8 @@ def test_criterion_02_pruning_soundness():
         combos = crit1_combos()
         m, n = combos[int(rng.integers(0, len(combos)))]
         q = random_channel(rng, m)
-        _, tp = c_optimal_degradation(q, n, pruning=True)
-        _, tf = c_optimal_degradation(q, n, pruning=False)
+        _, tp = dp_tables([q], n, True)[0]
+        _, tf = dp_tables([q], n, False)[0]
         assert abs(tp.capacity - tf.capacity) <= 1e-9, (i, m, n)
         assert tp.evaluations <= tf.evaluations, (i, m, n)
         reductions.append(1.0 - tp.evaluations / tf.evaluations)

@@ -2,14 +2,11 @@
 
 With ``pruning`` on, ``c_optimal_degradations`` takes each plan and capacity
 from the unpruned DP when no cut of its traceback surely fails its window
-test, runs the pruned DP at once for the other channels, and builds the
-pruned tables of a stack when one of its tables is first read.  Every
-result must equal the eager pruned run (``search._eager_degradations``)
-bit for bit: cuts, capacity, counters, every stage array and every error.
+test, and runs the pruned DP for the other channels only.  Every plan and
+capacity, of the stack and of the single calls, with ``pruning`` on and off,
+must equal that of ``dp_tables``, which runs the DP it names over every
+channel, bit for bit, and every error must be the same.
 """
-
-import copy
-import pickle
 
 import numpy as np
 import pytest
@@ -21,37 +18,30 @@ from bidmc import (
     c_optimal_degradations,
     canonicalize,
     construct,
+    dp_tables,
     instance_rng,
     random_channel,
 )
 from bidmc import experiments, polar, search
 from bidmc.polar import _transforms
 
-_FIELDS = ("values", "decisions", "pruned", "evaluations", "pruned_states")
 
-
-def _assert_same(got, want):
-    """Cuts and capacity bits first (as a plan-only reader sees them), then
-    every table field, which builds the tables on request."""
-    (plan_g, table_g), (plan_w, table_w) = got, want
-    assert plan_g.cuts == plan_w.cuts
-    assert table_g.capacity.hex() == table_w.capacity.hex()
-    assert table_g.evaluations == table_w.evaluations
-    assert table_g.pruned_states == table_w.pruned_states
-    for field in ("values", "decisions", "pruned"):
-        stages_g, stages_w = getattr(table_g, field), getattr(table_w, field)
-        assert len(stages_g) == len(stages_w), field
-        for g, w in zip(stages_g, stages_w):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes(), field
+def _plans(found):
+    return [(plan.cuts, cap.hex()) for plan, cap in found]
 
 
 def _check_corpus(qs, n):
-    """The public stack and single calls against the eager pruned run."""
-    want = search._eager_degradations(qs, n, True)
-    for got, w in zip(c_optimal_degradations(qs, n), want, strict=True):
-        _assert_same(got, w)
-    for q, w in zip(qs, want):
-        _assert_same(c_optimal_degradation(q, n), w)
+    """The public stack and single calls against ``dp_tables``, with pruning
+    on and off; where ``dp_tables`` raises, the stack call raises alike."""
+    for pruning in (True, False):
+        try:
+            want = _plans((plan, table.capacity) for plan, table in dp_tables(qs, n, pruning))
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=str(exc)):
+                c_optimal_degradations(qs, n, pruning)
+            continue
+        assert _plans(c_optimal_degradations(qs, n, pruning)) == want
+        assert _plans(c_optimal_degradation(q, n, pruning) for q in qs) == want
 
 
 def _certificates(qs, n):
@@ -118,11 +108,11 @@ def test_uncertified_channels_take_the_pruned_plan(bit, size, pruned_cuts, unpru
     q = _fallback_channels()[bit]
     assert q.size == size
     assert not _certificates([q], 4)[0]
-    plan_u, table_u = c_optimal_degradation(q, 4, pruning=False)
-    plan_p, table_p = c_optimal_degradation(q, 4)
+    plan_u, cap_u = c_optimal_degradation(q, 4, pruning=False)
+    plan_p, cap_p = c_optimal_degradation(q, 4)
     assert plan_u.cuts == unpruned_cuts
     assert plan_p.cuts == pruned_cuts
-    assert table_p.capacity.hex() == table_u.capacity.hex()
+    assert cap_p.hex() == cap_u.hex()
     _check_corpus([q], 4)
     # Among certified channels, in any order.
     others = [random_channel(instance_rng(1403, i), 12) for i in range(3)]
@@ -153,46 +143,17 @@ class _Counter:
 
 def test_plans_and_capacities_run_no_pruned_stage(monkeypatch):
     qs = [random_channel(instance_rng(1404, i), 40) for i in range(6)]
+    uncertified = _fallback_channels()[0]
     count = _Counter(monkeypatch)
-    found = c_optimal_degradations(qs, 5)
-    [(p.cuts, t.capacity) for p, t in found]
-    c_optimal_degradation(qs[0], 5)[1].capacity
+    c_optimal_degradations(qs, 5)
+    c_optimal_degradation(qs[0], 5)
     assert count.pruned_stages == 0 and count.runs[True] == []
     assert count.runs[False] == [6, 1]
-
-
-def test_reading_a_field_runs_one_pruned_stack_per_chunk(monkeypatch):
-    qs = [random_channel(instance_rng(1405, i), 24) for i in range(7)]
-    n = 5
-    want = search._eager_degradations(qs, n, True)
-    # Stacks of three channels: 3 + 3 + 1.
-    monkeypatch.setattr(search, "_BATCH_ENTRIES", 3 * 20 * 24)
-    for field in _FIELDS:
-        count = _Counter(monkeypatch)
-        found = c_optimal_degradations(qs, n)
-        assert count.runs == {True: [], False: [3, 3, 1]}
-        getattr(found[4][1], field)
-        assert count.runs[True] == [3]
-        for _, table in found[3:6]:
-            for other in _FIELDS:
-                getattr(table, other)
-        assert count.runs[True] == [3]
-        for got, w in zip(found, want):
-            _assert_same(got, w)
-        assert count.runs[True] == [3, 3, 1]
-
-
-def test_tables_built_on_request_pickle_and_copy():
-    qs = [random_channel(instance_rng(1406, i), 30) for i in range(3)]
-    want = search._eager_degradations(qs, 6, True)
-    for clone in (lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy):
-        found = c_optimal_degradations(qs, 6)
-        for (plan, table), w in zip(found, want):
-            _assert_same((plan, clone(table)), w)
-    table = c_optimal_degradations(qs, 6)[0][1]
-    with pytest.raises(AttributeError):
-        table.no_such_field
-    assert "_source" in vars(table)  # a missing attribute builds nothing
+    # One uncertified channel among certified ones runs the pruned DP alone.
+    others = [random_channel(instance_rng(1403, i), 12) for i in range(3)]
+    count = _Counter(monkeypatch)
+    c_optimal_degradations([others[0], uncertified, others[1], others[2]], 4)
+    assert count.runs == {True: [1], False: [4]}
 
 
 def test_opt_clr_runs_no_unpruned_pass(monkeypatch):
@@ -227,15 +188,7 @@ def _skewed_channels(draw):
 @given(st.lists(_skewed_channels(), min_size=1, max_size=4))
 def test_skewed_channels_match_the_pruned_run(drawn):
     n = drawn[0][1]
-    qs = [q for q, _ in drawn if q.size > n]
-    try:
-        want = search._eager_degradations(qs, n, True)
-    except RuntimeError as exc:
-        with pytest.raises(RuntimeError, match=str(exc)):
-            c_optimal_degradations(qs, n)
-        return
-    for got, w in zip(c_optimal_degradations(qs, n), want, strict=True):
-        _assert_same(got, w)
+    _check_corpus([q for q, _ in drawn if q.size > n], n)
 
 
 def test_a_subnormal_crossover_runs_without_warning():

@@ -292,7 +292,7 @@ def test_internal_error_exits_4(q3_file, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("no feasible traceback state")
 
-    monkeypatch.setattr(cli_mod, "_eager_degradations", fail)
+    monkeypatch.setattr(cli_mod, "dp_tables", fail)
     code, out, err = run_cli(["degrade", q3_file, "--n", "2"], capsys)
     assert code == 4
     assert out == ""

@@ -17,6 +17,7 @@ from bidmc import (
     c_optimal_degradations,
     canonicalize,
     capacity,
+    dp_tables,
     enumerate_c_degradations,
     equivalent,
     error_probability,
@@ -174,10 +175,10 @@ def test_dp_matches_brute_force():
         n = int(rng.integers(2, min(m, 9)))
         q = random_channel(rng, m)
         _, cap = brute_force_c_optimal(q, n)
-        _, table_p = c_optimal_degradation(q, n, pruning=True)
-        _, table_f = c_optimal_degradation(q, n, pruning=False)
-        assert table_p.capacity == pytest.approx(cap, abs=1e-9)
-        assert table_f.capacity == pytest.approx(cap, abs=1e-9)
+        _, cap_p = c_optimal_degradation(q, n, pruning=True)
+        _, cap_f = c_optimal_degradation(q, n, pruning=False)
+        assert cap_p == pytest.approx(cap, abs=1e-9)
+        assert cap_f == pytest.approx(cap, abs=1e-9)
 
 
 def test_dp_plan_capacity_matches_table():
@@ -186,10 +187,8 @@ def test_dp_plan_capacity_matches_table():
         m = int(rng.integers(4, 24))
         n = int(rng.integers(2, min(m, 9)))
         q = random_channel(rng, m)
-        plan, table = c_optimal_degradation(q, n)
-        assert capacity(realize_pplus(plan)) == pytest.approx(
-            table.capacity, abs=1e-9
-        )
+        plan, cap = c_optimal_degradation(q, n)
+        assert capacity(realize_pplus(plan)) == pytest.approx(cap, abs=1e-9)
         assert is_c_degradation(plan)
 
 
@@ -199,8 +198,8 @@ def test_pruned_counter_never_exceeds_full():
         m = int(rng.integers(4, 34))
         n = int(rng.integers(2, min(m, 9)))
         q = random_channel(rng, m)
-        _, tp = c_optimal_degradation(q, n, pruning=True)
-        _, tf = c_optimal_degradation(q, n, pruning=False)
+        _, tp = dp_tables([q], n, True)[0]
+        _, tf = dp_tables([q], n, False)[0]
         assert tp.evaluations <= tf.evaluations
         assert tp.capacity == pytest.approx(tf.capacity, abs=1e-9)
 
@@ -213,8 +212,8 @@ def test_pruning_soundness_tables():
         m = int(rng.integers(5, 14))
         n = int(rng.integers(3, min(m, 7)))
         q = random_channel(rng, m)
-        plan_f, tf = c_optimal_degradation(q, n, pruning=False)
-        plan_p, tp = c_optimal_degradation(q, n, pruning=True)
+        plan_f, tf = dp_tables([q], n, False)[0]
+        plan_p, tp = dp_tables([q], n, True)[0]
         assert tp.capacity == pytest.approx(tf.capacity, abs=1e-9)
         # Pruned stage values never exceed full ones; equal where computed.
         for vals_p, vals_f in zip(tp.values[:-1], tf.values[:-1]):
@@ -234,7 +233,7 @@ def test_dp_decision_band():
         m = int(rng.integers(6, 16))
         n = int(rng.integers(3, min(m, 7)))
         q = random_channel(rng, m)
-        _, table = c_optimal_degradation(q, n, pruning=False)
+        _, table = dp_tables([q], n, False)[0]
         size = m - n + 1
         for stage_idx, dec in enumerate(table.decisions[1:-1], start=2):
             for a, b in enumerate(dec):
@@ -374,8 +373,8 @@ def test_batch_equals_single_calls_on_ragged_stacks(pruning):
         sizes = rng.permutation(np.arange(n + 1, 41))
         qs = [random_channel(rng, int(m)) for m in sizes]
         for stack in (qs, qs[:1]):
-            for q, got in zip(stack, c_optimal_degradations(stack, n, pruning), strict=True):
-                _assert_same_result(got, c_optimal_degradation(q, n, pruning))
+            for q, got in zip(stack, dp_tables(stack, n, pruning), strict=True):
+                _assert_same_result(got, dp_tables([q], n, pruning)[0])
 
 
 @st.composite
@@ -390,8 +389,8 @@ def _polar_chain_stacks(draw):
 @given(_polar_chain_stacks(), st.booleans())
 def test_batch_equals_single_calls_on_polar_chains(stack, pruning):
     qs, n = stack
-    for q, got in zip(qs, c_optimal_degradations(qs, n, pruning), strict=True):
-        _assert_same_result(got, c_optimal_degradation(q, n, pruning))
+    for q, got in zip(qs, dp_tables(qs, n, pruning), strict=True):
+        _assert_same_result(got, dp_tables([q], n, pruning)[0])
 
 
 def test_batch_edge_cases():
@@ -415,12 +414,12 @@ def test_batch_equals_single_calls_with_dead_states(monkeypatch):
         for m in rng.permutation(np.arange(n + 1, 41)):
             q = random_channel(rng, int(m))
             try:
-                singles.append(c_optimal_degradation(q, n))
+                singles.append(dp_tables([q], n, True)[0])
             except RuntimeError:
                 continue
             qs.append(q)
         assert sum(table.pruned_states > 0 for _, table in singles) >= 10
-        for got, want in zip(c_optimal_degradations(qs, n), singles, strict=True):
+        for got, want in zip(dp_tables(qs, n, True), singles, strict=True):
             _assert_same_result(got, want)
 
 

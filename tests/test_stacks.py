@@ -21,6 +21,7 @@ from bidmc import (
     canonicalize,
     capacity,
     capacity_loss_rate,
+    dp_tables,
     enumerate_c_degradations,
     instance_rng,
     random_channel,
@@ -191,8 +192,8 @@ def test_experiment_records_match_per_instance_calls():
     rec = opt_clr(seed, idx, 12, 4, compare_full=True)
     for k, i in enumerate(idx):
         q = random_channel(instance_rng(seed, i), 12)
-        plan, table = c_optimal_degradation(q, 4)
-        full = c_optimal_degradation(q, 4, pruning=False)[1]
+        plan, table = dp_tables([q], 4, True)[0]
+        full = dp_tables([q], 4, False)[0][1]
         want = (*_clrs(q, [plan]), table.evaluations, table.pruned_states, full.evaluations)
         assert tuple(rec[key][k] for key in rec) == want
     rec = arikan_clr(seed, idx, 3, c_stats=True)

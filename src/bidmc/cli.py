@@ -207,6 +207,8 @@ def cmd_enumerate(args) -> int:
     m = chan.size
     if not (2 <= args.n < m):
         raise ValidationError(f"--n must be in [2, {m - 1}], got {args.n}")
+    if args.oracle and math.comb(m - 1, args.n - 1) > BRUTE_FORCE_GUARD:
+        raise ValidationError("oracle infeasible: brute-force guard exceeded")
     plans = enumerate_c_degradations(chan, args.n)
     cap_q = capacity(chan)
     rows = [

@@ -4,11 +4,12 @@ The capacity-optimal 2n-output degradation of Q = sum_i q_i B(sigma_i) is a
 cut plan, so the search space is the cut vectors 1 < k_1 < ... < k_{n-1} <=
 m.  Three searchers are provided:
 
-- ``enumerate_c_degradations``: depth-first enumeration of exactly the cut
-  plans passing every threshold-window test (the C-degradations), one
-  vectorized window test per node and early window cut-off;
-- ``brute_force_c_optimal``: direct maximization over all cut vectors,
-  guarded by a combinatorial bound (the independent oracle);
+- ``enumerate_c_degradations``: exactly the cut plans passing every
+  threshold-window test (the C-degradations), by a level-at-once walk over
+  cut prefixes in bounded chunks, one vectorized window test per chunk;
+- ``brute_force_c_optimal``: direct maximization over all cut vectors, from
+  the same walk without tests, guarded by a combinatorial bound (the
+  independent oracle);
 - ``c_optimal_degradations``: dynamic program over partial degradations
   of a stack of channels that share n, one masked numpy kernel per stage
   over (instance, row, column) blocks, optionally pruning entries whose
@@ -16,13 +17,10 @@ m.  Three searchers are provided:
   traceback passes them, so the pruning is sound).  Ragged sizes are
   padded with dead states, and every entry is computed by the same float
   expression as alone, so each channel's result equals its single call,
-  ``c_optimal_degradation`` (the stack of one), bit for bit.  They return
-  plans and capacities only.  The pruned DP's plans come from the unpruned
-  kernel: a traceback none of whose cuts surely fails its window test is
-  the pruned run's too, so only the few channels that fail this
-  certificate run the pruned DP.  ``dp_tables`` runs the DP with or
-  without pruning and returns each plan with its per-stage tables and
-  counters (``evaluations``, ``pruned_states``).
+  ``c_optimal_degradation`` (the stack of one), bit for bit.  The pruned
+  DP's plans come from the unpruned kernel where none of their cuts surely
+  fails its window test; only the other channels run the pruned DP.
+  ``dp_tables`` also returns each plan's per-stage tables and counters.
 
 The DP state value S_j(i) is the maximum partial capacity over degradations
 of the first i particles into j groups:
@@ -40,12 +38,7 @@ for means within round-off of 1/2.  Stage j's values form a matrix over
 triangle is totally monotone.  The DP takes each row's leftmost maximum
 over that triangle directly; the tests check it against SMAWK.  The greedy
 merge baseline ``tv_greedy_plan`` (and ``tv_greedy_degrade``), after Tal &
-Vardy, is included for the capacity-loss comparisons; it keeps the
-adjacent pair losses in a heap with lazy invalidation, so each merge
-re-scores only the merged group's two pairs.  It reads every iota from one
-``_segment_table`` bounded as the DP's stacks are (groups of up to
-min(m - n + 1, _BATCH_ENTRIES // m) particles) and sums only a longer
-group forward on its own.
+Vardy, is included for the capacity-loss comparisons.
 """
 
 from __future__ import annotations
@@ -140,83 +133,89 @@ class DpTable:
 
 
 def enumerate_c_degradations(q: Channel, n: int) -> list[PPlusPlan]:
-    """All cut plans passing every threshold-window test, in cut order.
-
-    Output equals filtering every cut vector through is_c_degradation; the
-    depth-first search merely skips cut extensions once the running window
-    threshold has passed the upper sigma (the threshold is increasing in
-    the right group's mean).
-    """
+    """All cut plans passing every threshold-window test, in cut order: the
+    cut vectors that is_c_degradation keeps, from the level-at-once walk
+    ``_walk``, which tests each cut once both its groups are known."""
     m = q.size
     if not (2 <= n < m):
         raise ValueError(f"need 2 <= n < m, got n={n}, m={m}")
-    s = q.sigmas
-    _, means, _ = _segment_table(q.weights, s, m - n + 1)
-    out: list[PPlusPlan] = []
-    cuts: list[int] = []
-
-    def rec(j: int, start: int, eps_prev: float) -> None:
-        # Group j starts at particle `start`; each candidate last particle
-        # fixes its mean and, from group 2 on, the window test of cut `start`.
-        ends = np.arange(start, m - n + j + 1)
-        eps = means[ends - start, start - 1]
-        keep = np.ones(ends.size, dtype=bool)
-        if j > 1:
-            t = _threshold(eps_prev, eps)
-            # Once the threshold reaches the upper sigma, no larger group passes.
-            past = np.logical_or.accumulate(s[start - 1] - t <= PHI_STRICT_TOL)
-            keep = ~(past | (t - s[start - 2] <= PHI_STRICT_TOL))
-        if j == n - 1:
-            # The last group, particles end+1..m, fixes the last cut's test.
-            t = _threshold(eps, means[m - 1 - ends, ends])
-            keep &= ~((t - s[ends - 1] <= PHI_STRICT_TOL) | (s[ends] - t <= PHI_STRICT_TOL))
-            out.extend(PPlusPlan(q, (*cuts, end + 1)) for end in ends[keep].tolist())
-            return
-        for end, e in zip(ends[keep].tolist(), eps[keep].tolist()):
-            cuts.append(end + 1)
-            rec(j + 1, end + 1, e)
-            cuts.pop()
-
-    rec(1, 1, 0.0)
-    return out
+    return [PPlusPlan(q, tuple(c)) for c in (_walk(m, n, q)[:, 1:] % (m + 1)).tolist()]
 
 
 @lru_cache(maxsize=8)
 def _cut_vectors(m: int, n: int) -> np.ndarray:
-    """All cut vectors for (m, n), as the band entries of their groups.
-
-    The cut vectors are the (n - 1)-combinations of 2..m in lexicographic
-    order, as ``itertools.combinations`` lists them, so the brute-force
-    tie-break is theirs.  Entry [v, g] is the flat index, in an
-    ``iota_band(q, m - n + 1)`` of m + 1 columns, of group g of cut vector
-    v: (length - 1) * (m + 1) + first particle, so a group's first
-    particle, which is cut g - 1 for g >= 1, is the index modulo m + 1.
-    Read-only, as the cache hands it to every caller.
-    """
-    k = n - 1
-    # Cut j (0-indexed) lies above cut j - 1 and leaves room for the
-    # k - 1 - j after it, so it is at most m - k + 1 + j.  Level j holds
-    # cut j of every admissible prefix, each prefix repeated once per next
-    # cut in rising order, and the index of the prefix it extends.
-    cuts = [np.arange(2, m - k + 2, dtype=np.int64)]
-    parents = []
-    for j in range(1, k):
-        last = cuts[-1]
-        fan = m - k + 1 + j - last
-        parent = np.repeat(np.arange(last.size), fan)
-        cuts.append(np.arange(parent.size) - (np.cumsum(fan) - fan - last - 1)[parent])
-        parents.append(parent)
-    at = np.empty((math.comb(m - 1, k), n), dtype=np.int64)
-    row = slice(None)  # each full cut vector's level-j prefix
-    stop = m + 1  # each vector's first particle after group j + 1
-    for j in range(k - 1, -1, -1):
-        start = cuts[j][row]
-        at[:, j + 1] = (stop - start - 1) * (m + 1) + start
-        stop = start
-        if j:
-            row = parents[j - 1][row]
-    at[:, 0] = (stop - 2) * (m + 1) + 1
+    """All cut vectors for (m, n) (``_walk`` without window tests), read-only,
+    as the cache hands them to every caller."""
+    at = _walk(m, n)
     at.flags.writeable = False
+    return at
+
+
+def _walk(m: int, n: int, q: Channel | None = None) -> np.ndarray:
+    """The cut vectors for (m, n) in ``itertools.combinations`` order over
+    2..m (so the brute-force tie-break is theirs), with ``q`` only those
+    whose every cut passes its window test.  Entry [v, g] is the flat index
+    (length - 1) * (m + 1) + first particle of group g of vector v in an
+    ``iota_band(q, m - n + 1)``, so cut g - 1 is the index modulo m + 1.
+
+    Level j holds each prefix of j cuts as its last cut and the prefix it
+    extends.  It is built in chunks of at most _BATCH_ENTRIES candidates,
+    each prefix in turn with every admissible end of group j in rising
+    order.  With ``q``, a candidate fails with the window test of group j's
+    first cut, after a shorter group j at which that cut's threshold passed
+    the upper sigma (it rises with the right group's mean), or, at the last
+    level, with the last cut's test.  The vectors are traced back in blocks
+    of at most _BATCH_ENTRIES entries.
+    """
+    if q is not None:
+        s = q.sigmas
+        _, means, _ = _segment_table(q.weights, s, m - n + 1)
+    cuts, parents = [np.ones(1, dtype=np.int64)], []  # the root: group 1 starts at 1
+    for j in range(1, n):
+        cut = cuts[-1]
+        fan = m - n + j + 1 - cut  # group j starts at `cut` and ends by m - n + j
+        edge = np.concatenate(([0], np.cumsum(fan)))  # each prefix's first candidate
+        shift = cut - edge[:-1]
+        if q is not None and j > 1:
+            lo = cuts[-2][parents[-1]]  # each prefix's group j - 1, particles lo..cut - 1
+            prev = means.take((cut - 1 - lo) * m + lo - 1)
+        found = [(cut[:0], cut[:0])]  # so that an empty level concatenates
+        p0 = 0
+        while p0 < cut.size:
+            p1 = max(p0 + 1, int(np.searchsorted(edge, edge[p0] + _BATCH_ENTRIES, "right")) - 1)
+            parent = np.repeat(np.arange(p0, p1), fan[p0:p1])
+            end = np.arange(edge[p0], edge[p1]) + shift[parent]  # group j's last particle
+            keep = slice(None)
+            if q is not None:
+                start = cut[parent]
+                eps = means.take((end - start) * m + start - 1)
+                keep = np.ones(end.size, dtype=bool)
+                if j > 1:
+                    t = _threshold(prev[parent], eps)
+                    # Past the threshold's upper sigma: a segmented or-scan per fan.
+                    high = s[start - 1] - t <= PHI_STRICT_TOL
+                    seen = np.cumsum(high)
+                    past = seen > (seen - high)[edge[parent] - edge[p0]]
+                    keep = ~(past | (t - s[start - 2] <= PHI_STRICT_TOL))
+                if j == n - 1:
+                    # The last group, particles end + 1..m, fixes the last cut's test.
+                    t = _threshold(eps, means.take((m - 1 - end) * m + end))
+                    keep &= ~((t - s[end - 1] <= PHI_STRICT_TOL) | (s[end] - t <= PHI_STRICT_TOL))
+            found.append((parent[keep], end[keep] + 1))
+            p0 = p1
+        for level, part in zip((parents, cuts), zip(*found)):
+            level.append(np.concatenate(part))
+    at = np.empty((cuts[-1].size, n), dtype=np.int64)
+    rows = max(1, _BATCH_ENTRIES // n)
+    for r0 in range(0, len(at), rows):
+        row = slice(r0, r0 + rows)  # each vector's level-j prefix
+        stop = m + 1  # each vector's first particle after its group in column j
+        for j in range(n - 1, 0, -1):
+            start = cuts[j][row]
+            at[r0 : r0 + rows, j] = (stop - start - 1) * (m + 1) + start
+            stop = start
+            row = parents[j - 1][row]
+        at[r0 : r0 + rows, 0] = (stop - 2) * (m + 1) + 1
     return at
 
 

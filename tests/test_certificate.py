@@ -8,9 +8,8 @@ must equal that of ``dp_tables``, which runs the DP it names over every
 channel, bit for bit, and every error must be the same.
 """
 
-import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidmc import (
@@ -24,6 +23,8 @@ from bidmc import (
 )
 from bidmc import experiments, polar, search
 from bidmc.polar import _transforms
+
+from skewed_channels import skewed_channels
 
 
 def _plans(found):
@@ -165,27 +166,8 @@ def test_opt_clr_runs_no_unpruned_pass(monkeypatch):
     assert count.runs[False] == [5] and count.runs[True] == [5]
 
 
-@st.composite
-def _skewed_channels(draw):
-    """Channels like iterated polar transforms: masses down to about 1e-18,
-    crossovers within 1e-12 of 0 and of 1/2."""
-    n = draw(st.integers(2, 6))
-    size = draw(st.integers(n + 1, 16))
-    sigma = st.one_of(
-        st.floats(0.0, 1e-12),
-        st.floats(0.5 - 1e-12, 0.5),
-        st.floats(0.0, 0.5),
-    )
-    weight = st.one_of(st.floats(1e-18, 1e-12), st.floats(1e-9, 1e-6), st.floats(1e-3, 1.0))
-    sigmas = draw(st.lists(sigma, min_size=size, max_size=size))
-    weights = np.array(draw(st.lists(weight, min_size=size, max_size=size)))
-    q = canonicalize(np.column_stack((sigmas, weights / weights.sum())))
-    assume(q.size > n)
-    return q, n
-
-
 @settings(max_examples=60)
-@given(st.lists(_skewed_channels(), min_size=1, max_size=4))
+@given(st.lists(skewed_channels(), min_size=1, max_size=4))
 def test_skewed_channels_match_the_pruned_run(drawn):
     n = drawn[0][1]
     _check_corpus([q for q, _ in drawn if q.size > n], n)

@@ -8,12 +8,13 @@ from bidmc.cli import main
 from bidmc.io import (
     ChannelFormatError,
     channel_to_csv,
+    channel_to_json_dict,
     load_channel,
     parse_channel_csv,
     parse_channel_json,
     reduce_transition_matrix,
 )
-from bidmc import bsc, canonicalize, equivalent
+from bidmc import bsc, canonicalize, equivalent, instance_rng, random_channel
 
 Q3_JSON = json.dumps(
     {
@@ -261,6 +262,23 @@ def test_enumerate_sorted_and_top_matches_opt(q3_file, capsys):
     caps = [row["capacity"] for row in report["plans"]]
     assert caps == sorted(caps, reverse=True)
     assert report["plans"][0]["cuts"] == [3]
+
+
+def test_enumerate_oracle_refuses_past_the_brute_force_guard(tmp_path, capsys, monkeypatch):
+    import bidmc.cli as cli_mod
+
+    # The oracle would test C(39, 7) = 15.4M cut vectors, one call each;
+    # the run is refused before it enumerates anything.
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerated past the guard")
+
+    monkeypatch.setattr(cli_mod, "enumerate_c_degradations", fail)
+    path = tmp_path / "q40.json"
+    path.write_text(json.dumps(channel_to_json_dict(random_channel(instance_rng(19, 0), 40))))
+    code, out, err = run_cli(["enumerate", str(path), "--n", "8", "--oracle"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "oracle infeasible" in err
 
 
 def test_check_verdicts(q3_file, tmp_path, capsys):

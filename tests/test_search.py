@@ -34,6 +34,8 @@ from bidmc.refine import _group_stats, _segment_table
 from bidmc.search import iota_band
 
 import decimal_oracle
+from dfs_enumeration import c_degradation_cuts
+from skewed_channels import skewed_channels
 from test_acceptance import crit1_combos
 
 Q3 = canonicalize([(0.1, 0.5), (0.2, 0.3), (0.4, 0.2)])
@@ -113,19 +115,50 @@ def test_enumerate_output_bound_b8():
         assert len(plans) <= math.comb(7, 3) == 35
 
 
+def _filtered_cuts(q, n):
+    return [
+        c
+        for c in itertools.combinations(range(2, q.size + 1), n - 1)
+        if is_c_degradation(PPlusPlan(q, c))
+    ]
+
+
 def test_enumerate_equals_filter():
     rng = instance_rng(51, 2)
     for trial in range(60):
         m = int(rng.integers(4, 13))
         n = int(rng.integers(2, min(m, 7)))
         q = random_channel(rng, m)
-        got = [p.cuts for p in enumerate_c_degradations(q, n)]
-        expect = [
-            c
-            for c in itertools.combinations(range(2, m + 1), n - 1)
-            if is_c_degradation(PPlusPlan(q, c))
-        ]
-        assert got == expect
+        assert [p.cuts for p in enumerate_c_degradations(q, n)] == _filtered_cuts(q, n)
+
+
+@pytest.fixture
+def batch_entries(monkeypatch):
+    """Sets search._BATCH_ENTRIES, with the cut-vector cache cleared before
+    and after, so that each walk runs in the chunks it sets."""
+    search._cut_vectors.cache_clear()
+    yield lambda entries: monkeypatch.setattr(search, "_BATCH_ENTRIES", entries)
+    search._cut_vectors.cache_clear()
+
+
+@pytest.mark.parametrize("per_particle", [0, 1, 3])
+def test_enumerate_in_small_chunks_equals_filter(batch_entries, per_particle):
+    # A few prefixes per chunk, or (at 0) one prefix per chunk and one
+    # vector per traceback block.
+    rng = instance_rng(51, 7)
+    for trial in range(40):
+        m = int(rng.integers(4, 13))
+        n = int(rng.integers(2, min(m, 7)))
+        q = random_channel(rng, m)
+        batch_entries(per_particle * m)
+        assert [p.cuts for p in enumerate_c_degradations(q, n)] == _filtered_cuts(q, n)
+
+
+@settings(max_examples=100)
+@given(skewed_channels())
+def test_enumerate_matches_the_depth_first_oracle_on_skewed_channels(drawn):
+    q, n = drawn
+    assert [p.cuts for p in enumerate_c_degradations(q, n)] == c_degradation_cuts(q, n)
 
 
 def test_brute_force_example():
@@ -149,12 +182,21 @@ def test_brute_force_guard():
 
 @pytest.mark.parametrize("m, n", crit1_combos() + [(2, 2), (3, 2), (5, 5), (9, 8)])
 def test_cut_vectors_match_itertools(m, n):
-    at = search._cut_vectors(m, n)
+    assert np.array_equal(search._cut_vectors(m, n), _itertools_cut_vectors(m, n))
+
+
+@pytest.mark.parametrize("m, n", crit1_combos() + [(2, 2), (3, 2), (5, 5), (9, 8)])
+def test_cut_vectors_in_small_chunks_match_itertools(batch_entries, m, n):
+    batch_entries(4 * m)
+    assert np.array_equal(search._cut_vectors(m, n), _itertools_cut_vectors(m, n))
+
+
+def _itertools_cut_vectors(m, n):
     cuts = [(1, *c, m + 1) for c in itertools.combinations(range(2, m + 1), n - 1)]
     edges = np.array(cuts, dtype=np.int64)
     # Group g of each cut vector is entry [stop - start, start] of an
     # iota_band with m + 1 columns, flattened.
-    assert np.array_equal(at, (np.diff(edges) - 1) * (m + 1) + edges[:, :-1])
+    return (np.diff(edges) - 1) * (m + 1) + edges[:, :-1]
 
 
 def test_brute_force_optimum_is_c_degradation():

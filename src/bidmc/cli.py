@@ -31,7 +31,7 @@ from .channel import (
     lr_functional,
     lr_profile,
 )
-from .io import ChannelFormatError, channel_to_csv, channel_to_json_dict, load_channel
+from .io import ChannelFormatError, _write_channel, channel_to_json_dict, load_channel
 from .polar import arikan_minus, arikan_plus, construct
 from .refine import (
     PPlusPlan,
@@ -65,10 +65,10 @@ class OracleMismatch(Exception):
     pass
 
 
-def _emit(data, fmt: str, output: str | None, csv_rows=None) -> None:
+def _emit(data, fmt: str, output: str | None, csv_rows=None, csv_fields=None) -> None:
     if fmt == "csv" and csv_rows is not None:
         buf = _io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=csv_fields or list(csv_rows[0].keys()))
         writer.writeheader()
         writer.writerows(csv_rows)
         text = buf.getvalue()
@@ -79,16 +79,6 @@ def _emit(data, fmt: str, output: str | None, csv_rows=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_channel(chan: Channel, path: str) -> None:
-    if path.endswith(".csv"):
-        with open(path, "w") as fh:
-            fh.write(channel_to_csv(chan))
-    else:
-        with open(path, "w") as fh:
-            json.dump(channel_to_json_dict(chan), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def _seed(args) -> int:
@@ -230,7 +220,7 @@ def cmd_enumerate(args) -> int:
         {"cuts": " ".join(map(str, r["cuts"])), "capacity": r["capacity"], "clr": r["clr"]}
         for r in rows
     ]
-    _emit(report, args.format, args.output, csv_rows=csv_rows)
+    _emit(report, args.format, args.output, csv_rows, ["cuts", "capacity", "clr"])
     return EXIT_OK
 
 

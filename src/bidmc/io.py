@@ -138,9 +138,24 @@ def parse_channel_csv(text: str) -> Channel:
     return _canonical(raw)
 
 
+def _is_csv(path: Path) -> bool:
+    """The one suffix rule of channel files: CSV for ``.csv`` in any case,
+    JSON otherwise."""
+    return path.suffix.lower() == ".csv"
+
+
 def load_channel(path: str | Path) -> Channel:
     path = Path(path)
     text = path.read_text()
-    if path.suffix.lower() == ".csv":
+    if _is_csv(path):
         return parse_channel_csv(text)
     return parse_channel_json(text)
+
+
+def _write_channel(chan: Channel, path: str | Path) -> None:
+    """Write a channel file in the format ``load_channel`` reads back."""
+    path = Path(path)
+    if _is_csv(path):
+        path.write_text(channel_to_csv(chan))
+    else:
+        path.write_text(json.dumps(channel_to_json_dict(chan), sort_keys=True, indent=2) + "\n")

@@ -63,10 +63,11 @@ __all__ = [
     "is_c_degradation",
 ]
 
-# Window tests treat a threshold within this distance of a boundary sigma as
-# failing: exact equality is a local capacity minimum, so the conservative
-# verdict is "not a C-degradation".  The DP's pruning takes the other side
-# and drops only thresholds beyond a boundary by more than this.
+# Window tests (``_window``) treat a threshold within this distance of a
+# boundary sigma as failing: exact equality is a local capacity minimum, so
+# the conservative verdict is "not a C-degradation".  The DP's pruning and
+# certificate (``_surely_fails``) take the other side and drop only
+# thresholds beyond a boundary by more than this.
 PHI_STRICT_TOL = 1e-12
 
 _MASS_TOL = 1e-15
@@ -108,6 +109,22 @@ def _threshold(eps_l, eps_r) -> np.ndarray:
             den = np.where(over, np.log(d) - np.log(eps_l), den)
         t = num / (num + den)
     return np.where((0.0 < eps_l) & (eps_l < eps_r) & (eps_r < 0.5), t, np.nan)
+
+
+def _window(eps_l, eps_r, s_lo, s_hi) -> tuple[np.ndarray, np.ndarray]:
+    """The strict window test of cuts between crossovers s_lo and s_hi whose
+    groups have means eps_l and eps_r: flags of a threshold within
+    PHI_STRICT_TOL of or past s_lo (low) and s_hi (high)."""
+    t = _threshold(eps_l, eps_r)
+    return t - s_lo <= PHI_STRICT_TOL, s_hi - t <= PHI_STRICT_TOL
+
+
+def _surely_fails(eps_l, eps_r, s_lo, s_hi) -> np.ndarray:
+    """The DP's prune and certificate test of the same cuts: a threshold past
+    s_lo or s_hi by more than PHI_STRICT_TOL, so a near-tie (which an
+    optimal cut can meet) never fails."""
+    t = _threshold(eps_l, eps_r)
+    return (t - s_lo < -PHI_STRICT_TOL) | (s_hi - t < -PHI_STRICT_TOL)
 
 
 def split_threshold(eps1: float, eps2: float) -> float:
@@ -461,8 +478,7 @@ def is_c_degradation(plan: PPlusPlan) -> bool:
     s = plan.source.sigmas
     _, means = plan.group_stats()
     k = np.asarray(plan.cuts, dtype=np.int64)
-    t = _threshold(means[:-1], means[1:])
-    return not bool(((t - s[k - 2] <= PHI_STRICT_TOL) | (s[k - 1] - t <= PHI_STRICT_TOL)).any())
+    return not np.logical_or(*_window(means[:-1], means[1:], s[k - 2], s[k - 1])).any()
 
 
 def refine_cuts(plan: PPlusPlan) -> PPlusPlan:
@@ -481,9 +497,9 @@ def refine_cuts(plan: PPlusPlan) -> PPlusPlan:
         _, means = cur.group_stats()
         k = np.asarray(cuts, dtype=np.int64)
         edges = np.concatenate([[1], k, [plan.source.size + 1]])
-        t = _threshold(means[:-1], means[1:])
-        right = (s[k - 1] - t <= PHI_STRICT_TOL) & (k + 1 < edges[2:])
-        left = (t - s[k - 2] <= PHI_STRICT_TOL) & (k - 1 > edges[:-2])
+        left, right = _window(means[:-1], means[1:], s[k - 2], s[k - 1])
+        right &= k + 1 < edges[2:]
+        left &= k - 1 > edges[:-2]
         move = np.flatnonzero(right | left)
         if move.size == 0:
             return cur

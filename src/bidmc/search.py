@@ -52,11 +52,11 @@ import numpy as np
 
 from .channel import Channel, _capacity_term
 from .refine import (
-    PHI_STRICT_TOL,
     PPlusPlan,
     _segment_table,
     _segment_terms,
-    _threshold,
+    _surely_fails,
+    _window,
     realize_pplus,
 )
 
@@ -161,11 +161,10 @@ def _walk(m: int, n: int, q: Channel | None = None) -> np.ndarray:
     Level j holds each prefix of j cuts as its last cut and the prefix it
     extends.  It is built in chunks of at most _BATCH_ENTRIES candidates,
     each prefix in turn with every admissible end of group j in rising
-    order.  With ``q``, a candidate fails with the window test of group j's
-    first cut, after a shorter group j at which that cut's threshold passed
-    the upper sigma (it rises with the right group's mean), or, at the last
-    level, with the last cut's test.  The vectors are traced back in blocks
-    of at most _BATCH_ENTRIES entries.
+    order.  With ``q``, a candidate fails with ``refine._window`` of group
+    j's first cut or, at the last level, of the last cut, on
+    ``is_c_degradation``'s means.  The vectors are traced back in blocks of
+    at most _BATCH_ENTRIES entries.
     """
     if q is not None:
         s = q.sigmas
@@ -191,16 +190,11 @@ def _walk(m: int, n: int, q: Channel | None = None) -> np.ndarray:
                 eps = means.take((end - start) * m + start - 1)
                 keep = np.ones(end.size, dtype=bool)
                 if j > 1:
-                    t = _threshold(prev[parent], eps)
-                    # Past the threshold's upper sigma: a segmented or-scan per fan.
-                    high = s[start - 1] - t <= PHI_STRICT_TOL
-                    seen = np.cumsum(high)
-                    past = seen > (seen - high)[edge[parent] - edge[p0]]
-                    keep = ~(past | (t - s[start - 2] <= PHI_STRICT_TOL))
+                    keep = ~np.logical_or(*_window(prev[parent], eps, s[start - 2], s[start - 1]))
                 if j == n - 1:
                     # The last group, particles end + 1..m, fixes the last cut's test.
-                    t = _threshold(eps, means.take((m - 1 - end) * m + end))
-                    keep &= ~((t - s[end - 1] <= PHI_STRICT_TOL) | (s[end] - t <= PHI_STRICT_TOL))
+                    last = means.take((m - 1 - end) * m + end)
+                    keep &= ~np.logical_or(*_window(eps, last, s[end - 1], s[end]))
             found.append((parent[keep], end[keep] + 1))
             p0 = p1
         for level, part in zip((parents, cuts), zip(*found)):
@@ -256,8 +250,9 @@ def _stage_maxima(
     starts after the state at column b.  It is a candidate when b <= a
     (so a padding row, a = -1, has none), column b is alive (s_prev not
     NaN) and, with ``pruning``, the cut it commits does not surely fail its
-    window (a margin below -PHI_STRICT_TOL).  A non-candidate or NaN entry
-    reads -inf, so it is never selected.  Each row block reads the columns
+    window (``refine._surely_fails``).  A non-candidate entry reads -inf, so
+    it is never selected; a candidate (an alive state plus a group inside
+    its channel) is finite.  Each row block reads the columns
     alive in any instance, in increasing order, so each instance's maxima,
     leftmost columns and counts are those of the same stage run alone.
     The new group of entry (a, b) is entry [k, a - b, stage + b - 1] of the
@@ -286,16 +281,11 @@ def _stage_maxima(
         at = row_at[:, blk_rows, None] + (stage - 1 + cols * (1 - width))
         if pruning:
             lo = stage + cols - 1  # 0-indexed first particle of the new group
-            t = _threshold(eps_prev.take(cols, axis=1)[:, None], means.take(at))
-            mask &= ~_surely_fails(
-                t, s.take(lo - 1, axis=1)[:, None], s.take(lo, axis=1)[:, None]
-            )
+            s_lo, s_hi = s.take(lo - 1, axis=1)[:, None], s.take(lo, axis=1)[:, None]
+            mask &= ~_surely_fails(eps_prev.take(cols, axis=1)[:, None], means.take(at), s_lo, s_hi)
         count += mask.reshape(n_inst, -1).sum(axis=1)
         blk = np.where(mask, s_prev.take(cols, axis=1)[:, None] + band.take(at), -np.inf)
         top = blk.max(axis=2)
-        if np.isnan(top).any():  # a NaN candidate: rule it out
-            blk[np.isnan(blk)] = -np.inf
-            top = blk.max(axis=2)
         found = top > -np.inf
         best[:, blk_rows] = np.where(found, top, np.nan)
         dec[:, blk_rows] = np.where(found, cols[blk.argmax(axis=2)], -1)
@@ -398,28 +388,20 @@ def _stacks(qs: list[Channel], n: int) -> list[list[Channel]]:
     return [qs[k : k + chunk] for k in range(0, len(qs), chunk)]
 
 
-def _surely_fails(t: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
-    """Whether a cut between crossovers s_lo and s_hi, of threshold t, surely
-    fails its window test: a margin below -PHI_STRICT_TOL, so a near-tie
-    (which an optimal cut can meet) never fails, nor does a NaN margin."""
-    return (t - s_lo < -PHI_STRICT_TOL) | (s_hi - t < -PHI_STRICT_TOL)
-
-
 def _certified(qs: list[Channel], cuts: np.ndarray, means: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Whether no cut of each traceback surely fails its window test.
 
     ``cuts`` (B, n - 1) index the stack's (B, size, width) group means and
     (B, width) crossovers, as ``_dp_run`` returns them.  Each cut's test
     reads its two groups' table means, as the pruned kernel does for that
-    entry, and the kernel's ``_surely_fails``, so both decide alike.
+    entry, and the kernel's ``refine._surely_fails``, so both decide alike.
     """
     k = np.arange(len(qs))[:, None]
     lo = cuts - 1  # 0-indexed first particle of each group after the first
     starts = np.hstack((np.zeros_like(k), lo))
     stops = np.hstack((lo, [[q.size] for q in qs]))
     eps = means[k, stops - starts - 1, starts]
-    t = _threshold(eps[:, :-1], eps[:, 1:])
-    return ~_surely_fails(t, s[k, lo - 1], s[k, lo]).any(axis=1)
+    return ~_surely_fails(eps[:, :-1], eps[:, 1:], s[k, lo - 1], s[k, lo]).any(axis=1)
 
 
 def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:

@@ -14,7 +14,15 @@ from bidmc.io import (
     parse_channel_json,
     reduce_transition_matrix,
 )
-from bidmc import bsc, canonicalize, equivalent, instance_rng, random_channel
+from bidmc import (
+    arikan_minus,
+    bsc,
+    canonicalize,
+    construct,
+    equivalent,
+    instance_rng,
+    random_channel,
+)
 
 Q3_JSON = json.dumps(
     {
@@ -129,6 +137,18 @@ def test_analyze_bsc_and_erasure_files(tmp_path, capsys):
     code, out, _ = run_cli(["analyze", str(bec_path)], capsys)
     assert code == 0
     assert json.loads(out)["capacity"] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["out.csv", "out.CSV"])
+def test_csv_output_channel_reads_back(name, q3_file, tmp_path, capsys):
+    # Writer and loader share one suffix rule, in any case.
+    path = tmp_path / name
+    code, out, _ = run_cli(["degrade", q3_file, "--n", "2", "--output-channel", str(path)], capsys)
+    assert code == 0
+    assert path.read_text().startswith("sigma,q\n")
+    code, _, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0
+    assert channel_to_json_dict(load_channel(path)) == json.loads(out)["channel"]
 
 
 def test_analyze_malformed_input_exits_2(tmp_path, capsys):
@@ -262,6 +282,18 @@ def test_enumerate_sorted_and_top_matches_opt(q3_file, capsys):
     caps = [row["capacity"] for row in report["plans"]]
     assert caps == sorted(caps, reverse=True)
     assert report["plans"][0]["cuts"] == [3]
+
+
+def test_enumerate_csv_without_c_degradations(tmp_path, capsys):
+    # Branch 0000's minus transform: 6 particles within 4.3e-11 of 1/2, no
+    # cut vector of which passes every window at n = 4.
+    run = construct(random_channel(instance_rng(1, 25), 4), 5, 4)
+    path = tmp_path / "q6.json"
+    path.write_text(json.dumps(channel_to_json_dict(arikan_minus(run.records["0000"].quantized))))
+    code, out, _ = run_cli(["enumerate", str(path), "--n", "4"], capsys)
+    assert (code, json.loads(out)["count"]) == (0, 0)
+    code, out, _ = run_cli(["enumerate", str(path), "--n", "4", "--format", "csv"], capsys)
+    assert (code, out) == (0, "cuts,capacity,clr\r\n")
 
 
 def test_enumerate_oracle_refuses_past_the_brute_force_guard(tmp_path, capsys, monkeypatch):

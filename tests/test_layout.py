@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,13 @@ def test_every_library_module_is_imported_by_the_package_or_its_cli():
     )
     loaded = proc.stdout.split()
     assert [m for m in expected if m not in loaded] == []
+
+
+def test_the_threshold_window_rule_lives_in_refine_alone():
+    # The threshold and its tolerance are read only inside bidmc.refine;
+    # every other module takes its window verdicts from refine._window and
+    # refine._surely_fails.
+    src = Path(bidmc.__file__).resolve().parent
+    rule = re.compile(r"\b(_threshold|PHI_STRICT_TOL)\b")
+    named = [p.name for p in sorted(src.glob("*.py")) if p.name != "refine.py" and rule.search(p.read_text())]
+    assert named == []

@@ -29,7 +29,7 @@ from bidmc import (
     tv_greedy_degrade,
     tv_greedy_plan,
 )
-from bidmc import search
+from bidmc import refine, search
 from bidmc.refine import _group_stats, _segment_table
 from bidmc.search import iota_band
 
@@ -159,6 +159,13 @@ def test_enumerate_in_small_chunks_equals_filter(batch_entries, per_particle):
 def test_enumerate_matches_the_depth_first_oracle_on_skewed_channels(drawn):
     q, n = drawn
     assert [p.cuts for p in enumerate_c_degradations(q, n)] == c_degradation_cuts(q, n)
+
+
+@settings(max_examples=100)
+@given(skewed_channels())
+def test_enumerate_equals_filter_on_skewed_channels(drawn):
+    q, n = drawn
+    assert [p.cuts for p in enumerate_c_degradations(q, n)] == _filtered_cuts(q, n)
 
 
 def test_brute_force_example():
@@ -449,7 +456,7 @@ def test_batch_equals_single_calls_with_dead_states(monkeypatch):
     # A negative window tolerance also prunes cuts that pass their window by
     # less than 0.003, so states die inside channels (valid channels almost
     # never lose one): each instance must keep its own alive columns.
-    monkeypatch.setattr(search, "PHI_STRICT_TOL", -3e-3)
+    monkeypatch.setattr(refine, "PHI_STRICT_TOL", -3e-3)
     rng = instance_rng(51, 15)
     for n in (3, 5):
         qs, singles = [], []
@@ -477,7 +484,7 @@ def test_batch_with_an_infeasible_instance_raises(monkeypatch, safe, cuts):
     # defined.  A cut after a group of mean 0 or before one of mean 1/2 has
     # none, so `safe` keeps such cuts, and a channel without them loses
     # every state (at n = 3, a whole stage before the last).
-    monkeypatch.setattr(search, "PHI_STRICT_TOL", -1.0)
+    monkeypatch.setattr(refine, "PHI_STRICT_TOL", -1.0)
     safe = canonicalize(safe)
     bad = random_channel(instance_rng(51, 14), 6)
     n = len(cuts) + 1

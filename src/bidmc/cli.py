@@ -2,9 +2,10 @@
 
 Subcommands: analyze, degrade, enumerate, experiment, polar, check; the
 experiment tables are ``bidmc.experiments``.  Exit codes: 0 ok, 1 usage, 2
-validation (a malformed channel file, a missing file or an invalid option),
-3 oracle mismatch, 4 internal error (a RuntimeError or ValueError raised
-inside the library, reported with the subcommand it stopped).  The
+validation (a malformed channel file, a file that cannot be read or
+written, or an invalid option), 3 oracle mismatch, 4 internal error (a
+RuntimeError or ValueError raised inside the library, reported with the
+subcommand it stopped).  The
 BIDMC_SEED environment variable overrides --seed.  Every output artifact
 records the seed it was produced with; a fixed configuration reproduces
 bit-identical output.
@@ -393,7 +394,7 @@ def main(argv=None) -> int:
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (ChannelFormatError, ValidationError, FileNotFoundError) as exc:
+    except (ChannelFormatError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RuntimeError, ValueError) as exc:

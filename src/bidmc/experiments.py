@@ -55,18 +55,31 @@ def pplus_stats(seed: int, indices: Sequence[int], m: int, n: int) -> dict:
     return {"c_count": counts, "c_clr": np.array([min(c, default=0.0) for c in clrs])}
 
 
-def opt_clr(seed: int, indices: Sequence[int], m: int, n: int, compare_full: bool = False) -> dict:
-    """Optimal-degradation CLR and DP counters of random m-particle channels
-    reduced to n; with ``compare_full``, the unpruned DP's evaluations too."""
+def opt_clr(seed: int, indices: Sequence[int], m: int, n: int) -> dict:
+    """Optimal-degradation CLR of random m-particle channels reduced to n,
+    with plans from ``c_optimal_degradations``."""
+    qs = [random_channel(instance_rng(seed, i), m) for i in indices]
+    return {"clr": _opt_clrs(qs, [plan for plan, _ in c_optimal_degradations(qs, n)])}
+
+
+def _opt_clr_counted(seed: int, indices: Sequence[int], m: int, n: int, compare_full: bool) -> dict:
+    """``opt_clr`` with the pruned DP's counters, the ``opt-clr`` table's
+    record: the CLRs come from the plans of the one pruned ``dp_tables``
+    run; with ``compare_full``, the unpruned DP's evaluations too."""
     qs = [random_channel(instance_rng(seed, i), m) for i in indices]
     found = dp_tables(qs, n, True)
-    out = {"clr": np.array([c for c, in _plan_clrs(_capacities(qs), [[p] for p, _ in found])])}
+    out = {"clr": _opt_clrs(qs, [plan for plan, _ in found])}
     out["evaluations"] = np.array([table.evaluations for _, table in found])
     out["pruned_states"] = np.array([table.pruned_states for _, table in found])
     if compare_full:
         full = dp_tables(qs, n, False)
         out["evaluations_full"] = np.array([table.evaluations for _, table in full])
     return out
+
+
+def _opt_clrs(qs: list, plans: list[PPlusPlan]) -> np.ndarray:
+    """The CLR of each channel's one plan."""
+    return np.array([c for c, in _plan_clrs(_capacities(qs), [[p] for p in plans])])
 
 
 def arikan_clr(seed: int, indices: Sequence[int], n: int, c_stats: bool = False) -> dict:
@@ -140,7 +153,7 @@ def opt_clr_rows(
     """The ``opt-clr`` table: a row per (m, n), 2 <= n < m."""
     rows = []
     cells = [(m, n, compare_full) for m in ms for n in ns]
-    for (m, n, _), rec in _records(opt_clr, seed, samples, jobs, cells):
+    for (m, n, _), rec in _records(_opt_clr_counted, seed, samples, jobs, cells):
         row = {"m": m, "n": n, "samples": samples}
         row["mean_clr"], row["ci95_clr"] = _mean_ci(rec["clr"])
         for key in list(rec)[1:]:  # the DP counters

@@ -111,6 +111,8 @@ def parse_channel_json(text: str) -> Channel:
         return reduce_transition_matrix(data["transition_matrix"])
     if not isinstance(data, dict) or "particles" not in data:
         raise ChannelFormatError('missing "particles" key')
+    if not isinstance(data["particles"], list):
+        raise ChannelFormatError('"particles" must be a list')
     raw = []
     for idx, entry in enumerate(data["particles"]):
         try:
@@ -146,7 +148,10 @@ def _is_csv(path: Path) -> bool:
 
 def load_channel(path: str | Path) -> Channel:
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChannelFormatError(f"not UTF-8 text: {exc}") from exc
     if _is_csv(path):
         return parse_channel_csv(text)
     return parse_channel_json(text)

@@ -20,7 +20,8 @@ m.  Three searchers are provided:
   ``c_optimal_degradation`` (the stack of one), bit for bit.  The pruned
   DP's plans come from the unpruned kernel where none of their cuts surely
   fails its window test; only the other channels run the pruned DP.
-  ``dp_tables`` also returns each plan's per-stage tables and counters.
+  ``dp_tables`` runs the DP it names over every channel and returns each
+  plan with its capacity and counters.
 
 The DP state value S_j(i) is the maximum partial capacity over degradations
 of the first i particles into j groups:
@@ -45,8 +46,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,24 +113,13 @@ def _band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray, m) -> np.ndarray
     return band
 
 
-@dataclass
-class DpTable:
-    """Per-stage maxima, decision pointers and pruning bookkeeping.
+class DpTable(NamedTuple):
+    """A DP run's capacity, the entries it computed (``evaluations``) and
+    the states it dropped (``pruned_states``), as ``dp_tables`` returns them."""
 
-    ``values[j]`` holds S_{j+1} over band offsets (i = j + 1 + offset for
-    stages before the last, a single entry for the last); NaN marks states
-    never computed.  ``decisions[j]`` holds the chosen previous band offset,
-    -1 where unavailable.  ``pruned[j]`` flags skipped states.
-    ``evaluations`` counts the entries computed and ``pruned_states`` the
-    states dropped.  ``dp_tables`` builds them.
-    """
-
-    values: list[np.ndarray]
-    decisions: list[np.ndarray]
-    pruned: list[np.ndarray]
-    evaluations: int = 0
-    pruned_states: int = 0
-    capacity: float = math.nan
+    capacity: float
+    evaluations: int
+    pruned_states: int
 
 
 def enumerate_c_degradations(q: Channel, n: int) -> list[PPlusPlan]:
@@ -306,8 +296,8 @@ def c_optimal_degradation(q: Channel, n: int, pruning: bool = True) -> tuple[PPl
     pruned run therefore reaches the same final capacity.  ``pruning=False``
     is the soundness baseline.  With ``pruning``, the plan and capacity are
     the pruned run's, taken from the unpruned run where it certifies them (see
-    ``c_optimal_degradations``); ``dp_tables`` gives the tables and
-    counters.  This is the batch of one of ``c_optimal_degradations``.
+    ``c_optimal_degradations``); ``dp_tables`` gives the counters.  This
+    is the batch of one of ``c_optimal_degradations``.
     """
     return c_optimal_degradations([q], n, pruning)[0]
 
@@ -345,8 +335,8 @@ def c_optimal_degradations(
 
 
 def dp_tables(qs: list[Channel], n: int, pruning: bool = True) -> list[tuple[PPlusPlan, DpTable]]:
-    """Each channel's plan with its DP table, by the DP with or without
-    ``pruning`` over stacks of the channels.
+    """Each channel's plan with its ``DpTable`` (capacity and counters), by
+    the DP with or without ``pruning`` over stacks of the channels.
 
     Plans and capacities equal ``c_optimal_degradations``'s.  ``evaluations``
     counts the entries computed, so the pruned count never exceeds the
@@ -355,22 +345,9 @@ def dp_tables(qs: list[Channel], n: int, pruning: bool = True) -> list[tuple[PPl
     """
     out = []
     for stack in _stacks(qs, n):
-        cuts, caps, (values, decisions, pruned, evaluations, pruned_states), _, _ = _dp_run(
-            stack, n, pruning
-        )
-        for k, (q, evals, dropped, cap, plan) in enumerate(
-            zip(stack, evaluations.tolist(), pruned_states.tolist(), caps.tolist(), cuts.tolist())
-        ):
-            own = slice(0, q.size - n + 1)  # each stage's own states; the last has one
-            table = DpTable(
-                values=[v[k, own] for v in values],
-                decisions=[d[k, own] for d in decisions],
-                pruned=[p[k, own] for p in pruned],
-                evaluations=evals,
-                pruned_states=dropped,
-                capacity=cap,
-            )
-            out.append((PPlusPlan(q, tuple(plan)), table))
+        cuts, caps, (*_, evaluations, pruned_states), _, _ = _dp_run(stack, n, pruning)
+        found = zip(stack, cuts.tolist(), caps.tolist(), evaluations.tolist(), pruned_states.tolist())
+        out.extend((PPlusPlan(q, tuple(c)), DpTable(*table)) for q, c, *table in found)
     return out
 
 

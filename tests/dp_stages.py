@@ -1,0 +1,33 @@
+"""The DP's per-stage arrays of each channel, read from ``search._dp_run``,
+which keeps them for its traceback; the tests check the stage kernel on them."""
+
+from types import SimpleNamespace
+
+from bidmc import PPlusPlan, search
+
+
+def dp_stage_tables(qs, n, pruning):
+    """Each channel's plan with its run's stage arrays, capacity and counters,
+    by the DP with or without ``pruning`` over stacks of the channels.
+
+    ``values[j]`` holds S_{j+1} over band offsets (i = j + 1 + offset for
+    stages before the last, a single entry for the last); NaN marks states
+    never computed.  ``decisions[j]`` holds the chosen previous band offset,
+    -1 where unavailable.  ``pruned[j]`` flags skipped states.
+    """
+    out = []
+    for stack in search._stacks(qs, n):
+        cuts, caps, stages, _, _ = search._dp_run(stack, n, pruning)
+        values, decisions, pruned, evaluations, pruned_states = stages
+        for k, q in enumerate(stack):
+            own = slice(0, q.size - n + 1)  # each stage's own states; the last has one
+            table = SimpleNamespace(
+                values=[v[k, own] for v in values],
+                decisions=[d[k, own] for d in decisions],
+                pruned=[p[k, own] for p in pruned],
+                evaluations=int(evaluations[k]),
+                pruned_states=int(pruned_states[k]),
+                capacity=float(caps[k]),
+            )
+            out.append((PPlusPlan(q, tuple(cuts[k].tolist())), table))
+    return out

@@ -157,13 +157,32 @@ def test_plans_and_capacities_run_no_pruned_stage(monkeypatch):
     assert count.runs == {True: [1], False: [4]}
 
 
-def test_opt_clr_runs_no_unpruned_pass(monkeypatch):
+def test_opt_clr_record_runs_one_pruned_pass(monkeypatch):
+    # The opt-clr table's record prints the pruned run's counters.
     count = _Counter(monkeypatch)
-    experiments.opt_clr(7, range(5), 24, 5)
+    experiments._opt_clr_counted(7, range(5), 24, 5, False)
     assert count.runs[False] == [] and count.runs[True] == [5]
     count = _Counter(monkeypatch)
-    experiments.opt_clr(7, range(5), 24, 5, compare_full=True)
+    experiments._opt_clr_counted(7, range(5), 24, 5, True)
     assert count.runs[False] == [5] and count.runs[True] == [5]
+
+
+def test_opt_clr_runs_no_pruned_stage_on_certified_channels(monkeypatch):
+    qs = [random_channel(instance_rng(7, i), 24) for i in range(5)]
+    assert _certificates(qs, 5).all()
+    count = _Counter(monkeypatch)
+    experiments.opt_clr(7, range(5), 24, 5)
+    assert count.pruned_stages == 0 and count.runs == {True: [], False: [5]}
+
+
+@pytest.mark.parametrize("m, n", [(16, 4), (16, 10), (128, 4), (128, 10)])
+def test_opt_clr_equals_the_counted_record(m, n):
+    # Criterion 05's seed and first instances of the cell.
+    first = 1_000_000 * m + 10_000 * n
+    idx = range(first, first + 40)
+    got = experiments.opt_clr(105, idx, m, n)["clr"]
+    want = experiments._opt_clr_counted(105, idx, m, n, False)["clr"]
+    assert [c.hex() for c in got.tolist()] == [c.hex() for c in want.tolist()]
 
 
 @settings(max_examples=60)

@@ -208,6 +208,52 @@ def test_transition_matrix_canonicalize_errors_are_format_errors():
         reduce_transition_matrix([[0.9, 0.6], [0.6, 0.9]], tol=1.0)
 
 
+_CHANNEL_COMMANDS = {
+    "analyze": ["analyze", "{channel}"],
+    "degrade": ["degrade", "{channel}", "--n", "2"],
+    "enumerate": ["enumerate", "{channel}", "--n", "2"],
+    "check": ["check", "{channel}", "{q3}"],
+    "polar": ["polar", "{channel}", "--depth", "1", "--n", "2"],
+}
+
+# Each bad input: the channel file's name and bytes (None for a directory),
+# and an output option pointed at a directory.
+_BAD_INPUTS = {
+    "non-utf8-json": ("bad.json", b'{"particles": [{"sigma": 0.1, "q": 1\xff}]}', None),
+    "non-utf8-csv": ("bad.csv", b"sigma,q\n0.1,1\xff\n", None),
+    "particles-number": ("bad.json", b'{"particles": 5}', None),
+    "particles-null": ("bad.json", b'{"particles": null}', None),
+    "channel-directory": ("channel.json", None, None),
+    "output-directory": ("q3.json", Q3_JSON.encode(), "--output"),
+    "witness-directory": ("q3.json", Q3_JSON.encode(), "--emit-witness"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        (command, bad)
+        for command in _CHANNEL_COMMANDS
+        for bad in _BAD_INPUTS
+        if bad != "witness-directory" or command in ("degrade", "check")
+    ],
+)
+def test_unreadable_channel_or_unwritable_output_exits_2(command, bad, tmp_path, q3_file, capsys):
+    name, data, option = _BAD_INPUTS[bad]
+    channel = tmp_path / name
+    if data is None:
+        channel.mkdir()
+    else:
+        channel.write_bytes(data)
+    argv = [a.format(channel=channel, q3=q3_file) for a in _CHANNEL_COMMANDS[command]]
+    if option:
+        (tmp_path / "out").mkdir()
+        argv += [option, str(tmp_path / "out")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_error_exits_1(capsys):
     code, _, _ = run_cli(["degrade"], capsys)
     assert code == 1

@@ -35,6 +35,7 @@ from bidmc.search import iota_band
 
 import decimal_oracle
 from dfs_enumeration import c_degradation_cuts
+from dp_stages import dp_stage_tables
 from skewed_channels import skewed_channels
 from test_acceptance import crit1_combos
 
@@ -261,8 +262,8 @@ def test_pruning_soundness_tables():
         m = int(rng.integers(5, 14))
         n = int(rng.integers(3, min(m, 7)))
         q = random_channel(rng, m)
-        plan_f, tf = dp_tables([q], n, False)[0]
-        plan_p, tp = dp_tables([q], n, True)[0]
+        plan_f, tf = dp_stage_tables([q], n, False)[0]
+        plan_p, tp = dp_stage_tables([q], n, True)[0]
         assert tp.capacity == pytest.approx(tf.capacity, abs=1e-9)
         # Pruned stage values never exceed full ones; equal where computed.
         for vals_p, vals_f in zip(tp.values[:-1], tf.values[:-1]):
@@ -282,7 +283,7 @@ def test_dp_decision_band():
         m = int(rng.integers(6, 16))
         n = int(rng.integers(3, min(m, 7)))
         q = random_channel(rng, m)
-        _, table = dp_tables([q], n, False)[0]
+        _, table = dp_stage_tables([q], n, False)[0]
         size = m - n + 1
         for stage_idx, dec in enumerate(table.decisions[1:-1], start=2):
             for a, b in enumerate(dec):
@@ -422,8 +423,8 @@ def test_batch_equals_single_calls_on_ragged_stacks(pruning):
         sizes = rng.permutation(np.arange(n + 1, 41))
         qs = [random_channel(rng, int(m)) for m in sizes]
         for stack in (qs, qs[:1]):
-            for q, got in zip(stack, dp_tables(stack, n, pruning), strict=True):
-                _assert_same_result(got, dp_tables([q], n, pruning)[0])
+            for q, got in zip(stack, dp_stage_tables(stack, n, pruning), strict=True):
+                _assert_same_result(got, dp_stage_tables([q], n, pruning)[0])
 
 
 @st.composite
@@ -438,8 +439,8 @@ def _polar_chain_stacks(draw):
 @given(_polar_chain_stacks(), st.booleans())
 def test_batch_equals_single_calls_on_polar_chains(stack, pruning):
     qs, n = stack
-    for q, got in zip(qs, dp_tables(qs, n, pruning), strict=True):
-        _assert_same_result(got, dp_tables([q], n, pruning)[0])
+    for q, got in zip(qs, dp_stage_tables(qs, n, pruning), strict=True):
+        _assert_same_result(got, dp_stage_tables([q], n, pruning)[0])
 
 
 def test_batch_edge_cases():
@@ -463,12 +464,12 @@ def test_batch_equals_single_calls_with_dead_states(monkeypatch):
         for m in rng.permutation(np.arange(n + 1, 41)):
             q = random_channel(rng, int(m))
             try:
-                singles.append(dp_tables([q], n, True)[0])
+                singles.append(dp_stage_tables([q], n, True)[0])
             except RuntimeError:
                 continue
             qs.append(q)
         assert sum(table.pruned_states > 0 for _, table in singles) >= 10
-        for got, want in zip(dp_tables(qs, n, True), singles, strict=True):
+        for got, want in zip(dp_stage_tables(qs, n, True), singles, strict=True):
             _assert_same_result(got, want)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 
+from dp_stages import dp_stage_tables
 from smawk import CountingMatrix, StageMatrix, smawk_row_maxima
 
-from bidmc import dp_tables, instance_rng, random_channel
+from bidmc import instance_rng, random_channel
 from bidmc.search import iota_band
 
 
@@ -74,7 +75,7 @@ def test_dp_stage_matrices_match_naive_and_avoid_sentinels():
         size = m - n + 1
         band = iota_band(q, size)
         s_prev = band[np.arange(size), 1]
-        _, table = dp_tables([q], n, False)[0]
+        _, table = dp_stage_tables([q], n, False)[0]
         for stage in range(2, n + 1):
             mat = StageMatrix(stage, s_prev, band, size)
             got = smawk_row_maxima(mat)

@@ -30,7 +30,7 @@ from bidmc import (
     tv_greedy_plan,
 )
 from bidmc.channel import MERGE_TOL, _canonicalize_stack, _capacities
-from bidmc.experiments import arikan_clr, opt_clr, pplus_stats
+from bidmc.experiments import _opt_clr_counted, arikan_clr, pplus_stats
 from bidmc.polar import _transforms
 from bidmc.refine import PPlusPlan, _realize_pplus_stack
 
@@ -189,7 +189,7 @@ def test_experiment_records_match_per_instance_calls():
         q = random_channel(instance_rng(seed, i), 8)
         clrs = _clrs(q, enumerate_c_degradations(q, 3))
         assert (rec["c_count"][k], rec["c_clr"][k]) == (len(clrs), min(clrs))
-    rec = opt_clr(seed, idx, 12, 4, compare_full=True)
+    rec = _opt_clr_counted(seed, idx, 12, 4, True)
     for k, i in enumerate(idx):
         q = random_channel(instance_rng(seed, i), 12)
         plan, table = dp_tables([q], 4, True)[0]

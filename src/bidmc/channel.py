@@ -225,10 +225,10 @@ def _canonicalize_stack(
     - Each member's total is summed in sequence, in input order, as a row
       zero-padded to the largest member.  Zeros change no sum, but the
       padding costs memory, so a stack should hold members of similar size.
-    - The pairs are put in (member, sigma, weight) order: an argsort of each
-      member's row on sigma, the padding last, then one argsort of (tie
-      block, weight rank) keys over just the pairs whose crossovers are
-      equal.  One ``_merge_runs`` replay then folds every member's runs.
+    - The pairs are put in (member, sigma, weight) order: one lexsort on
+      (member, sigma), then one argsort of (tie block, weight rank) keys
+      over just the pairs whose crossovers are equal.  One ``_merge_runs``
+      replay then folds every member's runs.
     - With ``limit``, a member whose canonical form has more than
       ``limit`` particles comes back as None, without Channel validation.
       A running group mean exceeds its largest member by a few ulps at
@@ -249,24 +249,18 @@ def _canonicalize_stack(
         order = sig.argsort()
         s, w = sig[order], wt[order]
     else:
-        # Row k holds member k's kept pairs in input order, padded with
-        # weight 0 and crossover inf, which sorts last.
+        # Row k holds member k's kept weights in input order, padded with 0.
         member = np.repeat(np.arange(n_mem), sizes)[keep]
         count = np.bincount(member, minlength=n_mem)
         start = count.cumsum() - count
-        at = (member, np.arange(member.size) - start[member])
         rows = np.zeros((n_mem, max(count.max(), 1)))
-        rows[at] = wt
+        rows[member, np.arange(member.size) - start[member]] = wt
         total = rows.cumsum(axis=1)[:, -1]
         off = ~(np.abs(total - 1.0) <= WEIGHT_SUM_INPUT_TOL)
         if np.count_nonzero(off):
             raise InvalidDistributionError(f"weights sum to {float(total[off.argmax()])}, not 1")
-        srows = np.full(rows.shape, np.inf)
-        srows[at] = sig
-        width = rows.shape[1]
-        order = srows.argsort(axis=1) + np.arange(0, rows.size, width)[:, None]
-        order = order[np.arange(width) < count[:, None]]
-        s, w = srows.ravel()[order], rows.ravel()[order]
+        order = np.lexsort((sig, member))
+        s, w = sig[order], wt[order]
     gap = s[1:] - s[:-1]
     close = gap <= 2.0 * MERGE_TOL
     if n_mem > 1:

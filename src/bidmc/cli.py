@@ -6,9 +6,14 @@ validation (a malformed channel file, a file that cannot be read or
 written, or an invalid option), 3 oracle mismatch, 4 internal error (a
 RuntimeError or ValueError raised inside the library, reported with the
 subcommand it stopped).  The
-BIDMC_SEED environment variable overrides --seed.  Every output artifact
-records the seed it was produced with; a fixed configuration reproduces
+BIDMC_SEED environment variable overrides --seed.  Every report records
+the seed it was produced with; a fixed configuration reproduces
 bit-identical output.
+
+``main`` is the one read-compute-write step: it resolves the seed and
+checks every output path, then runs the command, which returns its
+artifacts and report as (path, text) pairs, no path meaning stdout;
+``main`` alone writes them.  A run that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import argparse
 import csv
 import io as _io
 import itertools
-import json
 import math
 import os
 import sys
@@ -32,7 +36,7 @@ from .channel import (
     lr_functional,
     lr_profile,
 )
-from .io import ChannelFormatError, _write_channel, channel_to_json_dict, load_channel
+from .io import ChannelFormatError, _channel_text, _json_text, channel_to_json_dict, load_channel
 from .polar import arikan_minus, arikan_plus, construct
 from .refine import (
     PPlusPlan,
@@ -66,20 +70,16 @@ class OracleMismatch(Exception):
     pass
 
 
-def _emit(data, fmt: str, output: str | None, csv_rows=None, csv_fields=None) -> None:
-    if fmt == "csv" and csv_rows is not None:
+def _report(args, data: dict, csv_rows=None, csv_fields=None) -> tuple[str | None, str]:
+    """The report's (path, text): the CSV rows with ``--format csv``, else
+    the JSON of ``data`` and the seed."""
+    if args.format == "csv" and csv_rows is not None:
         buf = _io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=csv_fields or list(csv_rows[0].keys()))
         writer.writeheader()
         writer.writerows(csv_rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return args.output, buf.getvalue()
+    return args.output, _json_text({**data, "seed": args.seed})
 
 
 def _seed(args) -> int:
@@ -102,7 +102,7 @@ def _optimal_plan(q: Channel, n: int, pruning: bool):
 # analyze
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> list:
     chan = load_channel(args.channel)
     cap = capacity(chan)
     perr = error_probability(chan)
@@ -118,17 +118,15 @@ def cmd_analyze(args) -> int:
         "error_probability": perr,
         "particles": chan.size,
         "lr_profile": [[eps, mass] for eps, mass in lr_profile(chan).atoms],
-        "seed": _seed(args),
     }
-    _emit(report, args.format, args.output)
-    return EXIT_OK
+    return [_report(args, report)]
 
 
 # ----------------------------------------------------------------------
 # degrade
 
 
-def cmd_degrade(args) -> int:
+def cmd_degrade(args) -> list:
     chan = load_channel(args.channel)
     m = chan.size
     n = args.n
@@ -177,23 +175,20 @@ def cmd_degrade(args) -> int:
         "evaluations": evaluations,
         "pruned_states": pruned_states,
         "channel": channel_to_json_dict(degraded),
-        "seed": _seed(args),
     }
+    outputs = []
     if args.emit_witness:
-        with open(args.emit_witness, "w") as fh:
-            json.dump(plan_witness(plan).to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        outputs.append((args.emit_witness, _json_text(plan_witness(plan).to_json_dict())))
     if args.output_channel:
-        _write_channel(degraded, args.output_channel)
-    _emit(report, args.format, args.output)
-    return EXIT_OK
+        outputs.append((args.output_channel, _channel_text(degraded, args.output_channel)))
+    return outputs + [_report(args, report)]
 
 
 # ----------------------------------------------------------------------
 # enumerate
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> list:
     chan = load_channel(args.channel)
     m = chan.size
     if not (2 <= args.n < m):
@@ -216,20 +211,19 @@ def cmd_enumerate(args) -> int:
         got = {tuple(r["cuts"]) for r in rows}
         if expect != got:
             raise OracleMismatch(f"enumeration mismatch: {sorted(expect ^ got)}")
-    report = {"n": args.n, "count": len(rows), "plans": rows, "seed": _seed(args)}
+    report = {"n": args.n, "count": len(rows), "plans": rows}
     csv_rows = [
         {"cuts": " ".join(map(str, r["cuts"])), "capacity": r["capacity"], "clr": r["clr"]}
         for r in rows
     ]
-    _emit(report, args.format, args.output, csv_rows, ["cuts", "capacity", "clr"])
-    return EXIT_OK
+    return [_report(args, report, csv_rows, ["cuts", "capacity", "clr"])]
 
 
 # ----------------------------------------------------------------------
 # check
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> list:
     w = load_channel(args.degraded)
     q = load_channel(args.source)
     witness = find_degradation_witness(w, q)
@@ -242,22 +236,18 @@ def cmd_check(args) -> int:
         "capacity_source": capacity(q),
         "error_probability_degraded": error_probability(w),
         "error_probability_source": error_probability(q),
-        "seed": _seed(args),
     }
+    outputs = []
     if args.emit_witness and witness is not None:
-        with open(args.emit_witness, "w") as fh:
-            json.dump(witness.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    _emit(report, args.format, args.output)
-    return EXIT_OK
+        outputs.append((args.emit_witness, _json_text(witness.to_json_dict())))
+    return outputs + [_report(args, report)]
 
 
 # ----------------------------------------------------------------------
 # experiment
 
 
-def cmd_experiment(args) -> int:
-    seed = _seed(args)
+def cmd_experiment(args) -> list:
     for flag in ("samples", "jobs"):
         if getattr(args, flag) < 1:
             raise ValidationError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
@@ -271,15 +261,14 @@ def cmd_experiment(args) -> int:
     for n in [] if grid else args.n:
         _check_quantizer(n, args.depth if args.table == "branch-clr" else 1)
     if args.table == "pplus-stats":
-        rows = experiments.pplus_stats_rows(seed, args.m, args.n, args.samples, args.jobs)
+        rows = experiments.pplus_stats_rows(args.seed, args.m, args.n, args.samples, args.jobs)
     elif args.table == "opt-clr":
-        rows = experiments.opt_clr_rows(seed, args.m, args.n, args.samples, args.jobs, args.compare_full)
+        rows = experiments.opt_clr_rows(args.seed, args.m, args.n, args.samples, args.jobs, args.compare_full)
     elif args.table == "arikan-clr":
-        rows = experiments.arikan_clr_rows(seed, args.n, args.samples, args.jobs, args.c_stats)
+        rows = experiments.arikan_clr_rows(args.seed, args.n, args.samples, args.jobs, args.c_stats)
     else:
-        rows = experiments.branch_clr_rows(seed, args.n, args.samples, args.jobs, args.depth)
-    _emit({"table": args.table, "seed": seed, "rows": rows}, args.format, args.output, csv_rows=rows)
-    return EXIT_OK
+        rows = experiments.branch_clr_rows(args.seed, args.n, args.samples, args.jobs, args.depth)
+    return [_report(args, {"table": args.table, "rows": rows}, csv_rows=rows)]
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +282,7 @@ def _check_quantizer(n: int, depth: int = 1) -> None:
         raise ValidationError(f"--depth must be >= 1, got {depth}")
 
 
-def cmd_polar(args) -> int:
+def cmd_polar(args) -> list:
     _check_quantizer(args.n, args.depth)
     chan = load_channel(args.channel)
     run = construct(chan, args.depth, args.n)
@@ -306,9 +295,8 @@ def cmd_polar(args) -> int:
             if abs(total - 2.0 * capacity(q)) > ORACLE_TOL:
                 raise OracleMismatch(f"capacity conservation fails at branch '{alpha}'")
     rows = [run.records[a].to_json_dict() for a in sorted(run.records, key=lambda a: (len(a), a)) if a]
-    report = {"depth": args.depth, "n": args.n, "branches": rows, "seed": _seed(args)}
-    _emit(report, args.format, args.output, csv_rows=rows)
-    return EXIT_OK
+    report = {"depth": args.depth, "n": args.n, "branches": rows}
+    return [_report(args, report, csv_rows=rows)]
 
 
 # ----------------------------------------------------------------------
@@ -383,6 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValidationError(f"output path {path!r} is a directory")
+    if not os.path.isdir(folder):
+        raise ValidationError(f"output path {path!r} is in a missing directory")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ValidationError(f"output path {path!r} is not writable")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -390,7 +389,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        args.seed = _seed(args)
+        for option in ("output", "emit_witness", "output_channel"):
+            if getattr(args, option, None):
+                _check_output(getattr(args, option))
+        for path, text in args.fn(args):
+            if path:
+                with open(path, "w") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        return EXIT_OK
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return EXIT_ORACLE

@@ -5,13 +5,15 @@ of instances ``instance_rng(seed, i)``, i in indices, as arrays in index
 order.  Its calls are stacked, each equal to its single calls bit for bit,
 so a record does not depend on which instances share its calls, and a
 table's rows, which aggregate instances 0..samples-1 of each cell from
-min(jobs, samples) contiguous batches, do not depend on ``jobs``.
+min(jobs, samples) contiguous batches, do not depend on ``jobs``.  The
+batches run on at most ``os.cpu_count()`` worker processes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from multiprocessing import Pool
 from typing import Sequence
 
@@ -122,7 +124,8 @@ def _records(fn, seed: int, samples: int, jobs: int, cells: list[tuple]):
     edges = [samples * b // k for b in range(k + 1)]
     tasks = [(seed, range(lo, hi), *cell) for cell in cells for lo, hi in zip(edges, edges[1:])]
     if k > 1:
-        with Pool(k) as pool:
+        # The rows depend on the k batches, not on how many processes run them.
+        with Pool(min(k, os.cpu_count() or 1)) as pool:
             parts = pool.starmap(fn, tasks)
     else:
         parts = [fn(*task) for task in tasks]

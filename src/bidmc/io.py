@@ -1,5 +1,8 @@
 """Channel, plan and witness file formats shared by the CLI.
 
+Channel files are read here and produced as text; ``bidmc.cli.main`` writes
+every file.
+
 Channel JSON:   {"particles": [{"sigma": 0.1, "q": 0.5}, ...]}
 Channel CSV:    header ``sigma,q`` then one particle per line
 Transition JSON: {"transition_matrix": [[...], [...]]} with two row-
@@ -41,6 +44,12 @@ def _canonical(raw) -> Channel:
         return canonicalize(raw)
     except ValueError as exc:
         raise ChannelFormatError(str(exc)) from exc
+
+
+def _json_text(data) -> str:
+    """The one JSON layout of every file and report: sorted keys, indent 2,
+    a final newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def channel_to_json_dict(chan: Channel) -> dict:
@@ -149,7 +158,7 @@ def _is_csv(path: Path) -> bool:
 def load_channel(path: str | Path) -> Channel:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ChannelFormatError(f"not UTF-8 text: {exc}") from exc
     if _is_csv(path):
@@ -157,10 +166,6 @@ def load_channel(path: str | Path) -> Channel:
     return parse_channel_json(text)
 
 
-def _write_channel(chan: Channel, path: str | Path) -> None:
-    """Write a channel file in the format ``load_channel`` reads back."""
-    path = Path(path)
-    if _is_csv(path):
-        path.write_text(channel_to_csv(chan))
-    else:
-        path.write_text(json.dumps(channel_to_json_dict(chan), sort_keys=True, indent=2) + "\n")
+def _channel_text(chan: Channel, path: str | Path) -> str:
+    """A channel file's text, in the format ``load_channel`` reads back from ``path``."""
+    return channel_to_csv(chan) if _is_csv(Path(path)) else _json_text(channel_to_json_dict(chan))

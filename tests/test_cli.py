@@ -254,6 +254,74 @@ def test_unreadable_channel_or_unwritable_output_exits_2(command, bad, tmp_path,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad_output", ["directory", "missing-directory"])
+def test_bad_output_path_exits_2_and_writes_nothing(bad_output, q3_file, tmp_path, capsys):
+    # Every output path is checked before the command runs, so the witness
+    # and channel files named before the bad report path are not written.
+    (tmp_path / "out").mkdir()
+    output = tmp_path / "out" if bad_output == "directory" else tmp_path / "missing" / "report.json"
+    wit_path, chan_path = tmp_path / "w.json", tmp_path / "red.json"
+    code, out, err = run_cli(
+        ["degrade", q3_file, "--n", "2", "--emit-witness", str(wit_path),
+         "--output-channel", str(chan_path), "--output", str(output)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not wit_path.exists() and not chan_path.exists()
+
+
+def test_experiment_bad_output_exits_2_before_computing(tmp_path, capsys, monkeypatch):
+    import bidmc.experiments as experiments_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the table was computed")
+
+    monkeypatch.setattr(experiments_mod, "_opt_clr_counted", fail)
+    code, out, err = run_cli(
+        ["experiment", "--table", "opt-clr", "--samples", "4", "--output", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [*_CHANNEL_COMMANDS, "experiment"])
+def test_malformed_seed_env_exits_2_before_any_work(command, q3_file, capsys, monkeypatch):
+    import bidmc.cli as cli_mod
+    import bidmc.experiments as experiments_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(cli_mod, "load_channel", fail)
+    monkeypatch.setattr(experiments_mod, "_records", fail)
+    monkeypatch.setenv("BIDMC_SEED", "abc")
+    argv = _CHANNEL_COMMANDS.get(command, ["experiment", "--table", "opt-clr", "--samples", "4"])
+    code, out, err = run_cli([a.format(channel=q3_file, q3=q3_file) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: BIDMC_SEED")
+
+
+@pytest.mark.parametrize(
+    "suffix, text",
+    [(".json", Q3_JSON), (".csv", "sigma,q\n0.1,0.5\n0.2,0.3\n0.4,0.2\n")],
+    ids=["json", "csv"],
+)
+def test_channel_file_with_byte_order_mark_reads_as_without(suffix, text, tmp_path, capsys):
+    plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, expected, _ = run_cli(["analyze", str(plain)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["analyze", str(marked)], capsys)
+    assert code == 0
+    assert out == expected
+
+
 def test_usage_error_exits_1(capsys):
     code, _, _ = run_cli(["degrade"], capsys)
     assert code == 1
@@ -480,6 +548,38 @@ def test_experiment_jobs_stable(table, capsys):
     if table[0] == "opt-clr":
         row = json.loads(out1)["rows"][0]
         assert row["mean_evaluations"] <= row["mean_evaluations_full"]
+
+
+def test_experiment_jobs_capped_at_cpu_count(monkeypatch):
+    # A fake Pool records the processes asked for and runs the batches
+    # serially, so no worker process starts.
+    import os
+
+    import bidmc.experiments as experiments_mod
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(experiments_mod, "Pool", FakePool)
+    serial = experiments_mod.pplus_stats_rows(3, [8], [4], 64, jobs=1)
+    assert asked == []
+    assert experiments_mod.pplus_stats_rows(3, [8], [4], 64, jobs=64) == serial
+    assert len(asked) == 1 and asked[0] <= (os.cpu_count() or 1)
+    monkeypatch.setattr(experiments_mod.os, "cpu_count", lambda: 3)
+    assert experiments_mod.pplus_stats_rows(3, [8], [4], 64, jobs=64) == serial
+    assert asked[-1] == 3
 
 
 def test_experiment_seed_env_override(capsys, monkeypatch):

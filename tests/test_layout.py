@@ -30,3 +30,11 @@ def test_the_threshold_window_rule_lives_in_refine_alone():
     rule = re.compile(r"\b(_threshold|PHI_STRICT_TOL)\b")
     named = [p.name for p in sorted(src.glob("*.py")) if p.name != "refine.py" and rule.search(p.read_text())]
     assert named == []
+
+
+def test_only_the_cli_writes_files():
+    # Library modules return text; bidmc.cli's main is the one writer.
+    src = Path(bidmc.__file__).resolve().parent
+    writes = re.compile(r"\bopen\(|\.write_text\(|\.write\(")
+    named = [p.name for p in sorted(src.glob("*.py")) if p.name != "cli.py" and writes.search(p.read_text())]
+    assert named == []

@@ -254,6 +254,23 @@ def test_pruned_counter_never_exceeds_full():
         assert tp.capacity == pytest.approx(tf.capacity, abs=1e-9)
 
 
+def test_unpruned_dp_counts_every_alive_lower_triangle_entry():
+    # With s = m - n + 1 states per stage, each of stages 2..n-1 computes the
+    # s(s + 1)/2 entries of its lower triangle and the last stage the s
+    # entries of its one row; nothing is pruned.
+    rng = instance_rng(51, 10)
+    qs = [random_channel(rng, 40) for _ in range(6)]
+    qs += [arikan_plus(random_channel(instance_rng(52, i), 6)) for i in range(6)]
+    for n in range(4, 11):
+        for q in qs:
+            if q.size <= n:
+                continue
+            _, table = dp_tables([q], n, False)[0]
+            s = q.size - n + 1
+            assert table.evaluations == (n - 2) * s * (s + 1) // 2 + s
+            assert table.pruned_states == 0
+
+
 def test_pruning_soundness_tables():
     # No state on the full run's optimal traceback may be pruned, and the
     # pruned values match the full values wherever both exist.

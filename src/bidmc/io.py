@@ -124,6 +124,15 @@ def parse_channel_json(text: str) -> Channel:
         raise ChannelFormatError('"particles" must be a list')
     raw = []
     for idx, entry in enumerate(data["particles"]):
+        # float() would read a JSON boolean as 0 or 1, and a list or string
+        # entry would fail on indexing with a message that names no form.
+        numbers = isinstance(entry, dict) and not any(
+            isinstance(entry.get(key), bool) for key in ("sigma", "q")
+        )
+        if not numbers:
+            raise ChannelFormatError(
+                f'particle {idx}: expected {{"sigma": number, "q": number}}, got {json.dumps(entry)}'
+            )
         try:
             raw.append((float(entry["sigma"]), float(entry["q"])))
         except (KeyError, TypeError, ValueError) as exc:

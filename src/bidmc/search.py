@@ -11,17 +11,20 @@ m.  Three searchers are provided:
   the same walk without tests, guarded by a combinatorial bound (the
   independent oracle);
 - ``c_optimal_degradations``: dynamic program over partial degradations
-  of a stack of channels that share n, one masked numpy kernel per stage
-  over (instance, row, column) blocks, optionally pruning entries whose
-  committed cut surely fails a threshold-window test (every optimal
-  traceback passes them, so the pruning is sound).  Ragged sizes are
-  padded with dead states, and every entry is computed by the same float
-  expression as alone, so each channel's result equals its single call,
-  ``c_optimal_degradation`` (the stack of one), bit for bit.  The pruned
-  DP's plans come from the unpruned kernel where none of their cuts surely
-  fails its window test; only the other channels run the pruned DP.
-  ``dp_tables`` runs the DP it names over every channel and returns each
-  plan with its capacity and counters.
+  of a stack of channels that share n, one numpy kernel per stage over
+  staircase (instance, row, column) blocks of the lower triangle: a gather
+  from the capacity band (entries above the diagonal read its -inf
+  sentinel), an add of the previous values (dead ones as -inf) and a row
+  argmax.  It optionally prunes entries whose committed cut surely fails a
+  threshold-window test (every optimal traceback passes them, so the
+  pruning is sound).  Ragged sizes are padded with dead states, and every
+  entry is computed by the same float expression as alone, so each
+  channel's result equals its single call, ``c_optimal_degradation`` (the
+  stack of one), bit for bit.  The pruned DP's plans come from the
+  unpruned kernel where none of their cuts surely fails its window test;
+  only the other channels run the pruned DP.  ``dp_tables`` runs the DP it
+  names over every channel and returns each plan with its capacity and
+  counters.
 
 The DP state value S_j(i) is the maximum partial capacity over degradations
 of the first i particles into j groups:
@@ -76,15 +79,20 @@ __all__ = [
 
 BRUTE_FORCE_GUARD = 10**6
 
-# Rows per block of the stage kernel, which bounds its temporaries to
-# about _STAGE_BLOCK x m entries per instance.
-_STAGE_BLOCK = 32
+# Rows per staircase block of the stage kernel, which bounds its
+# temporaries to about _STAGE_BLOCK x m entries per instance.  A single
+# block per stage would compute the whole square, and fewer rows pay more
+# fixed cost per block: on a 2-core Xeon VM, single m = 128 DP runs took
+# 7-12% less time with pruning (4-5% without) at 64 rows than at 32, and
+# stacks of 8 the same.
+_STAGE_BLOCK = 64
 
 # Table entries (states x particles) per stack of c_optimal_degradations;
 # larger stacks run in chunks.  At 2^17 (1 MiB per table) the tables the
-# stage kernel gathers from stay in cache: on a 2-core Xeon VM, m = 128,
-# n = 10 took 3.3 ms per instance against 3.9 ms at 2^20, and m = 16 the
-# same.
+# stage kernel gathers from stay in cache: on a 2-core Xeon VM, criterion
+# 05's stacks at m = 128, n = 10 took 0.94-1.26 ms per instance at 2^16
+# and 2^17 against 1.19-1.53 ms at 2^18 (m = 32 and 64 alike), and
+# m = 16 the same at all three.
 _BATCH_ENTRIES = 1 << 17
 
 
@@ -222,10 +230,31 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
     return PPlusPlan(q, tuple((at[best, 1:] % (m + 1)).tolist())), float(caps[best])
 
 
+def _stage_layout(rows: np.ndarray, row_at: np.ndarray, width: int) -> tuple[list, np.ndarray]:
+    """Where the stage kernel reads rows ``rows`` (B, R) from: -1 marks a
+    padding row, and row a of instance k starts at flat index row_at[k, r]
+    of the (B, size, width) tables.
+
+    Returns one (B, block rows, columns) offset grid per staircase block of
+    _STAGE_BLOCK rows, each with the flat start of its rows, and each
+    instance's number of lower-triangle entries (a + 1 in row a).  Grid
+    entry [k, r, c] is row_at[k, r] + c (1 - width), the flat index of
+    table entry [k, a - c, c], for c <= a, and -1 above the diagonal and on
+    padding rows.  A block's columns run up to its largest row, so the
+    blocks cover the lower triangle.  No entry depends on the stage.
+    """
+    blocks = []
+    for r0 in range(0, rows.shape[1], _STAGE_BLOCK):
+        a = rows[:, r0 : r0 + _STAGE_BLOCK, None]
+        cols = np.arange(a.max() + 1)
+        grid = np.where(cols <= a, row_at[:, r0 : r0 + _STAGE_BLOCK, None] + cols * (1 - width), -1)
+        blocks.append((grid, np.arange(0, grid.size, cols.size).reshape(a.shape[:2])))
+    return blocks, (rows + 1).sum(axis=1)
+
+
 def _stage_maxima(
     stage: int,
-    rows: np.ndarray,
-    row_at: np.ndarray,
+    layout: tuple[list, np.ndarray],
     s_prev: np.ndarray,
     eps_prev: np.ndarray,
     band: np.ndarray,
@@ -236,49 +265,51 @@ def _stage_maxima(
     """Leftmost row maxima of one DP stage over a stack of instances.
 
     Instance k's entry (a, b) is s_prev[k, b] + iota(stage + b, stage + a):
-    row a = rows[k, r] covers particles up to stage + a, and the new group
-    starts after the state at column b.  It is a candidate when b <= a
-    (so a padding row, a = -1, has none), column b is alive (s_prev not
-    NaN) and, with ``pruning``, the cut it commits does not surely fail its
-    window (``refine._surely_fails``).  A non-candidate entry reads -inf, so
-    it is never selected; a candidate (an alive state plus a group inside
-    its channel) is finite.  Each row block reads the columns
-    alive in any instance, in increasing order, so each instance's maxima,
-    leftmost columns and counts are those of the same stage run alone.
-    The new group of entry (a, b) is entry [k, a - b, stage + b - 1] of the
-    (B, size, width) tables ``band`` and ``means``, at flat index
-    row_at[k, r] + stage - 1 + b (1 - width); above the diagonal (b > a)
-    that wraps to other entries, which the mask drops.  Returns the maxima
-    (NaN for a row without candidates), their columns (-1 there) and each
-    instance's number of candidates.
+    row a covers particles up to stage + a, and the new group starts after
+    the state at column b.  It is a candidate when b <= a, column b is
+    alive (s_prev not NaN) and, with ``pruning``, the cut it commits does
+    not surely fail its window (``refine._surely_fails``).  ``band`` and
+    ``means`` are the flattened (B, size, width) tables with one sentinel
+    appended, -inf and NaN, and the new group of entry (a, b) is at flat
+    index grid + stage - 1 of ``layout`` (see ``_stage_layout``), so a -1
+    offset reads the sentinel.  Each row block then takes three passes: one
+    gather from the band, one add of the previous values (a dead column's
+    NaN as -inf) and one argmax, whose value is read back.  An entry is
+    finite exactly when it is a candidate; with ``pruning`` the failures
+    are set to -inf before the argmax.  Each candidate is the same float
+    sum as in the stage run alone, and the columns run in the same order,
+    so each instance's maxima, leftmost columns and counts are those of
+    its stage alone.  Returns the maxima (NaN for a row without
+    candidates), their columns (-1 there) and each instance's number of
+    candidates.
     """
-    n_inst, n_rows = rows.shape
-    width = means.shape[-1]
-    alive = ~np.isnan(s_prev)
-    alive_any = alive.any(axis=0)
-    best = np.empty(rows.shape)
-    dec = np.empty(rows.shape, dtype=np.int64)
-    count = np.zeros(n_inst, dtype=np.int64)
-    for r0 in range(0, n_rows, _STAGE_BLOCK):
-        blk_rows = slice(r0, r0 + _STAGE_BLOCK)
-        a = rows[:, blk_rows, None]
-        cols = alive_any[: a.max() + 1].nonzero()[0]
-        if cols.size == 0:
-            best[:, blk_rows] = np.nan
-            dec[:, blk_rows] = -1
-            continue
-        mask = (cols <= a) & alive.take(cols, axis=1)[:, None]
-        at = row_at[:, blk_rows, None] + (stage - 1 + cols * (1 - width))
+    blocks, entries = layout
+    prev = np.where(np.isnan(s_prev), -np.inf, s_prev)[:, None]
+    gather = band[stage - 1 :]
+    shape = (len(s_prev), sum(grid.shape[1] for grid, _ in blocks))
+    best = np.empty(shape)
+    dec = np.empty(shape, dtype=np.int64)
+    # Unpruned, column 0 is a candidate of every live row, so every live
+    # state stays alive and each lower-triangle entry is a candidate.
+    count = 0 if pruning else entries
+    r0 = 0
+    for grid, starts in blocks:
+        cols = grid.shape[-1]
+        r1 = r0 + grid.shape[1]
+        blk = gather.take(grid)
+        blk += prev[..., :cols]
         if pruning:
-            lo = stage + cols - 1  # 0-indexed first particle of the new group
-            s_lo, s_hi = s.take(lo - 1, axis=1)[:, None], s.take(lo, axis=1)[:, None]
-            mask &= ~_surely_fails(eps_prev.take(cols, axis=1)[:, None], means.take(at), s_lo, s_hi)
-        count += mask.reshape(n_inst, -1).sum(axis=1)
-        blk = np.where(mask, s_prev.take(cols, axis=1)[:, None] + band.take(at), -np.inf)
-        top = blk.max(axis=2)
-        found = top > -np.inf
-        best[:, blk_rows] = np.where(found, top, np.nan)
-        dec[:, blk_rows] = np.where(found, cols[blk.argmax(axis=2)], -1)
+            s_lo = s[:, None, stage - 2 : stage - 2 + cols]  # beside the new group's first particle
+            s_hi = s[:, None, stage - 1 : stage - 1 + cols]
+            eps = means[stage - 1 :].take(grid)
+            blk[_surely_fails(eps_prev[:, None, :cols], eps, s_lo, s_hi)] = -np.inf
+            count += np.isfinite(blk).sum(axis=(1, 2))
+        dec[:, r0:r1] = at = blk.argmax(axis=2)
+        best[:, r0:r1] = blk.ravel().take(starts + at)
+        r0 = r1
+    found = best > -np.inf
+    best[~found] = np.nan
+    dec[~found] = -1
     return best, dec, count
 
 
@@ -384,10 +415,13 @@ def _certified(qs: list[Channel], cuts: np.ndarray, means: np.ndarray, s: np.nda
 def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:
     """The DP over one stack, padded to its largest channel with dead states.
 
-    Returns each channel's cuts (B, n - 1) and capacity (B,); the stage
-    arrays (values, decisions, pruned flags), each (B, size) before the last
-    stage and (B, 1) at it, with the (B,) counters; and the (B, size, width)
-    group means and (B, width) crossovers the run read.
+    The kernel's gather offsets (``_stage_layout``) are built once for the
+    stages before the last and once for the last stage's one row per
+    instance, and it reads the band and means with their sentinels
+    appended.  Returns each channel's cuts (B, n - 1) and capacity (B,);
+    the stage arrays (values, decisions, pruned flags), each (B, size)
+    before the last stage and (B, 1) at it, with the (B,) counters; and the
+    (B, size, width) group means and (B, width) crossovers the run read.
     """
     m = np.array([q.size for q in qs])
     width = max(q.size for q in qs)
@@ -400,6 +434,8 @@ def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:
         s[k, : q.size] = q.sigmas
     mass, means, xbar = _segment_table(w, s, size)
     band = _band(mass, means, xbar, m)
+    band_end = np.append(band, -np.inf)
+    means_end = np.append(means, np.nan) if pruning else None
     offsets = np.arange(size)
     inst = np.arange(len(qs))
     live = offsets < sizes[:, None]
@@ -418,12 +454,14 @@ def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:
     eps_prev = means[:, :, 0]
     # Flat index of entry [k, a, 0] of the tables, for row a of instance k.
     row_at = (inst[:, None] * size + rows) * width
+    layout = _stage_layout(rows, row_at, width)
     for stage in range(2, n + 1):
         if stage == n:
             rows = (sizes - 1)[:, None]
             row_at = (inst[:, None] * size + rows) * width
+            layout = _stage_layout(rows, row_at, width)
         s_prev, dec, count = _stage_maxima(
-            stage, rows, row_at, s_prev, eps_prev, band, means, s, pruning
+            stage, layout, s_prev, eps_prev, band_end, means_end, s, pruning
         )
         dead = dec < 0
         evaluations += count

@@ -75,6 +75,41 @@ def test_parse_channel_json_diagnostics():
         parse_channel_json("{not json")
 
 
+_PARTICLE_FORM = 'expected {"sigma": number, "q": number}'
+
+
+@pytest.mark.parametrize(
+    "particles, index",
+    [
+        # float(True) is 1.0: a noiseless particle once reflected.
+        ([{"sigma": True, "q": 0.5}, {"sigma": 0.2, "q": 0.5}], 0),
+        ([{"sigma": 0.1, "q": 0.5}, {"sigma": 0.2, "q": False}], 1),
+        ([[0.1, 0.5], [0.2, 0.5]], 0),
+        ([{"sigma": 0.1, "q": 0.5}, "0.2,0.5"], 1),
+        ([{"sigma": 0.1, "q": 0.5}, None], 1),
+    ],
+    ids=["sigma-true", "q-false", "list-entry", "string-entry", "null-entry"],
+)
+def test_particle_entries_must_be_objects_of_numbers(particles, index, tmp_path, capsys):
+    text = json.dumps({"particles": particles})
+    with pytest.raises(ChannelFormatError) as exc:
+        parse_channel_json(text)
+    assert str(exc.value).startswith(f"particle {index}: {_PARTICLE_FORM}, got ")
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {exc.value}\n"
+
+
+def test_particle_numbers_load_as_floats():
+    # Integers and numeric strings are numbers float() reads alike.
+    got = parse_channel_json('{"particles": [{"sigma": 0, "q": 1}]}')
+    assert equivalent(got, bsc(0.0))
+    assert equivalent(parse_channel_json('{"particles": [{"sigma": "0.1", "q": 1}]}'), bsc(0.1))
+
+
 def test_reduce_transition_matrix_bsc():
     chan = reduce_transition_matrix([[0.9, 0.1], [0.1, 0.9]])
     assert equivalent(chan, bsc(0.1))

@@ -251,13 +251,9 @@ class BayesRiskCurve:
 
 def bayes_risk_curve(w: Channel) -> BayesRiskCurve:
     """Bayes risk curve of a canonical channel, with its breakpoint set."""
-    pts = {0.0, 1.0}
-    for p in w.particles:
-        pts.add(p.sigma)
-        pts.add(1.0 - p.sigma)
-    return BayesRiskCurve(
-        w.sigmas.copy(), w.weights.copy(), np.array(sorted(pts), dtype=np.float64)
-    )
+    s = w.sigmas
+    pts = np.unique(np.concatenate(([0.0, 1.0], s, 1.0 - s)))
+    return BayesRiskCurve(s.copy(), w.weights.copy(), pts)
 
 
 def risk_dominates(w: Channel, q: Channel, tol: float = WITNESS_TOL) -> bool:

@@ -335,8 +335,12 @@ def _merge_runs(s: np.ndarray, w: np.ndarray, head: np.ndarray) -> tuple[np.ndar
     MERGE_TOL of its group's running mean is folded into it, any other
     opens a group and gets its ``head`` flag set.  The last run left
     finishes in a scalar loop, which is faster than numpy steps over one
-    pair each.
+    pair each.  The masses are folded scaled by 2^1000, which is exact and
+    keeps subnormal ones at full precision (at most 1 + 1e-9 each, so no
+    sum overflows): a fold of subnormal products could land a mean on its
+    neighbour's.
     """
+    w = w * 2.0**1000
     gs, gw = s.copy(), w.copy()
     start = head.nonzero()[0]
     length = np.diff(np.append(start, s.size))
@@ -371,7 +375,7 @@ def _merge_runs(s: np.ndarray, w: np.ndarray, head: np.ndarray) -> tuple[np.ndar
                 head[k] = True
                 c, g, m = k, sk, wk
         gs[c], gw[c] = g, m
-    return gs[head], gw[head]
+    return gs[head], gw[head] * 2.0**-1000
 
 
 def bsc(eps: float) -> Channel:

@@ -126,14 +126,23 @@ def cmd_analyze(args) -> list:
 # degrade
 
 
+def _check_n(n: int, m: int, least: int) -> None:
+    """--n must be in [2, m - least + 2] for a command that needs ``least``
+    particles; a smaller channel is named as too small."""
+    if m < least:
+        raise ValidationError(f"--n needs a channel of at least {least} particles, this one has {m}")
+    if not (2 <= n <= m - least + 2):
+        raise ValidationError(f"--n must be in [2, {m - least + 2}], got {n}")
+
+
 def cmd_degrade(args) -> list:
     chan = load_channel(args.channel)
     m = chan.size
     n = args.n
     if args.method != "mean" and n is None:
         raise ValidationError("--n is required for this method")
-    if n is not None and not (2 <= n <= m):
-        raise ValidationError(f"--n must be in [2, {m}], got {n}")
+    if n is not None:
+        _check_n(n, m, 2)
     evaluations = None
     pruned_states = None
     if args.method == "mean":
@@ -191,8 +200,7 @@ def cmd_degrade(args) -> list:
 def cmd_enumerate(args) -> list:
     chan = load_channel(args.channel)
     m = chan.size
-    if not (2 <= args.n < m):
-        raise ValidationError(f"--n must be in [2, {m - 1}], got {args.n}")
+    _check_n(args.n, m, 3)
     if args.oracle and math.comb(m - 1, args.n - 1) > BRUTE_FORCE_GUARD:
         raise ValidationError("oracle infeasible: brute-force guard exceeded")
     plans = enumerate_c_degradations(chan, args.n)

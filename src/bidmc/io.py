@@ -89,6 +89,7 @@ def reduce_transition_matrix(rows: list[list[float]], tol: float = 1e-9) -> Chan
     sums = mat.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > tol):
         raise ChannelFormatError(f"transition rows sum to {sums.tolist()}, not 1")
+    mat = np.maximum(mat, 0.0)  # entries within tol below 0 count as 0
     outputs = []
     for a, b in mat.T:
         mass = (a + b) / 2.0

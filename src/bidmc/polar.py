@@ -73,11 +73,11 @@ def diamond(a, b):
 def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Unordered pairs i <= j of m particles: i, j, the mass factor c_ij and the diagonal.
 
-    Built once per size as read-only arrays, like ``search._cut_vectors``:
-    ``np.triu_indices`` alone takes about 20 us at m = 4 (on a 2-core Xeon
-    VM), and most transforms of a construction are of channels of at most
-    n particles.  The indices are int32, which halves the index arrays the
-    cache keeps alive for the exact chain's large sizes.
+    Built once per size as read-only arrays: ``np.triu_indices`` alone
+    takes about 20 us at m = 4 (on a 2-core Xeon VM), and most transforms
+    of a construction are of channels of at most n particles.  The indices
+    are int32, which halves the index arrays the cache keeps alive for the
+    exact chain's large sizes.
     """
     i, j = (a.astype(np.int32) for a in np.triu_indices(m))
     diag = i == j

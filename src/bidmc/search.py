@@ -7,9 +7,10 @@ m.  Three searchers are provided:
 - ``enumerate_c_degradations``: exactly the cut plans passing every
   threshold-window test (the C-degradations), by a level-at-once walk over
   cut prefixes in bounded chunks, one vectorized window test per chunk;
-- ``brute_force_c_optimal``: direct maximization over all cut vectors, from
-  the same walk without tests, guarded by a combinatorial bound (the
-  independent oracle);
+- ``brute_force_c_optimal``: direct maximization over all cut vectors,
+  whose capacities are summed along the levels of the same walk without
+  tests, each vector's groups left to right as the DP sums its stages;
+  guarded by a combinatorial bound (the independent oracle);
 - ``c_optimal_degradations``: dynamic program over partial degradations
   of a stack of channels that share n, one numpy kernel per stage over
   staircase (instance, row, column) blocks of the lower triangle: a gather
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -137,32 +137,23 @@ def enumerate_c_degradations(q: Channel, n: int) -> list[PPlusPlan]:
     m = q.size
     if not (2 <= n < m):
         raise ValueError(f"need 2 <= n < m, got n={n}, m={m}")
-    return [PPlusPlan(q, tuple(c)) for c in (_walk(m, n, q)[:, 1:] % (m + 1)).tolist()]
+    cuts, parents = _walk(m, n, q)
+    return [PPlusPlan(q, tuple(c)) for c in _trace(cuts, parents, np.arange(cuts[-1].size)).tolist()]
 
 
-@lru_cache(maxsize=8)
-def _cut_vectors(m: int, n: int) -> np.ndarray:
-    """All cut vectors for (m, n) (``_walk`` without window tests), read-only,
-    as the cache hands them to every caller."""
-    at = _walk(m, n)
-    at.flags.writeable = False
-    return at
+def _walk(m: int, n: int, q: Channel | None = None) -> tuple[list, list]:
+    """The cut vectors for (m, n) as levels of prefixes, the last level in
+    ``itertools.combinations`` order over 2..m (so the brute-force
+    tie-break is theirs), with ``q`` only those whose every cut passes its
+    window test.
 
-
-def _walk(m: int, n: int, q: Channel | None = None) -> np.ndarray:
-    """The cut vectors for (m, n) in ``itertools.combinations`` order over
-    2..m (so the brute-force tie-break is theirs), with ``q`` only those
-    whose every cut passes its window test.  Entry [v, g] is the flat index
-    (length - 1) * (m + 1) + first particle of group g of vector v in an
-    ``iota_band(q, m - n + 1)``, so cut g - 1 is the index modulo m + 1.
-
-    Level j holds each prefix of j cuts as its last cut and the prefix it
-    extends.  It is built in chunks of at most _BATCH_ENTRIES candidates,
-    each prefix in turn with every admissible end of group j in rising
-    order.  With ``q``, a candidate fails with ``refine._window`` of group
-    j's first cut or, at the last level, of the last cut, on
-    ``is_c_degradation``'s means.  The vectors are traced back in blocks of
-    at most _BATCH_ENTRIES entries.
+    Level j holds each prefix of j cuts as its last cut, ``cuts[j]`` (the
+    first particle of group j + 1; ``cuts[0]`` is the root, 1), and the
+    level-(j - 1) prefix it extends, ``parents[j - 1]``.  It is built in
+    chunks of at most _BATCH_ENTRIES candidates, each prefix in turn with
+    every admissible end of group j in rising order.  With ``q``, a
+    candidate fails with ``refine._window`` of group j's first cut or, at
+    the last level, of the last cut, on ``is_c_degradation``'s means.
     """
     if q is not None:
         s = q.sigmas
@@ -197,25 +188,26 @@ def _walk(m: int, n: int, q: Channel | None = None) -> np.ndarray:
             p0 = p1
         for level, part in zip((parents, cuts), zip(*found)):
             level.append(np.concatenate(part))
-    at = np.empty((cuts[-1].size, n), dtype=np.int64)
-    rows = max(1, _BATCH_ENTRIES // n)
-    for r0 in range(0, len(at), rows):
-        row = slice(r0, r0 + rows)  # each vector's level-j prefix
-        stop = m + 1  # each vector's first particle after its group in column j
-        for j in range(n - 1, 0, -1):
-            start = cuts[j][row]
-            at[r0 : r0 + rows, j] = (stop - start - 1) * (m + 1) + start
-            stop = start
-            row = parents[j - 1][row]
-        at[r0 : r0 + rows, 0] = (stop - 2) * (m + 1) + 1
-    return at
+    return cuts, parents
+
+
+def _trace(cuts: list, parents: list, rows) -> np.ndarray:
+    """The cut vectors (one row each) of last-level prefixes ``rows`` of the
+    ``_walk`` levels ``cuts`` and ``parents``."""
+    out = np.empty((len(rows), len(parents)), dtype=np.int64)
+    for j in range(len(parents), 0, -1):
+        out[:, j - 1] = cuts[j][rows]
+        rows = parents[j - 1][rows]
+    return out
 
 
 def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
     """Capacity-maximizing cut plan by direct enumeration (the oracle).
 
-    Ties break to the lexicographically smallest cut vector.  Guarded by
-    BRUTE_FORCE_GUARD on the number of cut vectors.
+    Each prefix of the ``_walk`` levels adds its last group's iota to its
+    parent's sum, so each vector's groups are summed left to right, as the
+    DP sums its stages.  Ties break to the lexicographically smallest cut
+    vector.  Guarded by BRUTE_FORCE_GUARD on the number of cut vectors.
     """
     m = q.size
     if not (2 <= n <= m):
@@ -224,10 +216,15 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
         raise ValueError(
             f"{math.comb(m - 1, n - 1)} cut vectors exceed the brute-force guard {BRUTE_FORCE_GUARD}"
         )
-    at = _cut_vectors(m, n)
-    caps = iota_band(q, m - n + 1).take(at).sum(axis=1)
+    cuts, parents = _walk(m, n)
+    band = _band(*_segment_table(q.weights, q.sigmas, m - n + 1), m)
+    caps = np.zeros(1)
+    for j in range(1, n):
+        start = cuts[j - 1][parents[j - 1]]  # group j, particles start..cut - 1
+        caps = caps[parents[j - 1]] + band[cuts[j] - 1 - start, start - 1]
+    caps += band[m - cuts[-1], cuts[-1] - 1]  # the last group, cut..m
     best = int(np.argmax(caps))
-    return PPlusPlan(q, tuple((at[best, 1:] % (m + 1)).tolist())), float(caps[best])
+    return PPlusPlan(q, tuple(_trace(cuts, parents, [best])[0].tolist())), float(caps[best])
 
 
 def _stage_layout(rows: np.ndarray, row_at: np.ndarray, width: int) -> tuple[list, np.ndarray]:

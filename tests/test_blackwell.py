@@ -197,6 +197,19 @@ def test_bayes_risk_curve_values():
     assert bayes_risk_curve(bsc(0.1))(0.5) == pytest.approx(0.1, abs=1e-12)
 
 
+def test_bayes_risk_curve_breakpoints():
+    assert bayes_risk_curve(bsc(0.0)).breakpoints.tolist() == [0.0, 1.0]
+    assert bayes_risk_curve(bsc(0.5)).breakpoints.tolist() == [0.0, 0.5, 1.0]
+    mixed = canonicalize([(0.0, 0.2), (0.1, 0.3), (0.25, 0.3), (0.5, 0.2)])
+    expect = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0 - 0.1, 1.0]
+    assert bayes_risk_curve(mixed).breakpoints.tolist() == expect
+    rng = instance_rng(52, 0)
+    for _ in range(20):
+        w = random_channel(rng, int(rng.integers(1, 12)))
+        pts = sorted({0.0, 1.0, *w.sigmas.tolist(), *(1.0 - w.sigmas).tolist()})
+        assert bayes_risk_curve(w).breakpoints.tolist() == pts
+
+
 def test_witness_and_risk_curve_agree():
     rng = instance_rng(21, 1)
     agree = 0

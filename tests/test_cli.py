@@ -237,6 +237,20 @@ def test_malformed_transition_matrix_exits_2(matrix, message, tmp_path, capsys):
     assert err.startswith("error: ") and message in err
 
 
+def test_transition_matrix_entries_within_tol_below_zero_count_as_zero(tmp_path, capsys):
+    # The -2e-10 entries pass the nonnegativity check, within its 1e-9
+    # tolerance, and load as 0, so the crossovers stay in [0, 1].
+    matrix = [[0.5000000001, 0.4999999999, -2e-10, 2e-10], [2e-10, -2e-10, 0.4999999999, 0.5000000001]]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"transition_matrix": matrix}))
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["particles"] == 2
+    chan = load_channel(path)
+    assert chan.sigmas.tolist() == [0.0, pytest.approx(4e-10, rel=1e-6)]
+    assert chan.weights.tolist() == pytest.approx([0.5, 0.5], abs=1e-9)
+
+
 def test_transition_matrix_canonicalize_errors_are_format_errors():
     # Symmetric, but the columns' masses sum to 1.5.
     with pytest.raises(ChannelFormatError, match="weights sum"):
@@ -421,6 +435,18 @@ def test_degrade_mean_method(q3_file, capsys):
 def test_degrade_validates_n(q3_file, capsys):
     code, _, err = run_cli(["degrade", q3_file, "--n", "9"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, particles, least",
+    [("degrade", 1, 2), ("enumerate", 1, 3), ("enumerate", 2, 3)],
+)
+def test_too_small_channel_for_n_exits_2(command, particles, least, tmp_path, capsys):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(channel_to_json_dict(random_channel(instance_rng(19, 1), particles))))
+    code, out, err = run_cli([command, str(path), "--n", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert f"--n needs a channel of at least {least} particles, this one has {particles}" in err
 
 
 def test_enumerate_sorted_and_top_matches_opt(q3_file, capsys):
@@ -675,6 +701,17 @@ def test_polar_command(q3_file, capsys):
     assert len(report["branches"]) == 6
     for row in report["branches"]:
         assert 0.0 <= row["clr"] <= 1.0
+
+
+def test_polar_with_a_subnormal_weight(tmp_path, capsys):
+    # Merging pairs with subnormal masses once landed a group mean on its
+    # neighbour's, so canonicalize rejected its own output (exit 4).
+    path = tmp_path / "sub.json"
+    particles = [{"sigma": 0.0, "q": 1e-320}, {"sigma": 0.2, "q": 0.5}, {"sigma": 0.5, "q": 0.5}]
+    path.write_text(json.dumps({"particles": particles}))
+    code, out, err = run_cli(["polar", str(path), "--n", "2", "--depth", "3", "--oracle"], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["branches"]) == 14
 
 
 def test_console_entry_point():

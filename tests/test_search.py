@@ -135,17 +135,14 @@ def test_enumerate_equals_filter():
 
 @pytest.fixture
 def batch_entries(monkeypatch):
-    """Sets search._BATCH_ENTRIES, with the cut-vector cache cleared before
-    and after, so that each walk runs in the chunks it sets."""
-    search._cut_vectors.cache_clear()
+    """Sets search._BATCH_ENTRIES, so that each walk runs in the chunks it
+    sets."""
     yield lambda entries: monkeypatch.setattr(search, "_BATCH_ENTRIES", entries)
-    search._cut_vectors.cache_clear()
 
 
 @pytest.mark.parametrize("per_particle", [0, 1, 3])
 def test_enumerate_in_small_chunks_equals_filter(batch_entries, per_particle):
-    # A few prefixes per chunk, or (at 0) one prefix per chunk and one
-    # vector per traceback block.
+    # A few prefixes per chunk, or (at 0) one prefix per chunk.
     rng = instance_rng(51, 7)
     for trial in range(40):
         m = int(rng.integers(4, 13))
@@ -190,21 +187,23 @@ def test_brute_force_guard():
 
 @pytest.mark.parametrize("m, n", crit1_combos() + [(2, 2), (3, 2), (5, 5), (9, 8)])
 def test_cut_vectors_match_itertools(m, n):
-    assert np.array_equal(search._cut_vectors(m, n), _itertools_cut_vectors(m, n))
+    assert np.array_equal(_traced_cut_vectors(m, n), _itertools_cut_vectors(m, n))
 
 
 @pytest.mark.parametrize("m, n", crit1_combos() + [(2, 2), (3, 2), (5, 5), (9, 8)])
 def test_cut_vectors_in_small_chunks_match_itertools(batch_entries, m, n):
     batch_entries(4 * m)
-    assert np.array_equal(search._cut_vectors(m, n), _itertools_cut_vectors(m, n))
+    assert np.array_equal(_traced_cut_vectors(m, n), _itertools_cut_vectors(m, n))
+
+
+def _traced_cut_vectors(m, n):
+    cuts, parents = search._walk(m, n)
+    return search._trace(cuts, parents, np.arange(cuts[-1].size))
 
 
 def _itertools_cut_vectors(m, n):
-    cuts = [(1, *c, m + 1) for c in itertools.combinations(range(2, m + 1), n - 1)]
-    edges = np.array(cuts, dtype=np.int64)
-    # Group g of each cut vector is entry [stop - start, start] of an
-    # iota_band with m + 1 columns, flattened.
-    return (np.diff(edges) - 1) * (m + 1) + edges[:, :-1]
+    cuts = list(itertools.combinations(range(2, m + 1), n - 1))
+    return np.array(cuts, dtype=np.int64).reshape(len(cuts), n - 1)
 
 
 def test_brute_force_optimum_is_c_degradation():
@@ -216,6 +215,26 @@ def test_brute_force_optimum_is_c_degradation():
         plan, _ = brute_force_c_optimal(q, n)
         assert is_c_degradation(plan)
         assert plan.cuts in [p.cuts for p in enumerate_c_degradations(q, n)]
+
+
+_LONG_CELLS = [(10, 8), (12, 9), (14, 11), (16, 10), (18, 8), (20, 12), (22, 16)]
+
+
+@pytest.mark.parametrize("m, n", crit1_combos() + _LONG_CELLS)
+def test_brute_force_capacity_equals_the_dp_bit_for_bit(m, n):
+    # Both sum each plan's groups left to right, so wherever they pick the
+    # same cuts their capacities are the same float.
+    assert math.comb(m - 1, n - 1) <= search.BRUTE_FORCE_GUARD
+    rng = instance_rng(53, m * 100 + n)
+    same = 0
+    for _ in range(8):
+        q = random_channel(rng, m)
+        plan, cap = brute_force_c_optimal(q, n)
+        dp_plan, dp_cap = c_optimal_degradation(q, n)
+        if plan.cuts == dp_plan.cuts:
+            assert cap.hex() == dp_cap.hex()
+            same += 1
+    assert same > 0
 
 
 def test_dp_matches_brute_force():

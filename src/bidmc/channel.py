@@ -198,11 +198,7 @@ def canonicalize(raw: np.ndarray | Iterable[tuple[float, float]]) -> Channel:
     of the current group while it lies within MERGE_TOL of that mean and
     otherwise opens a group.  This is the stack of one of
     ``_canonicalize_stack``, which ``polar.construct`` calls once per level
-    for the transforms of all quantized parents.  Since a running group mean exceeds
-    its largest member by a few ulps at most, the first sort already bounds
-    the merged size from below (one plus the sorted gaps above
-    2 * MERGE_TOL), and an exact transform that this bound already puts
-    over the size guard is dropped there, which changes no result.
+    for the transforms of all quantized parents.
     """
     pairs = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=np.float64)
     if not pairs.size:
@@ -305,11 +301,13 @@ def _canonicalize_stack(
 def _clean_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated crossovers and positive weights of raw pairs, in input order.
 
-    Zero weights, and weights within MERGE_TOL below 0, are dropped;
-    crossovers above 1/2 are reflected and those within MERGE_TOL outside
-    [0, 1/2] clamped.  The first pair with a negative weight, or a positive
-    weight and a crossover outside [0, 1], raises.  Also returns the mask
-    of the pairs kept.
+    This is the one place that cleans raw pairs: callers (the Arikan
+    transforms, the transition-matrix reader) hand over every output as it
+    comes.  Zero weights, and weights within MERGE_TOL below 0, are
+    dropped; crossovers above 1/2 are reflected and those within MERGE_TOL
+    outside [0, 1/2] clamped.  The first pair with a negative weight, or a
+    positive weight and a crossover outside [0, 1], raises.  Also returns
+    the mask of the pairs kept.
     """
     sig, wt = pairs.T
     negative = wt < -MERGE_TOL

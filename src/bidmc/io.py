@@ -69,10 +69,10 @@ def reduce_transition_matrix(rows: list[list[float]], tol: float = 1e-9) -> Chan
     """Collapse a 2 x N symmetric transition matrix to its BSC mixture.
 
     Output y with likelihoods (a, b) = (P(y|0), P(y|1)) carries probability
-    (a + b)/2 and conditional crossover b/(a + b); folding the LR-profile
-    about 1/2 gives the particles.  Asymmetric profiles, paired within
-    ``tol`` after sorting, are rejected, and so is any input that is not two
-    equal-length rows of finite numbers.
+    (a + b)/2 and conditional crossover b/(a + b); ``canonicalize`` folds
+    these outputs about 1/2 into the particles.  Asymmetric profiles, paired
+    within ``tol`` after sorting, are rejected, and so is any input that is
+    not two equal-length rows of finite numbers.
     """
     try:
         mat = np.asarray(rows, dtype=np.float64)
@@ -108,8 +108,7 @@ def reduce_transition_matrix(rows: list[list[float]], tol: float = 1e-9) -> Chan
             raise ChannelFormatError(
                 f"LR-profile asymmetric at {eps}: mass {mass} vs {mirror} at {e_mirror}"
             )
-    raw = [(min(eps, 1.0 - eps), mass) for eps, mass in outputs]
-    return _canonical(raw)
+    return _canonical(outputs)
 
 
 def parse_channel_json(text: str) -> Channel:

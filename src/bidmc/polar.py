@@ -92,10 +92,13 @@ def _transforms(
 ) -> list[Channel | None]:
     """Transform bits[k] ("0" minus, "1" plus) of each channel ws[k], in one pass.
 
-    Channels of one bit and one size are transformed together, as rows of
-    (channel, pair) arrays, and one ``_canonicalize_stack`` call reduces
-    every transform; each result equals its single call bit for bit.  With
-    ``limit``, a transform of more than ``limit`` particles is None.
+    Channels of one bit and one size are transformed together into one
+    (channel, pair, output, 2) array of raw (crossover, mass) outputs: one
+    output per pair for the minus transform, a good and a bad one for the
+    plus transform.  One ``_canonicalize_stack`` call reduces every
+    transform, dropping zero masses and folding crossovers above 1/2; each
+    result equals its single call bit for bit.  With ``limit``, a transform
+    of more than ``limit`` particles is None.
     """
     if not ws:
         return []
@@ -110,30 +113,21 @@ def _transforms(
         si, sj = sig.take(i, axis=1), sig.take(j, axis=1)
         mass = factor * wt.take(i, axis=1) * wt.take(j, axis=1)
         members += ks
+        outputs = 1 + int(bit)
+        pairs = np.empty(si.shape + (outputs, 2))
         if bit == "0":
-            pairs = np.empty(si.shape + (2,))
-            pairs[..., 0] = star(si, sj)
-            pairs[..., 1] = mass
-            chunks.append(pairs.reshape(-1, 2))
-            sizes += [i.size] * len(ks)
-            continue
-        # Pair i <= j contributes a good and a bad output, in that order, each
-        # only when its mass factor is nonzero; [..., 0] is the good one.
-        good = star(1.0 - si, sj)
-        out_factor = np.empty(si.shape + (2,))
-        out_factor[..., 0] = good
-        out_factor[..., 1] = 1.0 - good
-        first = np.empty(si.shape + (2,))
-        first[..., 0] = si
-        first[..., 1] = 1.0 - si
-        pairs = np.empty(si.shape + (2, 2))
-        pairs[..., 0] = diamond(first, sj[..., None])
-        pairs[:, diag, 1, 0] = 0.5
-        pairs[..., 1] = mass[..., None] * out_factor
-        keep = out_factor > 0.0
-        # compress is much faster than a 3-d boolean index here.
-        chunks.append(pairs.reshape(-1, 2).compress(keep.ravel(), axis=0))
-        sizes += keep.sum(axis=(1, 2)).tolist()
+            pairs[..., 0, 0] = star(si, sj)
+            pairs[..., 0, 1] = mass
+        else:
+            # Pair i <= j gives its good output, then its bad one.
+            good = star(1.0 - si, sj)
+            pairs[..., 0, 0] = diamond(si, sj)
+            pairs[..., 1, 0] = diamond(1.0 - si, sj)
+            pairs[:, diag, 1, 0] = 0.5
+            pairs[..., 0, 1] = mass * good
+            pairs[..., 1, 1] = mass * (1.0 - good)
+        chunks.append(pairs.reshape(-1, 2))
+        sizes += [outputs * i.size] * len(ks)
     pairs = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     out: list[Channel | None] = [None] * len(ws)
     for k, chan in zip(members, _canonicalize_stack(pairs, sizes, limit)):
@@ -149,11 +143,12 @@ def arikan_minus(w: Channel) -> Channel:
 def arikan_plus(w: Channel) -> Channel:
     """Plus (copy) transform: diamond mixture over unordered pairs.
 
-    Pair i <= j contributes a good and a bad output, in that order, each
-    only when its mass factor is nonzero.  A diagonal pair (e_i = e_j, since
-    a channel's crossovers are distinct) has its bad output set to exactly
-    ~e # e = 1/2, which the division misses by up to 1.4e-17 / e.  So these
-    merge into one, and at most n(n+1)/2 + n(n-1)/2 + 1 = n^2 + 1 remain.
+    Pair i <= j contributes a good and a bad output, in that order; a zero
+    mass factor gives a zero mass, which canonicalization drops.  A diagonal
+    pair (e_i = e_j, since a channel's crossovers are distinct) has its bad
+    output set to exactly ~e # e = 1/2, which the division misses by up to
+    1.4e-17 / e.  So these merge into one, and at most
+    n(n+1)/2 + n(n-1)/2 + 1 = n^2 + 1 remain.
     """
     return _transforms([w], "1")[0]
 

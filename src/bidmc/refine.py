@@ -375,10 +375,17 @@ def pplus_as_pstar(plan: PPlusPlan) -> PStarPlan:
 
 
 def plan_witness(plan: PStarPlan | PPlusPlan) -> OneMatrix:
-    """Equality witness induced directly by a plan's segment structure."""
+    """Equality witness induced directly by a plan's segment structure.
+
+    A cut plan routes each particle whole to its group: q_i at (i, group
+    of i).
+    """
     if isinstance(plan, PPlusPlan):
-        plan = pplus_as_pstar(plan)
-    part, mass, bounds = plan._layout
+        m = plan.source.size
+        part, mass = np.arange(m), plan.source.weights
+        bounds = np.array((1,) + plan.cuts + (m + 1,)) - 1
+    else:
+        part, mass, bounds = plan._layout
     k = np.zeros((plan.source.size, bounds.size - 1))
     k[part, np.repeat(np.arange(bounds.size - 1), np.diff(bounds))] = mass
     return OneMatrix(k, plan.source.weights.copy(), k.sum(axis=0))

@@ -139,17 +139,18 @@ def test_transforms_match_reference_on_exact_chains(seed):
 
 
 def test_transforms_match_reference_on_edge_channels(monkeypatch):
-    # The pair counts must agree too: they are what a trace of canonicalize
-    # reports per call.
+    # The counts of positive-weight pairs must agree too: they are the pairs
+    # that reach the merge.
     counts = {"fast": [], "slow": []}
     reference = _canonicalize_reference
 
     def fast_recorder(pairs, sizes, limit=None):
-        counts["fast"].extend(sizes)
+        members = np.split(pairs[:, 1], np.cumsum(sizes)[:-1])
+        counts["fast"].extend(np.count_nonzero(wt > 0.0) for wt in members)
         return _canonicalize_stack(pairs, sizes, limit)
 
     def slow_recorder(raw):
-        counts["slow"].append(len(raw))
+        counts["slow"].append(sum(weight > 0.0 for _, weight in raw))
         return reference(raw)
 
     monkeypatch.setattr(polar, "_canonicalize_stack", fast_recorder)

@@ -321,6 +321,23 @@ def test_bad_output_path_exits_2_and_writes_nothing(bad_output, q3_file, tmp_pat
     assert not wit_path.exists() and not chan_path.exists()
 
 
+@pytest.mark.parametrize("method,n", [("opt", 3), ("tv", 3), ("opt", 4)])
+def test_degrade_emits_witness_with_tiny_weights(method, n, tmp_path, capsys):
+    # Weights at or below 1e-15 end groups of the chosen cut plans.
+    chan = {"particles": [{"sigma": 0.1, "q": 0.5}, {"sigma": 0.2, "q": 1e-20},
+                          {"sigma": 0.3, "q": 0.5}, {"sigma": 0.4, "q": 1e-300}]}
+    path, wit_path = tmp_path / "t.json", tmp_path / "w.json"
+    path.write_text(json.dumps(chan))
+    code, out, err = run_cli(
+        ["degrade", str(path), "--n", str(n), "--method", method, "--emit-witness", str(wit_path)], capsys
+    )
+    assert code == 0, err
+    wit = json.loads(wit_path.read_text())
+    report = json.loads(out)
+    assert wit["rows"] == 4 and wit["cols"] == len(report["cuts"]) + 1
+    assert [sum(row) for row in wit["k"]] == [p["q"] for p in chan["particles"]]
+
+
 def test_experiment_bad_output_exits_2_before_computing(tmp_path, capsys, monkeypatch):
     import bidmc.experiments as experiments_mod
 

@@ -361,6 +361,24 @@ def test_plus_size_bound_with_small_crossovers():
     assert arikan_plus(w).size <= 10
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.3, 0.11, 1e-3, 0.999])
+def test_construct_follows_the_erasure_recursion(eps):
+    # BEC(z) is (1 - z) B(0) + z B(1/2); its transforms are BEC(2z - z^2)
+    # and BEC(z^2).  The plus transform's bad output of a perfect pair has
+    # zero mass, which canonicalization drops.
+    run = construct(canonicalize([(0.0, 1.0 - eps), (0.5, eps)]), 8, 2)
+    z = {"": eps}
+    for alpha in sorted(run.records, key=len)[1:]:
+        parent = z[alpha[:-1]]
+        z[alpha] = 2.0 * parent - parent * parent if alpha[-1] == "0" else parent * parent
+        rec = run.records[alpha]
+        assert rec.clr == 0.0, alpha
+        for chan in (rec.exact, rec.quantized):
+            assert set(chan.sigmas.tolist()) <= {0.0, 0.5}, alpha
+            erased = float(chan.weights[chan.sigmas == 0.5].sum())
+            assert abs(erased - z[alpha]) <= 1e-13 * z[alpha], alpha
+
+
 def test_transforms_pass_unordered_pair_counts(monkeypatch):
     counts = []
 
@@ -375,7 +393,7 @@ def test_transforms_pass_unordered_pair_counts(monkeypatch):
         arikan_minus(w)
         assert counts[-1] == m * (m + 1) // 2
         arikan_plus(w)
-        assert counts[-1] <= m * (m + 1)
+        assert counts[-1] == m * (m + 1)
 
 
 def test_construct_matches_ordered_pair_oracle(monkeypatch):

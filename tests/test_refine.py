@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal
 
@@ -23,6 +24,7 @@ from bidmc import (
     is_p_degradation,
     mean_degradation,
     plan_witness,
+    pplus_as_pstar,
     random_channel,
     realize_pplus,
     realize_pstar,
@@ -198,6 +200,37 @@ def test_plan_witness_satisfies_equality():
         mom = q.sigmas @ wit.entries
         assert np.allclose(mom, w.weights * w.sigmas, atol=1e-9)
         assert np.allclose(wit.entries.sum(axis=1), q.weights, atol=1e-12)
+
+
+# Weights at or below _MASS_TOL at a group's end: the segment form of some
+# cut plans of this channel drops them and rejects the group as empty.
+TINY_WEIGHTS = canonicalize([(0.1, 0.5), (0.2, 1e-20), (0.3, 0.5), (0.4, 1e-300)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cut_plan_witness_routes_each_particle_to_its_group(n):
+    q = TINY_WEIGHTS
+    for cuts in itertools.combinations(range(2, q.size + 1), n - 1):
+        plan = PPlusPlan(q, cuts)
+        wit = plan_witness(plan)
+        group = np.repeat(np.arange(n), [b - a for a, b in plan.bounds()])
+        expect = np.zeros((q.size, n))
+        expect[np.arange(q.size), group] = q.weights
+        assert wit.entries.tobytes() == expect.tobytes(), cuts
+        assert np.allclose(wit.col_pattern, plan.group_stats()[0], rtol=1e-15, atol=0.0), cuts
+
+
+def test_cut_plan_witness_equals_its_segment_form():
+    rng = instance_rng(31, 13)
+    for _ in range(200):
+        q = random_channel(rng, int(rng.integers(2, 12)))
+        n = int(rng.integers(2, q.size + 1))
+        cuts = tuple(int(c) for c in np.sort(rng.choice(np.arange(2, q.size + 1), size=n - 1, replace=False)))
+        plan = PPlusPlan(q, cuts)
+        segment = plan_witness(pplus_as_pstar(plan))
+        got = plan_witness(plan)
+        assert got.entries.tobytes() == segment.entries.tobytes(), cuts
+        assert got.col_pattern.tobytes() == segment.col_pattern.tobytes(), cuts
 
 
 # ----------------------------------------------------------------------

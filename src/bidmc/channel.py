@@ -68,10 +68,11 @@ class Particle(NamedTuple):
 def binary_entropy(x):
     """Binary entropy h(x) in bits, elementwise; h(0) = h(1) = 0."""
     x = np.asarray(x, dtype=np.float64)
-    inner = (x > 0.0) & (x < 1.0)
-    xs = np.where(inner, x, 0.5)
-    h = -(xs * np.log2(xs) + (1.0 - xs) * np.log2(1.0 - xs))
-    out = np.where(inner, h, 0.0)
+    # Outside (0, 1) the logs see 0 or a negative number; those entries are
+    # replaced by 0 below, so their warnings are silenced.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+    out = np.where((x > 0.0) & (x < 1.0), h, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

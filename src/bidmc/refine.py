@@ -38,6 +38,7 @@ function of cut and segment plans, reads their masses and means off it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,6 +147,15 @@ def _segment_terms(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.stack((q, q * s, q * (1.0 - 2.0 * s)), axis=-2)
 
 
+def _ended(shape: tuple, end: float) -> np.ndarray:
+    """An uninitialized float array of ``shape``, viewing a flat buffer (its
+    ``base``) with one further entry, ``end``: a flat gather from the
+    buffer reads ``end`` at index -1, with no copy of the array."""
+    flat = np.empty(math.prod(shape) + 1)
+    flat[-1] = end
+    return flat[:-1].reshape(shape)
+
+
 def _segment_table(
     q: np.ndarray, s: np.ndarray, max_len: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,7 +172,8 @@ def _segment_table(
     channel's own size, gives (B, max_len, m) tables.  Adding a zero term
     changes no sum, so every group inside a channel reads exactly the
     single channel's entry; groups starting in the padding have mass 0 and
-    NaN means.
+    NaN means.  The mean table is an ``_ended`` view whose buffer ends in
+    one more NaN, which the pruned DP reads above the diagonal.
     """
     m = q.shape[-1]
     terms = np.zeros(q.shape[:-1] + (3, m + max_len - 1))
@@ -174,8 +185,9 @@ def _segment_table(
     )
     sums = np.cumsum(windows, axis=-2)
     mass, moment, bias = (sums[..., k, :, :] for k in range(3))
+    mean = _ended(mass.shape, np.nan)
     with np.errstate(invalid="ignore"):
-        mean = moment / mass
+        np.divide(moment, mass, out=mean)
         xbar = bias / mass
     mean[..., 0, :] = s
     xbar[..., 0, :] = 1.0 - 2.0 * s

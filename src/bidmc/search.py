@@ -14,18 +14,20 @@ m.  Three searchers are provided:
 - ``c_optimal_degradations``: dynamic program over partial degradations
   of a stack of channels that share n, one numpy kernel per stage over
   staircase (instance, row, column) blocks of the lower triangle: a gather
-  from the capacity band (entries above the diagonal read its -inf
-  sentinel), an add of the previous values (dead ones as -inf) and a row
-  argmax.  It optionally prunes entries whose committed cut surely fails a
-  threshold-window test (every optimal traceback passes them, so the
-  pruning is sound).  Ragged sizes are padded with dead states, and every
-  entry is computed by the same float expression as alone, so each
-  channel's result equals its single call, ``c_optimal_degradation`` (the
-  stack of one), bit for bit.  The pruned DP's plans come from the
-  unpruned kernel where none of their cuts surely fails its window test;
-  only the other channels run the pruned DP.  ``dp_tables`` runs the DP it
-  names over every channel and returns each plan with its capacity and
-  counters.
+  from the capacity band (entries above the diagonal read the -inf
+  sentinel that ends its buffer), an add of the previous values (dead ones
+  as -inf) and a row argmax.  The gather offsets, live states and band
+  mask depend only on the channels' sizes and n, so they are built once
+  per shape and cached, read-only.  It optionally prunes entries whose
+  committed cut surely fails a threshold-window test (every optimal
+  traceback passes them, so the pruning is sound).  Ragged sizes are
+  padded with dead states, and every entry is computed by the same float
+  expression as alone, so each channel's result equals its single call,
+  ``c_optimal_degradation`` (the stack of one), bit for bit.  The pruned
+  DP's plans come from the unpruned kernel where none of their cuts surely
+  fails its window test; only the other channels run the pruned DP.
+  ``dp_tables`` runs the DP it names over every channel and returns each
+  plan with its capacity and counters.
 
 The DP state value S_j(i) is the maximum partial capacity over degradations
 of the first i particles into j groups:
@@ -50,6 +52,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import mmap
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +61,7 @@ import numpy as np
 from .channel import Channel, _capacity_term
 from .refine import (
     PPlusPlan,
+    _ended,
     _segment_table,
     _segment_terms,
     _surely_fails,
@@ -104,20 +109,28 @@ def iota_band(q: Channel, max_len: int) -> np.ndarray:
     are NaN.
     """
     band = np.full((max_len, q.size + 1), np.nan)
-    band[:, 1:] = _band(*_segment_table(q.weights, q.sigmas, max_len), q.size)
+    band[:, 1:] = _band(*_segment_table(q.weights, q.sigmas, max_len), _inside(q.size, max_len))
     return band
 
 
-def _band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray, m) -> np.ndarray:
-    """Capacity terms of the segment tables' groups, NaN past the channel's end.
+def _inside(m, max_len: int) -> np.ndarray:
+    """Which entries [d, i] of (max_len, width) segment tables hold a group
+    inside its channel, i + d < m; over a stack of sizes ``m`` (B,), the
+    (B, max_len, width) mask, with width the largest size."""
+    return np.arange(np.max(m)) < np.asarray(m)[..., None, None] - np.arange(max_len)[:, None]
 
-    Entry [d, i] is iota of particles i..i+d (0-indexed), as in the tables;
-    over a stack of tables, ``m`` holds each channel's own size.
+
+def _band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Capacity terms of the segment tables' groups, NaN outside ``inside``
+    (past the channel's end; see ``_inside``).
+
+    Entry [d, i] is iota of particles i..i+d (0-indexed), as in the tables.
+    The band is a view of a flat buffer, its ``base``, whose one further
+    entry is -inf: the sentinel that the stage kernel reads at offset -1.
     """
-    max_len, width = mass.shape[-2:]
-    group = np.arange(width) < np.asarray(m)[..., None, None] - np.arange(max_len)[:, None]
-    band = np.full(mass.shape, np.nan)
-    band[group] = mass[group] * _capacity_term(mean[group], xbar[group])
+    band = _ended(mass.shape, -np.inf)
+    band.fill(np.nan)
+    band[inside] = mass[inside] * _capacity_term(mean[inside], xbar[inside])
     return band
 
 
@@ -217,7 +230,7 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
             f"{math.comb(m - 1, n - 1)} cut vectors exceed the brute-force guard {BRUTE_FORCE_GUARD}"
         )
     cuts, parents = _walk(m, n)
-    band = _band(*_segment_table(q.weights, q.sigmas, m - n + 1), m)
+    band = _band(*_segment_table(q.weights, q.sigmas, m - n + 1), _inside(m, m - n + 1))
     caps = np.zeros(1)
     for j in range(1, n):
         start = cuts[j - 1][parents[j - 1]]  # group j, particles start..cut - 1
@@ -227,7 +240,7 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
     return PPlusPlan(q, tuple(_trace(cuts, parents, [best])[0].tolist())), float(caps[best])
 
 
-def _stage_layout(rows: np.ndarray, row_at: np.ndarray, width: int) -> tuple[list, np.ndarray]:
+def _stage_layout(rows: np.ndarray, row_at: np.ndarray, width: int) -> tuple[tuple, np.ndarray]:
     """Where the stage kernel reads rows ``rows`` (B, R) from: -1 marks a
     padding row, and row a of instance k starts at flat index row_at[k, r]
     of the (B, size, width) tables.
@@ -246,12 +259,85 @@ def _stage_layout(rows: np.ndarray, row_at: np.ndarray, width: int) -> tuple[lis
         cols = np.arange(a.max() + 1)
         grid = np.where(cols <= a, row_at[:, r0 : r0 + _STAGE_BLOCK, None] + cols * (1 - width), -1)
         blocks.append((grid, np.arange(0, grid.size, cols.size).reshape(a.shape[:2])))
-    return blocks, (rows + 1).sum(axis=1)
+    return tuple(blocks), (rows + 1).sum(axis=1)
+
+
+class _Layout(NamedTuple):
+    """What a DP run over channels of given sizes reads that depends on
+    those sizes and n alone (see ``_dp_layout``)."""
+
+    live: np.ndarray  # (B, size): row a is a state of instance k
+    row_at: np.ndarray  # (B, size): flat index of table entry [k, a, 0]
+    stages: tuple  # the _stage_layout of the stages before the last
+    last: tuple  # the _stage_layout of the last stage's one row per instance
+    inside: np.ndarray  # (B, size, width): the band's groups, from _inside
+
+
+@lru_cache(maxsize=8)
+def _dp_layout(m: tuple[int, ...], n: int) -> _Layout:
+    """The ``_Layout`` of a DP run over channels of sizes ``m``, built once
+    per (m, n) into read-only arrays (see ``_frozen``).
+
+    Building it took about 7% of a single m = 128 run, and callers repeat
+    their shapes: the benchmark's opt-uniform op cycles through 7 keys,
+    and each of criterion 05's cells runs full stacks of one shape.
+    """
+    sizes = np.array(m) - n + 1
+    width = max(m)
+    size = width - n + 1
+    inst = np.arange(len(m))[:, None]
+    offsets = np.arange(size)
+    live = offsets < sizes[:, None]
+    rows = np.where(live, offsets, -1)  # a padding row is -1
+    row_at = (inst * size + rows) * width
+    last = (sizes - 1)[:, None]
+    return _frozen(
+        _Layout(
+            live,
+            row_at,
+            _stage_layout(rows, row_at, width),
+            _stage_layout(last, (inst * size + last) * width, width),
+            _inside(m, size),
+        )
+    )
+
+
+def _frozen(layout: _Layout) -> _Layout:
+    """``layout`` with each array copied, read-only, into one anonymous
+    memory map of its own.
+
+    The map keeps the cache out of the malloc heap.  There, the cached
+    arrays fill the free space that each run's temporaries reuse, so each
+    run grows the heap and hands it back: on the benchmark's opt-uniform
+    op (m = 128, glibc, a 2-core Xeon VM) that cost about 200 page faults
+    per op, and the op ran about 20% slower than with no cache at all.  A
+    miss pays for the map's fresh pages instead, about 0.1 ms at m = 128.
+    """
+    def leaves(x):
+        for y in x:
+            yield from leaves(y) if isinstance(y, tuple) else (y,)
+
+    arrays = list(leaves(layout))
+    ends = np.cumsum([-(-a.nbytes // 64) * 64 for a in arrays])  # cache-line aligned
+    buf = mmap.mmap(-1, int(ends[-1]))
+    copies = []
+    for a, start in zip(arrays, [0, *ends[:-1].tolist()]):
+        copy = np.frombuffer(buf, a.dtype, a.size, start).reshape(a.shape)
+        copy[...] = a
+        copy.flags.writeable = False
+        copies.append(copy)
+    copies = iter(copies)
+
+    def rebuild(x):
+        parts = [rebuild(y) if isinstance(y, tuple) else next(copies) for y in x]
+        return x._make(parts) if isinstance(x, _Layout) else tuple(parts)
+
+    return rebuild(layout)
 
 
 def _stage_maxima(
     stage: int,
-    layout: tuple[list, np.ndarray],
+    layout: tuple[tuple, np.ndarray],
     s_prev: np.ndarray,
     eps_prev: np.ndarray,
     band: np.ndarray,
@@ -266,19 +352,19 @@ def _stage_maxima(
     the state at column b.  It is a candidate when b <= a, column b is
     alive (s_prev not NaN) and, with ``pruning``, the cut it commits does
     not surely fail its window (``refine._surely_fails``).  ``band`` and
-    ``means`` are the flattened (B, size, width) tables with one sentinel
-    appended, -inf and NaN, and the new group of entry (a, b) is at flat
-    index grid + stage - 1 of ``layout`` (see ``_stage_layout``), so a -1
-    offset reads the sentinel.  Each row block then takes three passes: one
-    gather from the band, one add of the previous values (a dead column's
-    NaN as -inf) and one argmax, whose value is read back.  An entry is
-    finite exactly when it is a candidate; with ``pruning`` the failures
-    are set to -inf before the argmax.  Each candidate is the same float
-    sum as in the stage run alone, and the columns run in the same order,
-    so each instance's maxima, leftmost columns and counts are those of
-    its stage alone.  Returns the maxima (NaN for a row without
-    candidates), their columns (-1 there) and each instance's number of
-    candidates.
+    ``means`` are the flat buffers of the (B, size, width) tables, each
+    ending in one sentinel, -inf and NaN (see ``refine._ended``), and the
+    new group of entry (a, b) is at flat index grid + stage - 1 of
+    ``layout`` (see ``_stage_layout``), so a -1 offset reads the sentinel.
+    Each row block then takes three passes: one gather from the band, one
+    add of the previous values (a dead column's NaN as -inf) and one
+    argmax, whose value is read back.  An entry is finite exactly when it
+    is a candidate; with ``pruning`` the failures are set to -inf before
+    the argmax.  Each candidate is the same float sum as in the stage run
+    alone, and the columns run in the same order, so each instance's
+    maxima, leftmost columns and counts are those of its stage alone.
+    Returns the maxima (NaN for a row without candidates), their columns
+    (-1 there) and each instance's number of candidates.
     """
     blocks, entries = layout
     prev = np.where(np.isnan(s_prev), -np.inf, s_prev)[:, None]
@@ -293,12 +379,12 @@ def _stage_maxima(
     for grid, starts in blocks:
         cols = grid.shape[-1]
         r1 = r0 + grid.shape[1]
-        blk = gather.take(grid)
+        blk = gather[grid]  # not take, which copies a read-only index array
         blk += prev[..., :cols]
         if pruning:
             s_lo = s[:, None, stage - 2 : stage - 2 + cols]  # beside the new group's first particle
             s_hi = s[:, None, stage - 1 : stage - 1 + cols]
-            eps = means[stage - 1 :].take(grid)
+            eps = means[stage - 1 :][grid]
             blk[_surely_fails(eps_prev[:, None, :cols], eps, s_lo, s_hi)] = -np.inf
             count += np.isfinite(blk).sum(axis=(1, 2))
         dec[:, r0:r1] = at = blk.argmax(axis=2)
@@ -412,36 +498,35 @@ def _certified(qs: list[Channel], cuts: np.ndarray, means: np.ndarray, s: np.nda
 def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:
     """The DP over one stack, padded to its largest channel with dead states.
 
-    The kernel's gather offsets (``_stage_layout``) are built once for the
-    stages before the last and once for the last stage's one row per
-    instance, and it reads the band and means with their sentinels
-    appended.  Returns each channel's cuts (B, n - 1) and capacity (B,);
-    the stage arrays (values, decisions, pruned flags), each (B, size)
-    before the last stage and (B, 1) at it, with the (B,) counters; and the
-    (B, size, width) group means and (B, width) crossovers the run read.
+    What depends only on the sizes and n, the live states, the band mask
+    and the kernel's gather offsets (``_stage_layout``) for the stages
+    before the last and for the last stage's one row per instance, comes
+    from ``_dp_layout``, built once per shape.  The kernel reads the band
+    and, with ``pruning``, the means through their flat buffers, which end
+    in the -inf and NaN sentinels.  Returns each channel's cuts (B, n - 1)
+    and capacity (B,); the stage arrays (values, decisions, pruned flags),
+    each (B, size) before the last stage and (B, 1) at it, with the (B,)
+    counters; and the (B, size, width) group means and (B, width)
+    crossovers the run read.
     """
     m = np.array([q.size for q in qs])
     width = max(q.size for q in qs)
     sizes = m - n + 1
     size = width - n + 1
+    layout = _dp_layout(tuple(m.tolist()), n)
     w = np.zeros((len(qs), width))
     s = np.zeros(w.shape)
     for k, q in enumerate(qs):
         w[k, : q.size] = q.weights
         s[k, : q.size] = q.sigmas
     mass, means, xbar = _segment_table(w, s, size)
-    band = _band(mass, means, xbar, m)
-    band_end = np.append(band, -np.inf)
-    means_end = np.append(means, np.nan) if pruning else None
-    offsets = np.arange(size)
+    band = _band(mass, means, xbar, layout.inside)
     inst = np.arange(len(qs))
-    live = offsets < sizes[:, None]
-    rows = np.where(live, offsets, -1)  # a padding row is -1
 
-    s_prev = np.where(live, band[:, :, 0], np.nan)
+    s_prev = np.where(layout.live, band[:, :, 0], np.nan)
     values = [s_prev]
-    decisions = [np.full(rows.shape, -1, dtype=np.int64)]
-    pruned = [np.zeros(rows.shape, dtype=bool)]
+    decisions = [np.full(s_prev.shape, -1, dtype=np.int64)]
+    pruned = [np.zeros(s_prev.shape, dtype=bool)]
     evaluations = np.zeros(len(qs), dtype=np.int64)
     # Padding rows are dead in each of the n - 2 stages between the first
     # and the last.
@@ -449,16 +534,16 @@ def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:
     # Mean crossover of each state's last group, per its stored decision
     # (read by the window tests only).
     eps_prev = means[:, :, 0]
-    # Flat index of entry [k, a, 0] of the tables, for row a of instance k.
-    row_at = (inst[:, None] * size + rows) * width
-    layout = _stage_layout(rows, row_at, width)
     for stage in range(2, n + 1):
-        if stage == n:
-            rows = (sizes - 1)[:, None]
-            row_at = (inst[:, None] * size + rows) * width
-            layout = _stage_layout(rows, row_at, width)
         s_prev, dec, count = _stage_maxima(
-            stage, layout, s_prev, eps_prev, band_end, means_end, s, pruning
+            stage,
+            layout.last if stage == n else layout.stages,
+            s_prev,
+            eps_prev,
+            band.base,
+            means.base if pruning else None,
+            s,
+            pruning,
         )
         dead = dec < 0
         evaluations += count
@@ -467,7 +552,7 @@ def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:
         pruned.append(dead)
         if pruning and stage < n:
             b = np.maximum(dec, 0)  # a dead state reads any group, then NaN
-            eps_prev = np.where(dead, np.nan, means.take(row_at + (stage - 1) + b * (1 - width)))
+            eps_prev = np.where(dead, np.nan, means.take(layout.row_at + (stage - 1) + b * (1 - width)))
     if dead.any():
         raise RuntimeError("no feasible traceback state")
     pruned_states += np.hstack(pruned[1:]).sum(axis=1)
@@ -498,7 +583,7 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
     if not (2 <= n <= m):
         raise ValueError(f"need 2 <= n <= m, got n={n}, m={m}")
     depth = max(2, min(m - n + 1, _BATCH_ENTRIES // m))
-    band = _band(*_segment_table(q.weights, q.sigmas, depth), m)
+    band = _band(*_segment_table(q.weights, q.sigmas, depth), _inside(m, depth))
     gain, pair = band[:2].tolist()  # each particle, each adjacent pair
     terms = _segment_terms(q.weights, q.sigmas)
 

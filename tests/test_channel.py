@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bidmc import (
     InvalidDistributionError,
+    binary_entropy,
     bsc,
     canonicalize,
     capacity,
@@ -202,3 +204,26 @@ def test_capacity_near_half():
     # 1 - h(sigma) is far below h's round-off here; 1 - h computed directly gives 0.
     assert capacity(bsc(0.5 - 1e-10)) == pytest.approx(2.885390559254438e-20, rel=1e-13)
     assert capacity(bsc(0.5)) == 0.0
+
+
+def _entropy_with_two_masks(x):
+    # binary_entropy as it was written with a guarded copy of x: the logs
+    # see 1/2 outside (0, 1), so no warning can fire.
+    x = np.asarray(x, dtype=np.float64)
+    inner = (x > 0.0) & (x < 1.0)
+    xs = np.where(inner, x, 0.5)
+    h = -(xs * np.log2(xs) + (1.0 - xs) * np.log2(1.0 - xs))
+    out = np.where(inner, h, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def test_binary_entropy_keeps_its_bits_and_raises_no_warning():
+    sigmas = [0.0, 5e-324, 1e-300, 1e-9, np.nextafter(0.25, 0.0), 0.25, 0.5 - 1e-10, 0.5, math.nan]
+    want = _entropy_with_two_masks(np.array(sigmas))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = binary_entropy(np.array(sigmas))
+        singles = [binary_entropy(x) for x in sigmas]
+    assert got.tobytes() == want.tobytes()
+    assert [h.hex() for h in singles] == [_entropy_with_two_masks(x).hex() for x in sigmas]
+    assert want[[0, -1]].tolist() == [0.0, 0.0] and want[7] == 1.0

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -30,6 +31,32 @@ def test_the_threshold_window_rule_lives_in_refine_alone():
     rule = re.compile(r"\b(_threshold|PHI_STRICT_TOL)\b")
     named = [p.name for p in sorted(src.glob("*.py")) if p.name != "refine.py" and rule.search(p.read_text())]
     assert named == []
+
+
+def _functions_calling(name):
+    # (module, innermost enclosing function) of every use of np.<name> in
+    # the library, "" for a use outside any function.
+    found = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and node.attr == name and getattr(node.value, "id", None) == "np":
+            found.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    src = Path(bidmc.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "")
+    return found
+
+
+def test_the_capacity_term_lives_in_channel_alone():
+    # h(sigma) is computed only by binary_entropy, and the form of
+    # 1 - h(sigma) that is accurate near 1/2 only by _capacity_term.
+    assert _functions_calling("log2") == {("channel.py", "binary_entropy")}
+    assert _functions_calling("arctanh") == {("channel.py", "_capacity_term")}
 
 
 def test_only_the_cli_writes_files():

@@ -18,6 +18,7 @@ from bidmc import (
     arikan_minus,
     arikan_plus,
     c_optimal_degradation,
+    c_optimal_degradations,
     canonicalize,
     capacity,
     capacity_loss_rate,
@@ -33,6 +34,7 @@ from bidmc.channel import MERGE_TOL, _canonicalize_stack, _capacities
 from bidmc.experiments import _opt_clr_counted, arikan_clr, pplus_stats
 from bidmc.polar import _transforms
 from bidmc.refine import PPlusPlan, _realize_pplus_stack
+from bidmc.search import _dp_layout
 
 # Shared crossovers, so members of a stack and pairs of a transform meet
 # exact ties, with 0 and 1/2 among them.
@@ -174,6 +176,24 @@ def test_sorted_gaps_bound_the_canonical_size(raw):
     # The early stop drops exactly the members beyond the limit.
     assert _canonicalize_stack(raw, [len(raw)], bound - 1) == [None]
     assert _bytes(_canonicalize_stack(raw, [len(raw)], chan.size)[0]) == _bytes(chan)
+
+
+@pytest.mark.parametrize("pruning", [True, False])
+def test_dp_stack_matches_single_calls_from_its_cached_layout(pruning):
+    # The second run of a ragged stack reads its stage layouts and band
+    # mask from the cache, read-only, and changes no bit.
+    qs = [random_channel(instance_rng(26, i), m) for i, m in enumerate((9, 17, 12))]
+    singles = [c_optimal_degradation(q, 4, pruning) for q in qs]
+    hits = _dp_layout.cache_info().hits
+    runs = [c_optimal_degradations(qs, 4, pruning) for _ in range(2)]
+    assert _dp_layout.cache_info().hits > hits
+    for run in runs:
+        assert [(p.cuts, c.hex()) for p, c in run] == [(p.cuts, c.hex()) for p, c in singles]
+    layout = _dp_layout((9, 17, 12), 4)
+    (grid, starts), *_ = layout.stages[0]
+    for arr in (grid, starts, layout.stages[1], layout.last[0][0][0], layout.live, layout.row_at, layout.inside):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
 
 
 def _clrs(q, plans):

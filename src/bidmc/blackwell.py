@@ -261,7 +261,8 @@ def risk_dominates(w: Channel, q: Channel, tol: float = WITNESS_TOL) -> bool:
 
     Both curves are piecewise linear, so dominance on the union of their
     breakpoints is dominance everywhere.  This is the Blackwell-comparison
-    route to the degradation order, independent of the witness LP.
+    route to the degradation order, independent of the constructed witness
+    (``find_degradation_witness``).
     """
     cw = bayes_risk_curve(w)
     cq = bayes_risk_curve(q)

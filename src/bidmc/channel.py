@@ -206,18 +206,68 @@ def canonicalize(raw: np.ndarray | Iterable[tuple[float, float]]) -> Channel:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("raw input must be (sigma, weight) pairs")
-    return _canonicalize_stack(pairs, [len(pairs)])[0]
+    return _channels(_canonicalize_stack(pairs, [len(pairs)]))[0]
 
 
-def _canonicalize_stack(
-    pairs: np.ndarray, sizes: Sequence[int], limit: int | None = None
-) -> list[Channel | None]:
+class _Stack(NamedTuple):
+    """Channels as one stack: row k of the (B, width) ``weights`` and
+    ``sigmas`` holds member k's particles in its first sizes[k] entries and
+    zeros after them, and width is the largest size.  A member of size 0
+    is one that was not kept (see ``_canonicalize_stack``'s ``limit``).
+
+    The stacked steps of a ``construct`` level pass this layout from one to
+    the next.  ``_stack`` packs channels into it and ``_channels`` unpacks
+    it, so each public single call is a stack of one.
+    """
+
+    weights: np.ndarray
+    sigmas: np.ndarray
+    sizes: np.ndarray
+
+
+def _stack(ws: Sequence[Channel]) -> _Stack:
+    """The stack of channels ``ws``: the one packer.  A stack of one views
+    the channel's own read-only arrays, so no step writes into a stack."""
+    if len(ws) == 1:
+        return _Stack(ws[0].weights[None], ws[0].sigmas[None], np.array([ws[0].size]))
+    sizes = np.array([w.size for w in ws], dtype=np.int64)
+    weights, sigmas = np.zeros((2, len(ws), sizes.max(initial=0)))
+    for k, w in enumerate(ws):
+        weights[k, : w.size] = w.weights
+        sigmas[k, : w.size] = w.sigmas
+    return _Stack(weights, sigmas, sizes)
+
+
+def _channels(stack: _Stack) -> list[Channel | None]:
+    """Each member of a stack as a validated Channel, None for a member of
+    size 0: the one unpacker."""
+    w, s, sizes = stack
+    return [Channel(s[k, :m], w[k, :m]) if m else None for k, m in enumerate(sizes.tolist())]
+
+
+def _rows(stack: _Stack, rows) -> _Stack:
+    """Members ``rows`` (indices or a slice) of a stack, as a stack."""
+    sizes = stack.sizes[rows]
+    width = sizes.max(initial=0)
+    return _Stack(stack.weights[rows, :width], stack.sigmas[rows, :width], sizes)
+
+
+def _replaced(stack: _Stack, rows, sub: _Stack) -> _Stack:
+    """``stack`` with its members ``rows`` replaced by those of ``sub``, a
+    stack no wider than ``stack``."""
+    ws, sizes = np.array(stack[:2]), stack.sizes.copy()
+    ws[:, rows], sizes[rows] = 0.0, sub.sizes
+    ws[:, rows, : sub.weights.shape[1]] = sub[:2]
+    return _rows(_Stack(*ws, sizes), slice(None))
+
+
+def _canonicalize_stack(pairs: np.ndarray, sizes: Sequence[int], limit: int | None = None) -> _Stack:
     """``canonicalize`` of each member of a stack of pair lists, in one pass.
 
     ``pairs`` is an (N, 2) float64 array of the members' pairs one after
-    another, ``sizes`` their counts.  Each member's result equals its
-    single call's bit for bit, and a malformed member raises the error its
-    single call raises.
+    another, ``sizes`` their counts.  Each member of the returned stack
+    equals its single call bit for bit, and a malformed member raises the
+    error its single call raises.
 
     - Each member's total is summed in sequence, in input order, as a row
       zero-padded to the largest member.  Zeros change no sum, but the
@@ -227,14 +277,14 @@ def _canonicalize_stack(
       over just the pairs whose crossovers are equal.  One ``_merge_runs``
       replay then folds every member's runs.
     - With ``limit``, a member whose canonical form has more than
-      ``limit`` particles comes back as None, without Channel validation.
-      A running group mean exceeds its largest member by a few ulps at
-      most, so a sorted gap above 2 * MERGE_TOL surely opens a group, and
-      one plus the number of such gaps in a member is a lower bound on its
-      canonical size.  When that bound already exceeds ``limit`` for every
-      member, the call returns right after the sigma sort, before the
-      weight order and the merge; the early stop is exact, since the bound
-      never exceeds the size.
+      ``limit`` particles comes back with size 0.  A running group mean
+      exceeds its largest member by a few ulps at most, so a sorted gap
+      above 2 * MERGE_TOL surely opens a group, and one plus the number of
+      such gaps in a member is a lower bound on its canonical size.  When
+      that bound already exceeds ``limit`` for every member, the call
+      returns right after the sigma sort, before the weight order and the
+      merge; the early stop is exact, since the bound never exceeds the
+      size.
     """
     n_mem = len(sizes)
     sig, wt, keep = _clean_pairs(pairs)
@@ -245,6 +295,7 @@ def _canonicalize_stack(
             raise InvalidDistributionError(f"weights sum to {total}, not 1")
         order = sig.argsort()
         s, w = sig[order], wt[order]
+        start = [0]
     else:
         # Row k holds member k's kept weights in input order, padded with 0.
         member = np.repeat(np.arange(n_mem), sizes)[keep]
@@ -262,12 +313,10 @@ def _canonicalize_stack(
     close = gap <= 2.0 * MERGE_TOL
     if n_mem > 1:
         close[start[1:] - 1] = False  # a member's first pair opens a group
-    if limit is not None:
+    head = np.concatenate(([True], ~close))
+    if limit is not None and np.all(np.add.reduceat(head, start) > limit):
         # A member has at least as many groups as pairs that surely open one.
-        sure = np.concatenate(([True], ~close))
-        bound = np.add.reduceat(sure, start) if n_mem > 1 else np.count_nonzero(sure)
-        if np.all(bound > limit):
-            return [None] * n_mem
+        return _Stack(*np.zeros((2, n_mem, 0)), np.zeros(n_mem, dtype=np.int64))
     if np.count_nonzero(close):
         # Equal crossovers go in weight order, as in a sort by (sigma, weight);
         # only the pairs in runs of equal crossovers move.
@@ -282,21 +331,19 @@ def _canonicalize_stack(
             block = np.concatenate(([0], np.cumsum(~tied)))[tie]
             perm = tie[(block * tie.size + rank).argsort()]
             s[tie], w[tie] = s[perm], w[perm]
-        head = np.concatenate(([True], ~close))
         s, w = _merge_runs(s, w, head)
-        if n_mem > 1:
-            count = np.add.reduceat(head, start)
     if n_mem == 1:
-        return [Channel(s, w / total) if limit is None or s.size <= limit else None]
-    count = count.tolist()
+        size = s.size if limit is None or s.size <= limit else 0
+        return _Stack((w / total)[None, :size], s[None, :size], np.array([size]))
+    count = np.add.reduceat(head, start)
     w = w / np.repeat(total, count)
-    out: list[Channel | None] = []
-    end = 0
-    for size in count:
-        end += size
-        fits = limit is None or size <= limit
-        out.append(Channel(s[end - size : end], w[end - size : end]) if fits else None)
-    return out
+    if limit is not None:
+        kept = count <= limit
+        s, w = s[np.repeat(kept, count)], w[np.repeat(kept, count)]
+        count = np.where(kept, count, 0)
+    out = np.zeros((2, n_mem, count.max()))
+    out[:, np.arange(count.max()) < count[:, None]] = w, s
+    return _Stack(*out, count)
 
 
 def _clean_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,21 +434,16 @@ def capacity(w: Channel) -> float:
 
     The stack of one of ``_capacities``.
     """
-    return _capacities([w])[0]
+    return _capacities(_stack([w]))[0]
 
 
-def _capacities(ws: Sequence[Channel]) -> list[float]:
-    """``capacity`` of each channel: one capacity-term evaluation over the
-    concatenated particles, then each channel's own ``np.sum``, so each
-    value equals its single call bit for bit."""
-    s = np.concatenate([w.sigmas for w in ws])
-    q = np.concatenate([w.weights for w in ws])
-    terms = q * _capacity_term(s, 1.0 - 2.0 * s)
-    out, end = [], 0
-    for w in ws:
-        out.append(float(np.sum(terms[end : end + w.size])))
-        end += w.size
-    return out
+def _capacities(stack: _Stack) -> list[float]:
+    """``capacity`` of each member of a stack: one capacity-term evaluation
+    over the stack, then each member's own ``np.sum`` over its own terms,
+    so each value equals its single call bit for bit."""
+    w, s, sizes = stack
+    terms = w * _capacity_term(s, 1.0 - 2.0 * s)
+    return [float(np.sum(t[:m])) for t, m in zip(terms, sizes.tolist())]
 
 
 def capacity_loss_rate(cap_src: float, cap_deg: float) -> float:

@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _capacities, capacity_loss_rate
+from .channel import _capacities, _channels, _stack, capacity_loss_rate
 from .ensembles import instance_rng, random_channel
 from .polar import _transforms, construct
-from .refine import PPlusPlan, _realize_pplus_stack, refine_cuts
+from .refine import PPlusPlan, _realize, refine_cuts
 from .search import (
     _BATCH_ENTRIES,
     c_optimal_degradations,
@@ -35,10 +35,14 @@ from .search import (
 def realized_capacities(plans: Sequence[PPlusPlan]) -> list[float]:
     """``capacity(realize_pplus(plan))`` of each plan, in stacks of at most
     _BATCH_ENTRIES groups times particles (a plus transform has about 3e4
-    C-degradations at n = 10, and a stack's group sums pad to its longest)."""
+    C-degradations at n = 10, and a stack's group sums pad to its longest),
+    each of plans with as many cuts."""
     step = max(1, _BATCH_ENTRIES // max(((len(p.cuts) + 1) * p.source.size for p in plans), default=1))
-    stacks = (_realize_pplus_stack(plans[k : k + step]) for k in range(0, len(plans), step))
-    return [c for ws in stacks for c in _capacities(ws)]
+    runs = [list(run) for _, run in itertools.groupby(plans, lambda p: len(p.cuts))]
+    chunks = [run[k : k + step] for run in runs for k in range(0, len(run), step)]
+    cuts = (np.array([p.cuts for p in chunk], dtype=np.int64) for chunk in chunks)
+    stacks = (_realize(_stack([p.source for p in chunk]), c) for chunk, c in zip(chunks, cuts))
+    return [c for stack in stacks for c in _capacities(stack)]
 
 
 def _plan_clrs(caps_q: list[float], plan_lists: list[list[PPlusPlan]]) -> list[list[float]]:
@@ -52,7 +56,7 @@ def pplus_stats(seed: int, indices: Sequence[int], m: int, n: int) -> dict:
     among them) of random m-particle channels reduced to n."""
     qs = [random_channel(instance_rng(seed, i), m) for i in indices]
     plan_lists = [enumerate_c_degradations(q, n) for q in qs]
-    clrs = _plan_clrs(_capacities(qs), plan_lists)
+    clrs = _plan_clrs(_capacities(_stack(qs)), plan_lists)
     counts = np.array([len(plans) for plans in plan_lists])
     return {"c_count": counts, "c_clr": np.array([min(c, default=0.0) for c in clrs])}
 
@@ -81,7 +85,7 @@ def _opt_clr_counted(seed: int, indices: Sequence[int], m: int, n: int, compare_
 
 def _opt_clrs(qs: list, plans: list[PPlusPlan]) -> np.ndarray:
     """The CLR of each channel's one plan."""
-    return np.array([c for c, in _plan_clrs(_capacities(qs), [[p] for p in plans])])
+    return np.array([c for c, in _plan_clrs(_capacities(_stack(qs)), [[p] for p in plans])])
 
 
 def arikan_clr(seed: int, indices: Sequence[int], n: int, c_stats: bool = False) -> dict:
@@ -91,13 +95,13 @@ def arikan_clr(seed: int, indices: Sequence[int], n: int, c_stats: bool = False)
     own at size <= n) and, with ``c_stats``, its C-degradation count and
     their mean CLR."""
     ws = [random_channel(instance_rng(seed, i), n) for i in indices]
-    qs = _transforms(ws, "1" * len(ws))
-    caps_q = _capacities(qs)
+    stack = _transforms(_stack(ws), "1" * len(ws))
+    qs, caps_q = _channels(stack), _capacities(stack)
     big = [k for k, q in enumerate(qs) if q.size > n]
     tv = [tv_greedy_plan(qs[k], n) for k in big]
     opt = [plan for plan, _ in c_optimal_degradations([qs[k] for k in big], n)]
     caps = iter(realized_capacities(opt + tv + [refine_cuts(plan) for plan in tv]))
-    out = {"size": np.array([q.size for q in qs]), "capacity": np.array(caps_q)}
+    out = {"size": stack.sizes, "capacity": np.array(caps_q)}
     for key in ("opt", "tv", "tv_star"):
         out[key] = np.array(caps_q)
         for k in big:

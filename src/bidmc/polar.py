@@ -17,27 +17,31 @@ transform branch it tracks the quantized chain (optimal 2n-output
 degradation after each transform) and, while the particle count stays under
 a guard, the exact synthetic channel, reporting the capacity-loss rate per
 branch.  The branches of one level do not depend on each other, so each
-level is one stacked pass: one call transforms every quantized parent, one
-``canonicalize`` pass reduces the transforms, one DP call quantizes them,
-one call realizes the plans and one capacity-term evaluation serves the
-level's capacity-loss rates.  Each stacked call equals its single calls bit
-for bit; ``arikan_minus``, ``arikan_plus``, ``canonicalize``,
-``realize_pplus`` and ``capacity`` are their stacks of one.  An exact
-transform whose sorted crossovers already prove more particles than the
-guard is dropped before its merge (see ``construct``).
+level is one stacked pass, and its steps hand each other one layout, the
+zero-padded (B, width) weights and sigmas with their (B,) sizes of
+``channel._Stack``: one call transforms every quantized parent, one
+``canonicalize`` pass reduces the transforms, one DP call gives the (B,
+n - 1) cut matrix of those larger than n, one call realizes those cuts and
+one capacity-term evaluation per stack serves the level's capacity-loss
+rates.  Only the channels a record keeps become ``Channel`` values, and no
+plan is built.  Each stacked call equals its single calls bit for bit;
+``arikan_minus``, ``arikan_plus``, ``canonicalize``, ``realize_pplus`` and
+``capacity`` are their stacks of one.  An exact transform whose sorted
+crossovers already prove more particles than the guard is dropped before
+its merge (see ``construct``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, _canonicalize_stack, _capacities, capacity_loss_rate
-from .refine import _realize_pplus_stack
-from .search import c_optimal_degradations
+from .channel import Channel, _Stack, _canonicalize_stack, _capacities, _channels, _replaced, _rows
+from .channel import _stack, capacity_loss_rate
+from .refine import _realize
+from .search import _optimal_cuts
 
 __all__ = [
     "EXACT_SIZE_GUARD",
@@ -87,57 +91,49 @@ def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return i, j, factor, diag
 
 
-def _transforms(
-    ws: Sequence[Channel], bits: Sequence[str], limit: int | None = None
-) -> list[Channel | None]:
-    """Transform bits[k] ("0" minus, "1" plus) of each channel ws[k], in one pass.
+def _transforms(stack: _Stack, bits: str, limit: int | None = None) -> _Stack:
+    """Transform bits[k] ("0" minus, "1" plus) of each member k of a stack, in one pass.
 
-    Channels of one bit and one size are transformed together into one
-    (channel, pair, output, 2) array of raw (crossover, mass) outputs: one
-    output per pair for the minus transform, a good and a bad one for the
-    plus transform.  One ``_canonicalize_stack`` call reduces every
+    Every member is transformed over the unordered pairs of the stack's
+    width into one (member, pair, output, 2) array of raw (crossover, mass)
+    outputs: one output per pair, the minus transform's, or, when any bit
+    is "1", two, a plus transform's good and bad outputs and a minus
+    transform's with a zero-mass second.  A pair that meets a member's
+    zero padding has zero mass, and the pairs within the member come in its
+    own pair order.  One ``_canonicalize_stack`` call reduces every
     transform, dropping zero masses and folding crossovers above 1/2; each
     result equals its single call bit for bit.  With ``limit``, a transform
-    of more than ``limit`` particles is None.
+    of more than ``limit`` particles has size 0.
     """
-    if not ws:
-        return []
-    groups: dict[tuple[str, int], list[int]] = {}
-    for k, (w, bit) in enumerate(zip(ws, bits)):
-        groups.setdefault((bit, w.size), []).append(k)
-    chunks, sizes, members = [], [], []
-    for (bit, m), ks in groups.items():
-        i, j, factor, diag = _pair_indices(m)
-        sig = np.array([ws[k].sigmas for k in ks])
-        wt = np.array([ws[k].weights for k in ks])
-        si, sj = sig.take(i, axis=1), sig.take(j, axis=1)
-        mass = factor * wt.take(i, axis=1) * wt.take(j, axis=1)
-        members += ks
-        outputs = 1 + int(bit)
-        pairs = np.empty(si.shape + (outputs, 2))
-        if bit == "0":
-            pairs[..., 0, 0] = star(si, sj)
-            pairs[..., 0, 1] = mass
-        else:
-            # Pair i <= j gives its good output, then its bad one.
-            good = star(1.0 - si, sj)
-            pairs[..., 0, 0] = diamond(si, sj)
-            pairs[..., 1, 0] = diamond(1.0 - si, sj)
-            pairs[:, diag, 1, 0] = 0.5
-            pairs[..., 0, 1] = mass * good
-            pairs[..., 1, 1] = mass * (1.0 - good)
-        chunks.append(pairs.reshape(-1, 2))
-        sizes += [outputs * i.size] * len(ks)
-    pairs = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    out: list[Channel | None] = [None] * len(ws)
-    for k, chan in zip(members, _canonicalize_stack(pairs, sizes, limit)):
-        out[k] = chan
-    return out
+    w, s, _ = stack
+    i, j, factor, diag = _pair_indices(s.shape[1])
+    si, sj = s.take(i, axis=1), s.take(j, axis=1)
+    mass = factor * w.take(i, axis=1) * w.take(j, axis=1)
+    plus = [bit == "1" for bit in bits]
+    pairs = np.empty(si.shape + (1 + any(plus), 2))
+    if not any(plus):
+        pairs[..., 0, 0] = star(si, sj)
+        pairs[..., 0, 1] = mass
+    else:
+        # Pair i <= j gives its good output, then its bad one; a minus
+        # transform gives its one output, then a zero-mass one.
+        good = star(1.0 - si, sj)
+        pairs[..., 0, 0] = diamond(si, sj)
+        pairs[..., 1, 0] = diamond(1.0 - si, sj)
+        pairs[:, diag, 1, 0] = 0.5
+        pairs[..., 0, 1] = mass * good
+        pairs[..., 1, 1] = mass * (1.0 - good)
+        minus = ~np.array(plus)
+        if minus.any():
+            pairs[minus, :, 0, 0] = star(si[minus], sj[minus])
+            pairs[minus, :, 0, 1] = mass[minus]
+            pairs[minus, :, 1, 1] = 0.0
+    return _canonicalize_stack(pairs.reshape(-1, 2), [pairs[0].size // 2] * len(bits), limit)
 
 
 def arikan_minus(w: Channel) -> Channel:
     """Minus (check) transform: star mixture over unordered pairs."""
-    return _transforms([w], "0")[0]
+    return _channels(_transforms(_stack([w]), "0"))[0]
 
 
 def arikan_plus(w: Channel) -> Channel:
@@ -150,7 +146,7 @@ def arikan_plus(w: Channel) -> Channel:
     1.4e-17 / e.  So these merge into one, and at most
     n(n+1)/2 + n(n-1)/2 + 1 = n^2 + 1 remain.
     """
-    return _transforms([w], "1")[0]
+    return _channels(_transforms(_stack([w]), "1"))[0]
 
 
 @dataclass(frozen=True)
@@ -197,27 +193,31 @@ class ConstructionRun:
 def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
     """Degrade-then-transform over every branch of length <= depth.
 
-    Each level is one stacked pass over its branches: one ``_transforms``
-    call transforms every quantized parent of the level above, one
-    ``c_optimal_degradations`` call finds the optimal n-particle
-    degradation of each transform larger than n, one
-    ``_realize_pplus_stack`` call builds those, and one ``_capacities``
-    call evaluates the level.  Every stacked call equals its single calls
-    bit for bit, so the records are those of a branch-by-branch loop.  The
-    capacity-loss rate of branch alpha*a is
+    Each level is one stacked pass over its branches, in branch order, on
+    the stack layout of ``channel._Stack``: one ``_transforms`` call
+    transforms the stack of the quantized parents, one ``_optimal_cuts``
+    call gives the cut matrix of the optimal n-particle degradation of each
+    transform larger than n, one ``_realize`` call builds those from the
+    cuts, which then take their branches' rows of the transforms' stack
+    (the next level's parents), and ``_capacities`` evaluates the
+    transforms and the quantized channels.  A branch's quantized and exact
+    channels are unpacked, with ``channel._channels``, only for its record.
+    Every stacked call equals its single calls bit for bit, so the records
+    are those of a branch-by-branch loop.  The capacity-loss rate of
+    branch alpha*a is
 
         (I(exact) - I(quantized)) / I(exact)
 
     with exact = A_a(exact parent) while the exact chain stays within the
     size guard; beyond it the reference falls back to A_a(quantized parent)
     and the record is flagged.  An exact parent is transformed while its
-    n^2 + 1 bound is within 4 * EXACT_SIZE_GUARD, each in its own call
-    (a stack pads its members to the largest), with EXACT_SIZE_GUARD as
-    the limit: ``_canonicalize_stack`` drops a transform as soon as its
-    sigma sort proves more particles than the guard, before the weight
-    order and the merge.  The early stop is exact: the proof is a lower
-    bound on the merged size, so a dropped transform is one the guard
-    would have discarded after merging.
+    n^2 + 1 bound is within 4 * EXACT_SIZE_GUARD, each in its own stack of
+    one (a stack pads its members to the largest), with EXACT_SIZE_GUARD as
+    the limit: ``_canonicalize_stack`` gives size 0 to a transform as soon
+    as its sigma sort proves more particles than the guard, before the
+    weight order and the merge.  The early stop is exact: the proof is a
+    lower bound on the merged size, so a dropped transform is one the
+    guard would have discarded after merging.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -227,26 +227,24 @@ def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
         "": BranchRecord("", base, base, 0.0, True)
     }
     level = [""]
+    quantized = _stack([base])
+    exact: list[_Stack | None] = [quantized]  # untracked: None or size 0
     for _ in range(depth):
         level = [alpha + bit for alpha in level for bit in ("0", "1")]
-        parents = [records[child[:-1]] for child in level]
-        bits = [child[-1] for child in level]
-        refs = _transforms([p.quantized for p in parents], bits)
-        quantized = list(refs)
-        large = [k for k, w in enumerate(refs) if w.size > n]
-        plans = c_optimal_degradations([refs[k] for k in large], n)
-        for k, w in zip(large, _realize_pplus_stack([plan for plan, _ in plans])):
-            quantized[k] = w
+        refs = quantized = _transforms(_rows(quantized, np.arange(len(level)) // 2), "01" * len(exact))
+        large = np.flatnonzero(refs.sizes > n)
+        if large.size:
+            found = _rows(refs, large)
+            quantized = _replaced(refs, large, _realize(found, _optimal_cuts(found, n)[0]))
         # Merging usually shrinks the transform well below the n^2 + 1
         # bound, so attempt within a small over-budget and keep the result
         # only if it actually fits.
-        exact: list[Channel | None] = [None] * len(level)
-        for k, p in enumerate(parents):
-            if p.exact is not None and p.exact.size ** 2 + 1 <= 4 * EXACT_SIZE_GUARD:
-                exact[k] = _transforms([p.exact], bits[k], EXACT_SIZE_GUARD)[0]
-        references = [e if e is not None else r for e, r in zip(exact, refs)]
-        caps = _capacities(references + quantized)
-        for k, child in enumerate(level):
-            clr = capacity_loss_rate(caps[k], caps[len(level) + k])
-            records[child] = BranchRecord(child, exact[k], quantized[k], clr, exact[k] is not None)
+        guard = EXACT_SIZE_GUARD
+        fits = [e is not None and 0 < e.sizes[0] and e.sizes[0] ** 2 + 1 <= 4 * guard for e in exact]
+        exact = [_transforms(e, bit, guard) if ok else None for e, ok in zip(exact, fits) for bit in "01"]
+        ref_caps, caps = _capacities(refs), _capacities(quantized)
+        for k, (child, chan) in enumerate(zip(level, _channels(quantized))):
+            e = None if exact[k] is None else _channels(exact[k])[0]
+            ref = ref_caps[k] if e is None else _capacities(exact[k])[0]
+            records[child] = BranchRecord(child, e, chan, capacity_loss_rate(ref, caps[k]), e is not None)
     return ConstructionRun(base, n, depth, records)

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .blackwell import OneMatrix, find_degradation_witness
-from .channel import Channel, _canonicalize_stack, canonicalize
+from .channel import Channel, _canonicalize_stack, _channels, _Stack, _stack, canonicalize
 
 __all__ = [
     "PHI_STRICT_TOL",
@@ -356,29 +355,26 @@ def realize_pstar(plan: PStarPlan) -> Channel:
 def realize_pplus(plan: PPlusPlan) -> Channel:
     """Channel realized by a cut plan: contiguous-group means.
 
-    The stack of one of ``_realize_pplus_stack``.
+    The stack of one of ``_realize``.
     """
-    return _realize_pplus_stack([plan])[0]
+    return _channels(_realize(_stack([plan.source]), np.array([plan.cuts], dtype=np.int64)))[0]
 
 
-def _realize_pplus_stack(plans: Sequence[PPlusPlan]) -> list[Channel]:
-    """``realize_pplus`` of each plan, in one pass and bit for bit.
+def _realize(stack: _Stack, cuts: np.ndarray) -> _Stack:
+    """``realize_pplus`` of each member of a stack by its row of ``cuts``
+    (B, g - 1), in one pass and bit for bit.
 
-    The plans' sources are concatenated, every group of every plan goes
-    through one ``_group_stats`` call, and one ``_canonicalize_stack`` call
-    reduces every plan's (mean, mass) pairs.
+    Every group of every member goes through one ``_group_stats`` call over
+    the flattened stack, and one ``_canonicalize_stack`` call reduces every
+    member's (mean, mass) pairs.
     """
-    if not plans:
-        return []
-    q = np.concatenate([p.source.weights for p in plans])
-    s = np.concatenate([p.source.sigmas for p in plans])
-    bounds, base = [], 0
-    for p in plans:
-        bounds += [(base + a - 1, base + b - 1) for a, b in p.bounds()]
-        base += p.source.size
-    starts, stops = np.array(bounds).T
-    masses, means = _group_stats(q, s, starts, stops)
-    return _canonicalize_stack(np.array((means, masses)).T, [len(p.cuts) + 1 for p in plans])
+    w, s, sizes = stack
+    edges = np.zeros((len(sizes), cuts.shape[1] + 2), dtype=np.int64)
+    edges[:, 1:-1] = cuts - 1
+    edges[:, -1] = sizes
+    edges += np.arange(len(sizes))[:, None] * w.shape[1]
+    masses, means = _group_stats(w.ravel(), s.ravel(), edges[:, :-1].ravel(), edges[:, 1:].ravel())
+    return _canonicalize_stack(np.array((means, masses)).T, [cuts.shape[1] + 1] * len(sizes))
 
 
 def pplus_as_pstar(plan: PPlusPlan) -> PStarPlan:

@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Channel, _capacity_term
+from .channel import Channel, _capacity_term, _rows, _Stack, _stack
 from .refine import (
     PPlusPlan,
     _ended,
@@ -410,7 +410,7 @@ def c_optimal_degradation(q: Channel, n: int, pruning: bool = True) -> tuple[PPl
     pruned run therefore reaches the same final capacity.  ``pruning=False``
     is the soundness baseline.  With ``pruning``, the plan and capacity are
     the pruned run's, taken from the unpruned run where it certifies them (see
-    ``c_optimal_degradations``); ``dp_tables`` gives the counters.  This
+    ``_optimal_cuts``); ``dp_tables`` gives the counters.  This
     is the batch of one of ``c_optimal_degradations``.
     """
     return c_optimal_degradations([q], n, pruning)[0]
@@ -425,6 +425,16 @@ def c_optimal_degradations(
     together; each plan and capacity equals the channel's single call bit
     for bit.  Raises the single call's ValueError for a channel with m <= n
     and its RuntimeError when any channel has no feasible traceback state.
+    The stack of ``_optimal_cuts``.
+    """
+    qs = list(qs)
+    cuts, caps = _optimal_cuts(_stack(qs), n, pruning)
+    return [(PPlusPlan(q, tuple(c)), cap) for q, c, cap in zip(qs, cuts.tolist(), caps.tolist())]
+
+
+def _optimal_cuts(stack: _Stack, n: int, pruning: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The cuts (B, n - 1) and capacities (B,) of ``c_optimal_degradations``
+    over the members of a stack, in chunks (see ``_chunks``).
 
     With ``pruning``, the plans come from the unpruned DP, certified by the
     window tests of their own cuts.  A pruned state's value maximizes over a
@@ -436,16 +446,16 @@ def c_optimal_degradations(
     same plan and capacity.  Only the few channels whose traceback fails run
     the pruned DP.
     """
-    out = []
-    for stack in _stacks(qs, n):
-        cuts, caps, _, means, s = _dp_run(stack, n, False)
+    cuts = np.empty((len(stack.sizes), max(n - 1, 0)), dtype=np.int64)
+    caps = np.empty(len(stack.sizes))
+    for rows, part in _chunks(stack, n):
+        c, cap, _, means = _dp_run(part, n, False)
         if pruning:
-            failed = (~_certified(stack, cuts, means, s)).nonzero()[0]
+            failed = (~_certified(part, c, means)).nonzero()[0]
             if failed.size:
-                cuts[failed], caps[failed] = _dp_run([stack[k] for k in failed], n, True)[:2]
-        found = zip(stack, cuts.tolist(), caps.tolist())
-        out.extend((PPlusPlan(q, tuple(c)), cap) for q, c, cap in found)
-    return out
+                c[failed], cap[failed] = _dp_run(_rows(part, failed), n, True)[:2]
+        cuts[rows], caps[rows] = c, cap
+    return cuts, caps
 
 
 def dp_tables(qs: list[Channel], n: int, pruning: bool = True) -> list[tuple[PPlusPlan, DpTable]]:
@@ -457,45 +467,46 @@ def dp_tables(qs: list[Channel], n: int, pruning: bool = True) -> list[tuple[PPl
     unpruned one, and each table equals the channel's single call bit for
     bit.
     """
+    qs = list(qs)
     out = []
-    for stack in _stacks(qs, n):
-        cuts, caps, (*_, evaluations, pruned_states), _, _ = _dp_run(stack, n, pruning)
-        found = zip(stack, cuts.tolist(), caps.tolist(), evaluations.tolist(), pruned_states.tolist())
+    for rows, part in _chunks(_stack(qs), n):
+        cuts, caps, (*_, evaluations, pruned_states), _ = _dp_run(part, n, pruning)
+        found = zip(qs[rows], cuts.tolist(), caps.tolist(), evaluations.tolist(), pruned_states.tolist())
         out.extend((PPlusPlan(q, tuple(c)), DpTable(*table)) for q, c, *table in found)
     return out
 
 
-def _stacks(qs: list[Channel], n: int) -> list[list[Channel]]:
-    """The channels in stacks of at most _BATCH_ENTRIES table entries, each
-    checked to have more than n particles first."""
-    qs = list(qs)
-    for q in qs:
-        if not (2 <= n < q.size):
-            raise ValueError(f"need 2 <= n < m, got n={n}, m={q.size}")
-    if not qs:
-        return []
-    m = max(q.size for q in qs)
-    chunk = max(1, _BATCH_ENTRIES // ((m - n + 1) * m))
-    return [qs[k : k + chunk] for k in range(0, len(qs), chunk)]
+def _chunks(stack: _Stack, n: int) -> list[tuple[slice, _Stack]]:
+    """The members of a stack in chunks of at most _BATCH_ENTRIES table
+    entries, each chunk's rows with its stack; every member is checked to
+    have more than n particles first."""
+    m = stack.sizes.tolist()
+    for size in m:
+        if not 2 <= n < size:
+            raise ValueError(f"need 2 <= n < m, got n={n}, m={size}")
+    top = max(m, default=0)
+    chunk = max(1, _BATCH_ENTRIES // max((top - n + 1) * top, 1))
+    return [(slice(k, k + chunk), _rows(stack, slice(k, k + chunk))) for k in range(0, len(m), chunk)]
 
 
-def _certified(qs: list[Channel], cuts: np.ndarray, means: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _certified(stack: _Stack, cuts: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Whether no cut of each traceback surely fails its window test.
 
-    ``cuts`` (B, n - 1) index the stack's (B, size, width) group means and
-    (B, width) crossovers, as ``_dp_run`` returns them.  Each cut's test
-    reads its two groups' table means, as the pruned kernel does for that
-    entry, and the kernel's ``refine._surely_fails``, so both decide alike.
+    ``cuts`` (B, n - 1) index the stack's crossovers and the (B, size,
+    width) group means, as ``_dp_run`` returns them.  Each cut's test reads
+    its two groups' table means, as the pruned kernel does for that entry,
+    and the kernel's ``refine._surely_fails``, so both decide alike.
     """
-    k = np.arange(len(qs))[:, None]
+    s = stack.sigmas
+    k = np.arange(len(s))[:, None]
     lo = cuts - 1  # 0-indexed first particle of each group after the first
     starts = np.hstack((np.zeros_like(k), lo))
-    stops = np.hstack((lo, [[q.size] for q in qs]))
+    stops = np.hstack((lo, stack.sizes[:, None]))
     eps = means[k, stops - starts - 1, starts]
     return ~_surely_fails(eps[:, :-1], eps[:, 1:], s[k, lo - 1], s[k, lo]).any(axis=1)
 
 
-def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:
+def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     """The DP over one stack, padded to its largest channel with dead states.
 
     What depends only on the sizes and n, the live states, the band mask
@@ -506,28 +517,22 @@ def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:
     in the -inf and NaN sentinels.  Returns each channel's cuts (B, n - 1)
     and capacity (B,); the stage arrays (values, decisions, pruned flags),
     each (B, size) before the last stage and (B, 1) at it, with the (B,)
-    counters; and the (B, size, width) group means and (B, width)
-    crossovers the run read.
+    counters; and the (B, size, width) group means the run read.
     """
-    m = np.array([q.size for q in qs])
-    width = max(q.size for q in qs)
+    w, s, m = stack
+    width = w.shape[1]
     sizes = m - n + 1
     size = width - n + 1
     layout = _dp_layout(tuple(m.tolist()), n)
-    w = np.zeros((len(qs), width))
-    s = np.zeros(w.shape)
-    for k, q in enumerate(qs):
-        w[k, : q.size] = q.weights
-        s[k, : q.size] = q.sigmas
     mass, means, xbar = _segment_table(w, s, size)
     band = _band(mass, means, xbar, layout.inside)
-    inst = np.arange(len(qs))
+    inst = np.arange(len(m))
 
     s_prev = np.where(layout.live, band[:, :, 0], np.nan)
     values = [s_prev]
     decisions = [np.full(s_prev.shape, -1, dtype=np.int64)]
     pruned = [np.zeros(s_prev.shape, dtype=bool)]
-    evaluations = np.zeros(len(qs), dtype=np.int64)
+    evaluations = np.zeros(len(m), dtype=np.int64)
     # Padding rows are dead in each of the n - 2 stages between the first
     # and the last.
     pruned_states = (2 - n) * (size - sizes)
@@ -557,13 +562,13 @@ def _dp_run(qs: list[Channel], n: int, pruning: bool) -> tuple:
         raise RuntimeError("no feasible traceback state")
     pruned_states += np.hstack(pruned[1:]).sum(axis=1)
 
-    row = np.zeros(len(qs), dtype=np.int64)
-    cuts = np.empty((len(qs), n - 1), dtype=np.int64)
+    row = np.zeros(len(m), dtype=np.int64)
+    cuts = np.empty((len(m), n - 1), dtype=np.int64)
     for stage in range(n, 1, -1):
         row = decisions[stage - 1][inst, row]
         cuts[:, stage - 2] = stage + row  # group `stage` starts after state (stage - 1, row)
     stages = (values, decisions, pruned, evaluations, pruned_states)
-    return cuts, s_prev[:, 0], stages, means, s
+    return cuts, s_prev[:, 0], stages, means
 
 
 def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:

@@ -4,6 +4,7 @@ which keeps them for its traceback; the tests check the stage kernel on them."""
 from types import SimpleNamespace
 
 from bidmc import PPlusPlan, search
+from bidmc.channel import _stack
 
 
 def dp_stage_tables(qs, n, pruning):
@@ -16,10 +17,11 @@ def dp_stage_tables(qs, n, pruning):
     -1 where unavailable.  ``pruned[j]`` flags skipped states.
     """
     out = []
-    for stack in search._stacks(qs, n):
-        cuts, caps, stages, _, _ = search._dp_run(stack, n, pruning)
+    qs = list(qs)
+    for rows, stack in search._chunks(_stack(qs), n):
+        cuts, caps, stages, _ = search._dp_run(stack, n, pruning)
         values, decisions, pruned, evaluations, pruned_states = stages
-        for k, q in enumerate(stack):
+        for k, q in enumerate(qs[rows]):
             own = slice(0, q.size - n + 1)  # each stage's own states; the last has one
             table = SimpleNamespace(
                 values=[v[k, own] for v in values],

@@ -22,6 +22,7 @@ from bidmc import (
     random_channel,
 )
 from bidmc import experiments, polar, search
+from bidmc.channel import _channels, _stack
 from bidmc.polar import _transforms
 
 from skewed_channels import skewed_channels
@@ -46,8 +47,9 @@ def _check_corpus(qs, n):
 
 
 def _certificates(qs, n):
-    cuts, _, _, means, s = search._dp_run(qs, n, False)
-    return search._certified(qs, cuts, means, s)
+    stack = _stack(qs)
+    cuts, _, _, means = search._dp_run(stack, n, False)
+    return search._certified(stack, cuts, means)
 
 
 def _opt_uniform(seed, count):
@@ -73,19 +75,20 @@ def test_random_grid_matches_the_pruned_run():
 def test_arikan_transforms_match_the_pruned_run():
     for n in range(4, 11):
         ws = [random_channel(instance_rng(1402, 10 * n + i), n) for i in range(4)]
-        qs = [q for q in _transforms(ws, "1" * len(ws)) if q.size > n]
+        qs = [q for q in _channels(_transforms(_stack(ws), "1" * len(ws))) if q.size > n]
         _check_corpus(qs, n)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_polar_chain_stacks_match_the_pruned_run(monkeypatch, seed):
     stacks = []
+    optimal_cuts = polar._optimal_cuts
 
-    def spy(qs, n, pruning=True):
-        stacks.append((list(qs), n))
-        return c_optimal_degradations(qs, n, pruning)
+    def spy(stack, n, pruning=True):
+        stacks.append((_channels(stack), n))
+        return optimal_cuts(stack, n, pruning)
 
-    monkeypatch.setattr(polar, "c_optimal_degradations", spy)
+    monkeypatch.setattr(polar, "_optimal_cuts", spy)
     for i in range(2):
         construct(random_channel(instance_rng(seed, i), 4), 5, 4)
     assert len(stacks) == 10
@@ -98,7 +101,7 @@ def _fallback_channels():
     """The two depth-5 branches of a seed-1 chain whose unpruned traceback
     fails a window test, so their pruned plans differ from the unpruned."""
     run = construct(random_channel(instance_rng(1, 21), 4), 4, 4)
-    return _transforms([run.records["1111"].quantized] * 2, "01")
+    return _channels(_transforms(_stack([run.records["1111"].quantized] * 2), "01"))
 
 
 @pytest.mark.parametrize(
@@ -130,9 +133,9 @@ class _Counter:
         self.pruned_stages = 0
         run, stage = search._dp_run, search._stage_maxima
 
-        def counting_run(qs, n, pruning):
-            self.runs[pruning].append(len(qs))
-            return run(qs, n, pruning)
+        def counting_run(stack, n, pruning):
+            self.runs[pruning].append(len(stack.sizes))
+            return run(stack, n, pruning)
 
         def counting_stage(*args):
             self.pruned_stages += args[-1]

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidmc import construct, instance_rng, iota_band, random_channel, refine, search
+from bidmc.channel import _channels, _stack
 from bidmc.polar import _transforms
 from bidmc.refine import _segment_table, _surely_fails
 
@@ -110,9 +111,9 @@ def _certificate_corpus():
         yield [random_channel(rng, m) for m in (16, 32, 16, 24)], n
     for n in (4, 5):
         ws = [random_channel(instance_rng(1402, 10 * n + i), n) for i in range(4)]
-        yield [q for q in _transforms(ws, "1" * len(ws)) if q.size > n][:3], n
+        yield [q for q in _channels(_transforms(_stack(ws), "1" * len(ws))) if q.size > n][:3], n
     run = construct(random_channel(instance_rng(1, 21), 4), 4, 4)
-    yield list(_transforms([run.records["1111"].quantized] * 2, "01")), 4
+    yield _channels(_transforms(_stack([run.records["1111"].quantized] * 2), "01")), 4
 
 
 @pytest.mark.parametrize("pruning", [True, False])

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import bidmc
 
+from code_lines import code_lines
+
 
 def test_every_library_module_is_imported_by_the_package_or_its_cli():
     # src/bidmc holds only what the library runs: importing the package and
@@ -65,3 +67,23 @@ def test_only_the_cli_writes_files():
     writes = re.compile(r"\bopen\(|\.write_text\(|\.write\(")
     named = [p.name for p in sorted(src.glob("*.py")) if p.name != "cli.py" and writes.search(p.read_text())]
     assert named == []
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks():
+    source = '''"""A module docstring
+over two lines."""
+
+import math  # a trailing comment
+
+
+# a comment line
+def f(x):
+    """A function docstring."""
+    y = (x +
+         1)
+
+    return """a string, not a docstring,
+over two lines"""
+'''
+    # import, def, the two lines of y and the two of the returned string
+    assert code_lines(source) == 6

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bidmc import (
     BranchRecord,
+    Channel,
     arikan_minus,
     arikan_plus,
     bsc,
@@ -24,7 +25,7 @@ from bidmc import (
     tv_greedy_plan,
 )
 from bidmc import channel, polar
-from bidmc.channel import MERGE_TOL, _canonicalize_stack
+from bidmc.channel import MERGE_TOL, _canonicalize_stack, _channels, _rows, _Stack, _stack
 from bidmc.polar import EXACT_SIZE_GUARD
 from bidmc.refine import PPlusPlan
 
@@ -231,6 +232,12 @@ def _same_channel(a, b):
     depth=st.integers(4, 5),
     n=st.integers(3, 5),
 )
+# Levels where some transforms keep their particles and others are realized
+# from a cut matrix: level 1 of the first has one of each kind; levels 1-2
+# of the second run no DP at all, and levels 3 and 4 keep 6 and 8 while
+# realizing 2 and 8.
+@example(seed=0, size=2, depth=4, n=4)
+@example(seed=0, size=1, depth=4, n=3)
 def test_construct_equals_per_branch_loop(seed, size, depth, n):
     base = random_channel(instance_rng(seed, 0), size)
     got = construct(base, depth, n).records
@@ -243,6 +250,24 @@ def test_construct_equals_per_branch_loop(seed, size, depth, n):
         assert rec.exact is None or _same_channel(new.exact, rec.exact), alpha
         assert new.clr.hex() == rec.clr.hex(), alpha
         assert new.exact_reference == rec.exact_reference, alpha
+
+
+def test_construct_builds_only_the_channels_its_records_keep(monkeypatch):
+    # Between its stacked steps a level passes one stack layout and the DP
+    # hands the realization a cut matrix, so no plan is built and each
+    # channel is built and validated once, for the record that keeps it.
+    base = random_channel(instance_rng(0, 0), 4)
+    built = {Channel: 0, PPlusPlan: 0}
+    for cls in built:
+
+        def counting(self, init=cls.__post_init__, cls=cls):
+            built[cls] += 1
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    run = construct(base, 5, 4)
+    kept = sum(1 + (rec.exact is not None) for alpha, rec in run.records.items() if alpha)
+    assert built == {Channel: kept, PPlusPlan: 0}
 
 
 def test_construct_drops_exact_transforms_over_the_guard_before_merging(monkeypatch):
@@ -266,7 +291,7 @@ def test_construct_drops_exact_transforms_over_the_guard_before_merging(monkeypa
     monkeypatch.setattr(polar, "_canonicalize_stack", recording_stack)
     monkeypatch.setattr(channel, "_merge_runs", recording_merge)
     got = construct(base, 5, 4).records
-    dropped = [(pairs, limit, merged) for pairs, limit, out, merged in calls if out == [None]]
+    dropped = [(pairs, limit, merged) for pairs, limit, out, merged in calls if _channels(out) == [None]]
     assert len(dropped) == 2
     for pairs, limit, merged in dropped:
         assert limit == EXACT_SIZE_GUARD and merged == 0
@@ -320,7 +345,7 @@ def _exact_chain(draw):
         if w.size**2 + 1 > 4 * EXACT_SIZE_GUARD:
             break
         chain.append(w)
-        w = polar._transforms([w], bit)[0]
+        w = _channels(polar._transforms(_stack([w]), bit))[0]
     return chain
 
 
@@ -400,9 +425,12 @@ def test_construct_matches_ordered_pair_oracle(monkeypatch):
     bases = [random_channel(instance_rng(62, i), 4) for i in range(20)]
     runs = [construct(base, 5, 4).records for base in bases]
 
-    def ordered_transforms(ws, bits, limit=None):
-        out = [ordered_pairs.transform(w, bit) for w, bit in zip(ws, bits)]
-        return [None if limit is not None and w.size > limit else w for w in out]
+    def ordered_transforms(stack, bits, limit=None):
+        out = _stack([ordered_pairs.transform(w, bit) for w, bit in zip(_channels(stack), bits)])
+        # A transform over the limit comes back with size 0.
+        sizes = out.sizes if limit is None else np.where(out.sizes <= limit, out.sizes, 0)
+        mask = np.arange(out.weights.shape[1]) < sizes[:, None]
+        return _rows(_Stack(out.weights * mask, out.sigmas * mask, sizes), slice(None))
 
     monkeypatch.setattr(polar, "_transforms", ordered_transforms)
     for base, got in zip(bases, runs):

@@ -30,10 +30,10 @@ from bidmc import (
     refine_cuts,
     tv_greedy_plan,
 )
-from bidmc.channel import MERGE_TOL, _canonicalize_stack, _capacities
+from bidmc.channel import MERGE_TOL, _canonicalize_stack, _capacities, _channels, _stack
 from bidmc.experiments import _opt_clr_counted, arikan_clr, pplus_stats
 from bidmc.polar import _transforms
-from bidmc.refine import PPlusPlan, _realize_pplus_stack
+from bidmc.refine import PPlusPlan, _realize
 from bidmc.search import _dp_layout
 
 # Shared crossovers, so members of a stack and pairs of a transform meet
@@ -93,9 +93,9 @@ def _sizes_and_pairs(raws):
 def test_canonicalize_stack_matches_single_calls(raws, limit):
     sizes, pairs = _sizes_and_pairs(raws)
     singles = [canonicalize(raw) for raw in raws]
-    assert [_bytes(c) for c in _canonicalize_stack(pairs, sizes)] == [_bytes(c) for c in singles]
+    assert [_bytes(c) for c in _channels(_canonicalize_stack(pairs, sizes))] == [_bytes(c) for c in singles]
     # With a limit, a member is None exactly when it has more particles.
-    limited = _canonicalize_stack(pairs, sizes, limit)
+    limited = _channels(_canonicalize_stack(pairs, sizes, limit))
     for got, want in zip(limited, singles):
         assert (got is None) == (want.size > limit)
         assert got is None or _bytes(got) == _bytes(want)
@@ -132,9 +132,9 @@ def test_canonicalize_stack_raises_the_malformed_members_error(bad, exc, at):
 def test_transforms_stack_matches_single_calls(members):
     ws, bits = zip(*members)
     singles = [arikan_minus(w) if bit == "0" else arikan_plus(w) for w, bit in members]
-    assert [_bytes(c) for c in _transforms(ws, bits)] == [_bytes(c) for c in singles]
+    assert [_bytes(c) for c in _channels(_transforms(_stack(ws), bits))] == [_bytes(c) for c in singles]
     limit = int(np.median([c.size for c in singles]))
-    for got, want in zip(_transforms(ws, bits, limit), singles):
+    for got, want in zip(_channels(_transforms(_stack(ws), bits, limit)), singles):
         assert (got is None) == (want.size > limit)
         assert got is None or _bytes(got) == _bytes(want)
 
@@ -150,13 +150,20 @@ def _plan(draw):
 @given(st.lists(_plan(), min_size=1, max_size=8))
 def test_realize_stack_matches_single_calls(plans):
     singles = [realize_pplus(plan) for plan in plans]
-    assert [_bytes(c) for c in _realize_pplus_stack(plans)] == [_bytes(c) for c in singles]
+    # A stack's cut matrix holds plans with as many cuts.
+    stacked = [None] * len(plans)
+    for cuts in {len(plan.cuts) for plan in plans}:
+        ks = [k for k, plan in enumerate(plans) if len(plan.cuts) == cuts]
+        matrix = np.array([plans[k].cuts for k in ks], dtype=np.int64)
+        for k, chan in zip(ks, _channels(_realize(_stack([plans[k].source for k in ks]), matrix))):
+            stacked[k] = chan
+    assert [_bytes(c) for c in stacked] == [_bytes(c) for c in singles]
 
 
 @settings(max_examples=30)
 @given(st.lists(_channel(), min_size=1, max_size=8))
 def test_capacities_match_single_calls(ws):
-    assert [c.hex() for c in _capacities(ws)] == [capacity(w).hex() for w in ws]
+    assert [c.hex() for c in _capacities(_stack(ws))] == [capacity(w).hex() for w in ws]
 
 
 def _sure_groups(raw):
@@ -174,8 +181,8 @@ def test_sorted_gaps_bound_the_canonical_size(raw):
     bound = _sure_groups(raw)
     assert bound <= chan.size
     # The early stop drops exactly the members beyond the limit.
-    assert _canonicalize_stack(raw, [len(raw)], bound - 1) == [None]
-    assert _bytes(_canonicalize_stack(raw, [len(raw)], chan.size)[0]) == _bytes(chan)
+    assert _channels(_canonicalize_stack(raw, [len(raw)], bound - 1)) == [None]
+    assert _bytes(_channels(_canonicalize_stack(raw, [len(raw)], chan.size))[0]) == _bytes(chan)
 
 
 @pytest.mark.parametrize("pruning", [True, False])

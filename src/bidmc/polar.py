@@ -75,7 +75,7 @@ def diamond(a, b):
 
 @lru_cache(maxsize=8)
 def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unordered pairs i <= j of m particles: i, j, the mass factor c_ij and the diagonal.
+    """Unordered pairs i <= j of m particles: i, j, the mass factor c_ij and the diagonal's indices.
 
     Built once per size as read-only arrays: ``np.triu_indices`` alone
     takes about 20 us at m = 4 (on a 2-core Xeon VM), and most transforms
@@ -84,8 +84,8 @@ def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     exact chain's large sizes.
     """
     i, j = (a.astype(np.int32) for a in np.triu_indices(m))
-    diag = i == j
-    factor = np.where(diag, 1.0, 2.0)
+    diag = np.flatnonzero(i == j)  # indices, which assign faster than a mask
+    factor = np.where(i == j, 1.0, 2.0)
     for a in (i, j, diag, factor):
         a.flags.writeable = False
     return i, j, factor, diag
@@ -95,40 +95,44 @@ def _transforms(stack: _Stack, bits: str, limit: int | None = None) -> _Stack:
     """Transform bits[k] ("0" minus, "1" plus) of each member k of a stack, in one pass.
 
     Every member is transformed over the unordered pairs of the stack's
-    width into one (member, pair, output, 2) array of raw (crossover, mass)
-    outputs: one output per pair, the minus transform's, or, when any bit
-    is "1", two, a plus transform's good and bad outputs and a minus
+    width into one (2, member, pair, output) buffer of raw crossovers and
+    masses: one output per pair, the minus transform's, or, when any bit is
+    "1", two, a plus transform's good and bad outputs and a minus
     transform's with a zero-mass second.  A pair that meets a member's
     zero padding has zero mass, and the pairs within the member come in its
     own pair order.  One ``_canonicalize_stack`` call reduces every
-    transform, dropping zero masses and folding crossovers above 1/2; each
-    result equals its single call bit for bit.  With ``limit``, a transform
-    of more than ``limit`` particles has size 0.
+    transform from the buffer's transpose, (N, 2) pairs whose crossover and
+    mass columns are each contiguous, dropping zero masses and folding
+    crossovers above 1/2; each result equals its single call bit for bit.
+    With ``limit``, a transform of more than ``limit`` particles has size 0.
     """
     w, s, _ = stack
     i, j, factor, diag = _pair_indices(s.shape[1])
     si, sj = s.take(i, axis=1), s.take(j, axis=1)
     mass = factor * w.take(i, axis=1) * w.take(j, axis=1)
     plus = [bit == "1" for bit in bits]
-    pairs = np.empty(si.shape + (1 + any(plus), 2))
+    sig, wt = raw = np.empty((2,) + si.shape + (1 + any(plus),))
     if not any(plus):
-        pairs[..., 0, 0] = star(si, sj)
-        pairs[..., 0, 1] = mass
+        sig[..., 0] = star(si, sj)
+        wt[..., 0] = mass
     else:
         # Pair i <= j gives its good output, then its bad one; a minus
-        # transform gives its one output, then a zero-mass one.
+        # transform gives its one output, then a zero-mass one.  The good
+        # output's mass factor is diamond(si, sj)'s denominator, so its
+        # crossover is that quotient under diamond's mask, whose other two
+        # tests always pass here, as si and sj lie in [0, 1/2].
         good = star(1.0 - si, sj)
-        pairs[..., 0, 0] = diamond(si, sj)
-        pairs[..., 1, 0] = diamond(1.0 - si, sj)
-        pairs[:, diag, 1, 0] = 0.5
-        pairs[..., 0, 1] = mass * good
-        pairs[..., 1, 1] = mass * (1.0 - good)
+        sig[..., 0] = np.divide(si * sj, good, out=np.zeros(si.shape), where=(si != 0.0) & (sj != 0.0))
+        sig[..., 1] = diamond(1.0 - si, sj)
+        sig[:, diag, 1] = 0.5
+        wt[..., 0] = mass * good
+        wt[..., 1] = mass * (1.0 - good)
         minus = ~np.array(plus)
         if minus.any():
-            pairs[minus, :, 0, 0] = star(si[minus], sj[minus])
-            pairs[minus, :, 0, 1] = mass[minus]
-            pairs[minus, :, 1, 1] = 0.0
-    return _canonicalize_stack(pairs.reshape(-1, 2), [pairs[0].size // 2] * len(bits), limit)
+            sig[minus, :, 0] = star(si[minus], sj[minus])
+            wt[minus, :, 0] = mass[minus]
+            wt[minus, :, 1] = 0.0
+    return _canonicalize_stack(raw.reshape(2, -1).T, [sig[0].size] * len(bits), limit)
 
 
 def arikan_minus(w: Channel) -> Channel:

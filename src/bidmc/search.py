@@ -274,14 +274,9 @@ class _Layout(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _dp_layout(m: tuple[int, ...], n: int) -> _Layout:
-    """The ``_Layout`` of a DP run over channels of sizes ``m``, built once
-    per (m, n) into read-only arrays (see ``_frozen``).
-
-    Building it took about 7% of a single m = 128 run, and callers repeat
-    their shapes: the benchmark's opt-uniform op cycles through 7 keys,
-    and each of criterion 05's cells runs full stacks of one shape.
-    """
+def _layout_slot(m: tuple[int, ...], n: int) -> list:
+    """[the ``_Layout`` of a DP run over channels of sizes ``m``, the calls
+    of ``_dp_layout`` that read it], its arrays read-only as built."""
     sizes = np.array(m) - n + 1
     width = max(m)
     size = width - n + 1
@@ -291,33 +286,56 @@ def _dp_layout(m: tuple[int, ...], n: int) -> _Layout:
     rows = np.where(live, offsets, -1)  # a padding row is -1
     row_at = (inst * size + rows) * width
     last = (sizes - 1)[:, None]
-    return _frozen(
-        _Layout(
-            live,
-            row_at,
-            _stage_layout(rows, row_at, width),
-            _stage_layout(last, (inst * size + last) * width, width),
-            _inside(m, size),
-        )
-    )
+    stages = _stage_layout(rows, row_at, width), _stage_layout(last, (inst * size + last) * width, width)
+    layout = _Layout(live, row_at, *stages, _inside(m, size))
+    for a in _leaves(layout):
+        a.flags.writeable = False
+    return [layout, 0]
+
+
+def _dp_layout(m: tuple[int, ...], n: int) -> _Layout:
+    """The ``_Layout`` of a DP run over channels of sizes ``m``, built once
+    per (m, n) into read-only arrays, and moved into a memory map of its
+    own (``_frozen``) when its shape is asked for again.
+
+    Building it took about 7% of a single m = 128 run, and callers repeat
+    their shapes: the benchmark's opt-uniform op cycles through 7 keys,
+    and each of criterion 05's cells runs full stacks of one shape.  But
+    most of ``construct``'s stacked shapes come once (119 of 200 calls
+    over the 40 seed-0 polar-chain bases), and copying a layout into a
+    fresh map was about three quarters of a miss's cost (39 of 52 ms
+    under cProfile), so only a shape that repeats pays for the map.
+    """
+    slot = _layout_slot(m, n)
+    slot[1] += 1
+    if slot[1] == 2:
+        slot[0] = _frozen(slot[0])
+    return slot[0]
+
+
+# _dp_layout reports the hits and misses of the cache it reads.
+_dp_layout.cache_info = _layout_slot.cache_info
+
+
+def _leaves(x: tuple):
+    """The arrays of a ``_Layout``, depth first."""
+    for y in x:
+        yield from _leaves(y) if isinstance(y, tuple) else (y,)
 
 
 def _frozen(layout: _Layout) -> _Layout:
     """``layout`` with each array copied, read-only, into one anonymous
-    memory map of its own.
+    memory map of its own: the one use of ``mmap``.
 
     The map keeps the cache out of the malloc heap.  There, the cached
     arrays fill the free space that each run's temporaries reuse, so each
     run grows the heap and hands it back: on the benchmark's opt-uniform
     op (m = 128, glibc, a 2-core Xeon VM) that cost about 200 page faults
     per op, and the op ran about 20% slower than with no cache at all.  A
-    miss pays for the map's fresh pages instead, about 0.1 ms at m = 128.
+    layout pays for the map's fresh pages, about 0.1 ms at m = 128, only
+    once its shape repeats (see ``_dp_layout``).
     """
-    def leaves(x):
-        for y in x:
-            yield from leaves(y) if isinstance(y, tuple) else (y,)
-
-    arrays = list(leaves(layout))
+    arrays = list(_leaves(layout))
     ends = np.cumsum([-(-a.nbytes // 64) * 64 for a in arrays])  # cache-line aligned
     buf = mmap.mmap(-1, int(ends[-1]))
     copies = []

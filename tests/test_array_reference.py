@@ -24,11 +24,12 @@ from bidmc import (
     arikan_minus,
     arikan_plus,
     canonicalize,
+    construct,
     instance_rng,
     random_channel,
 )
 from bidmc import polar
-from bidmc.channel import MERGE_TOL, WEIGHT_SUM_INPUT_TOL, _canonicalize_stack
+from bidmc.channel import _SCALAR_RUNS, MERGE_TOL, WEIGHT_SUM_INPUT_TOL, _canonicalize_stack, _channels
 
 
 def _canonicalize_reference(raw):
@@ -166,6 +167,44 @@ def test_transforms_match_reference_on_edge_channels(monkeypatch):
         for fast, slow in ((arikan_minus, _arikan_minus_reference), (arikan_plus, _arikan_plus_reference)):
             assert _hex(fast(chan)) == _hex(slow(chan)), (raw, fast.__name__)
     assert counts["fast"] == counts["slow"]
+
+
+def _merge_shape(raw):
+    """Of one member's raw pairs: the runs (pairs linked by sorted gaps
+    within 2 MERGE_TOL) that ``_merge_runs`` hands to its scalar loop, and
+    the blocks of exactly equal crossovers."""
+    s = np.sort(np.minimum(raw[:, 0], 1.0 - raw[:, 0])[raw[:, 1] > 0.0])
+    gap = np.diff(s)
+    start = np.flatnonzero(np.concatenate(([True], gap > 2.0 * MERGE_TOL)))
+    runs = np.sort(np.diff(np.append(start, s.size)))[::-1]
+    runs = runs[runs > 1]
+    # The steps stop at the first one with no more than _SCALAR_RUNS runs open.
+    step = max(1, runs[_SCALAR_RUNS]) if runs.size > _SCALAR_RUNS else 1
+    tied = gap == 0.0
+    return np.count_nonzero(runs > step), np.count_nonzero(tied & ~np.concatenate(([False], tied[:-1])))
+
+
+def test_exact_chain_matches_reference_where_the_merge_hands_off(monkeypatch):
+    # The exact transforms of a depth-4 chain reach the array merge's
+    # scalar loop two or more runs at a time, and the weight order of
+    # hundreds of blocks of equal crossovers: each must equal the scalar
+    # pass, or exceed the guard that dropped it.
+    found = []
+
+    def recorder(pairs, sizes, limit=None):
+        out = _canonicalize_stack(pairs, sizes, limit)
+        if limit is not None:  # an exact transform, a stack of one
+            found.append((np.array(pairs), limit, _channels(out)[0]))
+        return out
+
+    monkeypatch.setattr(polar, "_canonicalize_stack", recorder)
+    construct(random_channel(instance_rng(0, 0), 4), 4, 4)
+    for raw, limit, fast in found:
+        slow = _canonicalize_reference(raw)
+        assert slow.size > limit if fast is None else _hex(fast) == _hex(slow)
+    shapes = [_merge_shape(raw) for raw, _, fast in found if fast is not None]
+    assert max(handed for handed, _ in shapes) >= 2
+    assert max(blocks for _, blocks in shapes) > 100
 
 
 @pytest.mark.parametrize(

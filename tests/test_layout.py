@@ -35,15 +35,15 @@ def test_the_threshold_window_rule_lives_in_refine_alone():
     assert named == []
 
 
-def _functions_calling(name):
-    # (module, innermost enclosing function) of every use of np.<name> in
-    # the library, "" for a use outside any function.
+def _scopes(matches):
+    # (module, innermost enclosing function) of every AST node of the
+    # library that ``matches``, "" for a node outside any function.
     found = set()
 
     def visit(node, module, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if isinstance(node, ast.Attribute) and node.attr == name and getattr(node.value, "id", None) == "np":
+        if matches(node):
             found.add((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
@@ -54,11 +54,32 @@ def _functions_calling(name):
     return found
 
 
+def _functions_calling(name):
+    # Where the library uses np.<name>.
+    return _scopes(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == name and getattr(node.value, "id", None) == "np"
+    )
+
+
+def _functions_naming(name):
+    # Where the library reads the bare name ``name`` (imports aside).
+    return _scopes(lambda node: isinstance(node, ast.Name) and node.id == name)
+
+
 def test_the_capacity_term_lives_in_channel_alone():
     # h(sigma) is computed only by binary_entropy, and the form of
     # 1 - h(sigma) that is accurate near 1/2 only by _capacity_term.
     assert _functions_calling("log2") == {("channel.py", "binary_entropy")}
     assert _functions_calling("arctanh") == {("channel.py", "_capacity_term")}
+
+
+def test_one_canonicalize_path_and_one_map():
+    # Raw pairs are cleaned and merged only inside channel._canonicalize_stack,
+    # so the merge's scalar hand-off has one caller; and only search._frozen
+    # maps memory, so the DP layout cache keeps one rule for what it maps.
+    assert _functions_naming("_clean_pairs") == {("channel.py", "_canonicalize_stack")}
+    assert _functions_naming("_merge_runs") == {("channel.py", "_canonicalize_stack")}
+    assert _functions_naming("mmap") == {("search.py", "_frozen")}
 
 
 def test_only_the_cli_writes_files():

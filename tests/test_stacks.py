@@ -34,6 +34,7 @@ from bidmc.channel import MERGE_TOL, _canonicalize_stack, _capacities, _channels
 from bidmc.experiments import _opt_clr_counted, arikan_clr, pplus_stats
 from bidmc.polar import _transforms
 from bidmc.refine import PPlusPlan, _realize
+from bidmc import search
 from bidmc.search import _dp_layout
 
 # Shared crossovers, so members of a stack and pairs of a transform meet
@@ -201,6 +202,39 @@ def test_dp_stack_matches_single_calls_from_its_cached_layout(pruning):
     for arr in (grid, starts, layout.stages[1], layout.last[0][0][0], layout.live, layout.row_at, layout.inside):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
+
+
+def test_dp_layouts_move_into_a_map_on_their_first_hit(monkeypatch):
+    # A shape seen once keeps the read-only arrays it was built with; the
+    # first repeat of a shape moves them into a map of their own, once.
+    frozen, seen = [], []
+    freeze, layout_of = search._frozen, search._dp_layout
+
+    def counting(layout):
+        frozen.append(layout)
+        return freeze(layout)
+
+    def recording(m, n):
+        seen.append(layout_of(m, n))
+        return seen[-1]
+
+    monkeypatch.setattr(search, "_frozen", counting)
+    monkeypatch.setattr(search, "_dp_layout", recording)
+    search._layout_slot.cache_clear()  # no shape below is cached yet
+    qs = [random_channel(instance_rng(29, i), m) for i, m in enumerate((11, 19, 14, 23))]
+    c_optimal_degradations(qs, 4)
+    assert frozen == []
+    for arr in search._leaves(seen[-1]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+    for _ in range(2):
+        c_optimal_degradations(qs, 4)
+    assert frozen == [seen[0]] and seen[2] is seen[1] is not seen[0]
+    # A single channel at m = 128 stays cached from its second call on.
+    q = random_channel(instance_rng(29, 4), 128)
+    for _ in range(3):
+        c_optimal_degradation(q, 6)
+    assert len(frozen) == 2 and seen[5] is seen[4]
 
 
 def _clrs(q, plans):

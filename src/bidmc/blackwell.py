@@ -145,29 +145,47 @@ def _left_curtain(q: Channel, w: Channel, mu: np.ndarray) -> np.ndarray | None:
     more than WITNESS_TOL in total.  By Jensen, e_Q(theta) is at most
     sum_j p_j min(theta, m_j) for column means m_j, so a returned witness
     bounds e_W - e_Q below by -WITNESS_TOL, the tolerance of the curves.
+
+    Only the live particles, those with remaining mass above _DUST, take
+    part: their indices, masses and crossovers sit compacted in sigma
+    order, and a particle leaves them once a column spends it.  The window
+    starts are deduplicated (a sort and a mask) before the search, as the
+    moment differences at repeated starts may not be monotone, and one
+    ``np.interp`` call evaluates G at the window ends and the starts.
     """
-    s, p = q.sigmas, w.weights
-    rest = q.weights.copy()
-    k = np.zeros((q.size, p.size))
+    live = np.flatnonzero(q.weights > _DUST)
+    rest, s = q.weights[live], q.sigmas[live]
+    # The live mass's quantile edges and moments, each led by a zero.
+    edges, moments = np.zeros((2, live.size + 1))
+    k = np.zeros((q.size, w.size))
     excess = 0.0
-    for j in range(p.size):
-        live = np.flatnonzero(rest > _DUST)
-        edges = np.concatenate(([0.0], np.cumsum(rest[live])))
-        moments = np.concatenate(([0.0], np.cumsum(rest[live] * s[live])))
-        width = min(p[j], edges[-1])
-        starts = np.unique(np.clip(np.concatenate((edges, edges - width)), 0.0, edges[-1] - width))
-        f = np.interp(starts + width, edges, moments) - np.interp(starts, edges, moments)
-        target = width * mu[j]
-        i = min(int(np.searchsorted(f, target)), starts.size - 1)
-        u = starts[i]
+    for j, (pj, ej, mj) in enumerate(zip(w.weights.tolist(), w.sigmas.tolist(), mu.tolist())):
+        rest.cumsum(out=edges[1:])
+        (rest * s).cumsum(out=moments[1:])
+        total = float(edges[-1])
+        width = min(pj, total)
+        starts = np.concatenate((edges, edges - width))
+        np.minimum(np.maximum(starts, 0.0, out=starts), total - width, out=starts)
+        starts.sort()
+        starts = starts[np.append(True, starts[1:] != starts[:-1])]
+        n = starts.size
+        g = np.interp(np.concatenate((starts + width, starts)), edges, moments)
+        f = g[:n] - g[n:]
+        target = width * mj
+        i = min(int(f.searchsorted(target)), n - 1)
+        u = float(starts[i])
         if 0 < i and f[i] >= target:
             u = starts[i - 1] + (target - f[i - 1]) * (u - starts[i - 1]) / (f[i] - f[i - 1])
         take = np.maximum(np.minimum(edges[1:], u + width) - np.maximum(edges[:-1], u), 0.0)
-        excess += max(s[live] @ take - p[j] * w.sigmas[j], 0.0)
+        excess += max(float(s @ take) - pj * ej, 0.0)
         if excess > WITNESS_TOL:
             return None
         k[live, j] = take
-        rest[live] = np.maximum(rest[live] - take, 0.0)
+        rest = np.maximum(rest - take, 0.0)
+        alive = rest > _DUST
+        if not alive.all():
+            live, rest, s = live[alive], rest[alive], s[alive]
+            edges, moments = edges[: live.size + 1], moments[: live.size + 1]
     return k
 
 
@@ -225,13 +243,27 @@ def is_pair_p_degradation(w: Channel, q: Channel, tol: float = WITNESS_TOL) -> b
     return e1 >= s1 - tol and e2 <= s2 + tol
 
 
+def _bayes_risk(theta: np.ndarray, sigmas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """e_W at each prior of ``theta``, for W's crossovers and weights:
+
+        e_W(theta) = sum_i q_i [min(theta(1-s_i), (1-theta)s_i)
+                                + min(theta s_i, (1-theta)(1-s_i))],
+
+    one row of terms per prior, summed by one ``@ weights`` product.  The
+    one home of the curve, for ``BayesRiskCurve`` and ``risk_dominates``.
+    """
+    t = theta[..., None]
+    r, u = 1.0 - sigmas, 1.0 - t
+    e = np.minimum(t * r, u * sigmas) + np.minimum(t * sigmas, u * r)
+    return e @ weights
+
+
 @dataclass(frozen=True)
 class BayesRiskCurve:
     """Piecewise-linear MLD error of a mixture as a function of the prior.
 
-    e_W(theta) = sum_i q_i [min(theta(1-s_i), (1-theta)s_i)
-                            + min(theta s_i, (1-theta)(1-s_i))],
-    concave with breakpoints {0, 1} and {s_i, 1-s_i}.
+    Calling it evaluates e_W (see ``_bayes_risk``), concave with
+    breakpoints {0, 1} and {s_i, 1-s_i}; a scalar prior gives a float.
     """
 
     sigmas: np.ndarray
@@ -239,35 +271,41 @@ class BayesRiskCurve:
     breakpoints: np.ndarray
 
     def __call__(self, theta) -> np.ndarray | float:
-        theta = np.asarray(theta, dtype=np.float64)
-        t = theta[..., None]
-        s = self.sigmas
-        e = np.minimum(t * (1.0 - s), (1.0 - t) * s) + np.minimum(
-            t * s, (1.0 - t) * (1.0 - s)
-        )
-        out = e @ self.weights
+        out = _bayes_risk(np.asarray(theta, dtype=np.float64), self.sigmas, self.weights)
         return float(out) if out.ndim == 0 else out
 
 
 def bayes_risk_curve(w: Channel) -> BayesRiskCurve:
-    """Bayes risk curve of a canonical channel, with its breakpoint set."""
+    """Bayes risk curve of a canonical channel, with its sorted breakpoint
+    set {0, 1} and {s_i, 1 - s_i}, each value once."""
     s = w.sigmas
     pts = np.unique(np.concatenate(([0.0, 1.0], s, 1.0 - s)))
     return BayesRiskCurve(s.copy(), w.weights.copy(), pts)
+
+
+def _risk_grid(w: Channel, q: Channel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of both curves' breakpoints, from one sort and one dedupe
+    of {0, 1} and both channels' {s_i, 1 - s_i}, and e_W and e_Q on it."""
+    pts = np.concatenate(([0.0], w.sigmas, q.sigmas))
+    grid = np.concatenate((pts, 1.0 - pts))
+    grid.sort()
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
+    return grid, _bayes_risk(grid, w.sigmas, w.weights), _bayes_risk(grid, q.sigmas, q.weights)
 
 
 def risk_dominates(w: Channel, q: Channel, tol: float = WITNESS_TOL) -> bool:
     """True iff e_W >= e_Q at every prior (checked at all breakpoints).
 
     Both curves are piecewise linear, so dominance on the union of their
-    breakpoints is dominance everywhere.  This is the Blackwell-comparison
+    breakpoints is dominance everywhere.  Both are evaluated on that one
+    grid (``_risk_grid``), without building curve objects; the grid and
+    the values are bit for bit those of ``bayes_risk_curve``'s curves on
+    the union of their breakpoint sets.  This is the Blackwell-comparison
     route to the degradation order, independent of the constructed witness
     (``find_degradation_witness``).
     """
-    cw = bayes_risk_curve(w)
-    cq = bayes_risk_curve(q)
-    grid = np.union1d(cw.breakpoints, cq.breakpoints)
-    return bool(np.all(cw(grid) >= cq(grid) - tol))
+    _, ew, eq = _risk_grid(w, q)
+    return bool(np.all(ew >= eq - tol))
 
 
 def realize_intermediate(w: Channel, q: Channel, witness: OneMatrix) -> IntermediateRealization:

@@ -289,7 +289,8 @@ def _canonicalize_stack(pairs: np.ndarray, sizes: Sequence[int], limit: int | No
       that bound already exceeds ``limit`` for every member, the call
       returns right after the sigma sort, before the weight order and the
       merge; the early stop is exact, since the bound never exceeds the
-      size.
+      size.  A stack of one with more clean pairs than ``limit`` proves its
+      bound on an ``np.sort`` of its crossovers, before the argsort.
     """
     n_mem = len(sizes)
     sig, wt, keep = _clean_pairs(pairs)
@@ -298,7 +299,11 @@ def _canonicalize_stack(pairs: np.ndarray, sizes: Sequence[int], limit: int | No
         total = float(wt.cumsum()[-1]) if wt.size else 0.0
         if not abs(total - 1.0) <= WEIGHT_SUM_INPUT_TOL:  # a NaN total fails
             raise InvalidDistributionError(f"weights sum to {total}, not 1")
-        order = sig.argsort()
+        if limit is not None and sig.size > limit:
+            s = np.sort(sig)  # the sure-group bound below, proved before the argsort
+            if s.size - np.count_nonzero(s[1:] - s[:-1] <= 2.0 * MERGE_TOL) > limit:
+                return _Stack(*np.zeros((2, 1, 0)), np.zeros(1, dtype=np.int64))
+        order = np.argsort(sig)
         s, w = sig[order], wt[order]
     else:
         # Row k holds member k's kept weights in input order, padded with 0.
@@ -320,8 +325,7 @@ def _canonicalize_stack(pairs: np.ndarray, sizes: Sequence[int], limit: int | No
     n_close = np.count_nonzero(close)
     head = np.concatenate(([True], ~close)) if n_close or n_mem > 1 else None
     # A member has at least as many groups as pairs that surely open one.
-    sure = s.size - n_close if n_mem == 1 else np.add.reduceat(head, start)
-    if limit is not None and np.all(sure > limit):
+    if limit is not None and n_mem > 1 and np.all(np.add.reduceat(head, start) > limit):
         return _Stack(*np.zeros((2, n_mem, 0)), np.zeros(n_mem, dtype=np.int64))
     if n_close:
         # Equal crossovers go in weight order, as in a sort by (sigma, weight);
@@ -369,19 +373,22 @@ def _clean_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     is column-major.  Also returns the mask of the pairs kept.
     """
     sig, wt = pairs.T
-    negative = wt < -MERGE_TOL
-    keep = ~(wt <= 0.0)  # a NaN weight is kept, as the sequential pass keeps it
     sig = np.minimum(sig, 1.0 - sig)  # reflects above 1/2, exactly
-    # Reflected crossovers are at most 1/2; a NaN fails the lower bound.
-    bad = negative | (keep & ~(sig >= 0.0 - MERGE_TOL))
-    if np.count_nonzero(bad):
-        i = int(bad.argmax())
-        if negative[i]:
-            raise InvalidDistributionError(f"negative weight {float(pairs[i, 1])}")
-        raise ValueError(f"crossover {float(sig[i])} outside [0, 1]")
+    keep = wt > 0.0
+    # Reflected crossovers are at most 1/2, so pairs that pass both tests
+    # need no diagnosis; a NaN fails both.
+    if not (wt.size and wt.min() >= 0.0 and sig.min() >= 0.0):
+        negative = wt < -MERGE_TOL
+        keep = ~(wt <= 0.0)  # a NaN weight is kept, as the sequential pass keeps it
+        bad = negative | (keep & ~(sig >= 0.0 - MERGE_TOL))
+        if np.count_nonzero(bad):
+            i = int(bad.argmax())
+            if negative[i]:
+                raise InvalidDistributionError(f"negative weight {float(pairs[i, 1])}")
+            raise ValueError(f"crossover {float(sig[i])} outside [0, 1]")
+        sig[sig < 0.0] = 0.0  # clamps in place: sig is a new array
     if np.count_nonzero(keep) < keep.size:
         sig, wt = sig[keep], wt[keep]
-    sig[sig < 0.0] = 0.0  # clamps in place: sig is a new array
     return sig, wt, keep
 
 

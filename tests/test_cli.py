@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bidmc
 from bidmc.cli import main
 from bidmc.io import (
     ChannelFormatError,
@@ -732,8 +735,11 @@ def test_polar_with_a_subnormal_weight(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # The checkout's package is found by the subprocess too, installed or not.
+    src = Path(bidmc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "bidmc.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "bidmc.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "analyze" in proc.stdout

@@ -82,6 +82,23 @@ def test_one_canonicalize_path_and_one_map():
     assert _functions_naming("mmap") == {("search.py", "_frozen")}
 
 
+def test_the_risk_oracle_and_the_witness_construction_share_no_code():
+    # blackwell's two routes to the degradation order check each other, so
+    # the curve code (the shared curve helper, the curve object's call and
+    # the grid behind risk_dominates) names no part of the construction,
+    # and the construction names no part of the curves.
+    construction = {"_water_level", "_left_curtain", "find_degradation_witness"}
+    curves = {"_bayes_risk", "__call__", "bayes_risk_curve", "_risk_grid", "risk_dominates"}
+
+    def named_in(names):
+        return {scope for name in names for module, scope in _functions_naming(name) if module == "blackwell.py"}
+
+    assert named_in({"_bayes_risk"}) == {"__call__", "_risk_grid"}
+    assert named_in({"_risk_grid"}) == {"risk_dominates"}
+    assert named_in(construction) & curves == set()
+    assert named_in(curves | {"BayesRiskCurve"}) & construction == set()
+
+
 def test_only_the_cli_writes_files():
     # Library modules return text; bidmc.cli's main is the one writer.
     src = Path(bidmc.__file__).resolve().parent

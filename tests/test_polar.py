@@ -271,30 +271,38 @@ def test_construct_builds_only_the_channels_its_records_keep(monkeypatch):
 
 
 def test_construct_drops_exact_transforms_over_the_guard_before_merging(monkeypatch):
-    # On this base two exact plus transforms exceed the guard.  Their sorted
-    # crossovers already prove it, so neither reaches the merge.
+    # On this base two exact plus transforms exceed the guard.  A sort of
+    # their crossovers already proves it, so neither reaches the argsort or
+    # the merge.
     base = random_channel(instance_rng(0, 0), 4)
     calls = []
     merges = []
-    stack, merge = polar._canonicalize_stack, channel._merge_runs
+    argsorts = []
+    stack, merge, argsort = polar._canonicalize_stack, channel._merge_runs, np.argsort
 
     def recording_stack(pairs, sizes, limit=None):
-        before = len(merges)
+        merged, sorted_ = len(merges), len(argsorts)
         out = stack(pairs, sizes, limit)
-        calls.append((pairs, limit, out, len(merges) - before))
+        calls.append((pairs, limit, out, len(merges) - merged, len(argsorts) - sorted_))
         return out
 
     def recording_merge(s, w, head):
         merges.append(s.size)
         return merge(s, w, head)
 
+    def recording_argsort(a, *args, **kwargs):
+        argsorts.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
     monkeypatch.setattr(polar, "_canonicalize_stack", recording_stack)
     monkeypatch.setattr(channel, "_merge_runs", recording_merge)
+    monkeypatch.setattr(np, "argsort", recording_argsort)
     got = construct(base, 5, 4).records
-    dropped = [(pairs, limit, merged) for pairs, limit, out, merged in calls if _channels(out) == [None]]
+    dropped = [call for call in calls if _channels(call[2]) == [None]]
     assert len(dropped) == 2
-    for pairs, limit, merged in dropped:
-        assert limit == EXACT_SIZE_GUARD and merged == 0
+    assert sum(call[4] for call in calls) > 0  # the kept ones are argsorted
+    for pairs, limit, _, merged, sorted_ in dropped:
+        assert limit == EXACT_SIZE_GUARD and merged == 0 and sorted_ == 0
         sig = np.sort(np.minimum(pairs[:, 0], 1.0 - pairs[:, 0])[pairs[:, 1] > 0.0])
         assert 1 + np.count_nonzero(np.diff(sig) > 2.0 * MERGE_TOL) > EXACT_SIZE_GUARD
     over = [

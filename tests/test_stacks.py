@@ -186,6 +186,26 @@ def test_sorted_gaps_bound_the_canonical_size(raw):
     assert _bytes(_channels(_canonicalize_stack(raw, [len(raw)], chan.size))[0]) == _bytes(chan)
 
 
+def test_a_stack_of_one_with_more_pairs_than_its_limit_is_kept_when_it_merges_within_it():
+    # Twelve pairs in three tight clusters merge to 3 particles, so every
+    # limit from 3 up keeps the member, equal to its single call, although
+    # the pairs outnumber the limit; limit 2 drops it on its sorted gaps.
+    sig = np.repeat([0.1, 0.2, 0.3], 4) + np.tile([0.0, 2e-13, 4e-13, 6e-13], 3)
+    raw = np.column_stack((sig, np.full(12, 1.0 / 12.0)))
+    chan = canonicalize(raw)
+    assert chan.size == 3
+    for limit in (3, 5, 11):
+        assert _bytes(_channels(_canonicalize_stack(raw, [12], limit))[0]) == _bytes(chan)
+    assert _channels(_canonicalize_stack(raw, [12], 2)) == [None]
+    # A chain 0.8e-12 apart has no sorted gap above 2 MERGE_TOL, so its bound
+    # is 1, but it merges to 6 particles, one per two pairs: limit 5 drops it
+    # after the merge.
+    raw = np.column_stack((0.2 + 0.8e-12 * np.arange(12), np.full(12, 1.0 / 12.0)))
+    assert canonicalize(raw).size == 6
+    assert _channels(_canonicalize_stack(raw, [12], 5)) == [None]
+    assert _bytes(_channels(_canonicalize_stack(raw, [12], 6))[0]) == _bytes(canonicalize(raw))
+
+
 @pytest.mark.parametrize("pruning", [True, False])
 def test_dp_stack_matches_single_calls_from_its_cached_layout(pruning):
     # The second run of a ragged stack reads its stage layouts and band

@@ -3,16 +3,11 @@ minimum-error and capacity-optimal alphabet reduction, and polar-code
 construction experiments."""
 
 from .blackwell import (
-    IntermediateRealization,
     OneMatrix,
     bayes_risk_curve,
     find_degradation_witness,
-    intermediate_output,
-    is_degradation,
     is_p_degradation,
-    is_pair_p_degradation,
     mean_degradation,
-    realize_intermediate,
     risk_dominates,
 )
 from .channel import (
@@ -25,11 +20,9 @@ from .channel import (
     canonicalize,
     capacity,
     capacity_loss_rate,
-    equivalent,
     error_probability,
     lr_functional,
     lr_profile,
-    mix,
 )
 from .ensembles import instance_rng, random_channel
 from .polar import (
@@ -48,7 +41,6 @@ from .refine import (
     PStarPlan,
     is_c_degradation,
     plan_witness,
-    pplus_as_pstar,
     realize_pplus,
     realize_pstar,
     refine_cuts,
@@ -62,8 +54,6 @@ from .search import (
     c_optimal_degradations,
     dp_tables,
     enumerate_c_degradations,
-    iota_band,
-    tv_greedy_degrade,
     tv_greedy_plan,
 )
 

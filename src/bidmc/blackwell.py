@@ -35,17 +35,12 @@ from .channel import Channel, canonicalize, error_probability
 __all__ = [
     "WITNESS_TOL",
     "OneMatrix",
-    "IntermediateRealization",
     "BayesRiskCurve",
     "find_degradation_witness",
-    "is_degradation",
     "is_p_degradation",
     "mean_degradation",
-    "is_pair_p_degradation",
     "bayes_risk_curve",
     "risk_dominates",
-    "realize_intermediate",
-    "intermediate_output",
 ]
 
 WITNESS_TOL = 1e-9
@@ -85,20 +80,6 @@ class OneMatrix:
     def to_json_dict(self) -> dict:
         m, n = self.entries.shape
         return {"rows": m, "cols": n, "k": self.entries.tolist()}
-
-
-@dataclass(frozen=True)
-class IntermediateRealization:
-    """Concrete intermediate channel realizing W from Q.
-
-    Q's particle i is split across columns in proportion k[i, j] / q_i; the
-    mass landing in column j is passed through an extra BSC(column_flip[j])
-    and the column's outputs are merged into one binary pair, which is then
-    a BSC with crossover eps_j.
-    """
-
-    column_flip: np.ndarray
-    witness: OneMatrix
 
 
 def _water_level(w: Channel, perr_q: float) -> np.ndarray | None:
@@ -202,11 +183,6 @@ def find_degradation_witness(w: Channel, q: Channel) -> OneMatrix | None:
     return None if k is None else OneMatrix(k, q.weights.copy(), w.weights.copy())
 
 
-def is_degradation(w: Channel, q: Channel) -> bool:
-    """True iff W is obtainable from Q by output post-processing."""
-    return find_degradation_witness(w, q) is not None
-
-
 def is_p_degradation(w: Channel, q: Channel) -> tuple[bool, OneMatrix | None]:
     """Test whether W is a minimum-error degradation of Q.
 
@@ -225,22 +201,6 @@ def is_p_degradation(w: Channel, q: Channel) -> tuple[bool, OneMatrix | None]:
 def mean_degradation(q: Channel) -> Channel:
     """The unique minimum-error two-output degradation: B(sum_i q_i sigma_i)."""
     return canonicalize([(error_probability(q), 1.0)])
-
-
-def is_pair_p_degradation(w: Channel, q: Channel, tol: float = WITNESS_TOL) -> bool:
-    """Minimum-error criterion between two-particle channels.
-
-    With Q = (1-q)B(s1) + qB(s2) and W = (1-p)B(e1) + pB(e2), W is a
-    minimum-error degradation of Q iff s1 <= e1 < mean(Q) < e2 <= s2 and the
-    two means agree.
-    """
-    if w.size != 2 or q.size != 2:
-        raise ValueError("pair criterion requires exactly two particles on each side")
-    e1, e2 = w.particles[0].sigma, w.particles[1].sigma
-    s1, s2 = q.particles[0].sigma, q.particles[1].sigma
-    if abs(error_probability(w) - error_probability(q)) > tol:
-        return False
-    return e1 >= s1 - tol and e2 <= s2 + tol
 
 
 def _bayes_risk(theta: np.ndarray, sigmas: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -293,8 +253,9 @@ def _risk_grid(w: Channel, q: Channel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return grid, _bayes_risk(grid, w.sigmas, w.weights), _bayes_risk(grid, q.sigmas, q.weights)
 
 
-def risk_dominates(w: Channel, q: Channel, tol: float = WITNESS_TOL) -> bool:
-    """True iff e_W >= e_Q at every prior (checked at all breakpoints).
+def risk_dominates(w: Channel, q: Channel) -> bool:
+    """True iff e_W >= e_Q - WITNESS_TOL at every prior (checked at all
+    breakpoints).
 
     Both curves are piecewise linear, so dominance on the union of their
     breakpoints is dominance everywhere.  Both are evaluated on that one
@@ -305,39 +266,4 @@ def risk_dominates(w: Channel, q: Channel, tol: float = WITNESS_TOL) -> bool:
     (``find_degradation_witness``).
     """
     _, ew, eq = _risk_grid(w, q)
-    return bool(np.all(ew >= eq - tol))
-
-
-def realize_intermediate(w: Channel, q: Channel, witness: OneMatrix) -> IntermediateRealization:
-    """Per-column flip probabilities turning a witness into a channel.
-
-    Column j's flip solves
-
-        (1 - e_j) sum_i k[i,j] s_i + e_j (p_j - sum_i k[i,j] s_i) = p_j eps_j,
-
-    i.e. e_j = (p_j eps_j - sum_i k[i,j] s_i) / (sum_i k[i,j](1 - 2 s_i)),
-    with e_j = 0 when the denominator vanishes.  Requires the witness to
-    satisfy the degradation constraint sum_i k[i,j] s_i <= p_j eps_j.
-    """
-    k = witness.entries
-    if k.shape != (q.size, w.size):
-        raise ValueError("witness shape does not match the channel pair")
-    mom = q.sigmas @ k
-    target = w.weights * w.sigmas
-    if np.any(mom > target + WITNESS_TOL):
-        raise ValueError("witness violates the degradation constraint")
-    denom = (1.0 - 2.0 * q.sigmas) @ k
-    flips = np.zeros(w.size)
-    pos = denom > 1e-300
-    flips[pos] = np.clip((target[pos] - mom[pos]) / denom[pos], 0.0, 1.0)
-    return IntermediateRealization(flips, witness)
-
-
-def intermediate_output(q: Channel, real: IntermediateRealization) -> Channel:
-    """Channel produced by splitting Q by the witness, flipping, merging."""
-    k = real.witness.entries
-    cols = k.sum(axis=0)
-    used = np.flatnonzero(cols > 0.0)
-    means = np.array([q.sigmas @ k[:, j] for j in used]) / cols[used]
-    e = real.column_flip[used]
-    return canonicalize(np.column_stack((means * (1.0 - e) + (1.0 - means) * e, cols[used])))
+    return bool(np.all(ew >= eq - WITNESS_TOL))

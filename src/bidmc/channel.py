@@ -41,9 +41,7 @@ __all__ = [
     "capacity_loss_rate",
     "error_probability",
     "lr_functional",
-    "mix",
     "lr_profile",
-    "equivalent",
 ]
 
 # Crossover probabilities closer than this are coalesced into one particle.
@@ -106,8 +104,8 @@ class Channel:
 
     Stored as two read-only float64 arrays, ``sigmas`` and ``weights``;
     ``particles`` is the same data as a tuple of :class:`Particle`, built on
-    first use.  Use :func:`canonicalize` (or :func:`bsc` / :func:`mix`) to
-    build instances; the constructor only validates canonical form.
+    first use.  Use :func:`canonicalize` (or :func:`bsc`) to build
+    instances; the constructor only validates canonical form.
     """
 
     sigmas: np.ndarray
@@ -501,29 +499,6 @@ def lr_functional(w: Channel, f: Callable[[float], float]) -> float:
     return sum(f(eps) * mass for eps, mass in lr_profile(w).atoms)
 
 
-def mix(components: Sequence[tuple[float, Channel]]) -> Channel:
-    """Random switching channel: probabilistic mixture of sub-channels.
-
-    ``components`` are (weight, channel) pairs with nonnegative weights
-    summing to one; the result's LR-profile is the weighted sum of the
-    component profiles.
-    """
-    if not components:
-        raise InvalidDistributionError("empty mixture")
-    wsum = 0.0
-    sigmas, masses = [], []
-    for weight, chan in components:
-        if weight < -MERGE_TOL:
-            raise InvalidDistributionError(f"negative mixture weight {weight}")
-        weight = max(float(weight), 0.0)
-        wsum += weight
-        sigmas.append(chan.sigmas)
-        masses.append(weight * chan.weights)
-    if abs(wsum - 1.0) > WEIGHT_SUM_INPUT_TOL:
-        raise InvalidDistributionError(f"mixture weights sum to {wsum}, not 1")
-    return canonicalize(np.column_stack((np.concatenate(sigmas), np.concatenate(masses))))
-
-
 def lr_profile(w: Channel) -> LrProfile:
     """LR-profile of a canonical channel.
 
@@ -540,16 +515,3 @@ def lr_profile(w: Channel) -> LrProfile:
             atoms.append((1.0 - p.sigma, p.weight / 2.0))
     atoms.sort()
     return LrProfile(tuple(atoms))
-
-
-def equivalent(w: Channel, v: Channel, tol: float = MERGE_TOL) -> bool:
-    """True iff the LR-profiles coincide atomwise within ``tol``.
-
-    Both inputs are canonical, so this reduces to matching particle lists.
-    """
-    if w.size != v.size:
-        return False
-    for a, b in zip(w.particles, v.particles):
-        if abs(a.sigma - b.sigma) > tol or abs(a.weight - b.weight) > tol:
-            return False
-    return True

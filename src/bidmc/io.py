@@ -1,4 +1,4 @@
-"""Channel, plan and witness file formats shared by the CLI.
+"""Channel file formats shared by the CLI, and the layout of its witness files.
 
 Channel files are read here and produced as text; ``bidmc.cli.main`` writes
 every file.
@@ -8,8 +8,11 @@ Channel CSV:    header ``sigma,q`` then one particle per line
 Transition JSON: {"transition_matrix": [[...], [...]]} with two row-
                  stochastic rows P(y|0), P(y|1); must describe a symmetric
                  channel, which is reduced to its canonical BSC mixture.
-Witness JSON:   {"rows": m, "cols": n, "k": [[...], ...]}
-Plan JSON:      {"cuts": [...]} or {"indices": [...], "splits": [...]}
+Witness JSON:   {"rows": m, "cols": n, "k": [[...], ...]}, written from
+                ``OneMatrix.to_json_dict``
+
+No command reads or writes a plan file: a degrade report carries its plan's
+cuts.
 """
 
 from __future__ import annotations

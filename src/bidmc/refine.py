@@ -55,7 +55,6 @@ __all__ = [
     "PPlusPlan",
     "realize_pstar",
     "realize_pplus",
-    "pplus_as_pstar",
     "plan_witness",
     "to_pstar_plan",
     "split_threshold",
@@ -375,11 +374,6 @@ def _realize(stack: _Stack, cuts: np.ndarray) -> _Stack:
     edges += np.arange(len(sizes))[:, None] * w.shape[1]
     masses, means = _group_stats(w.ravel(), s.ravel(), edges[:, :-1].ravel(), edges[:, 1:].ravel())
     return _canonicalize_stack(np.array((means, masses)).T, [cuts.shape[1] + 1] * len(sizes))
-
-
-def pplus_as_pstar(plan: PPlusPlan) -> PStarPlan:
-    """Encode a cut plan in segment-plan form (all splits zero)."""
-    return PStarPlan(plan.source, tuple(k - 1 for k in plan.cuts), (0.0,) * len(plan.cuts))
 
 
 def plan_witness(plan: PStarPlan | PPlusPlan) -> OneMatrix:

@@ -44,8 +44,8 @@ for means within round-off of 1/2.  Stage j's values form a matrix over
 (row a = end state, column b = previous state) whose feasible lower
 triangle is totally monotone.  The DP takes each row's leftmost maximum
 over that triangle directly; the tests check it against SMAWK.  The greedy
-merge baseline ``tv_greedy_plan`` (and ``tv_greedy_degrade``), after Tal &
-Vardy, is included for the capacity-loss comparisons.
+merge baseline ``tv_greedy_plan``, after Tal & Vardy, is included for the
+capacity-loss comparisons.
 """
 
 from __future__ import annotations
@@ -66,20 +66,17 @@ from .refine import (
     _segment_terms,
     _surely_fails,
     _window,
-    realize_pplus,
 )
 
 __all__ = [
     "BRUTE_FORCE_GUARD",
     "DpTable",
-    "iota_band",
     "enumerate_c_degradations",
     "brute_force_c_optimal",
     "c_optimal_degradation",
     "c_optimal_degradations",
     "dp_tables",
     "tv_greedy_plan",
-    "tv_greedy_degrade",
 ]
 
 BRUTE_FORCE_GUARD = 10**6
@@ -99,18 +96,6 @@ _STAGE_BLOCK = 64
 # and 2^17 against 1.19-1.53 ms at 2^18 (m = 32 and 64 alike), and
 # m = 16 the same at all three.
 _BATCH_ENTRIES = 1 << 17
-
-
-def iota_band(q: Channel, max_len: int) -> np.ndarray:
-    """Partial-capacity table: band[d, s] for particles s..s+d (1-indexed s).
-
-    band[d, s] = mass * (1 - h(mean)) of the group of d+1 particles starting
-    at s, from ``refine._segment_table``; entries outside 1 <= s <= m - d
-    are NaN.
-    """
-    band = np.full((max_len, q.size + 1), np.nan)
-    band[:, 1:] = _band(*_segment_table(q.weights, q.sigmas, max_len), _inside(q.size, max_len))
-    return band
 
 
 def _inside(m, max_len: int) -> np.ndarray:
@@ -650,10 +635,3 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
         cuts.append(e + 1)
         e = nxt[e]
     return PPlusPlan(q, tuple(cuts))
-
-
-def tv_greedy_degrade(q: Channel, n: int) -> Channel:
-    """Channel produced by the greedy merge baseline (n = m is identity)."""
-    if n == q.size:
-        return q
-    return realize_pplus(tv_greedy_plan(q, n))

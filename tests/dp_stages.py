@@ -1,10 +1,16 @@
 """The DP's per-stage arrays of each channel, read from ``search._dp_run``,
-which keeps them for its traceback; the tests check the stage kernel on them."""
+which keeps them for its traceback, and ``iota_band``, the capacity band
+its stages read, built from the DP's own ``_band``; the tests check the
+stage kernel on them."""
 
 from types import SimpleNamespace
 
-from bidmc import PPlusPlan, search
+import numpy as np
+
+from bidmc import Channel, PPlusPlan, search
 from bidmc.channel import _stack
+from bidmc.refine import _segment_table
+from bidmc.search import _band, _inside
 
 
 def dp_stage_tables(qs, n, pruning):
@@ -33,3 +39,15 @@ def dp_stage_tables(qs, n, pruning):
             )
             out.append((PPlusPlan(q, tuple(cuts[k].tolist())), table))
     return out
+
+
+def iota_band(q: Channel, max_len: int) -> np.ndarray:
+    """Partial-capacity table: band[d, s] for particles s..s+d (1-indexed s).
+
+    band[d, s] = mass * (1 - h(mean)) of the group of d+1 particles starting
+    at s, from ``refine._segment_table``; entries outside 1 <= s <= m - d
+    are NaN.
+    """
+    band = np.full((max_len, q.size + 1), np.nan)
+    band[:, 1:] = _band(*_segment_table(q.weights, q.sigmas, max_len), _inside(q.size, max_len))
+    return band

@@ -11,17 +11,16 @@ from bidmc import (
     canonicalize,
     capacity,
     capacity_loss_rate,
-    equivalent,
     error_probability,
     instance_rng,
     lr_functional,
     lr_profile,
-    mix,
     random_channel,
 )
 from bidmc.channel import _capacity_term
 
 import decimal_oracle
+from channel_helpers import equivalent, mix
 
 
 def h2(x):

@@ -22,10 +22,12 @@ from bidmc import (
     bsc,
     canonicalize,
     construct,
-    equivalent,
+    dp_tables,
     instance_rng,
     random_channel,
 )
+
+from channel_helpers import equivalent
 
 Q3_JSON = json.dumps(
     {
@@ -442,6 +444,24 @@ def test_degrade_method_ordering(q3_file, capsys):
         caps[method] = json.loads(out)["capacity"]
     assert caps["opt"] >= caps["tv-star"] - 1e-12
     assert caps["tv-star"] >= caps["tv"] - 1e-12
+
+
+def test_degrade_pruning_off_reports_the_unpruned_dp(tmp_path, capsys):
+    # --pruning off gives the default run's plan and capacity, with the
+    # unpruned DP's counters: every alive entry computed, no state dropped.
+    q = random_channel(instance_rng(19, 0), 16)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(channel_to_json_dict(q)))
+    reports = []
+    for extra in ([], ["--pruning", "off"]):
+        code, out, _ = run_cli(["degrade", str(path), "--n", "4", "--method", "opt", *extra], capsys)
+        assert code == 0
+        reports.append(json.loads(out))
+    pruned, full = reports
+    assert (full["cuts"], full["capacity"]) == (pruned["cuts"], pruned["capacity"])
+    assert full["evaluations"] == dp_tables([q], 4, False)[0][1].evaluations
+    assert full["evaluations"] >= pruned["evaluations"]
+    assert full["pruned_states"] == 0
 
 
 def test_degrade_mean_method(q3_file, capsys):

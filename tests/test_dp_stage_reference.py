@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidmc import construct, instance_rng, iota_band, random_channel, refine, search
+from bidmc import construct, instance_rng, random_channel, refine, search
 from bidmc.channel import _channels, _stack
 from bidmc.polar import _transforms
 from bidmc.refine import _segment_table, _surely_fails
 
-from dp_stages import dp_stage_tables
+from dp_stages import dp_stage_tables, iota_band
 from skewed_channels import skewed_channels
 
 

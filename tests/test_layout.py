@@ -1,8 +1,10 @@
 import ast
+import functools
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import bidmc
@@ -35,16 +37,16 @@ def test_the_threshold_window_rule_lives_in_refine_alone():
     assert named == []
 
 
-def _scopes(matches):
-    # (module, innermost enclosing function) of every AST node of the
-    # library that ``matches``, "" for a node outside any function.
-    found = set()
+@functools.cache
+def _nodes():
+    # (module, innermost enclosing function, node) of every AST node of the
+    # library, "" for a node outside any function.
+    found = []
 
     def visit(node, module, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if matches(node):
-            found.add((module, scope))
+        found.append((module, scope, node))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
@@ -52,6 +54,17 @@ def _scopes(matches):
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.name, "")
     return found
+
+
+def _scopes(matches):
+    # (module, innermost enclosing function) of every AST node of the
+    # library that ``matches``.
+    return {(module, scope) for module, scope, node in _nodes() if matches(node)}
+
+
+def _name(node):
+    # The name a bare name or an attribute reads, else None.
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
 
 
 def _functions_calling(name):
@@ -97,6 +110,36 @@ def test_the_risk_oracle_and_the_witness_construction_share_no_code():
     assert named_in({"_risk_grid"}) == {"risk_dominates"}
     assert named_in(construction) & curves == set()
     assert named_in(curves | {"BayesRiskCurve"}) & construction == set()
+
+
+# Public names that neither the library nor the benchmark calls, each kept
+# as an object of the paper.
+_PAPER_OBJECTS = {
+    "bsc": "B(e), the binary symmetric channel every mixture is built from",
+    "bayes_risk_curve": "the Bayes-risk curve, the second characterization of the degradation order",
+    "split_threshold": "the split threshold of two adjacent groups, the C-degradation window's edge",
+}
+
+
+def test_every_public_name_has_a_caller_or_is_a_paper_object():
+    # bidmc exports what the library, the CLI, the experiments and the
+    # benchmark call, and the paper's objects; helpers that only tests use
+    # live in tests/.  A name counts as called where the library names it
+    # outside __init__.py and its own definition, or a benchmark script
+    # names it.
+    bench = Path(bidmc.__file__).resolve().parents[2] / "benchmarks"
+    in_bench = {_name(node) for path in bench.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))}
+    in_library = {(module, scope, _name(node)) for module, scope, node in _nodes()}
+    public = [
+        name for name, value in vars(bidmc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+
+    def called(name):
+        home = getattr(bidmc, name).__module__.rsplit(".", 1)[1] + ".py"
+        return name in in_bench or any(n == name and (m, s) != (home, name) for m, s, n in in_library)
+
+    assert sorted(name for name in public if not called(name)) == sorted(_PAPER_OBJECTS)
 
 
 def test_only_the_cli_writes_files():

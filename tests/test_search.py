@@ -19,23 +19,21 @@ from bidmc import (
     capacity,
     dp_tables,
     enumerate_c_degradations,
-    equivalent,
     error_probability,
     instance_rng,
     is_c_degradation,
     random_channel,
     realize_pplus,
     refine_cuts,
-    tv_greedy_degrade,
     tv_greedy_plan,
 )
 from bidmc import refine, search
 from bidmc.refine import _group_stats, _segment_table
-from bidmc.search import iota_band
 
 import decimal_oracle
+from channel_helpers import equivalent
 from dfs_enumeration import c_degradation_cuts
-from dp_stages import dp_stage_tables
+from dp_stages import dp_stage_tables, iota_band
 from skewed_channels import skewed_channels
 from test_acceptance import crit1_combos
 
@@ -328,13 +326,13 @@ def test_dp_decision_band():
 
 
 def test_tv_greedy_identity_and_bound():
-    assert tv_greedy_degrade(Q3, 3) is Q3
+    assert equivalent(realize_pplus(tv_greedy_plan(Q3, 3)), Q3)
     rng = instance_rng(51, 10)
     for _ in range(40):
         m = int(rng.integers(4, 16))
         n = int(rng.integers(2, min(m, 7)))
         q = random_channel(rng, m)
-        w = tv_greedy_degrade(q, n)
+        w = realize_pplus(tv_greedy_plan(q, n))
         assert w.size <= n
         assert error_probability(w) == pytest.approx(
             error_probability(q), abs=1e-9

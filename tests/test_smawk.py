@@ -1,10 +1,9 @@
 import numpy as np
 
-from dp_stages import dp_stage_tables
+from dp_stages import dp_stage_tables, iota_band
 from smawk import CountingMatrix, StageMatrix, smawk_row_maxima
 
 from bidmc import instance_rng, random_channel
-from bidmc.search import iota_band
 
 
 def naive_row_maxima(matrix):

@@ -77,7 +77,7 @@ def binary_entropy(x):
 _TWO_LN2 = 2.0 * np.log(2.0)
 
 
-def _capacity_term(sigma, x):
+def _capacity_term(sigma, x, out=None, where=True):
     """1 - h(sigma) in bits, elementwise over equal shapes, given x = 1 - 2 sigma.
 
     Near 1/2, 1 - h(sigma) is about x^2 / (2 ln 2), far below the round-off
@@ -86,12 +86,16 @@ def _capacity_term(sigma, x):
     digits there (1 - 2 sigma is exact for sigma >= 1/4, and a group's mean
     of its particles' x keeps them).  Below 1/4 it is 1 - h(sigma), which
     is at least 0.18 there.
+
+    With ``out``, the terms are written into it where the mask ``where``
+    holds, and the other entries are left as they are.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty(sigma.shape)
+    out = np.empty(sigma.shape) if out is None else out
     far = sigma < 0.25
-    near = ~far
+    near = ~far & where
+    far &= where
     xn = x[near]
     out[near] = (2.0 * xn * np.arctanh(xn) + np.log1p(-xn * xn)) / _TWO_LN2
     out[far] = 1.0 - binary_entropy(sigma[far])

@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -88,13 +90,16 @@ def _threshold(eps_l, eps_r) -> np.ndarray:
     This is the one place the threshold is computed.  Window tests compare
     the margins t - sigma_lo and sigma_hi - t with PHI_STRICT_TOL; a NaN
     margin compares false, so it never fails, moves or prunes a cut.
-    Out-of-domain means are boundary cuts (left mean 0 or right mean 1/2),
-    whose structure is forced in any valid plan, or means out of order,
-    which only round-off produces.  Beside a subnormal left mean d / eps_l
-    overflows to inf; there log1p(d / eps_l) is log(d) - log(eps_l) to
-    round-off, so that form is taken, and t is about 6.6e-4 beside
-    eps_l = 5e-324 and eps_r = 0.375, not 0.  Every finite quotient keeps
-    the log1p form.
+    Out-of-domain means are a left group of mean 0, which short of an
+    underflowing moment is particle 1 alone at sigma 0, whose cut cannot
+    move left; a right group of mean exactly 1/2, where the threshold has
+    a finite limit that is not taken, so a cut beside it is never failed
+    or moved even where a move would raise capacity (ROADMAP item 7); or
+    means out of order, which only round-off produces.  Beside a subnormal
+    left mean d / eps_l overflows to inf; there log1p(d / eps_l) is
+    log(d) - log(eps_l) to round-off, so that form is taken, and t is
+    about 6.6e-4 beside eps_l = 5e-324 and eps_r = 0.375, not 0.  Every
+    finite quotient keeps the log1p form.
     """
     eps_l = np.asarray(eps_l, dtype=np.float64)
     eps_r = np.asarray(eps_r, dtype=np.float64)
@@ -265,9 +270,6 @@ class PPlusPlan:
         starts, stops = np.array(self.bounds()).T - 1
         return _group_stats(self.source.weights, self.source.sigmas, starts, stops)
 
-    def to_json_dict(self) -> dict:
-        return {"cuts": list(self.cuts)}
-
 
 @dataclass(frozen=True)
 class PStarPlan:
@@ -340,9 +342,6 @@ class PStarPlan:
     def segment_stats(self) -> tuple[np.ndarray, np.ndarray]:
         """Masses and mean crossovers of the segments (read-only arrays)."""
         return self._stats
-
-    def to_json_dict(self) -> dict:
-        return {"indices": list(self.indices), "splits": list(self.splits)}
 
 
 def realize_pstar(plan: PStarPlan) -> Channel:
@@ -495,29 +494,51 @@ def refine_cuts(plan: PPlusPlan) -> PPlusPlan:
 
     A cut k_j moves right when the threshold is at or above sigma_{k_j} and
     left when at or below sigma_{k_j - 1} (never emptying a group); the
-    first cut that can move does, right before left.  Each move strictly
-    increases capacity, so the loop terminates.
+    first cut that can move does, right before left.  In exact arithmetic
+    each move strictly increases capacity, so no plan comes back.  In
+    floating point a threshold within round-off of a crossover can send a
+    cut back and forth; a move to a plan already seen stops the loop at
+    the plan before it (the oscillation guard), and a cap on the moves
+    raises RuntimeError.
+
+    The group means are computed once.  A move changes only the two groups
+    beside its cut, which are summed forward again as ``_group_stats``
+    sums them, and only the windows of that cut and its two neighbours are
+    tested again, in one ``_window`` call.
     """
-    s = plan.source.sigmas
-    cuts = list(plan.cuts)
-    seen = {tuple(cuts)}
+    weights, s = plan.source.weights.tolist(), plan.source.sigmas.tolist()
+    moments = (plan.source.weights * plan.source.sigmas).tolist()
+    edges = [1, *plan.cuts, plan.source.size + 1]
+
+    def mean(g: int) -> float:
+        # Group g's forward sums, as _group_stats sums them.
+        a, b = edges[g] - 1, edges[g + 1] - 1
+        return s[a] if b - a == 1 else reduce(add, moments[a:b]) / reduce(add, weights[a:b])
+
+    eps = [mean(g) for g in range(len(edges) - 1)]
+    # step[j] is +1 (right), -1 (left) or 0 for cut j, edges[j + 1]; the
+    # windows of cuts lo..hi-1 are tested next.
+    step, seen = [0] * len(plan.cuts), {plan.cuts}
+    lo, hi = 0, len(step)
     for _ in range(100000):
-        cur = PPlusPlan(plan.source, tuple(cuts))
-        _, means = cur.group_stats()
-        k = np.asarray(cuts, dtype=np.int64)
-        edges = np.concatenate([[1], k, [plan.source.size + 1]])
-        left, right = _window(means[:-1], means[1:], s[k - 2], s[k - 1])
-        right &= k + 1 < edges[2:]
-        left &= k - 1 > edges[:-2]
-        move = np.flatnonzero(right | left)
-        if move.size == 0:
-            return cur
-        j = int(move[0])
-        cuts[j] += 1 if right[j] else -1
-        key = tuple(cuts)
+        k = edges[lo + 1 : hi + 1]
+        low, high = _window(eps[lo:hi], eps[lo + 1 : hi + 1], [s[c - 2] for c in k], [s[c - 1] for c in k])
+        for j, l, h in zip(range(lo, hi), low.tolist(), high.tolist()):
+            before, cut, after = edges[j : j + 3]
+            step[j] = 1 if h and cut + 1 < after else -1 if l and cut - 1 > before else 0
+        j = next((j for j, d in enumerate(step) if d), None)
+        if j is None:
+            break
+        edges[j + 1] += step[j]
+        key = tuple(edges[1:-1])
         if key in seen:
             # Floating-point dust oscillation at a window boundary; the
             # competing plans differ in capacity far below any tolerance.
-            return cur
+            edges[j + 1] -= step[j]
+            break
         seen.add(key)
-    raise RuntimeError("cut refinement did not terminate")
+        eps[j], eps[j + 1] = mean(j), mean(j + 1)
+        lo, hi = max(j - 1, 0), min(j + 2, len(step))
+    else:
+        raise RuntimeError("cut refinement did not terminate")
+    return PPlusPlan(plan.source, tuple(edges[1:-1]))

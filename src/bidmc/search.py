@@ -109,14 +109,15 @@ def _band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray, inside: np.ndarr
     """Capacity terms of the segment tables' groups, NaN outside ``inside``
     (past the channel's end; see ``_inside``).
 
-    Entry [d, i] is iota of particles i..i+d (0-indexed), as in the tables.
+    Entry [d, i] is iota of particles i..i+d (0-indexed), as in the tables:
+    ``_capacity_term`` writes 1 - h(mean) into the band where ``inside``
+    holds, and one in-place product scales the whole band by the mass.
     The band is a view of a flat buffer, its ``base``, whose one further
     entry is -inf: the sentinel that the stage kernel reads at offset -1.
     """
     band = _ended(mass.shape, -np.inf)
     band.fill(np.nan)
-    band[inside] = mass[inside] * _capacity_term(mean[inside], xbar[inside])
-    return band
+    return np.multiply(_capacity_term(mean, xbar, band, inside), mass, out=band)
 
 
 class DpTable(NamedTuple):
@@ -584,8 +585,8 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
     merged group: O(m log m) heap steps.  Every iota of a group of up to
     L = min(m - n + 1, _BATCH_ENTRIES // m) particles (the DP's table
     depth, capped by its chunk size; at least 2) is read from one bounded
-    ``_segment_table``; only a longer group is summed forward on its own,
-    as the table would sum it.
+    ``_segment_table``; only a longer group has its terms built and summed
+    forward on its own, as the table would sum it.
     """
     m = q.size
     if not (2 <= n <= m):
@@ -593,7 +594,6 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
     depth = max(2, min(m - n + 1, _BATCH_ENTRIES // m))
     band = _band(*_segment_table(q.weights, q.sigmas, depth), _inside(m, depth))
     gain, pair = band[:2].tolist()  # each particle, each adjacent pair
-    terms = _segment_terms(q.weights, q.sigmas)
 
     def iota(a: int, c: int) -> float:
         # Particles a..c-1 (0-indexed).  Past the table, the same forward
@@ -601,7 +601,7 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
         # a deeper table would hold.
         if c - a <= depth:
             return band.item(c - a - 1, a)
-        mass, moment, bias = np.cumsum(terms[:, a:c], axis=1)[:, -1]
+        mass, moment, bias = np.cumsum(_segment_terms(q.weights[a:c], q.sigmas[a:c]), axis=1)[:, -1]
         return float(mass * _capacity_term(moment / mass, bias / mass))
 
     # Group edges as a linked list: the live group starting at edge e is
@@ -629,9 +629,5 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
         if c < m:
             d = nxt[c]
             heapq.heappush(heap, (gain[a] + gain[c] - iota(a, d), a, c, d))
-    cuts = []
-    e = nxt[0]
-    while e < m:
-        cuts.append(e + 1)
-        e = nxt[e]
-    return PPlusPlan(q, tuple(cuts))
+    # The live edges after the first start the groups after the first.
+    return PPlusPlan(q, tuple(e + 1 for e in range(1, m) if nxt[e] >= 0))

@@ -9,11 +9,13 @@ from bidmc import (
     InvalidPlanError,
     PPlusPlan,
     PStarPlan,
+    arikan_minus,
     brute_force_c_optimal,
     bsc,
     c_optimal_degradation,
     canonicalize,
     capacity,
+    construct,
     enumerate_c_degradations,
     error_probability,
     find_degradation_witness,
@@ -28,6 +30,7 @@ from bidmc import (
     refine_cuts,
     split_threshold,
     to_pstar_plan,
+    tv_greedy_plan,
 )
 
 import decimal_oracle
@@ -162,18 +165,6 @@ def test_full_split_normalizes_to_cut_form():
     plan = PStarPlan(Q3, (3,), (Q3.particles[2].weight,))
     assert plan.indices == (2,)
     assert plan.splits == (0.0,)
-
-
-def test_plan_json_schemas():
-    cut_plan = PPlusPlan(Q3, (2, 3))
-    assert cut_plan.to_json_dict() == {"cuts": [2, 3]}
-    seg_plan = PStarPlan(Q3, (2,), (0.2,))
-    d = seg_plan.to_json_dict()
-    assert set(d) == {"indices", "splits"}
-    assert d["indices"] == [2]
-    assert d["splits"] == pytest.approx([0.2])
-    again = PStarPlan(Q3, tuple(d["indices"]), tuple(d["splits"]))
-    assert equivalent(realize_pstar(again), realize_pstar(seg_plan))
 
 
 def test_realized_plans_are_p_degradations():
@@ -316,8 +307,10 @@ def test_is_c_degradation_examples():
 
 def test_boundary_cuts_pass_every_window_test():
     # A left group of mean 0 or a right group of mean 1/2 puts the threshold
-    # outside its domain; such a cut's structure is forced, so it never
-    # fails, moves or prunes.
+    # outside its domain, so the cut beside it never fails, moves or prunes.
+    # A left group of mean 0 is particle 1 alone, whose cut cannot move
+    # left; beside a right group of mean exactly 1/2 a move can raise
+    # capacity, and the window rule does not see it (ROADMAP item 7).
     q = canonicalize([(0.0, 0.3), (0.1, 0.2), (0.3, 0.2), (0.5, 0.3)])
     plan = PPlusPlan(q, (2, 4))
     assert is_c_degradation(plan)
@@ -329,6 +322,20 @@ def test_boundary_cuts_pass_every_window_test():
 def test_refine_cuts_fixpoint_unchanged():
     plan = PPlusPlan(Q3, (3,))
     assert refine_cuts(plan).cuts == (3,)
+
+
+def test_refine_cuts_stops_at_an_oscillation():
+    # The minus transform of branch 0000's quantized channel (m = 10): the
+    # greedy plan's last cut fails its window on the low side and the plan
+    # one cut to the left fails on the high side, each pointing at the
+    # other.  The guard stops at the plan before the move that repeats.
+    run = construct(random_channel(instance_rng(0, 4), 4), 5, 4)
+    q = arikan_minus(run.records["0000"].quantized)
+    plan = tv_greedy_plan(q, 4)
+    assert q.size == 10 and plan.cuts == (3, 6, 9)
+    refined = refine_cuts(plan)
+    assert refined.cuts == (3, 6, 8)
+    assert not is_c_degradation(plan) and not is_c_degradation(refined)
 
 
 def test_refine_cuts_improves_failing_plan():

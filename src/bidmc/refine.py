@@ -12,7 +12,10 @@ is 0 or the full particle weight, segments are contiguous whole-particle
 groups described by a cut vector k_1 < ... < k_{n-1} (P+-degradations, cut
 plans).  ``to_pstar_plan`` reads a segment plan dominating any degradation
 W <= Q off Q's quantile line: the segments are Q's mass between W's
-cumulative weights.
+cumulative weights.  The same slices decide whether W <= Q at all: W's
+water-level moments, summed over its first J particles, stay at or above
+the first J slices' moments exactly when it is, so a witness is built only
+where a margin is within round-off of 0.
 
 Capacity refinement revolves around the threshold crossover
 
@@ -46,8 +49,8 @@ from operator import add
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .blackwell import OneMatrix, find_degradation_witness
-from .channel import Channel, _canonicalize_stack, _channels, _Stack, _stack, canonicalize
+from .blackwell import _DUST, WITNESS_TOL, OneMatrix, _water_level, find_degradation_witness
+from .channel import Channel, _canonicalize_stack, _channels, _Stack, _stack, canonicalize, error_probability
 
 __all__ = [
     "PHI_STRICT_TOL",
@@ -392,6 +395,53 @@ def plan_witness(plan: PStarPlan | PPlusPlan) -> OneMatrix:
     return OneMatrix(k, plan.source.weights.copy(), k.sum(axis=0))
 
 
+def _degraded(w: Channel, q: Channel, take: np.ndarray) -> bool:
+    """W <= Q, decided from the raw quantile slices ``take`` of
+    ``to_pstar_plan`` (entry [i, j] is particle i's part of slice j where
+    positive), with ``find_degradation_witness`` only near a tie.
+
+    With mu W's water-level means (``blackwell._water_level``), P_J =
+    p_1 + ... + p_J and G_Q(u) the moment of Q's lowest mass u, which the
+    first J slices hold at u = P_J, the margins are
+
+        D_J = sum_{j<=J} p_j mu_j - G_Q(P_J),    J < n.
+
+    Necessity: W <= Q makes D_J >= 0, by ``to_pstar_plan``'s "Why W <= W1".
+    Sufficiency: mu and the slice means both rise with j and share the
+    weights p, so both integrated quantile curves are linear between the
+    P_J, and D >= 0 with equal totals (D_n = 0) puts (mu, p) below the
+    slices in convex order; mu <= eps then gives W <= W_mu <= W_slices <= Q.
+    Rejection: past the water level mu_j = tau and G_Q is convex, so D is
+    concave there with D_n = 0, and the least D_J falls at a J with
+    mu_j = eps_j for every j <= J.  The witness's coupling puts mass P_J of
+    Q in its first J columns, with moment at least G_Q(P_J), so its
+    ``excess`` is at least -D_J, and a margin below -WITNESS_TOL means no
+    witness.
+
+    Round-off.  A running sum of k terms whose partial sums are at most 1
+    is off by at most k u, u = 2^-53 (about 1.1e-16), and _DUST = 1e-15 is
+    about 9 u.  The margins take running sums of m + n terms (the slice
+    moments, their sum over slices and W's moments), and the coupling
+    leaves unspent at most m remainders of at most _DUST each, of crossover
+    at most 1/2.  So no margin is off by more than (m + n) _DUST, either
+    way; within that of a tie, and when the water level is W's own
+    crossovers because Perr(W) < Perr(Q) (D_n < 0, so sufficiency fails),
+    the witness decides.
+    """
+    perr_q = error_probability(q)
+    mu = _water_level(w, perr_q)
+    if mu is None:
+        return False
+    if error_probability(w) >= perr_q:
+        margin = np.cumsum(w.weights * mu)[:-1] - np.cumsum(q.sigmas @ np.maximum(take, 0.0))[:-1]
+        least, tol = margin.min(initial=np.inf), (q.size + w.size) * _DUST
+        if least > tol:
+            return True
+        if least < -(WITNESS_TOL + tol):
+            return False
+    return find_degradation_witness(w, q) is not None
+
+
 def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
     """Canonicalize any degradation W <= Q into a segment plan.
 
@@ -415,24 +465,31 @@ def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
     old pair is below the new one in convex order and each such shift
     upgrades.  The segments partition Q's mass, so Perr(W1) = Perr(Q).
 
+    The converse decides W <= Q (``_degraded``): the margins
+    sum_{j<=J} p_j mu_j - G_Q(P_J) of the slices, G_Q the moment of Q's
+    lowest mass, are all nonnegative exactly when W <= Q, and one below
+    -WITNESS_TOL bounds the witness coupling's excess above WITNESS_TOL.
+    So no witness is built unless a margin is within round-off of a tie.
+
     ``n`` is a floor on the number of segments (default: W's particle
     count); it is capped at Q's size.  When the slices give fewer
     segments, mass-balanced splitting of the heaviest segment adds more,
     which only refines the realization further; when they give more, the
     plan keeps them all.
 
-    Raises DegradationOrderError when W is not a degradation of Q.
+    Raises DegradationOrderError when W is not a degradation of Q, exactly
+    when ``find_degradation_witness`` gives None.
     """
-    if find_degradation_witness(w, q) is None:
+    qw = q.weights
+    edges = np.concatenate(([0.0], np.cumsum(qw)))
+    cuts = np.concatenate(([0.0], np.cumsum(w.weights)[:-1], edges[-1:]))
+    take = np.minimum(edges[1:, None], cuts[None, 1:]) - np.maximum(edges[:-1, None], cuts[None, :-1])
+    if not _degraded(w, q, take):
         raise DegradationOrderError("W is not a degradation of Q")
     if n is None:
         n = w.size
     n = min(max(int(n), 1), q.size)
 
-    qw = q.weights
-    edges = np.concatenate(([0.0], np.cumsum(qw)))
-    cuts = np.concatenate(([0.0], np.cumsum(w.weights)[:-1], edges[-1:]))
-    take = np.minimum(edges[1:, None], cuts[None, 1:]) - np.maximum(edges[:-1, None], cuts[None, :-1])
     # The slices' entries, in slice order.
     seg, part = np.nonzero(take.T > _MASS_TOL)
     mass = take[part, seg]

@@ -32,6 +32,7 @@ from bidmc import (
     to_pstar_plan,
     tv_greedy_plan,
 )
+from bidmc.blackwell import _water_level
 
 import decimal_oracle
 import segment_rows
@@ -294,6 +295,13 @@ def test_to_pstar_plan_rejects_non_degradation():
 
     with pytest.raises(DegradationOrderError):
         to_pstar_plan(bsc(0.05), Q3)
+    # Perr(W) = 0.25 >= Perr(Q3) = 0.19, so the water level exists, but W
+    # has mass below Q3's least crossover and the coupling fails.
+    w = canonicalize([(0.05, 0.5), (0.45, 0.5)])
+    assert _water_level(w, error_probability(Q3)) is not None
+    assert find_degradation_witness(w, Q3) is None
+    with pytest.raises(DegradationOrderError):
+        to_pstar_plan(w, Q3)
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,10 @@ values are compared by ``tobytes()``, on criterion 07's pairs, on pairs of
 skewed channels and on the P* realizations of the degraded pairs.
 """
 
-import numpy as np
 from hypothesis import given
 
 from bidmc import (
     bayes_risk_curve,
-    canonicalize,
     error_probability,
     find_degradation_witness,
     instance_rng,
@@ -25,27 +23,7 @@ from bidmc.blackwell import _left_curtain, _risk_grid, _water_level
 
 import witness_reference as ref
 from skewed_channels import skewed_channels
-
-
-def _criterion_07_pairs():
-    """The (w, q) pairs of acceptance criterion 07, in its order."""
-    for i in range(1000):
-        rng = instance_rng(107, i)
-        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        q = random_channel(rng, m)
-        if i % 3 == 0:
-            yield random_channel(rng, n), q
-            continue
-        k = np.zeros((m, n))
-        for r, p in enumerate(q.particles):
-            k[r] = rng.dirichlet(np.ones(n)) * p.weight
-        cols = k.sum(axis=0)
-        means = (q.sigmas @ k) / cols
-        t = rng.uniform(0.0, 1.0, size=n) if i % 3 == 1 else rng.uniform(0.0, 0.02, size=n)
-        eps = means + t * (0.5 - means)
-        if i % 3 == 2 and rng.uniform() < 0.5:
-            eps = np.maximum(means - 0.01, 0.0)
-        yield canonicalize(list(zip(eps.tolist(), cols.tolist()))), q
+from witness_pairs import criterion_07_pairs
 
 
 def _same(a, b):
@@ -65,13 +43,13 @@ def _check(w, q):
 
 
 def test_both_routes_match_the_reference_on_criterion_07_pairs():
-    ran = sum(_check(w, q) for w, q in _criterion_07_pairs())
+    ran = sum(_check(w, q) for w, q in criterion_07_pairs())
     assert ran > 500
 
 
 def test_both_routes_match_the_reference_on_pstar_realizations():
     ran = 0
-    for w, q in _criterion_07_pairs():
+    for w, q in criterion_07_pairs():
         if find_degradation_witness(w, q) is not None:
             ran += _check(realize_pstar(to_pstar_plan(w, q)), q)
     assert ran > 300
@@ -85,7 +63,7 @@ def test_both_routes_match_the_reference_on_skewed_channels(a, b):
 
 
 def test_the_curve_object_matches_the_reference():
-    for w, q in _criterion_07_pairs():
+    for w, q in criterion_07_pairs():
         curve, want = bayes_risk_curve(w), ref.Curve(w)
         assert curve.breakpoints.tobytes() == want.breakpoints.tobytes()
         grid = ref.risk_grid(w, q)[0]

@@ -73,10 +73,6 @@ class OneMatrix:
         if not np.abs(k.sum(axis=0) - self.col_pattern).max() <= WITNESS_TOL:
             raise ValueError("column sums do not match the column pattern")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
     def to_json_dict(self) -> dict:
         m, n = self.entries.shape
         return {"rows": m, "cols": n, "k": self.entries.tolist()}

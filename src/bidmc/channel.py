@@ -180,12 +180,6 @@ class LrProfile:
 
     atoms: tuple[tuple[float, float], ...]
 
-    def mass_at(self, eps: float, tol: float = MERGE_TOL) -> float:
-        return sum(m for e, m in self.atoms if abs(e - eps) <= tol)
-
-    def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
-
 
 def canonicalize(raw: np.ndarray | Iterable[tuple[float, float]]) -> Channel:
     """Reduce raw (sigma, weight) pairs to the canonical sorted merged form.
@@ -283,18 +277,20 @@ def _canonicalize_stack(pairs: np.ndarray, sizes: Sequence[int], limit: int | No
       those pairs alone.  One ``_merge_runs`` replay then folds every
       member's runs.  A stack of one with no sorted gap within 2 *
       MERGE_TOL has nothing to merge and builds no merge heads.
-    - With ``limit``, a member whose canonical form has more than
-      ``limit`` particles comes back with size 0.  A running group mean
-      exceeds its largest member by a few ulps at most, so a sorted gap
-      above 2 * MERGE_TOL surely opens a group, and one plus the number of
-      such gaps in a member is a lower bound on its canonical size.  When
-      that bound already exceeds ``limit`` for every member, the call
-      returns right after the sigma sort, before the weight order and the
-      merge; the early stop is exact, since the bound never exceeds the
-      size.  A stack of one with more clean pairs than ``limit`` proves its
-      bound on an ``np.sort`` of its crossovers, before the argsort.
+    - ``limit`` is for a stack of one (a larger stack raises ValueError):
+      a member whose canonical form has more than ``limit`` particles comes
+      back with size 0.  A running group mean exceeds its largest member by
+      a few ulps at most, so a sorted gap above 2 * MERGE_TOL surely opens
+      a group, and one plus the number of such gaps is a lower bound on the
+      canonical size.  When the member has more clean pairs than ``limit``,
+      that bound is proved on an ``np.sort`` of its crossovers, and when it
+      already exceeds ``limit`` the call returns before the argsort, the
+      weight order and the merge; the early stop is exact, since the bound
+      never exceeds the size.
     """
     n_mem = len(sizes)
+    if limit is not None and n_mem > 1:
+        raise ValueError("a size limit needs a stack of one")
     sig, wt, keep = _clean_pairs(pairs)
     if n_mem == 1:
         # Summed in sequence in input order; dropped zero weights add nothing.
@@ -326,9 +322,6 @@ def _canonicalize_stack(pairs: np.ndarray, sizes: Sequence[int], limit: int | No
         close[start[1:] - 1] = False  # a member's first pair opens a group
     n_close = np.count_nonzero(close)
     head = np.concatenate(([True], ~close)) if n_close or n_mem > 1 else None
-    # A member has at least as many groups as pairs that surely open one.
-    if limit is not None and n_mem > 1 and np.all(np.add.reduceat(head, start) > limit):
-        return _Stack(*np.zeros((2, n_mem, 0)), np.zeros(n_mem, dtype=np.int64))
     if n_close:
         # Equal crossovers go in weight order, as in a sort by (sigma, weight);
         # only the pairs in runs of equal crossovers move.
@@ -353,10 +346,6 @@ def _canonicalize_stack(pairs: np.ndarray, sizes: Sequence[int], limit: int | No
         return _Stack((w / total)[None, :size], s[None, :size], np.array([size]))
     count = np.add.reduceat(head, start)
     w = w / np.repeat(total, count)
-    if limit is not None:
-        kept = count <= limit
-        s, w = s[np.repeat(kept, count)], w[np.repeat(kept, count)]
-        count = np.where(kept, count, 0)
     out = np.zeros((2, n_mem, count.max()))
     out[:, np.arange(count.max()) < count[:, None]] = w, s
     return _Stack(*out, count)

@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed (BIDMC_SEED overrides)")
         p.add_argument("--format", choices=list(formats), default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
-        p.add_argument("--oracle", action="store_true", help="cross-check against the independent oracle")
 
     p = sub.add_parser("analyze", help="capacity, error probability and LR-profile of a channel file")
     p.add_argument("channel")
@@ -365,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--c-stats", action="store_true", help="include C-degradation count/CLR columns")
-    p.add_argument("--compare-full", action="store_true", help="also run the unpruned DP for counter comparison")
+    p.add_argument("--compare-full", action="store_true", help="also report the unpruned DP's evaluations")
     common(p)
     p.set_defaults(fn=cmd_experiment)
 
@@ -376,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_polar)
 
+    # Every command but experiment has an independent oracle to check against.
+    for p in map(sub.choices.get, ("analyze", "degrade", "enumerate", "check", "polar")):
+        p.add_argument("--oracle", action="store_true", help="cross-check against the independent oracle")
     return parser
 
 

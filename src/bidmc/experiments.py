@@ -25,6 +25,7 @@ from .polar import _transforms, construct
 from .refine import PPlusPlan, _realize, refine_cuts
 from .search import (
     _BATCH_ENTRIES,
+    _unpruned_evaluations,
     c_optimal_degradations,
     dp_tables,
     enumerate_c_degradations,
@@ -33,13 +34,12 @@ from .search import (
 
 
 def realized_capacities(plans: Sequence[PPlusPlan]) -> list[float]:
-    """``capacity(realize_pplus(plan))`` of each plan, in stacks of at most
-    _BATCH_ENTRIES groups times particles (a plus transform has about 3e4
-    C-degradations at n = 10, and a stack's group sums pad to its longest),
-    each of plans with as many cuts."""
+    """``capacity(realize_pplus(plan))`` of each plan, all with the same
+    number of cuts, in stacks of at most _BATCH_ENTRIES groups times
+    particles (a plus transform has about 3e4 C-degradations at n = 10, and
+    a stack's group sums pad to its longest)."""
     step = max(1, _BATCH_ENTRIES // max(((len(p.cuts) + 1) * p.source.size for p in plans), default=1))
-    runs = [list(run) for _, run in itertools.groupby(plans, lambda p: len(p.cuts))]
-    chunks = [run[k : k + step] for run in runs for k in range(0, len(run), step)]
+    chunks = [plans[k : k + step] for k in range(0, len(plans), step)]
     cuts = (np.array([p.cuts for p in chunk], dtype=np.int64) for chunk in chunks)
     stacks = (_realize(_stack([p.source for p in chunk]), c) for chunk, c in zip(chunks, cuts))
     return [c for stack in stacks for c in _capacities(stack)]
@@ -68,18 +68,15 @@ def opt_clr(seed: int, indices: Sequence[int], m: int, n: int) -> dict:
     return {"clr": _opt_clrs(qs, [plan for plan, _ in c_optimal_degradations(qs, n)])}
 
 
-def _opt_clr_counted(seed: int, indices: Sequence[int], m: int, n: int, compare_full: bool) -> dict:
+def _opt_clr_counted(seed: int, indices: Sequence[int], m: int, n: int) -> dict:
     """``opt_clr`` with the pruned DP's counters, the ``opt-clr`` table's
     record: the CLRs come from the plans of the one pruned ``dp_tables``
-    run; with ``compare_full``, the unpruned DP's evaluations too."""
+    run."""
     qs = [random_channel(instance_rng(seed, i), m) for i in indices]
     found = dp_tables(qs, n, True)
     out = {"clr": _opt_clrs(qs, [plan for plan, _ in found])}
     out["evaluations"] = np.array([table.evaluations for _, table in found])
     out["pruned_states"] = np.array([table.pruned_states for _, table in found])
-    if compare_full:
-        full = dp_tables(qs, n, False)
-        out["evaluations_full"] = np.array([table.evaluations for _, table in full])
     return out
 
 
@@ -157,14 +154,17 @@ def pplus_stats_rows(seed: int, ms: list[int], ns: list[int], samples: int, jobs
 def opt_clr_rows(
     seed: int, ms: list[int], ns: list[int], samples: int, jobs: int = 1, compare_full: bool = False
 ) -> list:
-    """The ``opt-clr`` table: a row per (m, n), 2 <= n < m."""
+    """The ``opt-clr`` table: a row per (m, n), 2 <= n < m; with
+    ``compare_full``, also the unpruned DP's evaluations, a closed form of m
+    and n (every instance has m particles)."""
     rows = []
-    cells = [(m, n, compare_full) for m in ms for n in ns]
-    for (m, n, _), rec in _records(_opt_clr_counted, seed, samples, jobs, cells):
+    for (m, n), rec in _records(_opt_clr_counted, seed, samples, jobs, [(m, n) for m in ms for n in ns]):
         row = {"m": m, "n": n, "samples": samples}
         row["mean_clr"], row["ci95_clr"] = _mean_ci(rec["clr"])
         for key in list(rec)[1:]:  # the DP counters
             row["mean_" + key] = float(np.mean(rec[key]))
+        if compare_full:
+            row["mean_evaluations_full"] = float(_unpruned_evaluations(m, n))
         rows.append(row)
     return rows
 

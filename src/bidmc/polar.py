@@ -104,7 +104,8 @@ def _transforms(stack: _Stack, bits: str, limit: int | None = None) -> _Stack:
     transform from the buffer's transpose, (N, 2) pairs whose crossover and
     mass columns are each contiguous, dropping zero masses and folding
     crossovers above 1/2; each result equals its single call bit for bit.
-    With ``limit``, a transform of more than ``limit`` particles has size 0.
+    ``limit`` is for one bit, a stack of one: a transform of more than
+    ``limit`` particles has size 0.
     """
     w, s, _ = stack
     i, j, factor, diag = _pair_indices(s.shape[1])
@@ -216,10 +217,11 @@ def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
     size guard; beyond it the reference falls back to A_a(quantized parent)
     and the record is flagged.  An exact parent is transformed while its
     n^2 + 1 bound is within 4 * EXACT_SIZE_GUARD, each in its own stack of
-    one (a stack pads its members to the largest), with EXACT_SIZE_GUARD as
-    the limit: ``_canonicalize_stack`` gives size 0 to a transform as soon
-    as its sigma sort proves more particles than the guard, before the
-    weight order and the merge.  The early stop is exact: the proof is a
+    one (a stack pads its members to the largest, and only a stack of one
+    takes a limit), with EXACT_SIZE_GUARD as the limit:
+    ``_canonicalize_stack`` gives size 0 to a transform as soon as its
+    sigma sort proves more particles than the guard, before the weight
+    order and the merge.  The early stop is exact: the proof is a
     lower bound on the merged size, so a dropped transform is one the
     guard would have discarded after merging.
     """

@@ -338,10 +338,6 @@ class PStarPlan:
         object.__setattr__(self, "_layout", (part, mass, bounds))
         object.__setattr__(self, "_stats", (masses, means))
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.indices) + 1
-
     def segment_stats(self) -> tuple[np.ndarray, np.ndarray]:
         """Masses and mean crossovers of the segments (read-only arrays)."""
         return self._stats
@@ -442,7 +438,7 @@ def _degraded(w: Channel, q: Channel, take: np.ndarray) -> bool:
     return find_degradation_witness(w, q) is not None
 
 
-def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
+def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
     """Canonicalize any degradation W <= Q into a segment plan.
 
     Returns a plan whose realization W1 satisfies W <= W1 with W1 a
@@ -471,11 +467,10 @@ def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
     -WITNESS_TOL bounds the witness coupling's excess above WITNESS_TOL.
     So no witness is built unless a margin is within round-off of a tie.
 
-    ``n`` is a floor on the number of segments (default: W's particle
-    count); it is capped at Q's size.  When the slices give fewer
-    segments, mass-balanced splitting of the heaviest segment adds more,
-    which only refines the realization further; when they give more, the
-    plan keeps them all.
+    The plan has at least min(W's size, Q's size) segments.  When the
+    slices give fewer, mass-balanced splitting of the heaviest segment adds
+    more, which only refines the realization further; when they give more,
+    the plan keeps them all.
 
     Raises DegradationOrderError when W is not a degradation of Q, exactly
     when ``find_degradation_witness`` gives None.
@@ -486,9 +481,6 @@ def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
     take = np.minimum(edges[1:, None], cuts[None, 1:]) - np.maximum(edges[:-1, None], cuts[None, :-1])
     if not _degraded(w, q, take):
         raise DegradationOrderError("W is not a degradation of Q")
-    if n is None:
-        n = w.size
-    n = min(max(int(n), 1), q.size)
 
     # The slices' entries, in slice order.
     seg, part = np.nonzero(take.T > _MASS_TOL)
@@ -512,7 +504,7 @@ def to_pstar_plan(w: Channel, q: Channel, n: int | None = None) -> PStarPlan:
     bounds = np.append(np.flatnonzero(new[keep]), part.size)
 
     full = mass >= qw[part] - _OWN_TOL
-    while bounds.size <= n:
+    while bounds.size <= min(w.size, q.size):
         # acc[j, c - 1] is the mass of segment j's first c entries.
         acc = _forward_sums(mass, bounds[:-1], bounds[1:])
         # Cutting segment j after c entries is legal unless a half would be

@@ -226,14 +226,13 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
     return PPlusPlan(q, tuple(_trace(cuts, parents, [best])[0].tolist())), float(caps[best])
 
 
-def _stage_layout(rows: np.ndarray, row_at: np.ndarray, width: int) -> tuple[tuple, np.ndarray]:
+def _stage_layout(rows: np.ndarray, row_at: np.ndarray, width: int) -> tuple:
     """Where the stage kernel reads rows ``rows`` (B, R) from: -1 marks a
     padding row, and row a of instance k starts at flat index row_at[k, r]
     of the (B, size, width) tables.
 
     Returns one (B, block rows, columns) offset grid per staircase block of
-    _STAGE_BLOCK rows, each with the flat start of its rows, and each
-    instance's number of lower-triangle entries (a + 1 in row a).  Grid
+    _STAGE_BLOCK rows, each with the flat start of its rows.  Grid
     entry [k, r, c] is row_at[k, r] + c (1 - width), the flat index of
     table entry [k, a - c, c], for c <= a, and -1 above the diagonal and on
     padding rows.  A block's columns run up to its largest row, so the
@@ -245,7 +244,7 @@ def _stage_layout(rows: np.ndarray, row_at: np.ndarray, width: int) -> tuple[tup
         cols = np.arange(a.max() + 1)
         grid = np.where(cols <= a, row_at[:, r0 : r0 + _STAGE_BLOCK, None] + cols * (1 - width), -1)
         blocks.append((grid, np.arange(0, grid.size, cols.size).reshape(a.shape[:2])))
-    return tuple(blocks), (rows + 1).sum(axis=1)
+    return tuple(blocks)
 
 
 class _Layout(NamedTuple):
@@ -299,10 +298,6 @@ def _dp_layout(m: tuple[int, ...], n: int) -> _Layout:
     return slot[0]
 
 
-# _dp_layout reports the hits and misses of the cache it reads.
-_dp_layout.cache_info = _layout_slot.cache_info
-
-
 def _leaves(x: tuple):
     """The arrays of a ``_Layout``, depth first."""
     for y in x:
@@ -341,7 +336,7 @@ def _frozen(layout: _Layout) -> _Layout:
 
 def _stage_maxima(
     stage: int,
-    layout: tuple[tuple, np.ndarray],
+    blocks: tuple,
     s_prev: np.ndarray,
     eps_prev: np.ndarray,
     band: np.ndarray,
@@ -359,7 +354,7 @@ def _stage_maxima(
     ``means`` are the flat buffers of the (B, size, width) tables, each
     ending in one sentinel, -inf and NaN (see ``refine._ended``), and the
     new group of entry (a, b) is at flat index grid + stage - 1 of
-    ``layout`` (see ``_stage_layout``), so a -1 offset reads the sentinel.
+    ``blocks`` (see ``_stage_layout``), so a -1 offset reads the sentinel.
     Each row block then takes three passes: one gather from the band, one
     add of the previous values (a dead column's NaN as -inf) and one
     argmax, whose value is read back.  An entry is finite exactly when it
@@ -368,17 +363,15 @@ def _stage_maxima(
     alone, and the columns run in the same order, so each instance's
     maxima, leftmost columns and counts are those of its stage alone.
     Returns the maxima (NaN for a row without candidates), their columns
-    (-1 there) and each instance's number of candidates.
+    (-1 there) and, with ``pruning``, each instance's number of candidates
+    (0 without; see ``_unpruned_evaluations``).
     """
-    blocks, entries = layout
     prev = np.where(np.isnan(s_prev), -np.inf, s_prev)[:, None]
     gather = band[stage - 1 :]
     shape = (len(s_prev), sum(grid.shape[1] for grid, _ in blocks))
     best = np.empty(shape)
     dec = np.empty(shape, dtype=np.int64)
-    # Unpruned, column 0 is a candidate of every live row, so every live
-    # state stays alive and each lower-triangle entry is a candidate.
-    count = 0 if pruning else entries
+    count = 0
     r0 = 0
     for grid, starts in blocks:
         cols = grid.shape[-1]
@@ -467,7 +460,8 @@ def dp_tables(qs: list[Channel], n: int, pruning: bool = True) -> list[tuple[PPl
     the DP with or without ``pruning`` over stacks of the channels.
 
     Plans and capacities equal ``c_optimal_degradations``'s.  ``evaluations``
-    counts the entries computed, so the pruned count never exceeds the
+    counts the entries computed, the unpruned DP's in closed form
+    (``_unpruned_evaluations``), so the pruned count never exceeds the
     unpruned one, and each table equals the channel's single call bit for
     bit.
     """
@@ -510,6 +504,17 @@ def _certified(stack: _Stack, cuts: np.ndarray, means: np.ndarray) -> np.ndarray
     return ~_surely_fails(eps[:, :-1], eps[:, 1:], s[k, lo - 1], s[k, lo]).any(axis=1)
 
 
+def _unpruned_evaluations(m, n: int):
+    """The entries the unpruned DP computes for channels of m particles,
+    which drops no state: column 0 is a candidate of every live row, so
+    every live state stays alive and each lower-triangle entry is a
+    candidate.  That is s(s + 1)/2 entries in each of the n - 2 stages
+    between the first and the last and s in the last stage's one row, s =
+    m - n + 1."""
+    s = m - n + 1
+    return (n - 2) * s * (s + 1) // 2 + s
+
+
 def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     """The DP over one stack, padded to its largest channel with dead states.
 
@@ -521,7 +526,8 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     in the -inf and NaN sentinels.  Returns each channel's cuts (B, n - 1)
     and capacity (B,); the stage arrays (values, decisions, pruned flags),
     each (B, size) before the last stage and (B, 1) at it, with the (B,)
-    counters; and the (B, size, width) group means the run read.
+    counters (counted by the pruned kernel, in closed form without
+    ``pruning``); and the (B, size, width) group means the run read.
     """
     w, s, m = stack
     width = w.shape[1]
@@ -537,9 +543,6 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     decisions = [np.full(s_prev.shape, -1, dtype=np.int64)]
     pruned = [np.zeros(s_prev.shape, dtype=bool)]
     evaluations = np.zeros(len(m), dtype=np.int64)
-    # Padding rows are dead in each of the n - 2 stages between the first
-    # and the last.
-    pruned_states = (2 - n) * (size - sizes)
     # Mean crossover of each state's last group, per its stored decision
     # (read by the window tests only).
     eps_prev = means[:, :, 0]
@@ -564,7 +567,12 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
             eps_prev = np.where(dead, np.nan, means.take(layout.row_at + (stage - 1) + b * (1 - width)))
     if dead.any():
         raise RuntimeError("no feasible traceback state")
-    pruned_states += np.hstack(pruned[1:]).sum(axis=1)
+    if pruning:
+        # Padding rows are dead in each of the n - 2 stages between the
+        # first and the last.
+        pruned_states = np.hstack(pruned[1:]).sum(axis=1) - (n - 2) * (size - sizes)
+    else:
+        evaluations, pruned_states = _unpruned_evaluations(m, n), np.zeros_like(m)
 
     row = np.zeros(len(m), dtype=np.int64)
     cuts = np.empty((len(m), n - 1), dtype=np.int64)

@@ -159,13 +159,11 @@ def _plan_from_segments(source: Channel, segs: list[list[tuple[int, float]]]):
     return canonical_plan(source, tuple(rows[0][0] for rows in segs[1:]), tuple(splits))
 
 
-def to_pstar_plan(w: Channel, q: Channel, n: int | None = None):
+def to_pstar_plan(w: Channel, q: Channel):
     """``to_pstar_plan``'s canonical encoding ``(indices, splits)``."""
     if find_degradation_witness(w, q) is None:
         raise ValueError("W is not a degradation of Q")
-    if n is None:
-        n = w.size
-    n = min(max(int(n), 1), q.size)
+    n = min(w.size, q.size)
 
     qw = q.weights
     segs = _quantile_segments(q, w.weights)

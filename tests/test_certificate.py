@@ -161,13 +161,19 @@ def test_plans_and_capacities_run_no_pruned_stage(monkeypatch):
 
 
 def test_opt_clr_record_runs_one_pruned_pass(monkeypatch):
-    # The opt-clr table's record prints the pruned run's counters.
+    # The opt-clr table's record prints the pruned run's counters, and
+    # --compare-full adds the unpruned count, a closed form, with no
+    # unpruned run.
     count = _Counter(monkeypatch)
-    experiments._opt_clr_counted(7, range(5), 24, 5, False)
+    experiments._opt_clr_counted(7, range(5), 24, 5)
     assert count.runs[False] == [] and count.runs[True] == [5]
     count = _Counter(monkeypatch)
-    experiments._opt_clr_counted(7, range(5), 24, 5, True)
-    assert count.runs[False] == [5] and count.runs[True] == [5]
+    [row] = experiments.opt_clr_rows(7, [24], [5], 5, compare_full=True)
+    assert count.runs[False] == [] and count.runs[True] == [5]
+    monkeypatch.undo()
+    qs = [random_channel(instance_rng(7, i), 24) for i in range(5)]
+    full = [table.evaluations for _, table in dp_tables(qs, 5, False)]
+    assert row["mean_evaluations_full"] == sum(full) / len(full)
 
 
 def test_opt_clr_runs_no_pruned_stage_on_certified_channels(monkeypatch):
@@ -184,7 +190,7 @@ def test_opt_clr_equals_the_counted_record(m, n):
     first = 1_000_000 * m + 10_000 * n
     idx = range(first, first + 40)
     got = experiments.opt_clr(105, idx, m, n)["clr"]
-    want = experiments._opt_clr_counted(105, idx, m, n, False)["clr"]
+    want = experiments._opt_clr_counted(105, idx, m, n)["clr"]
     assert [c.hex() for c in got.tolist()] == [c.hex() for c in want.tolist()]
 
 

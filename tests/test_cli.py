@@ -398,6 +398,15 @@ def test_usage_error_exits_1(capsys):
     assert code == 1
 
 
+def test_experiment_takes_no_oracle_flag(capsys):
+    # No table has an independent oracle, so the flag is refused as a usage
+    # error rather than ignored; the same table without it runs.
+    table = ["experiment", "--table", "opt-clr", "--m", "6", "--n", "3", "--samples", "2"]
+    code, _, err = run_cli([*table, "--oracle"], capsys)
+    assert code == 1 and "--oracle" in err
+    assert run_cli(table, capsys)[0] == 0
+
+
 def test_degrade_opt_with_witness(q3_file, tmp_path, capsys):
     wit_path = tmp_path / "wit.json"
     out_path = tmp_path / "out.json"

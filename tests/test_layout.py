@@ -1,5 +1,6 @@
 import ast
 import functools
+import importlib.util
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import bidmc
 
+import traffic
 from code_lines import code_lines
 
 
@@ -168,3 +170,46 @@ over two lines"""
 '''
     # import, def, the two lines of y and the two of the returned string
     assert code_lines(source) == 6
+
+
+def test_traffic_lists_the_function_body_statements_that_did_not_run(tmp_path):
+    source = '''"""A module docstring."""
+
+
+def f(x):
+    """A docstring, left out."""
+    if x > 0:
+        y = (x +
+             1)
+    else:
+        y = -x
+    try:
+        z = 1 / y
+    except ZeroDivisionError:
+        z = 0.0
+    return z
+
+
+def g():
+    return 1
+
+
+class C:
+    def used(self):
+        return f(1)
+
+    def unused(self):
+        pass
+'''
+    path = tmp_path / "synthetic.py"
+    path.write_text(source)
+    spec = importlib.util.spec_from_file_location("synthetic", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # module and class bodies run here, untraced
+    hits = traffic.trace(lambda: (module.f(2), module.C().used()), tmp_path)
+    # The else branch, the except clause's body, and g and C.unused, which
+    # nothing called, as whole functions; the two lines of y count as run.
+    assert traffic.unexecuted(source, hits[str(path)]) == [(10, 10), (14, 14), (18, 19), (26, 27)]
+    # With f(0), 1 / y raises and the except clause runs.
+    hits = traffic.trace(lambda: module.f(0), tmp_path)
+    assert traffic.unexecuted(source, hits[str(path)]) == [(7, 8), (18, 19), (23, 24), (26, 27)]

@@ -23,7 +23,7 @@ from bidmc import (
     star,
     tv_greedy_plan,
 )
-from bidmc import channel, polar
+from bidmc import channel, polar, refine
 from bidmc.channel import MERGE_TOL, _canonicalize_stack, _channels, _rows, _Stack, _stack
 from bidmc.polar import EXACT_SIZE_GUARD
 from bidmc.refine import PPlusPlan
@@ -410,6 +410,29 @@ def test_construct_follows_the_erasure_recursion(eps):
             assert set(chan.sigmas.tolist()) <= {0.0, 0.5}, alpha
             erased = float(chan.weights[chan.sigmas == 0.5].sum())
             assert abs(erased - z[alpha]) <= 1e-13 * z[alpha], alpha
+
+
+def test_construct_passes_a_limit_only_to_stacks_of_one(monkeypatch):
+    # The exact chain transforms each parent in a stack of its own, with the
+    # guard as its limit; the quantized chain's stacked transforms and
+    # realizations pass no limit.  A larger stack with a limit raises.
+    calls = []
+
+    def recording_stack(pairs, sizes, limit=None):
+        calls.append((len(sizes), limit))
+        return _canonicalize_stack(pairs, sizes, limit)
+
+    monkeypatch.setattr(polar, "_canonicalize_stack", recording_stack)
+    monkeypatch.setattr(refine, "_canonicalize_stack", recording_stack)
+    construct(random_channel(instance_rng(0, 0), 4), 5, 4)
+    limited = [size for size, limit in calls if limit is not None]
+    assert len(limited) > 10 and set(limited) == {1}
+    assert {limit for _, limit in calls} == {None, EXACT_SIZE_GUARD}
+    assert max(size for size, _ in calls) == 2**5  # the last level, stacked
+    pairs = np.array([(0.1, 0.5), (0.2, 0.5), (0.3, 1.0)])
+    for limit in (1, EXACT_SIZE_GUARD):
+        with pytest.raises(ValueError, match="stack of one"):
+            _canonicalize_stack(pairs, [2, 1], limit)
 
 
 def test_transforms_pass_unordered_pair_counts(monkeypatch):

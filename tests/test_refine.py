@@ -240,9 +240,10 @@ def test_to_pstar_plan_roundtrip_on_realized_plan():
 
 
 def test_to_pstar_plan_lifts_mean_degradation():
+    # W has one particle, so the plan keeps its one slice: Q3 whole.
     w = mean_degradation(Q3)
-    plan = to_pstar_plan(w, Q3, n=2)
-    assert plan.n_segments == 2
+    plan = to_pstar_plan(w, Q3)
+    assert plan.indices == ()
     w1 = realize_pstar(plan)
     assert find_degradation_witness(w, w1) is not None
     ok, _ = is_p_degradation(w1, Q3)
@@ -284,10 +285,12 @@ def test_to_pstar_plan_slices_inside_a_particle_take_it_whole():
     plan = to_pstar_plan(w, Q3)
     assert (plan.indices, plan.splits) == ((1, 2), (0.0, 0.0))
     assert equivalent(realize_pstar(plan), Q3)
-    # Two slices inside particle 1 merge into one segment owning it.
+    # Two slices inside particle 1 merge into one segment owning it, so the
+    # slices give 2 segments, one below the floor of 3; the mass-balanced
+    # split of the heavier segment, particles 2 and 3, adds the third.
     w = canonicalize([(0.1, 0.1), (0.12, 0.1), (0.25, 0.8)])
-    plan = to_pstar_plan(w, Q3, n=2)
-    assert (plan.indices, plan.splits) == ((1,), (0.0,))
+    plan = to_pstar_plan(w, Q3)
+    assert (plan.indices, plan.splits) == ((1, 2), (0.0, 0.0))
 
 
 def test_to_pstar_plan_rejects_non_degradation():
@@ -558,7 +561,7 @@ def _criterion_07_pair(rng, kind, m, n):
 def test_to_pstar_plan_matches_rows_reference(m, n):
     kinds = ("random", "degraded", "slightly-degraded", "upgraded")
     lone = split = checked = 0
-    for i in range(160):
+    for i in range(640):
         w, q = _criterion_07_pair(instance_rng(107, i), kinds[i % 4], m, n)
         if find_degradation_witness(w, q) is None:
             continue
@@ -568,20 +571,24 @@ def test_to_pstar_plan_matches_rows_reference(m, n):
         take = np.minimum(edges[1:, None], cuts[None, 1:]) - np.maximum(edges[:-1, None], cuts[None, :-1])
         slices = segment_rows._quantile_segments(q, w.weights)
         lone += sum(map(len, slices)) < np.count_nonzero(take > 1e-15)
-        for size in (None, 1, n, m):
-            plan = to_pstar_plan(w, q, size)
-            indices, splits = segment_rows.to_pstar_plan(w, q, size)
-            assert plan.indices == indices
-            assert [s.hex() for s in plan.splits] == [s.hex() for s in splits]
-            split += len(slices) < min(size or w.size, m)
-            checked += 1
-    assert lone >= 10 and split >= 50 and checked >= 300, (lone, split, checked)
+        plan = to_pstar_plan(w, q)
+        indices, splits = segment_rows.to_pstar_plan(w, q)
+        assert plan.indices == indices
+        assert [s.hex() for s in plan.splits] == [s.hex() for s in splits]
+        split += len(slices) < min(w.size, m)
+        checked += 1
+    assert lone >= 100 and split >= 10 and checked >= 380, (lone, split, checked)
 
 
 def test_to_pstar_plan_segment_count_is_a_floor():
-    # The slices of a 3-particle W give 3 segments; a smaller n keeps them
-    # all, and a larger one is capped at Q's size.
+    # The floor is min(W's size, Q's size).  The slices of a 3-particle W
+    # give 3 segments, and the floor is 3.
     w = canonicalize([(0.12, 0.4), (0.25, 0.3), (0.4, 0.3)])
     assert find_degradation_witness(w, Q3) is not None
-    for n in (1, 2, 3, 5):
-        assert to_pstar_plan(w, Q3, n).n_segments == 3
+    assert len(to_pstar_plan(w, Q3).indices) + 1 == 3
+    # A 4-particle W's floor is Q3's size: its first two slices lie inside
+    # particle 1 and take it whole, and nothing is split.
+    w = canonicalize([(0.1, 0.25), (0.11, 0.25), (0.2, 0.3), (0.4, 0.2)])
+    assert find_degradation_witness(w, Q3) is not None
+    plan = to_pstar_plan(w, Q3)
+    assert (plan.indices, plan.splits) == ((1, 2), (0.0, 0.0))

@@ -274,7 +274,9 @@ def test_pruned_counter_never_exceeds_full():
 def test_unpruned_dp_counts_every_alive_lower_triangle_entry():
     # With s = m - n + 1 states per stage, each of stages 2..n-1 computes the
     # s(s + 1)/2 entries of its lower triangle and the last stage the s
-    # entries of its one row; nothing is pruned.
+    # entries of its one row; nothing is pruned.  The unpruned counters are
+    # that closed form, so this only checks that dp_tables applies it at each
+    # channel's own size; test_dp_stage_reference counts the entries.
     rng = instance_rng(51, 10)
     qs = [random_channel(rng, 40) for _ in range(6)]
     qs += [arikan_plus(random_channel(instance_rng(52, i), 6)) for i in range(6)]

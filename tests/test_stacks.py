@@ -95,11 +95,15 @@ def test_canonicalize_stack_matches_single_calls(raws, limit):
     sizes, pairs = _sizes_and_pairs(raws)
     singles = [canonicalize(raw) for raw in raws]
     assert [_bytes(c) for c in _channels(_canonicalize_stack(pairs, sizes))] == [_bytes(c) for c in singles]
-    # With a limit, a member is None exactly when it has more particles.
-    limited = _channels(_canonicalize_stack(pairs, sizes, limit))
-    for got, want in zip(limited, singles):
+    # With a limit, which only a stack of one takes, a member is None
+    # exactly when it has more particles.
+    for raw, want in zip(raws, singles):
+        [got] = _channels(_canonicalize_stack(raw, [len(raw)], limit))
         assert (got is None) == (want.size > limit)
         assert got is None or _bytes(got) == _bytes(want)
+    if len(raws) > 1:
+        with pytest.raises(ValueError, match="stack of one"):
+            _canonicalize_stack(pairs, sizes, limit)
 
 
 @pytest.mark.parametrize(
@@ -135,7 +139,8 @@ def test_transforms_stack_matches_single_calls(members):
     singles = [arikan_minus(w) if bit == "0" else arikan_plus(w) for w, bit in members]
     assert [_bytes(c) for c in _channels(_transforms(_stack(ws), bits))] == [_bytes(c) for c in singles]
     limit = int(np.median([c.size for c in singles]))
-    for got, want in zip(_channels(_transforms(_stack(ws), bits, limit)), singles):
+    for w, bit, want in zip(ws, bits, singles):
+        [got] = _channels(_transforms(_stack([w]), bit, limit))
         assert (got is None) == (want.size > limit)
         assert got is None or _bytes(got) == _bytes(want)
 
@@ -212,14 +217,14 @@ def test_dp_stack_matches_single_calls_from_its_cached_layout(pruning):
     # mask from the cache, read-only, and changes no bit.
     qs = [random_channel(instance_rng(26, i), m) for i, m in enumerate((9, 17, 12))]
     singles = [c_optimal_degradation(q, 4, pruning) for q in qs]
-    hits = _dp_layout.cache_info().hits
+    hits = search._layout_slot.cache_info().hits
     runs = [c_optimal_degradations(qs, 4, pruning) for _ in range(2)]
-    assert _dp_layout.cache_info().hits > hits
+    assert search._layout_slot.cache_info().hits > hits
     for run in runs:
         assert [(p.cuts, c.hex()) for p, c in run] == [(p.cuts, c.hex()) for p, c in singles]
     layout = _dp_layout((9, 17, 12), 4)
-    (grid, starts), *_ = layout.stages[0]
-    for arr in (grid, starts, layout.stages[1], layout.last[0][0][0], layout.live, layout.row_at, layout.inside):
+    [(grid, starts)] = layout.stages
+    for arr in (grid, starts, layout.last[0][0], layout.live, layout.row_at, layout.inside):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
 
@@ -270,12 +275,11 @@ def test_experiment_records_match_per_instance_calls():
         q = random_channel(instance_rng(seed, i), 8)
         clrs = _clrs(q, enumerate_c_degradations(q, 3))
         assert (rec["c_count"][k], rec["c_clr"][k]) == (len(clrs), min(clrs))
-    rec = _opt_clr_counted(seed, idx, 12, 4, True)
+    rec = _opt_clr_counted(seed, idx, 12, 4)
     for k, i in enumerate(idx):
         q = random_channel(instance_rng(seed, i), 12)
         plan, table = dp_tables([q], 4, True)[0]
-        full = dp_tables([q], 4, False)[0][1]
-        want = (*_clrs(q, [plan]), table.evaluations, table.pruned_states, full.evaluations)
+        want = (*_clrs(q, [plan]), table.evaluations, table.pruned_states)
         assert tuple(rec[key][k] for key in rec) == want
     rec = arikan_clr(seed, idx, 3, c_stats=True)
     for k, i in enumerate(idx):

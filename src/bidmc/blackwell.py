@@ -92,7 +92,8 @@ def _water_level(w: Channel, perr_q: float) -> np.ndarray | None:
     The sum rises continuously from 0 to Perr(W) with tau, so tau exists
     iff Perr(W) >= Perr(Q) (None when it falls short by more than
     WITNESS_TOL), and mu = eps when the two agree.  For tau in
-    [eps_{k-1}, eps_k) the sum is below_k + tau above_k.
+    [eps_{k-1}, eps_k) the sum is below_k + tau above_k, and tau is held
+    in that interval against round-off.
     """
     eps, p = w.sigmas, w.weights
     perr_w = error_probability(w)
@@ -104,7 +105,13 @@ def _water_level(w: Channel, perr_q: float) -> np.ndarray | None:
     above = np.cumsum(p[::-1])[::-1]
     # The last level is Perr(W) up to round-off, so k is clamped to it.
     k = min(int(np.searchsorted(below + eps * above, perr_q, side="right")), eps.size - 1)
-    return np.minimum(eps, (perr_q - below[k]) / above[k])
+    tau = (perr_q - below[k]) / above[k]
+    # tau lies in [eps_{k-1}, eps_k) by construction, but over a tiny
+    # above_k the subtraction's round-off can put it below eps_{k-1}, which
+    # would lower a particle below its own crossover.
+    if k > 0:
+        tau = max(tau, eps[k - 1])
+    return np.minimum(eps, tau)
 
 
 def _left_curtain(q: Channel, w: Channel, mu: np.ndarray) -> np.ndarray | None:

@@ -241,7 +241,7 @@ def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
         large = np.flatnonzero(refs.sizes > n)
         if large.size:
             found = _rows(refs, large)
-            quantized = _replaced(refs, large, _realize(found, _optimal_cuts(found, n)[0]))
+            quantized = _replaced(refs, large, _realize(found, _optimal_cuts(found, n, True)[0]))
         # Merging usually shrinks the transform well below the n^2 + 1
         # bound, so attempt within a small over-budget and keep the result
         # only if it actually fits.

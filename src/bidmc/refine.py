@@ -41,7 +41,6 @@ function of cut and segment plans, reads their masses and means off it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -75,7 +74,9 @@ __all__ = [
 PHI_STRICT_TOL = 1e-12
 
 _MASS_TOL = 1e-15
-# A segment entry within this of its particle's weight owns the particle.
+# A segment entry within this of its particle's weight owns the particle;
+# within half the weight for a particle lighter than twice this, so that an
+# entry short of half a light particle is a part of it.
 _OWN_TOL = 1e-12
 
 
@@ -153,17 +154,18 @@ def _segment_terms(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.stack((q, q * s, q * (1.0 - 2.0 * s)), axis=-2)
 
 
-def _ended(shape: tuple, end: float) -> np.ndarray:
-    """An uninitialized float array of ``shape``, viewing a flat buffer (its
-    ``base``) with one further entry, ``end``: a flat gather from the
-    buffer reads ``end`` at index -1, with no copy of the array."""
-    flat = np.empty(math.prod(shape) + 1)
-    flat[-1] = end
-    return flat[:-1].reshape(shape)
+def _padded(shape: tuple, pad: int, fill: float) -> np.ndarray:
+    """An uninitialized float array of ``shape`` (..., rows, columns),
+    viewing a buffer (its ``base``) with ``pad`` further leading rows of
+    ``fill``, which the DP's strided reads above the diagonal reach (see
+    ``search._diagonals``)."""
+    buf = np.empty(shape[:-2] + (pad + shape[-2], shape[-1]))
+    buf[..., :pad, :] = fill
+    return buf[..., pad:, :]
 
 
 def _segment_table(
-    q: np.ndarray, s: np.ndarray, max_len: int
+    q: np.ndarray, s: np.ndarray, max_len: int, pad: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mass, mean crossover and mean bias x = 1 - 2 sigma of contiguous groups.
 
@@ -178,8 +180,10 @@ def _segment_table(
     channel's own size, gives (B, max_len, m) tables.  Adding a zero term
     changes no sum, so every group inside a channel reads exactly the
     single channel's entry; groups starting in the padding have mass 0 and
-    NaN means.  The mean table is an ``_ended`` view whose buffer ends in
-    one more NaN, which the pruned DP reads above the diagonal.
+    NaN means.  The mean table is a ``_padded`` view whose buffer starts
+    with ``pad`` rows of NaN, which the pruned DP reads above the diagonal.
+    The bias table is divided in place into the x table, which keeps the
+    DP's peak memory, and so its heap's page faults, down.
     """
     m = q.shape[-1]
     terms = np.zeros(q.shape[:-1] + (3, m + max_len - 1))
@@ -191,10 +195,10 @@ def _segment_table(
     )
     sums = np.cumsum(windows, axis=-2)
     mass, moment, bias = (sums[..., k, :, :] for k in range(3))
-    mean = _ended(mass.shape, np.nan)
+    mean = _padded(mass.shape, pad, np.nan)
     with np.errstate(invalid="ignore"):
         np.divide(moment, mass, out=mean)
-        xbar = bias / mass
+        xbar = np.divide(bias, mass, out=bias)
     mean[..., 0, :] = s
     xbar[..., 0, :] = 1.0 - 2.0 * s
     return mass, mean, xbar
@@ -482,7 +486,9 @@ def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
     if not _degraded(w, q, take):
         raise DegradationOrderError("W is not a degradation of Q")
 
-    # The slices' entries, in slice order.
+    # The slices' entries, in slice order; an entry of at least whole[i]
+    # owns particle i.
+    whole = qw - np.minimum(_OWN_TOL, qw / 2.0)
     seg, part = np.nonzero(take.T > _MASS_TOL)
     mass = take[part, seg]
     # A slice whose one entry left is part of a particle takes it whole.
@@ -490,7 +496,7 @@ def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
     while True:
         kept = ~owned[part]
         alone = np.bincount(seg[kept], minlength=w.size)[seg] == 1
-        lone = part[kept & alone & (mass < qw[part] - _OWN_TOL)]
+        lone = part[kept & alone & (mass < whole[part])]
         if not lone.size:
             break
         owned[lone] = True
@@ -503,7 +509,7 @@ def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
     part, mass = part[keep], np.where(own, qw[part], mass)[keep]
     bounds = np.append(np.flatnonzero(new[keep]), part.size)
 
-    full = mass >= qw[part] - _OWN_TOL
+    full = mass >= whole[part]
     while bounds.size <= min(w.size, q.size):
         # acc[j, c - 1] is the mass of segment j's first c entries.
         acc = _forward_sums(mass, bounds[:-1], bounds[1:])

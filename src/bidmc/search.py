@@ -13,14 +13,13 @@ m.  Three searchers are provided:
   guarded by a combinatorial bound (the independent oracle);
 - ``c_optimal_degradations``: dynamic program over partial degradations
   of a stack of channels that share n, one numpy kernel per stage over
-  staircase (instance, row, column) blocks of the lower triangle: a gather
-  from the capacity band (entries above the diagonal read the -inf
-  sentinel that ends its buffer), an add of the previous values (dead ones
-  as -inf) and a row argmax.  The gather offsets, live states and band
-  mask depend only on the channels' sizes and n, so they are built once
-  per shape and cached, read-only.  It optionally prunes entries whose
-  committed cut surely fails a threshold-window test (every optimal
-  traceback passes them, so the pruning is sound).  Ragged sizes are
+  staircase (instance, row, column) blocks of the lower triangle: an add
+  of the previous values (dead ones as -inf) to a strided view of the
+  capacity band, whose fixed steps along rows and columns read each stage
+  entry with no index array (entries above the diagonal read the -inf rows
+  that pad the band's buffer), and a row argmax.  It optionally prunes
+  entries whose committed cut surely fails a threshold-window test (every
+  optimal traceback passes them, so the pruning is sound).  Ragged sizes are
   padded with dead states, and every entry is computed by the same float
   expression as alone, so each channel's result equals its single call,
   ``c_optimal_degradation`` (the stack of one), bit for bit.  The pruned
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import mmap
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -61,7 +59,7 @@ import numpy as np
 from .channel import Channel, _capacity_term, _rows, _Stack, _stack
 from .refine import (
     PPlusPlan,
-    _ended,
+    _padded,
     _segment_table,
     _segment_terms,
     _surely_fails,
@@ -91,31 +89,44 @@ _STAGE_BLOCK = 64
 
 # Table entries (states x particles) per stack of c_optimal_degradations;
 # larger stacks run in chunks.  At 2^17 (1 MiB per table) the tables the
-# stage kernel gathers from stay in cache: on a 2-core Xeon VM, criterion
+# stage kernel reads stay in cache: on a 2-core Xeon VM, criterion
 # 05's stacks at m = 128, n = 10 took 0.94-1.26 ms per instance at 2^16
 # and 2^17 against 1.19-1.53 ms at 2^18 (m = 32 and 64 alike), and
 # m = 16 the same at all three.
 _BATCH_ENTRIES = 1 << 17
 
 
+@lru_cache(maxsize=16)
 def _inside(m, max_len: int) -> np.ndarray:
     """Which entries [d, i] of (max_len, width) segment tables hold a group
-    inside its channel, i + d < m; over a stack of sizes ``m`` (B,), the
-    (B, max_len, width) mask, with width the largest size."""
-    return np.arange(np.max(m)) < np.asarray(m)[..., None, None] - np.arange(max_len)[:, None]
+    inside its channel, i + d < m; over a stack of sizes ``m`` (a tuple of
+    B, hashable for the cache), the (B, max_len, width) mask, with width
+    the largest size.
+
+    Cached, read-only.  On a 2-core Xeon VM, over the 580 opt-uniform
+    benchmark inputs (m = 128, n = 4..10) in a loop, building the mask in
+    each DP run cost about 21 us alone, and its allocations pushed glibc's
+    heap past its trim threshold: 248 minor page faults per
+    ``c_optimal_degradation`` against 0 cached, and 1.09-1.13 ms per call
+    against 0.70-0.87 ms.  The 16 entries hold the 7 shapes that the DP and
+    the greedy each see on the arikan-baselines inputs.
+    """
+    mask = np.arange(np.max(m)) < np.asarray(m)[..., None, None] - np.arange(max_len)[:, None]
+    mask.flags.writeable = False
+    return mask
 
 
-def _band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def _band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray, inside: np.ndarray, pad: int) -> np.ndarray:
     """Capacity terms of the segment tables' groups, NaN outside ``inside``
     (past the channel's end; see ``_inside``).
 
     Entry [d, i] is iota of particles i..i+d (0-indexed), as in the tables:
     ``_capacity_term`` writes 1 - h(mean) into the band where ``inside``
     holds, and one in-place product scales the whole band by the mass.
-    The band is a view of a flat buffer, its ``base``, whose one further
-    entry is -inf: the sentinel that the stage kernel reads at offset -1.
+    The band is a ``refine._padded`` view whose buffer starts with ``pad``
+    rows of -inf, which the stage kernel reads above the diagonal.
     """
-    band = _ended(mass.shape, -np.inf)
+    band = _padded(mass.shape, pad, -np.inf)
     band.fill(np.nan)
     return np.multiply(_capacity_term(mean, xbar, band, inside), mass, out=band)
 
@@ -156,7 +167,7 @@ def _walk(m: int, n: int, q: Channel | None = None) -> tuple[list, list]:
     """
     if q is not None:
         s = q.sigmas
-        _, means, _ = _segment_table(q.weights, s, m - n + 1)
+        _, means, _ = _segment_table(q.weights, s, m - n + 1, 0)
     cuts, parents = [np.ones(1, dtype=np.int64)], []  # the root: group 1 starts at 1
     for j in range(1, n):
         cut = cuts[-1]
@@ -216,7 +227,7 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
             f"{math.comb(m - 1, n - 1)} cut vectors exceed the brute-force guard {BRUTE_FORCE_GUARD}"
         )
     cuts, parents = _walk(m, n)
-    band = _band(*_segment_table(q.weights, q.sigmas, m - n + 1), _inside(m, m - n + 1))
+    band = _band(*_segment_table(q.weights, q.sigmas, m - n + 1, 0), _inside(m, m - n + 1), 0)
     caps = np.zeros(1)
     for j in range(1, n):
         start = cuts[j - 1][parents[j - 1]]  # group j, particles start..cut - 1
@@ -226,117 +237,26 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
     return PPlusPlan(q, tuple(_trace(cuts, parents, [best])[0].tolist())), float(caps[best])
 
 
-def _stage_layout(rows: np.ndarray, row_at: np.ndarray, width: int) -> tuple:
-    """Where the stage kernel reads rows ``rows`` (B, R) from: -1 marks a
-    padding row, and row a of instance k starts at flat index row_at[k, r]
-    of the (B, size, width) tables.
+def _diagonals(table: np.ndarray, stage: int, a0: int, rows: int, cols: int) -> np.ndarray:
+    """The entries (a, b) of rows a0..a0 + rows - 1 and columns b < cols of
+    one DP stage over a stack, as a (B, rows, cols) view of the (B, size,
+    width) table ``table``: entry [k, a - b, stage - 1 + b], the group of
+    particles stage + b..stage + a (1-indexed).
 
-    Returns one (B, block rows, columns) offset grid per staircase block of
-    _STAGE_BLOCK rows, each with the flat start of its rows.  Grid
-    entry [k, r, c] is row_at[k, r] + c (1 - width), the flat index of
-    table entry [k, a - c, c], for c <= a, and -1 above the diagonal and on
-    padding rows.  A block's columns run up to its largest row, so the
-    blocks cover the lower triangle.  No entry depends on the stage.
+    Along a the view steps one table row, and along b one row back and one
+    column on, so no index is stored.  ``table`` is a ``refine._padded``
+    view, and an entry above the diagonal, b > a, reads a row of its
+    buffer's padding; numpy checks the view's extent against that buffer.
     """
-    blocks = []
-    for r0 in range(0, rows.shape[1], _STAGE_BLOCK):
-        a = rows[:, r0 : r0 + _STAGE_BLOCK, None]
-        cols = np.arange(a.max() + 1)
-        grid = np.where(cols <= a, row_at[:, r0 : r0 + _STAGE_BLOCK, None] + cols * (1 - width), -1)
-        blocks.append((grid, np.arange(0, grid.size, cols.size).reshape(a.shape[:2])))
-    return tuple(blocks)
-
-
-class _Layout(NamedTuple):
-    """What a DP run over channels of given sizes reads that depends on
-    those sizes and n alone (see ``_dp_layout``)."""
-
-    live: np.ndarray  # (B, size): row a is a state of instance k
-    row_at: np.ndarray  # (B, size): flat index of table entry [k, a, 0]
-    stages: tuple  # the _stage_layout of the stages before the last
-    last: tuple  # the _stage_layout of the last stage's one row per instance
-    inside: np.ndarray  # (B, size, width): the band's groups, from _inside
-
-
-@lru_cache(maxsize=8)
-def _layout_slot(m: tuple[int, ...], n: int) -> list:
-    """[the ``_Layout`` of a DP run over channels of sizes ``m``, the calls
-    of ``_dp_layout`` that read it], its arrays read-only as built."""
-    sizes = np.array(m) - n + 1
-    width = max(m)
-    size = width - n + 1
-    inst = np.arange(len(m))[:, None]
-    offsets = np.arange(size)
-    live = offsets < sizes[:, None]
-    rows = np.where(live, offsets, -1)  # a padding row is -1
-    row_at = (inst * size + rows) * width
-    last = (sizes - 1)[:, None]
-    stages = _stage_layout(rows, row_at, width), _stage_layout(last, (inst * size + last) * width, width)
-    layout = _Layout(live, row_at, *stages, _inside(m, size))
-    for a in _leaves(layout):
-        a.flags.writeable = False
-    return [layout, 0]
-
-
-def _dp_layout(m: tuple[int, ...], n: int) -> _Layout:
-    """The ``_Layout`` of a DP run over channels of sizes ``m``, built once
-    per (m, n) into read-only arrays, and moved into a memory map of its
-    own (``_frozen``) when its shape is asked for again.
-
-    Building it took about 7% of a single m = 128 run, and callers repeat
-    their shapes: the benchmark's opt-uniform op cycles through 7 keys,
-    and each of criterion 05's cells runs full stacks of one shape.  But
-    most of ``construct``'s stacked shapes come once (119 of 200 calls
-    over the 40 seed-0 polar-chain bases), and copying a layout into a
-    fresh map was about three quarters of a miss's cost (39 of 52 ms
-    under cProfile), so only a shape that repeats pays for the map.
-    """
-    slot = _layout_slot(m, n)
-    slot[1] += 1
-    if slot[1] == 2:
-        slot[0] = _frozen(slot[0])
-    return slot[0]
-
-
-def _leaves(x: tuple):
-    """The arrays of a ``_Layout``, depth first."""
-    for y in x:
-        yield from _leaves(y) if isinstance(y, tuple) else (y,)
-
-
-def _frozen(layout: _Layout) -> _Layout:
-    """``layout`` with each array copied, read-only, into one anonymous
-    memory map of its own: the one use of ``mmap``.
-
-    The map keeps the cache out of the malloc heap.  There, the cached
-    arrays fill the free space that each run's temporaries reuse, so each
-    run grows the heap and hands it back: on the benchmark's opt-uniform
-    op (m = 128, glibc, a 2-core Xeon VM) that cost about 200 page faults
-    per op, and the op ran about 20% slower than with no cache at all.  A
-    layout pays for the map's fresh pages, about 0.1 ms at m = 128, only
-    once its shape repeats (see ``_dp_layout``).
-    """
-    arrays = list(_leaves(layout))
-    ends = np.cumsum([-(-a.nbytes // 64) * 64 for a in arrays])  # cache-line aligned
-    buf = mmap.mmap(-1, int(ends[-1]))
-    copies = []
-    for a, start in zip(arrays, [0, *ends[:-1].tolist()]):
-        copy = np.frombuffer(buf, a.dtype, a.size, start).reshape(a.shape)
-        copy[...] = a
-        copy.flags.writeable = False
-        copies.append(copy)
-    copies = iter(copies)
-
-    def rebuild(x):
-        parts = [rebuild(y) if isinstance(y, tuple) else next(copies) for y in x]
-        return x._make(parts) if isinstance(x, _Layout) else tuple(parts)
-
-    return rebuild(layout)
+    buf = table.base
+    row, item = table.strides[1:]
+    start = (buf.shape[1] - table.shape[1] + a0) * row + (stage - 1) * item
+    return np.ndarray((len(table), rows, cols), table.dtype, buf, start, (buf.strides[0], row, item - row))
 
 
 def _stage_maxima(
     stage: int,
-    blocks: tuple,
+    live: np.ndarray,
     s_prev: np.ndarray,
     eps_prev: np.ndarray,
     band: np.ndarray,
@@ -344,50 +264,49 @@ def _stage_maxima(
     s: np.ndarray,
     pruning: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leftmost row maxima of one DP stage over a stack of instances.
+    """Leftmost row maxima of one DP stage over a stack of instances, for
+    the last R rows a0..size - 1 of the (B, size, width) band, with
+    ``live`` (B, R) the rows that are instance k's own.
 
     Instance k's entry (a, b) is s_prev[k, b] + iota(stage + b, stage + a):
     row a covers particles up to stage + a, and the new group starts after
     the state at column b.  It is a candidate when b <= a, column b is
     alive (s_prev not NaN) and, with ``pruning``, the cut it commits does
-    not surely fail its window (``refine._surely_fails``).  ``band`` and
-    ``means`` are the flat buffers of the (B, size, width) tables, each
-    ending in one sentinel, -inf and NaN (see ``refine._ended``), and the
-    new group of entry (a, b) is at flat index grid + stage - 1 of
-    ``blocks`` (see ``_stage_layout``), so a -1 offset reads the sentinel.
-    Each row block then takes three passes: one gather from the band, one
-    add of the previous values (a dead column's NaN as -inf) and one
-    argmax, whose value is read back.  An entry is finite exactly when it
-    is a candidate; with ``pruning`` the failures are set to -inf before
-    the argmax.  Each candidate is the same float sum as in the stage run
+    not surely fail its window (``refine._surely_fails``).  Each staircase
+    block of _STAGE_BLOCK rows, with columns up to its last row, takes
+    two passes: one add of the previous values (a dead column's NaN as
+    -inf) to the band's strided view (``_diagonals``), whose entries above
+    the diagonal read the band's -inf padding, and one argmax, whose value
+    is read back.  On its own rows an entry is finite exactly when it is a
+    candidate; with ``pruning`` the failures are set to -inf before the
+    argmax, reading ``means`` through the same view.  Rows that are not
+    the instance's own read groups past its end and are neither counted
+    nor kept.  Each candidate is the same float sum as in the stage run
     alone, and the columns run in the same order, so each instance's
     maxima, leftmost columns and counts are those of its stage alone.
-    Returns the maxima (NaN for a row without candidates), their columns
-    (-1 there) and, with ``pruning``, each instance's number of candidates
-    (0 without; see ``_unpruned_evaluations``).
+    Returns the maxima (NaN for a row without candidates, or not the
+    instance's own), their columns (-1 there) and, with ``pruning``, each
+    instance's number of candidates (0 without; see
+    ``_unpruned_evaluations``).
     """
     prev = np.where(np.isnan(s_prev), -np.inf, s_prev)[:, None]
-    gather = band[stage - 1 :]
-    shape = (len(s_prev), sum(grid.shape[1] for grid, _ in blocks))
-    best = np.empty(shape)
-    dec = np.empty(shape, dtype=np.int64)
+    a0 = band.shape[1] - live.shape[1]
+    best = np.empty(live.shape)
+    dec = np.empty(live.shape, dtype=np.int64)
     count = 0
-    r0 = 0
-    for grid, starts in blocks:
-        cols = grid.shape[-1]
-        r1 = r0 + grid.shape[1]
-        blk = gather[grid]  # not take, which copies a read-only index array
-        blk += prev[..., :cols]
+    for r0 in range(0, live.shape[1], _STAGE_BLOCK):
+        r1 = min(r0 + _STAGE_BLOCK, live.shape[1])
+        cols = a0 + r1
+        blk = _diagonals(band, stage, a0 + r0, r1 - r0, cols) + prev[..., :cols]
         if pruning:
             s_lo = s[:, None, stage - 2 : stage - 2 + cols]  # beside the new group's first particle
             s_hi = s[:, None, stage - 1 : stage - 1 + cols]
-            eps = means[stage - 1 :][grid]
+            eps = _diagonals(means, stage, a0 + r0, r1 - r0, cols)
             blk[_surely_fails(eps_prev[:, None, :cols], eps, s_lo, s_hi)] = -np.inf
-            count += np.isfinite(blk).sum(axis=(1, 2))
+            count += np.where(live[:, r0:r1], np.isfinite(blk).sum(axis=2), 0).sum(axis=1)
         dec[:, r0:r1] = at = blk.argmax(axis=2)
-        best[:, r0:r1] = blk.ravel().take(starts + at)
-        r0 = r1
-    found = best > -np.inf
+        best[:, r0:r1] = blk.ravel().take(np.arange(0, blk.size, cols).reshape(at.shape) + at)
+    found = live & (best > -np.inf)
     best[~found] = np.nan
     dec[~found] = -1
     return best, dec, count
@@ -429,7 +348,7 @@ def c_optimal_degradations(
     return [(PPlusPlan(q, tuple(c)), cap) for q, c, cap in zip(qs, cuts.tolist(), caps.tolist())]
 
 
-def _optimal_cuts(stack: _Stack, n: int, pruning: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _optimal_cuts(stack: _Stack, n: int, pruning: bool) -> tuple[np.ndarray, np.ndarray]:
     """The cuts (B, n - 1) and capacities (B,) of ``c_optimal_degradations``
     over the members of a stack, in chunks (see ``_chunks``).
 
@@ -518,27 +437,30 @@ def _unpruned_evaluations(m, n: int):
 def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     """The DP over one stack, padded to its largest channel with dead states.
 
-    What depends only on the sizes and n, the live states, the band mask
-    and the kernel's gather offsets (``_stage_layout``) for the stages
-    before the last and for the last stage's one row per instance, comes
-    from ``_dp_layout``, built once per shape.  The kernel reads the band
-    and, with ``pruning``, the means through their flat buffers, which end
-    in the -inf and NaN sentinels.  Returns each channel's cuts (B, n - 1)
-    and capacity (B,); the stage arrays (values, decisions, pruned flags),
-    each (B, size) before the last stage and (B, 1) at it, with the (B,)
-    counters (counted by the pruned kernel, in closed form without
-    ``pruning``); and the (B, size, width) group means the run read.
+    The band starts with min(_STAGE_BLOCK, size) - 1 padding rows of -inf,
+    and with ``pruning`` the means with as many of NaN, which the kernel's
+    strided views read above the diagonal (see ``_diagonals``); the
+    unpruned kernel reads no means.  The stages before the last run over
+    every row, each instance's own rows live; the last runs over rows
+    min(sizes) - 1 onwards, and each instance keeps its row sizes[k] - 1.
+    Returns each channel's cuts (B, n - 1) and capacity (B,); the stage
+    arrays (values, decisions, pruned flags), each (B, size) before the
+    last stage and (B, 1) at it, with the (B,) counters (counted by the
+    pruned kernel, in closed form without ``pruning``); and the (B, size,
+    width) group means the run read.
     """
     w, s, m = stack
-    width = w.shape[1]
     sizes = m - n + 1
-    size = width - n + 1
-    layout = _dp_layout(tuple(m.tolist()), n)
-    mass, means, xbar = _segment_table(w, s, size)
-    band = _band(mass, means, xbar, layout.inside)
+    size = w.shape[1] - n + 1
+    pad = min(_STAGE_BLOCK, size) - 1
+    mass, means, xbar = _segment_table(w, s, size, pad if pruning else 0)
+    band = _band(mass, means, xbar, _inside(tuple(m.tolist()), size), pad)
     inst = np.arange(len(m))
+    offsets = np.arange(size)
+    live = offsets < sizes[:, None]
+    last = offsets[sizes.min() - 1 :] == sizes[:, None] - 1  # each instance's last row
 
-    s_prev = np.where(layout.live, band[:, :, 0], np.nan)
+    s_prev = np.where(live, band[:, :, 0], np.nan)
     values = [s_prev]
     decisions = [np.full(s_prev.shape, -1, dtype=np.int64)]
     pruned = [np.zeros(s_prev.shape, dtype=bool)]
@@ -547,16 +469,10 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     # (read by the window tests only).
     eps_prev = means[:, :, 0]
     for stage in range(2, n + 1):
-        s_prev, dec, count = _stage_maxima(
-            stage,
-            layout.last if stage == n else layout.stages,
-            s_prev,
-            eps_prev,
-            band.base,
-            means.base if pruning else None,
-            s,
-            pruning,
-        )
+        own = last if stage == n else live
+        s_prev, dec, count = _stage_maxima(stage, own, s_prev, eps_prev, band, means, s, pruning)
+        if stage == n:
+            s_prev, dec = s_prev[own][:, None], dec[own][:, None]
         dead = dec < 0
         evaluations += count
         values.append(s_prev)
@@ -564,7 +480,7 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
         pruned.append(dead)
         if pruning and stage < n:
             b = np.maximum(dec, 0)  # a dead state reads any group, then NaN
-            eps_prev = np.where(dead, np.nan, means.take(layout.row_at + (stage - 1) + b * (1 - width)))
+            eps_prev = np.where(dead, np.nan, means[inst[:, None], offsets - b, stage - 1 + b])
     if dead.any():
         raise RuntimeError("no feasible traceback state")
     if pruning:
@@ -600,7 +516,7 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
     if not (2 <= n <= m):
         raise ValueError(f"need 2 <= n <= m, got n={n}, m={m}")
     depth = max(2, min(m - n + 1, _BATCH_ENTRIES // m))
-    band = _band(*_segment_table(q.weights, q.sigmas, depth), _inside(m, depth))
+    band = _band(*_segment_table(q.weights, q.sigmas, depth, 0), _inside(m, depth), 0)
     gain, pair = band[:2].tolist()  # each particle, each adjacent pair
 
     def iota(a: int, c: int) -> float:

@@ -19,7 +19,7 @@ def c_degradation_cuts(q, n):
     cut order."""
     m = q.size
     s = q.sigmas
-    _, means, _ = _segment_table(q.weights, s, m - n + 1)
+    _, means, _ = _segment_table(q.weights, s, m - n + 1, 0)
     out = []
     cuts = []
 

@@ -49,5 +49,5 @@ def iota_band(q: Channel, max_len: int) -> np.ndarray:
     are NaN.
     """
     band = np.full((max_len, q.size + 1), np.nan)
-    band[:, 1:] = _band(*_segment_table(q.weights, q.sigmas, max_len), _inside(q.size, max_len))
+    band[:, 1:] = _band(*_segment_table(q.weights, q.sigmas, max_len, 0), _inside(q.size, max_len), 0)
     return band

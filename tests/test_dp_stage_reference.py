@@ -53,7 +53,7 @@ def _dp_reference(q, n, pruning):
     cuts traced back and the two counters."""
     size = q.size - n + 1
     band = iota_band(q, size)
-    means = _segment_table(q.weights, q.sigmas, size)[1]
+    means = _segment_table(q.weights, q.sigmas, size, 0)[1]
     prev = [float(band[b, 1]) for b in range(size)]
     eps = [means[b, 0] for b in range(size)]
     stages = [(prev, [-1] * size)]
@@ -148,6 +148,11 @@ def test_rows_spanning_three_blocks(monkeypatch, pruning):
     # At the kernel's own block size: 2 * _STAGE_BLOCK + 1 rows at stage 2.
     q = random_channel(instance_rng(2301, 1), 2 * search._STAGE_BLOCK + 3)
     _check([q], 3, pruning)
+    # A ragged stack whose members straddle the block size, so the last
+    # stage's rows run from the smallest member's last row over two blocks.
+    rng = instance_rng(2301, 3)
+    for n in (4, 10):
+        _check([random_channel(rng, m) for m in (20, 70, 140)], n, pruning)
     # Blocks of 3 rows over a ragged stack, at every stage.
     monkeypatch.setattr(search, "_STAGE_BLOCK", 3)
     rng = instance_rng(2301, 2)

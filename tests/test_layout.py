@@ -1,3 +1,4 @@
+import argparse
 import ast
 import functools
 import importlib.util
@@ -12,6 +13,7 @@ import bidmc
 
 import traffic
 from code_lines import code_lines
+from options import defaulted, flags
 
 
 def test_every_library_module_is_imported_by_the_package_or_its_cli():
@@ -90,11 +92,13 @@ def test_the_capacity_term_lives_in_channel_alone():
 
 def test_one_canonicalize_path_and_one_map():
     # Raw pairs are cleaned and merged only inside channel._canonicalize_stack,
-    # so the merge's scalar hand-off has one caller; and only search._frozen
-    # maps memory, so the DP layout cache keeps one rule for what it maps.
+    # so the merge's scalar hand-off has one caller; and no library code maps
+    # memory: the DP reads its tables through strided views, and keeps no
+    # cache that would need a map of its own.
     assert _functions_naming("_clean_pairs") == {("channel.py", "_canonicalize_stack")}
     assert _functions_naming("_merge_runs") == {("channel.py", "_canonicalize_stack")}
-    assert _functions_naming("mmap") == {("search.py", "_frozen")}
+    assert _functions_naming("mmap") == set()
+    assert _scopes(lambda node: isinstance(node, ast.alias) and node.name == "mmap") == set()
 
 
 def test_the_risk_oracle_and_the_witness_construction_share_no_code():
@@ -170,6 +174,31 @@ over two lines"""
 '''
     # import, def, the two lines of y and the two of the returned string
     assert code_lines(source) == 6
+
+
+def test_options_count_defaulted_parameters_and_subcommand_flags():
+    source = '''
+def f(a, b=1, *args, c, d=None, **kw):
+    def g(x=0):
+        return lambda t=1: t
+
+
+class C:
+    def m(self, y, z=2):
+        pass
+'''
+    # Keyword-only defaults count, None among them; a lambda is no function.
+    assert sorted(defaulted(source)) == ["f(b)", "f(d)", "g(x)", "m(z)"]
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--top")
+    sub = parser.add_subparsers()
+    p = sub.add_parser("run")
+    p.add_argument("path")
+    p.add_argument("-n", "--count", type=int, default=1)
+    p.add_argument("--dry", action="store_true")
+    sub.add_parser("list")
+    # Only the subcommands' optional flags, each under its long name.
+    assert flags(parser) == ["run --count", "run --dry"]
 
 
 def test_traffic_lists_the_function_body_statements_that_did_not_run(tmp_path):

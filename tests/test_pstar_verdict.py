@@ -170,3 +170,25 @@ def test_realized_plans_fall_back(monkeypatch):
         q = random_channel(rng, int(rng.integers(3, 10)))
         w = realize_pstar(random_pstar_plan(rng, q, int(rng.integers(2, q.size))))
         assert _verdict(monkeypatch, w, q) == "fallback"
+
+
+def _tiny_top(x):
+    # All but about 1e-9 of the mass at 1/4, 1e-9 at 0 and x at 1/2.
+    w = np.array([1e-9, 1.0, x])
+    return canonicalize(np.column_stack(([0.0, 0.25, 0.5], w / w.sum())))
+
+
+def test_the_water_level_stays_in_its_interval_over_a_tiny_top_mass(monkeypatch):
+    # Over above_k of about x, tau = (Perr(Q) - below_k) / above_k divides a
+    # cancelled difference, and it fell below eps_{k-1} = 1/4: the heavy
+    # particle was lowered to 0.24998, so to_pstar_plan rejected pairs that
+    # the witness and the Bayes-risk curves both call degraded.
+    w, q = _tiny_top(5.42165872e-13), _tiny_top(1e-18)
+    assert blackwell._water_level(w, error_probability(q))[1] == 0.25
+    assert _verdict(monkeypatch, w, q) != "reject"
+    rng = instance_rng(35, 0)
+    for _ in range(300):
+        x, y = np.sort(10.0 ** rng.uniform(-18, -9, size=2))
+        w, q = _tiny_top(y), _tiny_top(x)
+        assert _verdict(monkeypatch, w, q) != "reject"
+        assert blackwell.risk_dominates(w, q)

@@ -293,6 +293,18 @@ def test_to_pstar_plan_slices_inside_a_particle_take_it_whole():
     assert (plan.indices, plan.splits) == ((1, 2), (0.0, 0.0))
 
 
+def test_to_pstar_plan_slices_inside_a_particle_lighter_than_the_tolerance():
+    # Slice 2 holds 1.4e-14 of particle 2, which weighs 1.8e-13, less than
+    # _OWN_TOL: a slice inside it still takes it whole, so the plan owns the
+    # particle in a segment of its own.
+    w = canonicalize([(0.0, 4.99999927e-01), (0.25, 1.40266551e-14), (0.5, 5.00000073e-01)])
+    q = canonicalize([(0.0, 4.99999927e-01), (0.25, 1.79294313e-13), (0.5, 5.00000073e-01)])
+    assert find_degradation_witness(w, q) is not None
+    plan = to_pstar_plan(w, q)
+    assert (plan.indices, plan.splits) == ((1, 2), (0.0, 0.0))
+    assert equivalent(realize_pstar(plan), q)
+
+
 def test_to_pstar_plan_rejects_non_degradation():
     from bidmc import DegradationOrderError
 

@@ -89,7 +89,7 @@ def test_iota_band_and_optimum_match_decimal_oracle(inp):
     w, s = q.weights.tolist(), q.sigmas.tolist()
     groups = decimal_oracle.band(w, s)
     band = iota_band(q, m)
-    masses, means, _ = _segment_table(q.weights, q.sigmas, m)
+    masses, means, _ = _segment_table(q.weights, q.sigmas, m, 0)
     starts, stops = np.array(list(groups)).T
     group_masses, group_means = _group_stats(q.weights, q.sigmas, starts, stops)
     for (a, b), expect, mass, mean in zip(groups, groups.values(), group_masses, group_means):

@@ -34,8 +34,6 @@ from bidmc.channel import MERGE_TOL, _canonicalize_stack, _capacities, _channels
 from bidmc.experiments import _opt_clr_counted, arikan_clr, pplus_stats
 from bidmc.polar import _transforms
 from bidmc.refine import PPlusPlan, _realize
-from bidmc import search
-from bidmc.search import _dp_layout
 
 # Shared crossovers, so members of a stack and pairs of a transform meet
 # exact ties, with 0 and 1/2 among them.
@@ -213,53 +211,13 @@ def test_a_stack_of_one_with_more_pairs_than_its_limit_is_kept_when_it_merges_wi
 
 @pytest.mark.parametrize("pruning", [True, False])
 def test_dp_stack_matches_single_calls_from_its_cached_layout(pruning):
-    # The second run of a ragged stack reads its stage layouts and band
-    # mask from the cache, read-only, and changes no bit.
+    # Two runs of a ragged stack, each read through the band's strided
+    # views, change no bit of the single calls.
     qs = [random_channel(instance_rng(26, i), m) for i, m in enumerate((9, 17, 12))]
     singles = [c_optimal_degradation(q, 4, pruning) for q in qs]
-    hits = search._layout_slot.cache_info().hits
     runs = [c_optimal_degradations(qs, 4, pruning) for _ in range(2)]
-    assert search._layout_slot.cache_info().hits > hits
     for run in runs:
         assert [(p.cuts, c.hex()) for p, c in run] == [(p.cuts, c.hex()) for p, c in singles]
-    layout = _dp_layout((9, 17, 12), 4)
-    [(grid, starts)] = layout.stages
-    for arr in (grid, starts, layout.last[0][0], layout.live, layout.row_at, layout.inside):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[(0,) * arr.ndim] = 0
-
-
-def test_dp_layouts_move_into_a_map_on_their_first_hit(monkeypatch):
-    # A shape seen once keeps the read-only arrays it was built with; the
-    # first repeat of a shape moves them into a map of their own, once.
-    frozen, seen = [], []
-    freeze, layout_of = search._frozen, search._dp_layout
-
-    def counting(layout):
-        frozen.append(layout)
-        return freeze(layout)
-
-    def recording(m, n):
-        seen.append(layout_of(m, n))
-        return seen[-1]
-
-    monkeypatch.setattr(search, "_frozen", counting)
-    monkeypatch.setattr(search, "_dp_layout", recording)
-    search._layout_slot.cache_clear()  # no shape below is cached yet
-    qs = [random_channel(instance_rng(29, i), m) for i, m in enumerate((11, 19, 14, 23))]
-    c_optimal_degradations(qs, 4)
-    assert frozen == []
-    for arr in search._leaves(seen[-1]):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[(0,) * arr.ndim] = 0
-    for _ in range(2):
-        c_optimal_degradations(qs, 4)
-    assert frozen == [seen[0]] and seen[2] is seen[1] is not seen[0]
-    # A single channel at m = 128 stays cached from its second call on.
-    q = random_channel(instance_rng(29, 4), 128)
-    for _ in range(3):
-        c_optimal_degradation(q, 6)
-    assert len(frozen) == 2 and seen[5] is seen[4]
 
 
 def _clrs(q, plans):

@@ -40,9 +40,9 @@ def _arikan_baselines(seed):
 
 def _same_band(qs, depth):
     stack = _stack(qs)
-    table = _segment_table(stack.weights, stack.sigmas, depth)
-    inside = _inside(stack.sizes, depth)
-    return _band(*table, inside).tobytes() == ref.band(*table, inside).tobytes()
+    table = _segment_table(stack.weights, stack.sigmas, depth, 0)
+    inside = _inside(tuple(stack.sizes.tolist()), depth)
+    return _band(*table, inside, 0).tobytes() == ref.band(*table, inside).tobytes()
 
 
 def test_the_band_matches_the_reference_on_benchmark_inputs():

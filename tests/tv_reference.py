@@ -12,7 +12,7 @@ the mask.  The two forms agree bit for bit.
 import numpy as np
 
 from bidmc import PPlusPlan, binary_entropy
-from bidmc.refine import _ended, _window
+from bidmc.refine import _window
 
 
 def refine_cuts(plan: PPlusPlan) -> tuple[PPlusPlan, int]:
@@ -55,7 +55,6 @@ def capacity_term(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """``search._band`` from the statistics gathered over ``inside``."""
-    out = _ended(mass.shape, -np.inf)
-    out.fill(np.nan)
+    out = np.full(mass.shape, np.nan)
     out[inside] = mass[inside] * capacity_term(mean[inside], xbar[inside])
     return out

@@ -61,17 +61,10 @@ def pplus_stats(seed: int, indices: Sequence[int], m: int, n: int) -> dict:
     return {"c_count": counts, "c_clr": np.array([min(c, default=0.0) for c in clrs])}
 
 
-def opt_clr(seed: int, indices: Sequence[int], m: int, n: int) -> dict:
-    """Optimal-degradation CLR of random m-particle channels reduced to n,
-    with plans from ``c_optimal_degradations``."""
-    qs = [random_channel(instance_rng(seed, i), m) for i in indices]
-    return {"clr": _opt_clrs(qs, [plan for plan, _ in c_optimal_degradations(qs, n)])}
-
-
 def _opt_clr_counted(seed: int, indices: Sequence[int], m: int, n: int) -> dict:
-    """``opt_clr`` with the pruned DP's counters, the ``opt-clr`` table's
-    record: the CLRs come from the plans of the one pruned ``dp_tables``
-    run."""
+    """Optimal-degradation CLR of random m-particle channels reduced to n,
+    with the pruned DP's counters: the ``opt-clr`` table's record.  The
+    CLRs come from the plans of the one pruned ``dp_tables`` run."""
     qs = [random_channel(instance_rng(seed, i), m) for i in indices]
     found = dp_tables(qs, n, True)
     out = {"clr": _opt_clrs(qs, [plan for plan, _ in found])}

@@ -46,7 +46,6 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .blackwell import _DUST, WITNESS_TOL, OneMatrix, _water_level, find_degradation_witness
 from .channel import Channel, _canonicalize_stack, _channels, _Stack, _stack, canonicalize, error_probability
@@ -146,64 +145,6 @@ def split_threshold(eps1: float, eps2: float) -> float:
     return float(_threshold(eps1, eps2))
 
 
-def _segment_terms(q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows q, q sigma and q (1 - 2 sigma): the summands of group statistics.
-
-    Over a stack of channels, shape (..., m), the rows stack on axis -2.
-    """
-    return np.stack((q, q * s, q * (1.0 - 2.0 * s)), axis=-2)
-
-
-def _padded(shape: tuple, pad: int, fill: float) -> np.ndarray:
-    """An uninitialized float array of ``shape`` (..., rows, columns),
-    viewing a buffer (its ``base``) with ``pad`` further leading rows of
-    ``fill``, which the DP's strided reads above the diagonal reach (see
-    ``search._diagonals``)."""
-    buf = np.empty(shape[:-2] + (pad + shape[-2], shape[-1]))
-    buf[..., :pad, :] = fill
-    return buf[..., pad:, :]
-
-
-def _segment_table(
-    q: np.ndarray, s: np.ndarray, max_len: int, pad: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mass, mean crossover and mean bias x = 1 - 2 sigma of contiguous groups.
-
-    Entry [d, i] of each (max_len, m) table is the group of particles
-    i..i+d (0-indexed); where i + d >= m it sums only the particles up to
-    m.  Each statistic is a forward sum, from the group's first particle,
-    of the nonnegative terms q, q sigma and q (1 - 2 sigma), so no mass or
-    moment cancels and a mean stays within round-off of its group's
-    crossovers.  A singleton takes its sigma and 1 - 2 sigma exactly.
-
-    A stack of channels, q and s of shape (B, m) zero-padded past each
-    channel's own size, gives (B, max_len, m) tables.  Adding a zero term
-    changes no sum, so every group inside a channel reads exactly the
-    single channel's entry; groups starting in the padding have mass 0 and
-    NaN means.  The mean table is a ``_padded`` view whose buffer starts
-    with ``pad`` rows of NaN, which the pruned DP reads above the diagonal.
-    The bias table is divided in place into the x table, which keeps the
-    DP's peak memory, and so its heap's page faults, down.
-    """
-    m = q.shape[-1]
-    terms = np.zeros(q.shape[:-1] + (3, m + max_len - 1))
-    terms[..., :m] = _segment_terms(q, s)
-    # windows[..., k, d, i] = terms[..., k, i + d], a view (cheaper to build
-    # than sliding_window_view's, which matters at small m).
-    windows = as_strided(
-        terms, terms.shape[:-1] + (max_len, m), terms.strides + terms.strides[-1:], writeable=False
-    )
-    sums = np.cumsum(windows, axis=-2)
-    mass, moment, bias = (sums[..., k, :, :] for k in range(3))
-    mean = _padded(mass.shape, pad, np.nan)
-    with np.errstate(invalid="ignore"):
-        np.divide(moment, mass, out=mean)
-        xbar = np.divide(bias, mass, out=bias)
-    mean[..., 0, :] = s
-    xbar[..., 0, :] = 1.0 - 2.0 * s
-    return mass, mean, xbar
-
-
 def _forward_sums(terms: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """Running sums of ``terms`` over the groups of entries starts[g]..stops[g]-1.
 
@@ -222,7 +163,7 @@ def _group_stats(
     """Masses and mean crossovers of the groups of particles starts[g]..stops[g]-1.
 
     q and q sigma are summed by ``_forward_sums``, so every entry equals
-    ``_segment_table``'s entry for the group bit for bit, and group
+    ``search._segments``' entry for the group bit for bit, and group
     statistics, the DP and enumeration see the same means and window
     verdicts.  A singleton takes its sigma exactly.
     """
@@ -448,8 +389,10 @@ def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
     Returns a plan whose realization W1 satisfies W <= W1 with W1 a
     minimum-error degradation of Q.  The plan is Q's quantile slices:
     Q's cumulative mass cut at W's cumulative weights P_J, taken in W's
-    crossover order, and a slice that lies inside one particle takes that
-    whole particle.
+    crossover order.  A slice that lies inside one particle takes that
+    whole particle, and so does a slice's part of a particle within
+    min(_OWN_TOL, q_i / 2) of its weight q_i, whose round-off tails leave
+    the slices beside it.
 
     Why W <= W1.  Let mu_j = min(eps_j, tau) be W's water-level means
     (see ``blackwell``): W <= Q gives a coupling whose column j has mass
@@ -463,7 +406,8 @@ def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
     neighbouring slice into it: the two means a <= b spread to a' <= a and
     b' >= b at a fixed total moment, both old atoms lie in [a', b'], so the
     old pair is below the new one in convex order and each such shift
-    upgrades.  The segments partition Q's mass, so Perr(W1) = Perr(Q).
+    upgrades.  A tail moves at most _OWN_TOL of mass, a change far below
+    WITNESS_TOL.  The segments partition Q's mass, so Perr(W1) = Perr(Q).
 
     The converse decides W <= Q (``_degraded``): the margins
     sum_{j<=J} p_j mu_j - G_Q(P_J) of the slices, G_Q the moment of Q's
@@ -474,7 +418,9 @@ def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
     The plan has at least min(W's size, Q's size) segments.  When the
     slices give fewer, mass-balanced splitting of the heaviest segment adds
     more, which only refines the realization further; when they give more,
-    the plan keeps them all.
+    the plan keeps them all.  A particle of _MASS_TOL or less joins a
+    neighbouring segment (``PStarPlan`` would reject it alone as empty),
+    so where only such a particle could be split off the plan has fewer.
 
     Raises DegradationOrderError when W is not a degradation of Q, exactly
     when ``find_degradation_witness`` gives None.
@@ -486,28 +432,29 @@ def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
     if not _degraded(w, q, take):
         raise DegradationOrderError("W is not a degradation of Q")
 
-    # The slices' entries, in slice order; an entry of at least whole[i]
-    # owns particle i.
+    # The slices' entries, in slice order.  owner[i] is the entry that owns
+    # particle i (part.size for none): its first entry of at least
+    # whole[i], else the one entry left in a slice that is part of it.  An
+    # owner takes the particle's whole weight, and its other entries leave
+    # their slices; so does an owner of _MASS_TOL or less, whose particle
+    # PStarPlan then puts in a neighbouring segment.
     whole = qw - np.minimum(_OWN_TOL, qw / 2.0)
     seg, part = np.nonzero(take.T > _MASS_TOL)
     mass = take[part, seg]
-    # A slice whose one entry left is part of a particle takes it whole.
-    owned = np.zeros(q.size, dtype=bool)
+    entry = np.arange(part.size)
+    owner = np.full(q.size, part.size)
+    lone = mass >= whole[part]
     while True:
-        kept = ~owned[part]
-        alone = np.bincount(seg[kept], minlength=w.size)[seg] == 1
-        lone = part[kept & alone & (mass < whole[part])]
-        if not lone.size:
+        np.minimum.at(owner, part[lone], entry[lone])
+        kept = owner[part] == part.size
+        holds = owner[part] == entry
+        lone = kept & (np.bincount(seg[kept | holds], minlength=w.size)[seg] == 1)
+        if not lone.any():
             break
-        owned[lone] = True
-    # An owned particle's entries become one entry of its whole weight, in a
-    # segment of its own; the other entries keep their slices.
-    own = owned[part]
-    key = np.where(own, -1 - part, seg)
-    new = np.append(True, key[1:] != key[:-1])
-    keep = new | ~own
-    part, mass = part[keep], np.where(own, qw[part], mass)[keep]
-    bounds = np.append(np.flatnonzero(new[keep]), part.size)
+    mass = np.where(kept, mass, qw[part])
+    keep = (kept | holds) & (mass > _MASS_TOL)
+    seg, part, mass = seg[keep], part[keep], mass[keep]
+    bounds = np.append(np.flatnonzero(np.append(True, seg[1:] != seg[:-1])), part.size)
 
     full = mass >= whole[part]
     while bounds.size <= min(w.size, q.size):

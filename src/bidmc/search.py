@@ -34,17 +34,17 @@ of the first i particles into j groups:
     S_j(i) = max_{j-1 <= a < i} S_{j-1}(a) + iota(a + 1, i)
 
 with iota(s, e) the capacity contribution mass * (1 - h(mean)) of collapsing
-particles s..e into one.  Group masses and means come from one primitive,
-``refine._segment_table``: forward sums of nonnegative terms from each
-group's first particle, so the band, the DP's pruning means, enumeration,
-``PPlusPlan.group_stats`` and the window tests all see the same means, and
-none cancels.  The capacity term is ``channel._capacity_term``, accurate
-for means within round-off of 1/2.  Stage j's values form a matrix over
-(row a = end state, column b = previous state) whose feasible lower
-triangle is totally monotone.  The DP takes each row's leftmost maximum
-over that triangle directly; the tests check it against SMAWK.  The greedy
-merge baseline ``tv_greedy_plan``, after Tal & Vardy, is included for the
-capacity-loss comparisons.
+particles s..e into one.  Group masses, means and iotas come from one
+table, ``_segments``: forward sums of nonnegative terms from each group's
+first particle, so the band, the DP's pruning means, enumeration, the
+greedy merge, ``PPlusPlan.group_stats`` and the window tests all see the
+same means, and none cancels.  The capacity term is
+``channel._capacity_term``, accurate for means within round-off of 1/2.
+Stage j's values form a matrix over (row a = end state, column b =
+previous state) whose feasible lower triangle is totally monotone.  The DP
+takes each row's leftmost maximum over that triangle directly; the tests
+check it against SMAWK.  The greedy merge baseline ``tv_greedy_plan``,
+after Tal & Vardy, is included for the capacity-loss comparisons.
 """
 
 from __future__ import annotations
@@ -55,16 +55,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .channel import Channel, _capacity_term, _rows, _Stack, _stack
-from .refine import (
-    PPlusPlan,
-    _padded,
-    _segment_table,
-    _segment_terms,
-    _surely_fails,
-    _window,
-)
+from .refine import PPlusPlan, _surely_fails, _window
 
 __all__ = [
     "BRUTE_FORCE_GUARD",
@@ -109,26 +103,84 @@ def _inside(m, max_len: int) -> np.ndarray:
     heap past its trim threshold: 248 minor page faults per
     ``c_optimal_degradation`` against 0 cached, and 1.09-1.13 ms per call
     against 0.70-0.87 ms.  The 16 entries hold the 7 shapes that the DP and
-    the greedy each see on the arikan-baselines inputs.
+    the greedy share on the arikan-baselines inputs.
     """
     mask = np.arange(np.max(m)) < np.asarray(m)[..., None, None] - np.arange(max_len)[:, None]
     mask.flags.writeable = False
     return mask
 
 
-def _band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray, inside: np.ndarray, pad: int) -> np.ndarray:
-    """Capacity terms of the segment tables' groups, NaN outside ``inside``
-    (past the channel's end; see ``_inside``).
+class _Segments(NamedTuple):
+    """The contiguous groups of a stack's members, as ``_segments`` builds
+    them: entry [k, d, i] of each (B, depth, width) table is member k's
+    group of particles i..i+d (0-indexed)."""
 
-    Entry [d, i] is iota of particles i..i+d (0-indexed), as in the tables:
-    ``_capacity_term`` writes 1 - h(mean) into the band where ``inside``
-    holds, and one in-place product scales the whole band by the mass.
-    The band is a ``refine._padded`` view whose buffer starts with ``pad``
-    rows of -inf, which the stage kernel reads above the diagonal.
+    mass: np.ndarray
+    means: np.ndarray
+    band: np.ndarray
+
+
+def _segment_terms(q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows q, q sigma and q (1 - 2 sigma): the summands of group statistics.
+
+    Over a stack of channels, shape (..., m), the rows stack on axis -2.
     """
+    return np.stack((q, q * s, q * (1.0 - 2.0 * s)), axis=-2)
+
+
+def _padded(shape: tuple, pad: int, fill: float) -> np.ndarray:
+    """An uninitialized float array of ``shape`` (..., rows, columns),
+    viewing a buffer (its ``base``) with ``pad`` further leading rows of
+    ``fill``, which the DP's strided reads above the diagonal reach (see
+    ``_diagonals``)."""
+    buf = np.empty(shape[:-2] + (pad + shape[-2], shape[-1]))
+    buf[..., :pad, :] = fill
+    return buf[..., pad:, :]
+
+
+def _segments(stack: _Stack, depth: int, pad: int, mean_pad: int) -> _Segments:
+    """Mass, mean crossover and capacity term iota of the groups of up to
+    ``depth`` particles of each member of a stack: the one table that every
+    searcher reads.
+
+    Each statistic is a forward sum, from the group's first particle, of
+    the nonnegative terms q, q sigma and q (1 - 2 sigma), so no mass or
+    moment cancels and a mean stays within round-off of its group's
+    crossovers.  A singleton takes its sigma and 1 - 2 sigma exactly.  The
+    stack's zero padding changes no sum, so every group inside a member
+    reads exactly the single channel's entry; where i + d reaches past the
+    member's end the sums stop at its last particle, groups starting in the
+    padding have mass 0 and NaN means, and the band is NaN outside
+    ``_inside``.  The band holds mass * (1 - h(mean)) from
+    ``_capacity_term`` of the mean and of x = 1 - 2 sigma summed alike;
+    the x table is divided in place and never leaves, which keeps the DP's
+    peak memory, and so its heap's page faults, down.
+
+    The band is a ``_padded`` view whose buffer starts with ``pad`` rows of
+    -inf, and the means one with ``mean_pad`` rows of NaN, which the DP's
+    strided views read above the diagonal.
+    """
+    q, s, m = stack
+    width = q.shape[-1]
+    terms = np.zeros(q.shape[:-1] + (3, width + depth - 1))
+    terms[..., :width] = _segment_terms(q, s)
+    # windows[..., k, d, i] = terms[..., k, i + d], a view (cheaper to build
+    # than sliding_window_view's, which matters at small m).
+    windows = as_strided(
+        terms, terms.shape[:-1] + (depth, width), terms.strides + terms.strides[-1:], writeable=False
+    )
+    sums = np.cumsum(windows, axis=-2)
+    mass, moment, bias = (sums[..., k, :, :] for k in range(3))
+    means = _padded(mass.shape, mean_pad, np.nan)
+    with np.errstate(invalid="ignore"):
+        np.divide(moment, mass, out=means)
+        xbar = np.divide(bias, mass, out=bias)
+    means[..., 0, :] = s
+    xbar[..., 0, :] = 1.0 - 2.0 * s
     band = _padded(mass.shape, pad, -np.inf)
     band.fill(np.nan)
-    return np.multiply(_capacity_term(mean, xbar, band, inside), mass, out=band)
+    _capacity_term(means, xbar, band, _inside(tuple(m.tolist()), depth))
+    return _Segments(mass, means, np.multiply(band, mass, out=band))
 
 
 class DpTable(NamedTuple):
@@ -167,7 +219,7 @@ def _walk(m: int, n: int, q: Channel | None = None) -> tuple[list, list]:
     """
     if q is not None:
         s = q.sigmas
-        _, means, _ = _segment_table(q.weights, s, m - n + 1, 0)
+        means = _segments(_stack([q]), m - n + 1, 0, 0).means[0]
     cuts, parents = [np.ones(1, dtype=np.int64)], []  # the root: group 1 starts at 1
     for j in range(1, n):
         cut = cuts[-1]
@@ -227,7 +279,7 @@ def brute_force_c_optimal(q: Channel, n: int) -> tuple[PPlusPlan, float]:
             f"{math.comb(m - 1, n - 1)} cut vectors exceed the brute-force guard {BRUTE_FORCE_GUARD}"
         )
     cuts, parents = _walk(m, n)
-    band = _band(*_segment_table(q.weights, q.sigmas, m - n + 1, 0), _inside(m, m - n + 1), 0)
+    band = _segments(_stack([q]), m - n + 1, 0, 0).band[0]
     caps = np.zeros(1)
     for j in range(1, n):
         start = cuts[j - 1][parents[j - 1]]  # group j, particles start..cut - 1
@@ -244,9 +296,9 @@ def _diagonals(table: np.ndarray, stage: int, a0: int, rows: int, cols: int) -> 
     particles stage + b..stage + a (1-indexed).
 
     Along a the view steps one table row, and along b one row back and one
-    column on, so no index is stored.  ``table`` is a ``refine._padded``
-    view, and an entry above the diagonal, b > a, reads a row of its
-    buffer's padding; numpy checks the view's extent against that buffer.
+    column on, so no index is stored.  ``table`` is a ``_padded`` view,
+    and an entry above the diagonal, b > a, reads a row of its buffer's
+    padding; numpy checks the view's extent against that buffer.
     """
     buf = table.base
     row, item = table.strides[1:]
@@ -365,9 +417,9 @@ def _optimal_cuts(stack: _Stack, n: int, pruning: bool) -> tuple[np.ndarray, np.
     cuts = np.empty((len(stack.sizes), max(n - 1, 0)), dtype=np.int64)
     caps = np.empty(len(stack.sizes))
     for rows, part in _chunks(stack, n):
-        c, cap, _, means = _dp_run(part, n, False)
+        c, cap, _, seg = _dp_run(part, n, False)
         if pruning:
-            failed = (~_certified(part, c, means)).nonzero()[0]
+            failed = (~_certified(part, c, seg)).nonzero()[0]
             if failed.size:
                 c[failed], cap[failed] = _dp_run(_rows(part, failed), n, True)[:2]
         cuts[rows], caps[rows] = c, cap
@@ -406,11 +458,11 @@ def _chunks(stack: _Stack, n: int) -> list[tuple[slice, _Stack]]:
     return [(slice(k, k + chunk), _rows(stack, slice(k, k + chunk))) for k in range(0, len(m), chunk)]
 
 
-def _certified(stack: _Stack, cuts: np.ndarray, means: np.ndarray) -> np.ndarray:
+def _certified(stack: _Stack, cuts: np.ndarray, seg: _Segments) -> np.ndarray:
     """Whether no cut of each traceback surely fails its window test.
 
-    ``cuts`` (B, n - 1) index the stack's crossovers and the (B, size,
-    width) group means, as ``_dp_run`` returns them.  Each cut's test reads
+    ``cuts`` (B, n - 1) index the stack's crossovers and the group means of
+    the segments ``seg``, as ``_dp_run`` returns them.  Each cut's test reads
     its two groups' table means, as the pruned kernel does for that entry,
     and the kernel's ``refine._surely_fails``, so both decide alike.
     """
@@ -419,7 +471,7 @@ def _certified(stack: _Stack, cuts: np.ndarray, means: np.ndarray) -> np.ndarray
     lo = cuts - 1  # 0-indexed first particle of each group after the first
     starts = np.hstack((np.zeros_like(k), lo))
     stops = np.hstack((lo, stack.sizes[:, None]))
-    eps = means[k, stops - starts - 1, starts]
+    eps = seg.means[k, stops - starts - 1, starts]
     return ~_surely_fails(eps[:, :-1], eps[:, 1:], s[k, lo - 1], s[k, lo]).any(axis=1)
 
 
@@ -446,15 +498,15 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     Returns each channel's cuts (B, n - 1) and capacity (B,); the stage
     arrays (values, decisions, pruned flags), each (B, size) before the
     last stage and (B, 1) at it, with the (B,) counters (counted by the
-    pruned kernel, in closed form without ``pruning``); and the (B, size,
-    width) group means the run read.
+    pruned kernel, in closed form without ``pruning``); and the segments
+    (``_segments``) the run read.
     """
     w, s, m = stack
     sizes = m - n + 1
     size = w.shape[1] - n + 1
     pad = min(_STAGE_BLOCK, size) - 1
-    mass, means, xbar = _segment_table(w, s, size, pad if pruning else 0)
-    band = _band(mass, means, xbar, _inside(tuple(m.tolist()), size), pad)
+    seg = _segments(stack, size, pad, pad if pruning else 0)
+    _, means, band = seg
     inst = np.arange(len(m))
     offsets = np.arange(size)
     live = offsets < sizes[:, None]
@@ -496,7 +548,7 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
         row = decisions[stage - 1][inst, row]
         cuts[:, stage - 2] = stage + row  # group `stage` starts after state (stage - 1, row)
     stages = (values, decisions, pruned, evaluations, pruned_states)
-    return cuts, s_prev[:, 0], stages, means
+    return cuts, s_prev[:, 0], stages, seg
 
 
 def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
@@ -509,14 +561,14 @@ def tv_greedy_plan(q: Channel, n: int) -> PPlusPlan:
     merged group: O(m log m) heap steps.  Every iota of a group of up to
     L = min(m - n + 1, _BATCH_ENTRIES // m) particles (the DP's table
     depth, capped by its chunk size; at least 2) is read from one bounded
-    ``_segment_table``; only a longer group has its terms built and summed
+    ``_segments`` band; only a longer group has its terms built and summed
     forward on its own, as the table would sum it.
     """
     m = q.size
     if not (2 <= n <= m):
         raise ValueError(f"need 2 <= n <= m, got n={n}, m={m}")
     depth = max(2, min(m - n + 1, _BATCH_ENTRIES // m))
-    band = _band(*_segment_table(q.weights, q.sigmas, depth, 0), _inside(m, depth), 0)
+    band = _segments(_stack([q]), depth, 0, 0).band[0]
     gain, pair = band[:2].tolist()  # each particle, each adjacent pair
 
     def iota(a: int, c: int) -> float:

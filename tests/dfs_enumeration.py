@@ -11,7 +11,9 @@ The walk must list the same cut vectors in the same order.
 
 import numpy as np
 
-from bidmc.refine import PHI_STRICT_TOL, _segment_table, _threshold
+from bidmc.channel import _stack
+from bidmc.refine import PHI_STRICT_TOL, _threshold
+from bidmc.search import _segments
 
 
 def c_degradation_cuts(q, n):
@@ -19,7 +21,7 @@ def c_degradation_cuts(q, n):
     cut order."""
     m = q.size
     s = q.sigmas
-    _, means, _ = _segment_table(q.weights, s, m - n + 1, 0)
+    means = _segments(_stack([q]), m - n + 1, 0, 0).means[0]
     out = []
     cuts = []
 

@@ -1,6 +1,6 @@
 """The DP's per-stage arrays of each channel, read from ``search._dp_run``,
 which keeps them for its traceback, and ``iota_band``, the capacity band
-its stages read, built from the DP's own ``_band``; the tests check the
+its stages read, from the DP's own ``_segments``; the tests check the
 stage kernel on them."""
 
 from types import SimpleNamespace
@@ -9,8 +9,6 @@ import numpy as np
 
 from bidmc import Channel, PPlusPlan, search
 from bidmc.channel import _stack
-from bidmc.refine import _segment_table
-from bidmc.search import _band, _inside
 
 
 def dp_stage_tables(qs, n, pruning):
@@ -45,9 +43,9 @@ def iota_band(q: Channel, max_len: int) -> np.ndarray:
     """Partial-capacity table: band[d, s] for particles s..s+d (1-indexed s).
 
     band[d, s] = mass * (1 - h(mean)) of the group of d+1 particles starting
-    at s, from ``refine._segment_table``; entries outside 1 <= s <= m - d
-    are NaN.
+    at s, from ``search._segments``; entries outside 1 <= s <= m - d are
+    NaN.
     """
     band = np.full((max_len, q.size + 1), np.nan)
-    band[:, 1:] = _band(*_segment_table(q.weights, q.sigmas, max_len, 0), _inside(q.size, max_len), 0)
+    band[:, 1:] = search._segments(_stack([q]), max_len, 0, 0).band[0]
     return band

@@ -36,11 +36,12 @@ from bidmc import (
     risk_dominates,
     split_threshold,
 )
-from bidmc.experiments import arikan_clr, opt_clr, pplus_stats
+from bidmc.experiments import arikan_clr, pplus_stats
 from bidmc.refine import InvalidPlanError
 
 from boundary_shift import _boundary_shift_gain
 from channel_helpers import equivalent
+from opt_clr import opt_clr
 
 REFERENCE_OPT_CLR = {
     128: [0.0232, 0.0145, 0.0097, 0.0069, 0.0051, 0.0040, 0.0030],

@@ -25,6 +25,7 @@ from bidmc import experiments, polar, search
 from bidmc.channel import _channels, _stack
 from bidmc.polar import _transforms
 
+from opt_clr import opt_clr
 from skewed_channels import skewed_channels
 
 
@@ -180,7 +181,7 @@ def test_opt_clr_runs_no_pruned_stage_on_certified_channels(monkeypatch):
     qs = [random_channel(instance_rng(7, i), 24) for i in range(5)]
     assert _certificates(qs, 5).all()
     count = _Counter(monkeypatch)
-    experiments.opt_clr(7, range(5), 24, 5)
+    opt_clr(7, range(5), 24, 5)
     assert count.pruned_stages == 0 and count.runs == {True: [], False: [5]}
 
 
@@ -189,7 +190,7 @@ def test_opt_clr_equals_the_counted_record(m, n):
     # Criterion 05's seed and first instances of the cell.
     first = 1_000_000 * m + 10_000 * n
     idx = range(first, first + 40)
-    got = experiments.opt_clr(105, idx, m, n)["clr"]
+    got = opt_clr(105, idx, m, n)["clr"]
     want = experiments._opt_clr_counted(105, idx, m, n)["clr"]
     assert [c.hex() for c in got.tolist()] == [c.hex() for c in want.tolist()]
 

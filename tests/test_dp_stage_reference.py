@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from bidmc import construct, instance_rng, random_channel, refine, search
 from bidmc.channel import _channels, _stack
 from bidmc.polar import _transforms
-from bidmc.refine import _segment_table, _surely_fails
+from bidmc.refine import _surely_fails
 
 from dp_stages import dp_stage_tables, iota_band
 from skewed_channels import skewed_channels
@@ -53,7 +53,7 @@ def _dp_reference(q, n, pruning):
     cuts traced back and the two counters."""
     size = q.size - n + 1
     band = iota_band(q, size)
-    means = _segment_table(q.weights, q.sigmas, size, 0)[1]
+    means = search._segments(_stack([q]), size, 0, 0).means[0]
     prev = [float(band[b, 1]) for b in range(size)]
     eps = [means[b, 0] for b in range(size)]
     stages = [(prev, [-1] * size)]

@@ -101,6 +101,16 @@ def test_one_canonicalize_path_and_one_map():
     assert _scopes(lambda node: isinstance(node, ast.alias) and node.name == "mmap") == set()
 
 
+def test_one_segment_table_constructor():
+    # search._segments alone builds the contiguous groups' table that every
+    # searcher reads: the inside mask, the padded buffers and the strided
+    # windows are named nowhere else, and the constructors it replaced are
+    # gone.
+    for name in ("_inside", "_padded", "as_strided"):
+        assert _functions_naming(name) == {("search.py", "_segments")}
+    assert _functions_naming("_segment_table") | _functions_naming("_band") == set()
+
+
 def test_the_risk_oracle_and_the_witness_construction_share_no_code():
     # blackwell's two routes to the degradation order check each other, so
     # the curve code (the shared curve helper, the curve object's call and

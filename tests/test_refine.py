@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bidmc import (
+    Channel,
     InvalidPlanError,
     PPlusPlan,
     PStarPlan,
@@ -303,6 +304,50 @@ def test_to_pstar_plan_slices_inside_a_particle_lighter_than_the_tolerance():
     plan = to_pstar_plan(w, q)
     assert (plan.indices, plan.splits) == ((1, 2), (0.0, 0.0))
     assert equivalent(realize_pstar(plan), q)
+
+
+def _check_pstar_plan(w, q):
+    # The plan is valid, keeps Perr(Q) and is a degradation of W's upgrade.
+    assert find_degradation_witness(w, q) is not None
+    plan = to_pstar_plan(w, q)
+    w1 = realize_pstar(plan)
+    assert error_probability(w1) == pytest.approx(error_probability(q), abs=1e-15)
+    assert find_degradation_witness(w, w1) is not None
+    return plan
+
+
+def test_to_pstar_plan_a_full_entry_takes_its_particles_tail():
+    # Slice 4 holds 0.4731000017643235 of particle 4, within _OWN_TOL of its
+    # weight: the entry owns the particle, so the particle's 7.9e-14 tail
+    # leaves slice 5 instead of starting it with a second index 4.
+    s = [1.1491006981973495e-18, 0.23057088038576617, 1 / 3, 0.39092305849631703, 0.49999999999906314]
+    w = canonicalize(list(zip(s, [0.18780879372357553, 4.0576710102492867e-13, 5.128936126436139e-19,
+                                  0.47310000176451367, 0.33909120451150504])))
+    q = canonicalize(list(zip(s, [0.18780879372353163, 4.0576710102483375e-13, 2.339775050521225e-13,
+                                  0.473100001764403, 0.3390912045114257])))
+    plan = _check_pstar_plan(w, q)
+    assert (plan.indices, plan.splits) == ((1, 2, 3, 4), (0.0, 0.0, 0.0, 0.0))
+
+
+def test_to_pstar_plan_never_splits_off_a_segment_at_or_below_the_mass_tolerance():
+    # Particle 3 weighs 9.99999e-16 <= _MASS_TOL, so the mass-balanced
+    # split must not cut it off alone, an empty segment; it stays with
+    # particle 2, no other segment can be cut, and the plan keeps 2.
+    w = Channel([2.360400265548452e-13, 1e-09, 0.09421152724524809, 0.31037665976176815, 0.49999999999948275],
+                [0.501546580573748, 1.5191225288573712e-07, 0.28323840179362403, 0.005863195261839453,
+                 0.2093516704585358])
+    q = Channel([0.0, 0.09421152724524809, 0.5], [0.9999990000009991, 9.99999000000999e-07, 9.999990000009992e-16])
+    plan = _check_pstar_plan(w, q)
+    assert (plan.indices, plan.splits) == ((1,), (0.0,))
+
+
+def test_to_pstar_plan_of_a_channel_with_a_particle_at_or_below_the_mass_tolerance():
+    # Q's own slices: the last holds particle 3, of 9.999999992604027e-16
+    # <= _MASS_TOL, which joins the segment of particle 2.
+    q = Channel([8.883046155402537e-13, 0.2976420922681245, 0.49999999999912814],
+                [0.9999999992604026, 7.395964511328412e-10, 9.999999992604027e-16])
+    plan = _check_pstar_plan(q, q)
+    assert (plan.indices, plan.splits) == ((1,), (0.0,))
 
 
 def test_to_pstar_plan_rejects_non_degradation():

@@ -28,7 +28,8 @@ from bidmc import (
     tv_greedy_plan,
 )
 from bidmc import refine, search
-from bidmc.refine import _group_stats, _segment_table
+from bidmc.channel import _stack
+from bidmc.refine import _group_stats
 
 import decimal_oracle
 from channel_helpers import equivalent
@@ -89,7 +90,8 @@ def test_iota_band_and_optimum_match_decimal_oracle(inp):
     w, s = q.weights.tolist(), q.sigmas.tolist()
     groups = decimal_oracle.band(w, s)
     band = iota_band(q, m)
-    masses, means, _ = _segment_table(q.weights, q.sigmas, m, 0)
+    seg = search._segments(_stack([q]), m, 0, 0)
+    masses, means = seg.mass[0], seg.means[0]
     starts, stops = np.array(list(groups)).T
     group_masses, group_means = _group_stats(q.weights, q.sigmas, starts, stops)
     for (a, b), expect, mass, mean in zip(groups, groups.values(), group_masses, group_means):

@@ -1,12 +1,12 @@
 """The Tal-Vardy path against its earlier form (``tv_reference``).
 
 ``refine.refine_cuts`` re-sums only the groups beside each move and
-re-tests only the windows beside it, and ``search._band`` fills the band in
-one masked pass; both must give the earlier plans and bands bit for bit.
-Bands are compared by ``tobytes()``, on the benchmark's arikan-baselines
-and opt-uniform inputs, on stacks of skewed channels and on tables of the
-greedy's depth; plans on the greedy's plans and on arbitrary cut vectors,
-most of which fail some window.
+re-tests only the windows beside it, and ``search._segments`` fills the
+band in one masked pass; both must give the earlier plans and bands bit
+for bit.  Bands are compared by ``tobytes()``, on the benchmark's
+arikan-baselines and opt-uniform inputs, on stacks of skewed channels and
+on tables of the greedy's depth; plans on the greedy's plans and on
+arbitrary cut vectors, most of which fail some window.
 """
 
 import numpy as np
@@ -24,8 +24,7 @@ from bidmc import (
     tv_greedy_plan,
 )
 from bidmc.channel import _stack
-from bidmc.refine import _segment_table
-from bidmc.search import _band, _inside
+from bidmc.search import _segments
 
 import tv_reference as ref
 from skewed_channels import skewed_channels
@@ -40,9 +39,7 @@ def _arikan_baselines(seed):
 
 def _same_band(qs, depth):
     stack = _stack(qs)
-    table = _segment_table(stack.weights, stack.sigmas, depth, 0)
-    inside = _inside(tuple(stack.sizes.tolist()), depth)
-    return _band(*table, inside, 0).tobytes() == ref.band(*table, inside).tobytes()
+    return _segments(stack, depth, 0, 0).band.tobytes() == ref.band(*stack, depth).tobytes()
 
 
 def test_the_band_matches_the_reference_on_benchmark_inputs():

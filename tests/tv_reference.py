@@ -1,12 +1,14 @@
 """The Tal-Vardy path's two steps in their earlier form: the tests' oracle
-for ``refine.refine_cuts`` and ``search._band``.
+for ``refine.refine_cuts`` and the band of ``search._segments``.
 
 ``refine_cuts`` now re-sums only the two groups beside each move and
-re-tests only the windows of the cuts beside it, and ``_band`` lets
-``channel._capacity_term`` write straight into the band where the mask
-holds.  These are the versions they replaced: a full rescan of every group
-and window on each pass, and a band filled from the entries gathered over
-the mask.  The two forms agree bit for bit.
+re-tests only the windows of the cuts beside it, and ``_segments`` sums
+every group through one strided view and lets ``channel._capacity_term``
+write straight into the band where the mask holds.  These are the
+versions they replaced: a full rescan of every group and window on each
+pass, and a band filled from the entries gathered over the mask, with the
+groups' statistics summed here by a running sum of their own.  The two
+forms agree bit for bit.
 """
 
 import numpy as np
@@ -53,8 +55,24 @@ def capacity_term(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def band(mass: np.ndarray, mean: np.ndarray, xbar: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """``search._band`` from the statistics gathered over ``inside``."""
+def band(weights: np.ndarray, sigmas: np.ndarray, sizes: np.ndarray, depth: int) -> np.ndarray:
+    """The band of ``search._segments`` over a stack: each group's mass,
+    moment and x = 1 - 2 sigma summed forward, one particle more per
+    depth, and the capacity terms gathered over the groups inside each
+    member's ``sizes``."""
+    width = weights.shape[-1]
+    terms = np.zeros((3,) + weights.shape[:-1] + (width + depth - 1,))
+    terms[..., :width] = weights, weights * sigmas, weights * (1.0 - 2.0 * sigmas)
+    sums = np.empty((depth,) + terms.shape[:-1] + (width,))
+    acc = np.zeros(terms.shape[:-1] + (width,))
+    for d in range(depth):
+        acc = acc + terms[..., d : d + width]
+        sums[d] = acc
+    mass, moment, bias = np.moveaxis(sums, 0, -2)
+    with np.errstate(invalid="ignore"):
+        mean, x = moment / mass, bias / mass
+    mean[..., 0, :], x[..., 0, :] = sigmas, 1.0 - 2.0 * sigmas
+    inside = np.arange(width) < sizes[:, None, None] - np.arange(depth)[:, None]
     out = np.full(mass.shape, np.nan)
-    out[inside] = mass[inside] * capacity_term(mean[inside], xbar[inside])
+    out[inside] = mass[inside] * capacity_term(mean[inside], x[inside])
     return out

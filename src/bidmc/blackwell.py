@@ -32,17 +32,6 @@ import numpy as np
 
 from .channel import Channel, canonicalize, error_probability
 
-__all__ = [
-    "WITNESS_TOL",
-    "OneMatrix",
-    "BayesRiskCurve",
-    "find_degradation_witness",
-    "is_p_degradation",
-    "mean_degradation",
-    "bayes_risk_curve",
-    "risk_dominates",
-]
-
 WITNESS_TOL = 1e-9
 # Remaining masses at or below this are spent, so quantile edges increase.
 _DUST = 1e-15

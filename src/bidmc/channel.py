@@ -26,24 +26,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = [
-    "MERGE_TOL",
-    "SUM_TOL",
-    "WEIGHT_SUM_INPUT_TOL",
-    "InvalidDistributionError",
-    "Particle",
-    "Channel",
-    "LrProfile",
-    "binary_entropy",
-    "bsc",
-    "canonicalize",
-    "capacity",
-    "capacity_loss_rate",
-    "error_probability",
-    "lr_functional",
-    "lr_profile",
-]
-
 # Crossover probabilities closer than this are coalesced into one particle.
 MERGE_TOL = 1e-12
 # Invariant tolerance on the weight sum of a canonical channel.

@@ -14,8 +14,6 @@ import numpy as np
 
 from .channel import Channel, canonicalize
 
-__all__ = ["instance_rng", "random_channel"]
-
 
 def instance_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for instance ``index`` of an ensemble with master ``seed``."""

@@ -26,16 +26,6 @@ import numpy as np
 
 from .channel import Channel, canonicalize
 
-__all__ = [
-    "ChannelFormatError",
-    "load_channel",
-    "parse_channel_json",
-    "parse_channel_csv",
-    "channel_to_json_dict",
-    "channel_to_csv",
-    "reduce_transition_matrix",
-]
-
 
 class ChannelFormatError(ValueError):
     """Raised with a line/field diagnostic for malformed channel files."""

@@ -43,17 +43,6 @@ from .channel import _stack, capacity_loss_rate
 from .refine import _realize
 from .search import _optimal_cuts
 
-__all__ = [
-    "EXACT_SIZE_GUARD",
-    "star",
-    "diamond",
-    "arikan_minus",
-    "arikan_plus",
-    "BranchRecord",
-    "ConstructionRun",
-    "construct",
-]
-
 # Exact synthetic channels beyond this particle count are not tracked.
 EXACT_SIZE_GUARD = 10**4
 

@@ -50,21 +50,6 @@ import numpy as np
 from .blackwell import _DUST, WITNESS_TOL, OneMatrix, _water_level, find_degradation_witness
 from .channel import Channel, _canonicalize_stack, _channels, _Stack, _stack, canonicalize, error_probability
 
-__all__ = [
-    "PHI_STRICT_TOL",
-    "InvalidPlanError",
-    "DegradationOrderError",
-    "PStarPlan",
-    "PPlusPlan",
-    "realize_pstar",
-    "realize_pplus",
-    "plan_witness",
-    "to_pstar_plan",
-    "split_threshold",
-    "refine_cuts",
-    "is_c_degradation",
-]
-
 # Window tests (``_window``) treat a threshold within this distance of a
 # boundary sigma as failing: exact equality is a local capacity minimum, so
 # the conservative verdict is "not a C-degradation".  The DP's pruning and

@@ -60,17 +60,6 @@ from numpy.lib.stride_tricks import as_strided
 from .channel import Channel, _capacity_term, _rows, _Stack, _stack
 from .refine import PPlusPlan, _surely_fails, _window
 
-__all__ = [
-    "BRUTE_FORCE_GUARD",
-    "DpTable",
-    "enumerate_c_degradations",
-    "brute_force_c_optimal",
-    "c_optimal_degradation",
-    "c_optimal_degradations",
-    "dp_tables",
-    "tv_greedy_plan",
-]
-
 BRUTE_FORCE_GUARD = 10**6
 
 # Rows per staircase block of the stage kernel, which bounds its

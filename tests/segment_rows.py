@@ -2,24 +2,29 @@
 
 ``bidmc.refine`` holds a segment plan's segments in one array layout and
 computes their statistics with ``_group_stats``.  These are the list-based
-functions it replaced, kept as they were: the canonical rewrite and the
-validation of ``PStarPlan``, its per-segment rows, their Python sums, the
-witness filled row by row, and ``to_pstar_plan``'s quantile slices, lone
-particle rule, mass-balanced splitting and encoding over rows.  The array
-code must reproduce them bit for bit.
+functions it replaced: the canonical rewrite and the validation of
+``PStarPlan``, its per-segment rows, their Python sums, the witness filled
+row by row, and ``to_pstar_plan``'s quantile slices, ownership rules,
+mass-balanced splitting and encoding over rows.  The ownership rules are
+written here from their statement, slice by slice, not from the array
+code.  The array code must reproduce all of them bit for bit.
 
 A plan is passed as ``(source, indices, splits)``; ``canonical_plan``
 returns the canonical encoding, or raises ``InvalidPlanError`` where
 ``PStarPlan`` does on in-range input.
 """
 
-from itertools import groupby
+from collections import Counter
 
 import numpy as np
 
 from bidmc import Channel, InvalidPlanError, OneMatrix, canonicalize, find_degradation_witness
 
 _MASS_TOL = 1e-15
+_OWN_TOL = 1e-12
+# How often each rule of ``to_pstar_plan`` changed a plan's rows; see
+# ``_quantile_segments`` and ``to_pstar_plan``'s legal_half.
+FIRED: Counter = Counter()
 
 
 def _rows_stats(rows: list[tuple[int, float]], sigmas: np.ndarray) -> tuple[float, float]:
@@ -69,7 +74,7 @@ def canonical_plan(source: Channel, indices, splits) -> tuple[tuple[int, ...], t
     for rows in segs:
         if len(rows) == 1:
             i, wt = rows[0]
-            if wt < q[i - 1] - 1e-12:
+            if wt < q[i - 1] - _OWN_TOL:
                 raise InvalidPlanError(
                     "single-particle segment must own the particle fully"
                 )
@@ -120,13 +125,29 @@ def plan_witness(source: Channel, indices, splits) -> OneMatrix:
     return OneMatrix(k, source.weights.copy(), k.sum(axis=0))
 
 
+def _full(mass: float, weight: float) -> bool:
+    """True iff ``mass`` is within min(1e-12, weight / 2) of a particle's ``weight``."""
+    return mass >= weight - min(_OWN_TOL, weight / 2.0)
+
+
 def _quantile_segments(q: Channel, weights: np.ndarray) -> list[list[tuple[int, float]]]:
     """Q's mass cut at the cumulative ``weights``, as (particle, mass) rows.
 
     Slice j is Q's mass between the quantiles P_{j-1} and P_j, P_j the sum
-    of the first j weights, in sigma order.  A slice that lies inside one
-    particle, once the shares of particles already taken whole are gone,
-    takes that whole particle, and the slices beside it lose their parts.
+    of the first j weights, in sigma order; its entries are the particles'
+    parts above _MASS_TOL.  Then the ownership rules:
+
+    * a full entry, within min(1e-12, q_i / 2) of its particle's weight
+      q_i, owns the particle; the first such entry in slice order;
+    * a slice left with one entry, a part of a particle that nothing owns,
+      owns that particle; repeated until no slice is left so;
+    * an owner takes the whole weight q_i and the particle's other entries
+      leave their slices; an owner of _MASS_TOL or less leaves too, and
+      slices left empty go.
+
+    Each firing is counted in ``FIRED``: "full" where a full entry's
+    particle has entries elsewhere, "lone" per lone owner, "drop" per
+    owner left out.
     """
     qw = q.weights
     edges = np.concatenate(([0.0], np.cumsum(qw)))
@@ -136,18 +157,37 @@ def _quantile_segments(q: Channel, weights: np.ndarray) -> list[list[tuple[int, 
         [(int(i) + 1, float(take[i, j])) for i in np.flatnonzero(take[:, j] > _MASS_TOL)]
         for j in range(weights.size)
     ]
-    owned: set[int] = set()
+    entries = Counter(i for rows in segs for i, _ in rows)
+    # owner[i] is (slice, position) of the entry that owns particle i.
+    owner: dict[int, tuple[int, int]] = {}
+    for j, rows in enumerate(segs):
+        for k, (i, wt) in enumerate(rows):
+            if i not in owner and _full(wt, float(qw[i - 1])):
+                owner[i] = (j, k)
+                FIRED["full"] += entries[i] > 1
+
+    def staying(j: int) -> list[tuple[int, int, float]]:
+        # Slice j's entries, less those of a particle another entry owns.
+        return [(k, i, wt) for k, (i, wt) in enumerate(segs[j]) if owner.get(i, (j, k)) == (j, k)]
+
     while True:
-        kept = ([r for r in rows if r[0] not in owned] for rows in segs)
-        lone = {rows[0][0] for rows in kept if len(rows) == 1 and rows[0][1] < qw[rows[0][0] - 1] - 1e-12}
+        lone: dict[int, tuple[int, int]] = {}
+        for j in range(len(segs)):
+            rows = staying(j)
+            if len(rows) == 1 and rows[0][1] not in owner:
+                lone.setdefault(rows[0][1], (j, rows[0][0]))
         if not lone:
             break
-        owned |= lone
-    flat = [(j, i, wt) for j, rows in enumerate(segs) for i, wt in rows]
-    return [
-        [(key[1], float(qw[key[1] - 1]))] if key[0] else [(i, wt) for _, i, wt in grp]
-        for key, grp in groupby(flat, key=lambda r: (True, r[1]) if r[1] in owned else (False, r[0]))
-    ]
+        owner.update(lone)
+        FIRED["lone"] += len(lone)
+    out = []
+    for j in range(len(segs)):
+        rows = [(i, float(qw[i - 1]) if i in owner else wt) for _, i, wt in staying(j)]
+        FIRED["drop"] += sum(wt <= _MASS_TOL for _, wt in rows)
+        rows = [(i, wt) for i, wt in rows if wt > _MASS_TOL]
+        if rows:
+            out.append(rows)
+    return out
 
 
 def _plan_from_segments(source: Channel, segs: list[list[tuple[int, float]]]):
@@ -169,8 +209,11 @@ def to_pstar_plan(w: Channel, q: Channel):
     segs = _quantile_segments(q, w.weights)
 
     def legal_half(rows: list[tuple[int, float]]) -> bool:
-        # A sub-segment may not be a lone partial particle.
-        return len(rows) > 1 or rows[0][1] >= qw[rows[0][0] - 1] - 1e-12
+        # A sub-segment may not be a lone partial particle; one counts as
+        # partial by the ownership rules' threshold.
+        legal = len(rows) > 1 or _full(rows[0][1], float(qw[rows[0][0] - 1]))
+        FIRED["legal_half"] += not legal
+        return legal
 
     while len(segs) < n:
         best = None

@@ -158,6 +158,21 @@ def test_every_public_name_has_a_caller_or_is_a_paper_object():
     assert sorted(name for name in public if not called(name)) == sorted(_PAPER_OBJECTS)
 
 
+def test_the_public_surface_is_declared_once():
+    # The explicit imports of __init__.py are the package's API; no other
+    # module keeps a list of its own public names beside them.
+    def assigns_all(node):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            return False
+        return any(_name(target) == "__all__" for target in targets)
+
+    assert {module for module, scope in _scopes(assigns_all)} - {"__init__.py"} == set()
+
+
 def test_only_the_cli_writes_files():
     # Library modules return text; bidmc.cli's main is the one writer.
     src = Path(bidmc.__file__).resolve().parent

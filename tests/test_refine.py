@@ -1,12 +1,15 @@
 import itertools
 import math
+from collections import Counter
 from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bidmc import (
     Channel,
+    DegradationOrderError,
     InvalidPlanError,
     PPlusPlan,
     PStarPlan,
@@ -40,6 +43,7 @@ import segment_rows
 from boundary_shift import _boundary_shift_gain
 from channel_helpers import equivalent
 from degradation_helpers import pplus_as_pstar
+from skewed_channels import skewed_channels
 
 Q3 = canonicalize([(0.1, 0.5), (0.2, 0.3), (0.4, 0.2)])
 
@@ -294,12 +298,38 @@ def test_to_pstar_plan_slices_inside_a_particle_take_it_whole():
     assert (plan.indices, plan.splits) == ((1, 2), (0.0, 0.0))
 
 
+# The (W, Q) reproducers of to_pstar_plan's ownership rules; the tests
+# below say what each shows.
+_LIGHT_SLICE = (
+    canonicalize([(0.0, 4.99999927e-01), (0.25, 1.40266551e-14), (0.5, 5.00000073e-01)]),
+    canonicalize([(0.0, 4.99999927e-01), (0.25, 1.79294313e-13), (0.5, 5.00000073e-01)]),
+)
+_S = [1.1491006981973495e-18, 0.23057088038576617, 1 / 3, 0.39092305849631703, 0.49999999999906314]
+_FULL_ENTRY = (
+    canonicalize(list(zip(_S, [0.18780879372357553, 4.0576710102492867e-13, 5.128936126436139e-19,
+                               0.47310000176451367, 0.33909120451150504]))),
+    canonicalize(list(zip(_S, [0.18780879372353163, 4.0576710102483375e-13, 2.339775050521225e-13,
+                               0.473100001764403, 0.3390912045114257]))),
+)
+_TINY_SPLIT = (
+    Channel([2.360400265548452e-13, 1e-09, 0.09421152724524809, 0.31037665976176815, 0.49999999999948275],
+            [0.501546580573748, 1.5191225288573712e-07, 0.28323840179362403, 0.005863195261839453,
+             0.2093516704585358]),
+    Channel([0.0, 0.09421152724524809, 0.5], [0.9999990000009991, 9.99999000000999e-07, 9.999990000009992e-16]),
+)
+_HALF_OWNER = (
+    canonicalize([(0.15, 0.5 + 0.5e-13), (0.35, 0.5 - 0.5e-13)]),
+    canonicalize([(0.1, 0.5), (0.2, 1.5e-13), (0.3, 0.5 - 1.5e-13)]),
+)
+_TINY_PARTICLE = Channel([8.883046155402537e-13, 0.2976420922681245, 0.49999999999912814],
+                         [0.9999999992604026, 7.395964511328412e-10, 9.999999992604027e-16])
+
+
 def test_to_pstar_plan_slices_inside_a_particle_lighter_than_the_tolerance():
     # Slice 2 holds 1.4e-14 of particle 2, which weighs 1.8e-13, less than
     # _OWN_TOL: a slice inside it still takes it whole, so the plan owns the
     # particle in a segment of its own.
-    w = canonicalize([(0.0, 4.99999927e-01), (0.25, 1.40266551e-14), (0.5, 5.00000073e-01)])
-    q = canonicalize([(0.0, 4.99999927e-01), (0.25, 1.79294313e-13), (0.5, 5.00000073e-01)])
+    w, q = _LIGHT_SLICE
     assert find_degradation_witness(w, q) is not None
     plan = to_pstar_plan(w, q)
     assert (plan.indices, plan.splits) == ((1, 2), (0.0, 0.0))
@@ -320,39 +350,35 @@ def test_to_pstar_plan_a_full_entry_takes_its_particles_tail():
     # Slice 4 holds 0.4731000017643235 of particle 4, within _OWN_TOL of its
     # weight: the entry owns the particle, so the particle's 7.9e-14 tail
     # leaves slice 5 instead of starting it with a second index 4.
-    s = [1.1491006981973495e-18, 0.23057088038576617, 1 / 3, 0.39092305849631703, 0.49999999999906314]
-    w = canonicalize(list(zip(s, [0.18780879372357553, 4.0576710102492867e-13, 5.128936126436139e-19,
-                                  0.47310000176451367, 0.33909120451150504])))
-    q = canonicalize(list(zip(s, [0.18780879372353163, 4.0576710102483375e-13, 2.339775050521225e-13,
-                                  0.473100001764403, 0.3390912045114257])))
-    plan = _check_pstar_plan(w, q)
+    plan = _check_pstar_plan(*_FULL_ENTRY)
     assert (plan.indices, plan.splits) == ((1, 2, 3, 4), (0.0, 0.0, 0.0, 0.0))
+
+
+def test_to_pstar_plan_gives_a_light_particle_to_the_entry_holding_half_of_it():
+    # Particle 2 weighs 1.5e-13: slice 1 holds a third of it, slice 2 the
+    # rest.  Within min(_OWN_TOL, q_2 / 2) of q_2 means at least half, so
+    # slice 2's entry owns the particle, not slice 1's, the first entry
+    # within a flat _OWN_TOL, and slice 1 keeps particle 1 alone.
+    plan = _check_pstar_plan(*_HALF_OWNER)
+    assert (plan.indices, plan.splits) == ((1,), (0.0,))
 
 
 def test_to_pstar_plan_never_splits_off_a_segment_at_or_below_the_mass_tolerance():
     # Particle 3 weighs 9.99999e-16 <= _MASS_TOL, so the mass-balanced
     # split must not cut it off alone, an empty segment; it stays with
     # particle 2, no other segment can be cut, and the plan keeps 2.
-    w = Channel([2.360400265548452e-13, 1e-09, 0.09421152724524809, 0.31037665976176815, 0.49999999999948275],
-                [0.501546580573748, 1.5191225288573712e-07, 0.28323840179362403, 0.005863195261839453,
-                 0.2093516704585358])
-    q = Channel([0.0, 0.09421152724524809, 0.5], [0.9999990000009991, 9.99999000000999e-07, 9.999990000009992e-16])
-    plan = _check_pstar_plan(w, q)
+    plan = _check_pstar_plan(*_TINY_SPLIT)
     assert (plan.indices, plan.splits) == ((1,), (0.0,))
 
 
 def test_to_pstar_plan_of_a_channel_with_a_particle_at_or_below_the_mass_tolerance():
     # Q's own slices: the last holds particle 3, of 9.999999992604027e-16
     # <= _MASS_TOL, which joins the segment of particle 2.
-    q = Channel([8.883046155402537e-13, 0.2976420922681245, 0.49999999999912814],
-                [0.9999999992604026, 7.395964511328412e-10, 9.999999992604027e-16])
-    plan = _check_pstar_plan(q, q)
+    plan = _check_pstar_plan(_TINY_PARTICLE, _TINY_PARTICLE)
     assert (plan.indices, plan.splits) == ((1,), (0.0,))
 
 
 def test_to_pstar_plan_rejects_non_degradation():
-    from bidmc import DegradationOrderError
-
     with pytest.raises(DegradationOrderError):
         to_pstar_plan(bsc(0.05), Q3)
     # Perr(W) = 0.25 >= Perr(Q3) = 0.19, so the water level exists, but W
@@ -635,6 +661,41 @@ def test_to_pstar_plan_matches_rows_reference(m, n):
         split += len(slices) < min(w.size, m)
         checked += 1
     assert lone >= 100 and split >= 10 and checked >= 380, (lone, split, checked)
+
+
+def test_to_pstar_plan_matches_rows_reference_on_the_ownership_rules():
+    # The rows oracle states the ownership rules slice by slice.  It gives
+    # the library's plans bit for bit on the five reproducers, where the
+    # rules fire as the tests above say, and on a derandomized set of
+    # skewed pairs (both orders of each draw that is a degradation), where
+    # full-entry and lone ownership and legal_half's threshold each fire.
+    fired = Counter()
+
+    def check(w, q):
+        try:
+            plan = to_pstar_plan(w, q)
+        except DegradationOrderError:
+            return
+        segment_rows.FIRED.clear()
+        indices, splits = segment_rows.to_pstar_plan(w, q)
+        assert plan.indices == indices
+        assert [s.hex() for s in plan.splits] == [s.hex() for s in splits]
+        fired.update(rule for rule, count in segment_rows.FIRED.items() if count)
+
+    for w, q in (_LIGHT_SLICE, _FULL_ENTRY, _HALF_OWNER, _TINY_SPLIT, (_TINY_PARTICLE, _TINY_PARTICLE)):
+        check(w, q)
+    assert fired == Counter(full=2, lone=2, drop=2)
+    fired.clear()
+
+    @settings(max_examples=36)
+    @given(skewed_channels(), skewed_channels())
+    def skewed(a, b):
+        (a, _), (b, _) = a, b
+        check(a, b)
+        check(b, a)
+
+    skewed()
+    assert min(fired[rule] for rule in ("full", "lone", "legal_half")) >= 1, fired
 
 
 def test_to_pstar_plan_segment_count_is_a_floor():

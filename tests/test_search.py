@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bidmc import (
+    Channel,
     PPlusPlan,
     arikan_minus,
     arikan_plus,
@@ -533,3 +534,56 @@ def test_batch_with_an_infeasible_instance_raises(monkeypatch, safe, cuts):
     with pytest.raises(RuntimeError) as batch:
         c_optimal_degradations([safe, bad, safe], n)
     assert str(batch.value) == str(single.value) == "no feasible traceback state"
+
+
+# ROADMAP item 12's reproducer: arikan_plus(construct(random_channel(
+# instance_rng(0, 0), 16), 15, 8).records["110111101000100"].quantized),
+# with 56 particles and capacity 1 - 1.17e-12, kept as float.hex so that
+# the test does not run the construct.
+_NEAR_ONE_SIGMAS = (
+    "0x1.a5266fe91eaf1p-66", "0x1.e830000000000p-40", "0x1.83962dff23c5ap-38", "0x1.274d000000000p-36",
+    "0x1.0596a80000000p-32", "0x1.a216abab5d7ffp-31", "0x1.f85a560000000p-30", "0x1.930ba252dc657p-28",
+    "0x1.6508e39a052c2p-24", "0x1.b56470073723ep-24", "0x1.07d1dcac00000p-22", "0x1.119161eb9dedap-22",
+    "0x1.a5a7850c7ee6fp-21", "0x1.aff69bc3f5d71p-21", "0x1.3fda932005cdcp-19", "0x1.3fda9ca200000p-19",
+    "0x1.967b171a5fa36p-18", "0x1.d9ae136060000p-18", "0x1.7583f5722a3aep-17", "0x1.75f6ea1708000p-16",
+    "0x1.1e30749fc0267p-15", "0x1.1e86d85734000p-14", "0x1.680c99de56de1p-14", "0x1.c3dc03e815fbcp-14",
+    "0x1.13d42e58c4232p-12", "0x1.4e8419d098912p-12", "0x1.4e8423c144800p-12", "0x1.b34955ce13e36p-11",
+    "0x1.ef160a5dec800p-11", "0x1.fb2dbc3c23000p-11", "0x1.3e962b7f22ebdp-10", "0x1.41ca7558a1feep-9",
+    "0x1.41ca7ee346500p-9", "0x1.86134f496a800p-9", "0x1.e6fe827da6332p-9", "0x1.da443a9ffb500p-8",
+    "0x1.e5c69c711d980p-8", "0x1.290f19c39ca80p-7", "0x1.724e0636e1950p-7", "0x1.7d6c6b4eae594p-7",
+    "0x1.70acfbe4e2e00p-6", "0x1.1420267015665p-5", "0x1.14202e5e6cf80p-5", "0x1.1d65420ac919bp-5",
+    "0x1.0df1d74659ae8p-4", "0x1.7f8f3de7cae90p-4", "0x1.8b9cbcd6c067ep-4", "0x1.8b9cc77662f60p-4",
+    "0x1.a320fb6c03e82p-4", "0x1.d625d3e144548p-4", "0x1.ec8b6d1c58e18p-3", "0x1.f7d3a90316e1cp-3",
+    "0x1.0276c9632ae7fp-2", "0x1.0276cf218344ep-2", "0x1.fffff863facd0p-2", "0x1.0000000000000p-1",
+)
+_NEAR_ONE_WEIGHTS = (
+    "0x1.fffffff75e7dfp-1", "0x1.dda0aef40aba6p-34", "0x1.abc84ec9257a9p-33", "0x1.b3a5aa02d23fdp-32",
+    "0x1.179f8ee2c637cp-33", "0x1.6486b70a7bcb5p-39", "0x1.452074c85b102p-33", "0x1.3e1298f2ef7a4p-42",
+    "0x1.17b4ad5dfe0adp-44", "0x1.e35bc33317e12p-45", "0x1.ca75f1f88b342p-36", "0x1.2f5db7cb292c9p-47",
+    "0x1.af39badf45e90p-47", "0x1.faee923a2b438p-50", "0x1.c8d8e2c62b505p-44", "0x1.c8d8dbfbffa9dp-44",
+    "0x1.80b79825bcecep-51", "0x1.564ed2154ed79p-51", "0x1.7b36b44bd024fp-49", "0x1.0378a1a094f59p-50",
+    "0x1.9b4cfed4e67d8p-52", "0x1.383d814b887cbp-49", "0x1.5256a122d8bd1p-52", "0x1.57abf9507ec54p-54",
+    "0x1.6f05ff69b965bp-55", "0x1.35c836b9ce54ep-48", "0x1.35c8321febfc2p-48", "0x1.32d38a61ea98bp-57",
+    "0x1.d084703e562ffp-56", "0x1.9130252e6bfb8p-51", "0x1.29dd0a4980354p-55", "0x1.14f641c946d7ap-51",
+    "0x1.14f63db0afb50p-51", "0x1.60d19b84423f0p-55", "0x1.43ded074b854dp-57", "0x1.a10afd68d9e7fp-59",
+    "0x1.d580bb8533348p-51", "0x1.ab29559440609p-54", "0x1.61f620ad92c77p-61", "0x1.10c45bd7ee8bcp-59",
+    "0x1.410d7d9869f24p-58", "0x1.f6dca12349b58p-54", "0x1.f6dc9a2b03d92p-54", "0x1.2ef376be83367p-62",
+    "0x1.944745600c30bp-57", "0x1.91b33c5cda37ep-61", "0x1.23adf232fa7afp-56", "0x1.23adeeb3971cfp-56",
+    "0x1.1026175c205b6p-65", "0x1.32eb8ae6beebep-55", "0x1.03f635acb651dp-63", "0x1.6e0453365e914p-60",
+    "0x1.267f0f0b1dfc8p-58", "0x1.267f0ce0453fcp-58", "0x1.8cd2832424692p-53", "0x1.49b8933d3702ap-40",
+)
+
+
+@pytest.mark.xfail(raises=RuntimeError, strict=True, reason="ROADMAP item 12(a): no feasible traceback state")
+def test_the_pruned_dp_gives_the_unpruned_plan_within_1e_12_of_capacity_1():
+    # Every group after the first adds 1e-16 to 1e-10 of mass times 1 - h
+    # to a sum near 1, so the pruned DP's candidates tie in float, and the
+    # traceback strands every state at the last stage: the pruned call
+    # raises.  The unpruned run gives (2, 5, 7, 23, 32, 39, 44), whose
+    # windows fail; item 12(a), a new DP objective, should change both.
+    q = Channel([float.fromhex(h) for h in _NEAR_ONE_SIGMAS], [float.fromhex(h) for h in _NEAR_ONE_WEIGHTS])
+    assert q.size == 56 and 1.0 - capacity(q) == pytest.approx(1.17e-12, rel=1e-2)
+    unpruned, _ = c_optimal_degradation(q, 8, pruning=False)
+    plan, _ = c_optimal_degradation(q, 8)
+    assert is_c_degradation(plan)
+    assert plan.cuts == unpruned.cuts

@@ -33,7 +33,8 @@ import numpy as np
 from .channel import Channel, canonicalize, error_probability
 
 WITNESS_TOL = 1e-9
-# Remaining masses at or below this are spent, so quantile edges increase.
+# Remaining masses at or below this are spent, so quantile edges increase;
+# refine drops segment entries of this mass or less by the same threshold.
 _DUST = 1e-15
 
 

@@ -29,7 +29,6 @@ import sys
 from . import experiments
 from .blackwell import find_degradation_witness, risk_dominates
 from .channel import (
-    Channel,
     capacity,
     capacity_loss_rate,
     error_probability,
@@ -90,14 +89,6 @@ def _seed(args) -> int:
         raise ValidationError(f"BIDMC_SEED must be an integer, got {env!r}") from None
 
 
-def _optimal_plan(q: Channel, n: int, pruning: bool):
-    # The report prints the table's counters, which dp_tables builds in one
-    # DP run; c_optimal_degradation gives the plan and capacity only.
-    if n >= q.size:
-        return PPlusPlan(q, tuple(range(2, q.size + 1))), None
-    return dp_tables([q], n, pruning)[0]
-
-
 # ----------------------------------------------------------------------
 # analyze
 
@@ -143,27 +134,24 @@ def cmd_degrade(args) -> list:
         raise ValidationError("--n is required for this method")
     if n is not None:
         _check_n(n, m, 2)
-    evaluations = None
-    pruned_states = None
+    table = None
     if args.method == "mean":
         from .blackwell import mean_degradation
 
         plan = PPlusPlan(chan, ())
         degraded = mean_degradation(chan)
-    elif args.method == "opt":
-        plan, table = _optimal_plan(chan, n, pruning=args.pruning == "on")
+    else:
+        if args.method != "opt":
+            plan = tv_greedy_plan(chan, n)
+            plan = refine_cuts(plan) if args.method == "tv-star" else plan
+        elif n < m:
+            # The report prints the table's counters, which dp_tables builds
+            # in one DP run; c_optimal_degradation gives the plan and
+            # capacity only.
+            plan, table = dp_tables([chan], n, args.pruning == "on")[0]
+        else:
+            plan = PPlusPlan(chan, tuple(range(2, m + 1)))
         degraded = realize_pplus(plan)
-        if table is not None:
-            evaluations = table.evaluations
-            pruned_states = table.pruned_states
-    elif args.method == "tv":
-        plan = tv_greedy_plan(chan, n)
-        degraded = realize_pplus(plan)
-    elif args.method == "tv-star":
-        plan = refine_cuts(tv_greedy_plan(chan, n))
-        degraded = realize_pplus(plan)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown method {args.method}")
 
     cap_w = capacity(degraded)
     clr = capacity_loss_rate(capacity(chan), cap_w)
@@ -181,8 +169,8 @@ def cmd_degrade(args) -> list:
         "cuts": list(plan.cuts),
         "capacity": cap_w,
         "clr": clr,
-        "evaluations": evaluations,
-        "pruned_states": pruned_states,
+        "evaluations": None if table is None else table.evaluations,
+        "pruned_states": None if table is None else table.pruned_states,
         "channel": channel_to_json_dict(degraded),
     }
     outputs = []

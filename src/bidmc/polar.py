@@ -238,11 +238,9 @@ def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
         fits = [e is not None and 0 < e.sizes[0] and e.sizes[0] ** 2 + 1 <= 4 * guard for e in exact]
         exact = [_transforms(e, bit, guard) if ok else None for e, ok in zip(exact, fits) for bit in "01"]
         exacts = [None if e is None else _channels(e)[0] for e in exact]
-        # Only the branches without an exact channel read their transform's capacity.
-        bare = [k for k, e in enumerate(exacts) if e is None]
-        ref_caps = dict(zip(bare, _capacities(_rows(refs, bare))))
-        caps = _capacities(quantized)
-        for k, (child, chan, e) in enumerate(zip(level, _channels(quantized), exacts)):
-            ref = ref_caps[k] if e is None else _capacities(exact[k])[0]
-            records[child] = BranchRecord(child, e, chan, capacity_loss_rate(ref, caps[k]), e is not None)
+        # A branch without an exact channel reads its transform's capacity.
+        caps = zip(_capacities(refs), _capacities(quantized))
+        for k, (child, chan, e, (ref, cap)) in enumerate(zip(level, _channels(quantized), exacts, caps)):
+            ref = ref if e is None else _capacities(exact[k])[0]
+            records[child] = BranchRecord(child, e, chan, capacity_loss_rate(ref, cap), e is not None)
     return ConstructionRun(base, n, depth, records)

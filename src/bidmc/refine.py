@@ -34,7 +34,7 @@ set that provably contains every capacity-optimal degradation.
 Segment plans have one array layout: the *entries* of all segments in order,
 each a source particle (0-indexed) and the mass taken from it, where a split
 particle gives its tail q_i - s_j to one segment and its head s_j to the
-next and masses <= _MASS_TOL are dropped, plus the bounds: segment j is
+next and masses <= _DUST are dropped, plus the bounds: segment j is
 entries bounds[j]:bounds[j+1].  ``_group_stats``, the one group-statistics
 function of cut and segment plans, reads their masses and means off it.
 """
@@ -57,7 +57,6 @@ from .channel import Channel, _canonicalize_stack, _channels, _Stack, _stack, ca
 # thresholds beyond a boundary by more than this.
 PHI_STRICT_TOL = 1e-12
 
-_MASS_TOL = 1e-15
 # A segment entry within this of its particle's weight owns the particle;
 # within half the weight for a particle lighter than twice this, so that an
 # entry short of half a light particle is a part of it.
@@ -233,9 +232,9 @@ class PStarPlan:
         for l, i in enumerate(idx):
             if not (prev < i <= m):
                 raise InvalidPlanError(f"index {i} outside ({prev}, {m}]")
-            if not (-_MASS_TOL <= spl[l] <= q[i - 1] + _MASS_TOL):
+            if not (-_DUST <= spl[l] <= q[i - 1] + _DUST):
                 raise InvalidPlanError(f"split {spl[l]} outside [0, q_{i}]")
-            if spl[l] >= q[i - 1] - _MASS_TOL and i - 1 > prev:
+            if spl[l] >= q[i - 1] - _DUST and i - 1 > prev:
                 idx[l], spl[l] = i - 1, 0.0
             prev = idx[l]
         object.__setattr__(self, "indices", tuple(idx))
@@ -244,12 +243,12 @@ class PStarPlan:
         part, mass, bounds = [], [], [0]
         lo, head = 0, 0.0
         for hi, split in zip(idx + [m + 1], spl + [0.0]):
-            if head > _MASS_TOL:
+            if head > _DUST:
                 part.append(lo - 1)
                 mass.append(head)
             part += range(lo, hi - 1)
             mass += q[lo : hi - 1]
-            if hi <= m and q[hi - 1] - split > _MASS_TOL:
+            if hi <= m and q[hi - 1] - split > _DUST:
                 part.append(hi - 1)
                 mass.append(q[hi - 1] - split)
             if len(part) == bounds[-1]:
@@ -260,7 +259,7 @@ class PStarPlan:
             lo, head = hi, split
         part, mass, bounds = np.array(part), np.array(mass), np.array(bounds)
         masses, means = _group_stats(mass, self.source.sigmas[part], bounds[:-1], bounds[1:])
-        if masses.min() <= _MASS_TOL:
+        if masses.min() <= _DUST:
             raise InvalidPlanError("empty segment")
         if np.count_nonzero(means[1:] <= means[:-1]):
             raise InvalidPlanError("segment means must be strictly increasing")
@@ -403,7 +402,7 @@ def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
     The plan has at least min(W's size, Q's size) segments.  When the
     slices give fewer, mass-balanced splitting of the heaviest segment adds
     more, which only refines the realization further; when they give more,
-    the plan keeps them all.  A particle of _MASS_TOL or less joins a
+    the plan keeps them all.  A particle of _DUST or less joins a
     neighbouring segment (``PStarPlan`` would reject it alone as empty),
     so where only such a particle could be split off the plan has fewer.
 
@@ -421,10 +420,10 @@ def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
     # particle i (part.size for none): its first entry of at least
     # whole[i], else the one entry left in a slice that is part of it.  An
     # owner takes the particle's whole weight, and its other entries leave
-    # their slices; so does an owner of _MASS_TOL or less, whose particle
+    # their slices; so does an owner of _DUST or less, whose particle
     # PStarPlan then puts in a neighbouring segment.
     whole = qw - np.minimum(_OWN_TOL, qw / 2.0)
-    seg, part = np.nonzero(take.T > _MASS_TOL)
+    seg, part = np.nonzero(take.T > _DUST)
     mass = take[part, seg]
     entry = np.arange(part.size)
     owner = np.full(q.size, part.size)
@@ -437,7 +436,7 @@ def to_pstar_plan(w: Channel, q: Channel) -> PStarPlan:
         if not lone.any():
             break
     mass = np.where(kept, mass, qw[part])
-    keep = (kept | holds) & (mass > _MASS_TOL)
+    keep = (kept | holds) & (mass > _DUST)
     seg, part, mass = seg[keep], part[keep], mass[keep]
     bounds = np.append(np.flatnonzero(np.append(True, seg[1:] != seg[:-1])), part.size)
 

@@ -82,7 +82,7 @@ def pplus_as_pstar(plan: PPlusPlan) -> PStarPlan:
     """Encode a cut plan in segment-plan form (all splits zero).
 
     Known limit: ``PStarPlan``'s canonical rewrite leaves particles of
-    weight <= ``refine._MASS_TOL`` (1e-15) out of a segment's end.  A group
+    weight <= ``blackwell._DUST`` (1e-15) out of a segment's end.  A group
     that is one such particle raises ``InvalidPlanError("empty segment")``,
     and one that ends a longer group lands in the next segment, so the
     segments are not the cut plan's groups.  On weights 0.5, 1e-20, 0.5,

@@ -473,6 +473,26 @@ def test_degrade_pruning_off_reports_the_unpruned_dp(tmp_path, capsys):
     assert full["pruned_states"] == 0
 
 
+@pytest.mark.parametrize(
+    "method, n", [("tv", "4"), ("tv-star", "4"), ("mean", None), ("opt", "16"), ("opt", "4")]
+)
+def test_degrade_prints_the_dp_counters_only_for_opt_below_m(method, n, tmp_path, capsys):
+    # Only opt with n < m runs the DP, and its report prints the counters of
+    # dp_tables([q], n, True); every other method, and opt at n = m (the
+    # identity plan), prints null for both.
+    q = random_channel(instance_rng(19, 0), 16)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(channel_to_json_dict(q)))
+    code, out, _ = run_cli(["degrade", str(path), "--method", method, *(["--n", n] if n else [])], capsys)
+    assert code == 0
+    report = json.loads(out)
+    expected = [None, None]
+    if method == "opt" and int(n) < q.size:
+        table = dp_tables([q], int(n), True)[0][1]
+        expected = [table.evaluations, table.pruned_states]
+    assert [report["evaluations"], report["pruned_states"]] == expected
+
+
 def test_degrade_mean_method(q3_file, capsys):
     code, out, _ = run_cli(["degrade", q3_file, "--method", "mean"], capsys)
     assert code == 0

@@ -90,6 +90,17 @@ def test_the_capacity_term_lives_in_channel_alone():
     assert _functions_calling("arctanh") == {("channel.py", "_capacity_term")}
 
 
+def test_one_dust_threshold():
+    # blackwell._DUST is the one mass at or below which a remainder is
+    # spent and a segment entry dropped: one module-level assignment of
+    # 1e-15, which refine imports, and no second name for it.
+    def assigns_1e_15(node):
+        return isinstance(node, (ast.Assign, ast.AnnAssign)) and getattr(node.value, "value", None) == 1e-15
+
+    assert [(module, scope) for module, scope, node in _nodes() if assigns_1e_15(node)] == [("blackwell.py", "")]
+    assert _scopes(lambda node: _name(node) == "_MASS_TOL") == set()
+
+
 def test_one_canonicalize_path_and_one_map():
     # Raw pairs are cleaned and merged only inside channel._canonicalize_stack,
     # so the merge's scalar hand-off has one caller; and no library code maps

@@ -5,7 +5,6 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from bidmc import (
     Channel,
@@ -43,7 +42,7 @@ import segment_rows
 from boundary_shift import _boundary_shift_gain
 from channel_helpers import equivalent
 from degradation_helpers import pplus_as_pstar
-from skewed_channels import skewed_channels
+from skewed_channels import seeded_skewed_channels
 
 Q3 = canonicalize([(0.1, 0.5), (0.2, 0.3), (0.4, 0.2)])
 
@@ -198,7 +197,7 @@ def test_plan_witness_satisfies_equality():
         assert np.allclose(wit.entries.sum(axis=1), q.weights, atol=1e-12)
 
 
-# Weights at or below _MASS_TOL at a group's end: the segment form of some
+# Weights at or below _DUST at a group's end: the segment form of some
 # cut plans of this channel drops them and rejects the group as empty.
 TINY_WEIGHTS = canonicalize([(0.1, 0.5), (0.2, 1e-20), (0.3, 0.5), (0.4, 1e-300)])
 
@@ -364,7 +363,7 @@ def test_to_pstar_plan_gives_a_light_particle_to_the_entry_holding_half_of_it():
 
 
 def test_to_pstar_plan_never_splits_off_a_segment_at_or_below_the_mass_tolerance():
-    # Particle 3 weighs 9.99999e-16 <= _MASS_TOL, so the mass-balanced
+    # Particle 3 weighs 9.99999e-16 <= _DUST, so the mass-balanced
     # split must not cut it off alone, an empty segment; it stays with
     # particle 2, no other segment can be cut, and the plan keeps 2.
     plan = _check_pstar_plan(*_TINY_SPLIT)
@@ -373,7 +372,7 @@ def test_to_pstar_plan_never_splits_off_a_segment_at_or_below_the_mass_tolerance
 
 def test_to_pstar_plan_of_a_channel_with_a_particle_at_or_below_the_mass_tolerance():
     # Q's own slices: the last holds particle 3, of 9.999999992604027e-16
-    # <= _MASS_TOL, which joins the segment of particle 2.
+    # <= _DUST, which joins the segment of particle 2.
     plan = _check_pstar_plan(_TINY_PARTICLE, _TINY_PARTICLE)
     assert (plan.indices, plan.splits) == ((1,), (0.0,))
 
@@ -589,7 +588,7 @@ def test_no_strict_upgrade_by_two_pattern_adjustments():
 
 
 def _edge_split(rng, qi):
-    """A split of 0, the full weight, an interior value or one within _MASS_TOL of an end."""
+    """A split of 0, the full weight, an interior value or one within _DUST of an end."""
     options = (0.0, qi, float(rng.uniform(0.0, qi)), 4e-16, -4e-16, qi - 4e-16, qi + 4e-16)
     return options[int(rng.integers(len(options)))]
 
@@ -666,9 +665,10 @@ def test_to_pstar_plan_matches_rows_reference(m, n):
 def test_to_pstar_plan_matches_rows_reference_on_the_ownership_rules():
     # The rows oracle states the ownership rules slice by slice.  It gives
     # the library's plans bit for bit on the five reproducers, where the
-    # rules fire as the tests above say, and on a derandomized set of
-    # skewed pairs (both orders of each draw that is a degradation), where
-    # full-entry and lone ownership and legal_half's threshold each fire.
+    # rules fire as the tests above say, and on a seeded set of 400 skewed
+    # pairs (both orders of each pair that is a degradation, 315 of 800),
+    # where full-entry ownership, lone ownership and legal_half's threshold
+    # each fire (in 13, 306 and 12 of them).
     fired = Counter()
 
     def check(w, q):
@@ -687,14 +687,10 @@ def test_to_pstar_plan_matches_rows_reference_on_the_ownership_rules():
     assert fired == Counter(full=2, lone=2, drop=2)
     fired.clear()
 
-    @settings(max_examples=36)
-    @given(skewed_channels(), skewed_channels())
-    def skewed(a, b):
-        (a, _), (b, _) = a, b
+    channels = seeded_skewed_channels(0, 800)
+    for a, b in zip(channels[::2], channels[1::2]):
         check(a, b)
         check(b, a)
-
-    skewed()
     assert min(fired[rule] for rule in ("full", "lone", "legal_half")) >= 1, fired
 
 

@@ -72,7 +72,7 @@ class OracleMismatch(Exception):
 def _report(args, data: dict, csv_rows=None, csv_fields=None) -> tuple[str | None, str]:
     """The report's (path, text): the CSV rows with ``--format csv``, else
     the JSON of ``data`` and the seed."""
-    if args.format == "csv" and csv_rows is not None:
+    if csv_rows is not None and args.format == "csv":
         buf = _io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=csv_fields or list(csv_rows[0].keys()))
         writer.writeheader()
@@ -155,7 +155,7 @@ def cmd_degrade(args) -> list:
 
     cap_w = capacity(degraded)
     clr = capacity_loss_rate(capacity(chan), cap_w)
-    if args.oracle and args.method != "mean" and n is not None and n < m:
+    if args.oracle and args.method != "mean" and n < m:
         if math.comb(m - 1, n - 1) > BRUTE_FORCE_GUARD:
             raise ValidationError("oracle infeasible: brute-force guard exceeded")
         _, best_cap = brute_force_c_optimal(chan, n)
@@ -271,7 +271,7 @@ def cmd_experiment(args) -> list:
 # polar
 
 
-def _check_quantizer(n: int, depth: int = 1) -> None:
+def _check_quantizer(n: int, depth: int) -> None:
     if n < 2:
         raise ValidationError(f"--n must be >= 2, got {n}")
     if depth < 1:
@@ -311,14 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "csv")):
+    def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed (BIDMC_SEED overrides)")
-        p.add_argument("--format", choices=list(formats), default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("analyze", help="capacity, error probability and LR-profile of a channel file")
     p.add_argument("channel")
-    common(p, formats=("json",))
+    common(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("degrade", help="reduce a channel to n particles")
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pruning", choices=["on", "off"], default="on")
     p.add_argument("--emit-witness", default=None, help="write the plan's equality witness JSON here")
     p.add_argument("--output-channel", default=None, help="write the degraded channel here")
-    common(p, formats=("json",))
+    common(p)
     p.set_defaults(fn=cmd_degrade)
 
     p = sub.add_parser("enumerate", help="all C-degradation cut plans, best capacity first")
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("degraded")
     p.add_argument("source")
     p.add_argument("--emit-witness", default=None)
-    common(p, formats=("json",))
+    common(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("experiment", help="seeded ensemble tables")
@@ -363,6 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_polar)
 
+    # Only these commands have a CSV report.
+    for p in map(sub.choices.get, ("enumerate", "experiment", "polar")):
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     # Every command but experiment has an independent oracle to check against.
     for p in map(sub.choices.get, ("analyze", "degrade", "enumerate", "check", "polar")):
         p.add_argument("--oracle", action="store_true", help="cross-check against the independent oracle")

@@ -158,7 +158,10 @@ class BranchRecord:
     exact: Channel | None
     quantized: Channel
     clr: float
-    exact_reference: bool
+
+    @property
+    def exact_reference(self) -> bool:
+        return self.exact is not None
 
     @property
     def exact_size(self) -> int | None:
@@ -178,9 +181,6 @@ class BranchRecord:
 class ConstructionRun:
     """All branch records of a degrade-then-transform experiment."""
 
-    base: Channel
-    quantizer_size: int
-    depth: int
     records: dict[str, BranchRecord]
 
 
@@ -212,21 +212,20 @@ def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
     sigma sort proves more particles than the guard, before the weight
     order and the merge.  The early stop is exact: the proof is a
     lower bound on the merged size, so a dropped transform is one the
-    guard would have discarded after merging.
+    guard would have discarded after merging.  The level holds a dropped
+    transform as None, the one form of an untracked exact branch.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if n < 2:
         raise ValueError("quantizer size must be >= 2")
-    records: dict[str, BranchRecord] = {
-        "": BranchRecord("", base, base, 0.0, True)
-    }
+    records: dict[str, BranchRecord] = {"": BranchRecord("", base, base, 0.0)}
     level = [""]
     quantized = _stack([base])
-    exact: list[_Stack | None] = [quantized]  # untracked: None or size 0
+    exact: list[_Stack | None] = [quantized]
     for _ in range(depth):
         level = [alpha + bit for alpha in level for bit in ("0", "1")]
-        refs = quantized = _transforms(_rows(quantized, np.arange(len(level)) // 2), "01" * len(exact))
+        refs = quantized = _transforms(_rows(quantized, np.arange(len(level)) // 2), "01" * (len(level) // 2))
         large = np.flatnonzero(refs.sizes > n)
         if large.size:
             found = _rows(refs, large)
@@ -235,12 +234,13 @@ def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
         # bound, so attempt within a small over-budget and keep the result
         # only if it actually fits.
         guard = EXACT_SIZE_GUARD
-        fits = [e is not None and 0 < e.sizes[0] and e.sizes[0] ** 2 + 1 <= 4 * guard for e in exact]
-        exact = [_transforms(e, bit, guard) if ok else None for e, ok in zip(exact, fits) for bit in "01"]
-        exacts = [None if e is None else _channels(e)[0] for e in exact]
+        fits = [e is not None and e.sizes[0] ** 2 + 1 <= 4 * guard for e in exact]
+        made = [_transforms(e, bit, guard) if ok else None for e, ok in zip(exact, fits) for bit in "01"]
+        exact = [None if e is None or e.sizes[0] == 0 else e for e in made]  # size 0: over the guard
         # A branch without an exact channel reads its transform's capacity.
         caps = zip(_capacities(refs), _capacities(quantized))
-        for k, (child, chan, e, (ref, cap)) in enumerate(zip(level, _channels(quantized), exacts, caps)):
-            ref = ref if e is None else _capacities(exact[k])[0]
-            records[child] = BranchRecord(child, e, chan, capacity_loss_rate(ref, cap), e is not None)
-    return ConstructionRun(base, n, depth, records)
+        for child, chan, e, (ref, cap) in zip(level, _channels(quantized), exact, caps):
+            if e is not None:
+                ref, e = _capacities(e)[0], _channels(e)[0]
+            records[child] = BranchRecord(child, e, chan, capacity_loss_rate(ref, cap))
+    return ConstructionRun(records)

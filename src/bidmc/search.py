@@ -485,10 +485,11 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     every row, each instance's own rows live; the last runs over rows
     min(sizes) - 1 onwards, and each instance keeps its row sizes[k] - 1.
     Returns each channel's cuts (B, n - 1) and capacity (B,); the stage
-    arrays (values, decisions, pruned flags), each (B, size) before the
-    last stage and (B, 1) at it, with the (B,) counters (counted by the
-    pruned kernel, in closed form without ``pruning``); and the segments
-    (``_segments``) the run read.
+    arrays (values, decisions; a pruned state is one whose decision is
+    negative), each (B, size) before the last stage and (B, 1) at it, with
+    the (B,) counters (counted as the stages run with ``pruning``, in
+    closed form without it); and the segments (``_segments``) the run
+    read.
     """
     w, s, m = stack
     sizes = m - n + 1
@@ -504,8 +505,7 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     s_prev = np.where(live, band[:, :, 0], np.nan)
     values = [s_prev]
     decisions = [np.full(s_prev.shape, -1, dtype=np.int64)]
-    pruned = [np.zeros(s_prev.shape, dtype=bool)]
-    evaluations = np.zeros(len(m), dtype=np.int64)
+    evaluations, pruned_states = np.zeros((2, len(m)), dtype=np.int64)
     # Mean crossover of each state's last group, per its stored decision
     # (read by the window tests only).
     eps_prev = means[:, :, 0]
@@ -516,9 +516,9 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
             s_prev, dec = s_prev[own][:, None], dec[own][:, None]
         dead = dec < 0
         evaluations += count
+        pruned_states += dead.sum(axis=1)
         values.append(s_prev)
         decisions.append(dec)
-        pruned.append(dead)
         if pruning and stage < n:
             b = np.maximum(dec, 0)  # a dead state reads any group, then NaN
             eps_prev = np.where(dead, np.nan, means[inst[:, None], offsets - b, stage - 1 + b])
@@ -527,7 +527,7 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     if pruning:
         # Padding rows are dead in each of the n - 2 stages between the
         # first and the last.
-        pruned_states = np.hstack(pruned[1:]).sum(axis=1) - (n - 2) * (size - sizes)
+        pruned_states -= (n - 2) * (size - sizes)
     else:
         evaluations, pruned_states = _unpruned_evaluations(m, n), np.zeros_like(m)
 
@@ -536,7 +536,7 @@ def _dp_run(stack: _Stack, n: int, pruning: bool) -> tuple:
     for stage in range(n, 1, -1):
         row = decisions[stage - 1][inst, row]
         cuts[:, stage - 2] = stage + row  # group `stage` starts after state (stage - 1, row)
-    stages = (values, decisions, pruned, evaluations, pruned_states)
+    stages = (values, decisions, evaluations, pruned_states)
     return cuts, s_prev[:, 0], stages, seg
 
 

@@ -18,19 +18,20 @@ def dp_stage_tables(qs, n, pruning):
     ``values[j]`` holds S_{j+1} over band offsets (i = j + 1 + offset for
     stages before the last, a single entry for the last); NaN marks states
     never computed.  ``decisions[j]`` holds the chosen previous band offset,
-    -1 where unavailable.  ``pruned[j]`` flags skipped states.
+    -1 where unavailable.  ``pruned[j]`` flags skipped states: those with
+    no decision, past stage 1.
     """
     out = []
     qs = list(qs)
     for rows, stack in search._chunks(_stack(qs), n):
         cuts, caps, stages, _ = search._dp_run(stack, n, pruning)
-        values, decisions, pruned, evaluations, pruned_states = stages
+        values, decisions, evaluations, pruned_states = stages
         for k, q in enumerate(qs[rows]):
             own = slice(0, q.size - n + 1)  # each stage's own states; the last has one
             table = SimpleNamespace(
                 values=[v[k, own] for v in values],
                 decisions=[d[k, own] for d in decisions],
-                pruned=[p[k, own] for p in pruned],
+                pruned=[(d[k, own] < 0) & (j > 0) for j, d in enumerate(decisions)],
                 evaluations=int(evaluations[k]),
                 pruned_states=int(pruned_states[k]),
                 capacity=float(caps[k]),

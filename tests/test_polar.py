@@ -195,7 +195,7 @@ def test_construct_skewed_chains_complete(seed, index, n):
 def _construct_per_branch(base, depth, n):
     """Records of the breadth-first construction that quantizes each branch
     with its own c_optimal_degradation call."""
-    records = {"": BranchRecord("", base, base, 0.0, True)}
+    records = {"": BranchRecord("", base, base, 0.0)}
     frontier = [""]
     for _ in range(depth):
         nxt = []
@@ -215,7 +215,7 @@ def _construct_per_branch(base, depth, n):
                         exact = None
                 reference = exact if exact is not None else quant_ref
                 clr = capacity_loss_rate(capacity(reference), capacity(quantized))
-                records[child] = BranchRecord(child, exact, quantized, clr, exact is not None)
+                records[child] = BranchRecord(child, exact, quantized, clr)
                 nxt.append(child)
         frontier = nxt
     return records

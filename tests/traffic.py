@@ -7,9 +7,12 @@ table among them, in one process), then each workload of
 ``benchmarks/workloads.py`` (read, never changed) on seeds 0 and 1: its
 inputs, ops and checks.  It prints, per module, each outermost statement
 inside a function body that ran in none of them, a function that no caller
-called as its ``def`` line, then the total.  Tests are not callers, so what
-it lists is reached from the tests alone, or from nothing.  Module and
-class bodies run at import and are left out.
+called as its ``def`` line, then the total.  From the line arcs of the same
+run it then prints, per module, each ``if`` whose test ran but went the
+same way every time, with the side it took ("always" into the body, or
+"never"), then the counts.  Tests are not callers, so what it lists is
+reached from the tests alone, or from nothing.  Module and class bodies
+run at import and are left out.
 
 Run as ``python tests/traffic.py`` from the repository root: ``OPS`` ops
 per workload and seed (a tenth of them for ``polar-chain``) on ``SEEDS``.
@@ -32,26 +35,50 @@ OPS = 80
 SEEDS = (0, 1)
 
 
-def trace(run, root: Path) -> dict[str, set[int]]:
+def arcs(run, root: Path) -> dict[str, set[tuple[int, int]]]:
     """Run ``run()`` under ``sys.settrace`` and return, per source file
-    under ``root``, the line numbers it executed."""
-    hits: dict[str, set[int]] = defaultdict(set)
+    under ``root``, the line arcs it took: (from, to) pairs of line
+    numbers, 0 standing for a frame's entry or exit.  An exception in a
+    frame makes the frame's next arc start at 0, so no arc leaves a line
+    that raised."""
+    taken: dict[str, set[tuple[int, int]]] = defaultdict(set)
     prefix = str(root)
 
-    def local(frame, event, arg):
-        if event == "line":
-            hits[frame.f_code.co_filename].add(frame.f_lineno)
-        return local
-
     def call(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(prefix) else None
+        if not frame.f_code.co_filename.startswith(prefix):
+            return None
+        found, prev = taken[frame.f_code.co_filename], 0
+
+        def local(frame, event, arg):
+            nonlocal prev
+            if event == "line":
+                found.add((prev, frame.f_lineno))
+                prev = frame.f_lineno
+            elif event == "return":
+                found.add((prev, 0))
+            elif event == "exception":
+                prev = 0
+            return local
+
+        return local
 
     sys.settrace(call)
     try:
         run()
     finally:
         sys.settrace(None)
-    return hits
+    return taken
+
+
+def lines(taken: dict[str, set[tuple[int, int]]]) -> dict[str, set[int]]:
+    """The line numbers executed, per file, from its arcs."""
+    return defaultdict(set, {path: {to for _, to in pairs if to} for path, pairs in taken.items()})
+
+
+def trace(run, root: Path) -> dict[str, set[int]]:
+    """Run ``run()`` under ``sys.settrace`` and return, per source file
+    under ``root``, the line numbers it executed."""
+    return lines(arcs(run, root))
 
 
 def _children(stmt: ast.stmt) -> list[ast.stmt]:
@@ -103,6 +130,28 @@ def unexecuted(source: str, hit: set[int]) -> list[tuple[int, int]]:
             else:
                 walk(body)
     return sorted(set(spans))
+
+
+def one_way(source: str, pairs: set[tuple[int, int]]) -> list[tuple[int, bool]]:
+    """(line, taken) for each ``if`` statement of ``source`` whose test ran
+    and always went one way, given the arcs ``pairs``: taken is True when
+    every arc out of the test entered the body, False when none did.  An
+    arc leaves the test from one of its lines for a line outside them; it
+    enters the body when it lands within the body's lines.  An ``if`` whose
+    body shares a line with its test is left out, and so is one whose test
+    never ran, which ``unexecuted`` lists."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.If):
+            continue
+        test = range(node.lineno, node.test.end_lineno + 1)
+        body = range(node.body[0].lineno, node.body[-1].end_lineno + 1)
+        if body.start in test:
+            continue
+        out = {to in body for start, to in pairs if start in test and to not in test}
+        if len(out) == 1:
+            found.append((node.lineno, out.pop()))
+    return sorted(found)
 
 
 def _channel_files(folder: Path) -> dict[str, str]:
@@ -189,17 +238,28 @@ def run_workloads() -> None:
 
 def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
-    hits = trace(lambda: (run_cli(), run_workloads()), LIBRARY)
+    taken = arcs(lambda: (run_cli(), run_workloads()), LIBRARY)
+    hits = lines(taken)
+    paths = sorted(LIBRARY.rglob("*.py"))
     total = 0
-    for path in sorted(LIBRARY.rglob("*.py")):
-        lines = path.read_text().splitlines()
+    for path in paths:
+        text = path.read_text().splitlines()
         spans = unexecuted(path.read_text(), hits[str(path)])
         total += len(spans)
         print(f"{path.relative_to(ROOT)}: {len(spans)}")
         for first, last in spans:
             where = f"{first}" if first == last else f"{first}-{last}"
-            print(f"  {where:>9}  {lines[first - 1].strip()}")
+            print(f"  {where:>9}  {text[first - 1].strip()}")
     print(f"{total} statements or functions that no caller ran")
+    sides = {True: 0, False: 0}
+    for path in paths:
+        text = path.read_text().splitlines()
+        tests = one_way(path.read_text(), taken[str(path)])
+        print(f"{path.relative_to(ROOT)}: {len(tests)} one-way if tests")
+        for line, side in tests:
+            sides[side] += 1
+            print(f"  {line:>9}  {'always' if side else 'never '}  {text[line - 1].strip()}")
+    print(f"{sides[False] + sides[True]} if tests that went one way: {sides[False]} never taken, {sides[True]} always taken")
 
 
 if __name__ == "__main__":

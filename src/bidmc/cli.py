@@ -11,7 +11,8 @@ the seed it was produced with; a fixed configuration reproduces
 bit-identical output.
 
 ``main`` is the one read-compute-write step: it resolves the seed and
-checks every output path, then runs the command, which returns its
+checks every output path (writable, and no two outputs nor an output and an
+input on one file), then runs the command, which returns its
 artifacts and report as (path, text) pairs, no path meaning stdout;
 ``main`` alone writes them.  A run that fails writes nothing.
 """
@@ -290,7 +291,7 @@ def cmd_polar(args) -> list:
             total = capacity(arikan_minus(q)) + capacity(arikan_plus(q))
             if abs(total - 2.0 * capacity(q)) > ORACLE_TOL:
                 raise OracleMismatch(f"capacity conservation fails at branch '{alpha}'")
-    rows = [run.records[a].to_json_dict() for a in sorted(run.records, key=lambda a: (len(a), a)) if a]
+    rows = [rec.to_json_dict() for alpha, rec in run.records.items() if alpha]
     report = {"depth": args.depth, "n": args.n, "branches": rows}
     return [_report(args, report, csv_rows=rows)]
 
@@ -371,15 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output(path: str) -> None:
-    """Refuse an output path that cannot be written, before any work."""
-    folder = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        raise ValidationError(f"output path {path!r} is a directory")
-    if not os.path.isdir(folder):
-        raise ValidationError(f"output path {path!r} is in a missing directory")
-    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
-        raise ValidationError(f"output path {path!r} is not writable")
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output path that cannot be written or
+    that resolves to an input file or to another output's file."""
+    named = (getattr(args, a, None) for a in ("channel", "degraded", "source"))
+    taken = {os.path.realpath(p) for p in named if p}
+    for path in filter(None, (getattr(args, a, None) for a in ("output", "emit_witness", "output_channel"))):
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise ValidationError(f"output path {path!r} is a directory")
+        if not os.path.isdir(folder):
+            raise ValidationError(f"output path {path!r} is in a missing directory")
+        if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise ValidationError(f"output path {path!r} is not writable")
+        if os.path.realpath(path) in taken:
+            raise ValidationError(f"output path {path!r} is also an input or another output")
+        taken.add(os.path.realpath(path))
 
 
 def main(argv=None) -> int:
@@ -390,9 +398,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         args.seed = _seed(args)
-        for option in ("output", "emit_witness", "output_channel"):
-            if getattr(args, option, None):
-                _check_output(getattr(args, option))
+        _check_outputs(args)
         for path, text in args.fn(args):
             if path:
                 with open(path, "w") as fh:

@@ -11,7 +11,6 @@ batches run on at most ``os.cpu_count()`` worker processes.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from multiprocessing import Pool
@@ -78,7 +77,7 @@ def _opt_clrs(qs: list, plans: list[PPlusPlan]) -> np.ndarray:
     return np.array([c for c, in _plan_clrs(_capacities(_stack(qs)), [[p] for p in plans])])
 
 
-def arikan_clr(seed: int, indices: Sequence[int], n: int, c_stats: bool = False) -> dict:
+def arikan_clr(seed: int, indices: Sequence[int], n: int, c_stats: bool) -> dict:
     """Reductions to n of plus transforms of random n-particle channels (which
     attain the n^2 + 1 bound): each transform's ``size`` and ``capacity``,
     the capacities of its ``opt``, ``tv`` and ``tv_star`` reductions (its
@@ -105,15 +104,17 @@ def arikan_clr(seed: int, indices: Sequence[int], n: int, c_stats: bool = False)
 
 
 def branch_clr(seed: int, indices: Sequence[int], n: int, depth: int) -> dict:
-    """Per branch, of length 1..depth in (length, bits) order, the CLR of
-    ``construct`` on random n-particle channels with quantizer size n."""
+    """Per branch, of length 1..depth in ``construct``'s (length, bits)
+    order, the CLR of ``construct`` on random n-particle channels with
+    quantizer size n; ``indices`` is not empty."""
     runs = [construct(random_channel(instance_rng(seed, i), n), depth, n) for i in indices]
-    alphas = ("".join(a) for d in range(1, depth + 1) for a in itertools.product("01", repeat=d))
-    return {alpha: np.array([run.records[alpha].clr for run in runs]) for alpha in alphas}
+    return {a: np.array([run.records[a].clr for run in runs]) for a in runs[0].records if a}
 
 
 def _records(fn, seed: int, samples: int, jobs: int, cells: list[tuple]):
-    """Each cell with the records ``fn(seed, indices, *cell)`` of its instances 0..samples-1."""
+    """Each cell with the records ``fn(seed, indices, *cell)`` of its
+    instances 0..samples-1, in min(jobs, samples) batches of at least one
+    instance each."""
     k = min(jobs, samples)
     edges = [samples * b // k for b in range(k + 1)]
     tasks = [(seed, range(lo, hi), *cell) for cell in cells for lo, hi in zip(edges, edges[1:])]
@@ -133,7 +134,7 @@ def _mean_ci(values) -> tuple[float, float]:
     return float(arr.mean()), half
 
 
-def pplus_stats_rows(seed: int, ms: list[int], ns: list[int], samples: int, jobs: int = 1) -> list:
+def pplus_stats_rows(seed: int, ms: list[int], ns: list[int], samples: int, jobs: int) -> list:
     """The ``pplus-stats`` table: a row per (m, n), 2 <= n < m."""
     rows = []
     for (m, n), rec in _records(pplus_stats, seed, samples, jobs, [(m, n) for m in ms for n in ns]):
@@ -145,7 +146,7 @@ def pplus_stats_rows(seed: int, ms: list[int], ns: list[int], samples: int, jobs
 
 
 def opt_clr_rows(
-    seed: int, ms: list[int], ns: list[int], samples: int, jobs: int = 1, compare_full: bool = False
+    seed: int, ms: list[int], ns: list[int], samples: int, jobs: int, compare_full: bool
 ) -> list:
     """The ``opt-clr`` table: a row per (m, n), 2 <= n < m; with
     ``compare_full``, also the unpruned DP's evaluations, a closed form of m
@@ -162,7 +163,7 @@ def opt_clr_rows(
     return rows
 
 
-def arikan_clr_rows(seed: int, ns: list[int], samples: int, jobs: int = 1, c_stats=False) -> list:
+def arikan_clr_rows(seed: int, ns: list[int], samples: int, jobs: int, c_stats: bool) -> list:
     """The ``arikan-clr`` table: a row per n >= 2."""
     rows = []
     for (n, _), rec in _records(arikan_clr, seed, samples, jobs, [(n, c_stats) for n in ns]):
@@ -178,7 +179,7 @@ def arikan_clr_rows(seed: int, ns: list[int], samples: int, jobs: int = 1, c_sta
     return rows
 
 
-def branch_clr_rows(seed: int, ns: list[int], samples: int, jobs: int = 1, depth: int = 1) -> list:
+def branch_clr_rows(seed: int, ns: list[int], samples: int, jobs: int, depth: int) -> list:
     """The ``branch-clr`` table: a row per (n, branch), n >= 2, depth >= 1."""
     rows = []
     for (n, _), rec in _records(branch_clr, seed, samples, jobs, [(n, depth) for n in ns]):

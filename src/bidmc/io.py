@@ -27,6 +27,11 @@ import numpy as np
 from .channel import Channel, canonicalize
 
 
+# The one tolerance of ``reduce_transition_matrix``'s checks: its entries'
+# signs, its rows' sums and the pairing of its LR-profile's atoms.
+TRANSITION_TOL = 1e-9
+
+
 class ChannelFormatError(ValueError):
     """Raised with a line/field diagnostic for malformed channel files."""
 
@@ -58,14 +63,14 @@ def channel_to_csv(chan: Channel) -> str:
     return buf.getvalue()
 
 
-def reduce_transition_matrix(rows: list[list[float]], tol: float = 1e-9) -> Channel:
+def reduce_transition_matrix(rows: list[list[float]]) -> Channel:
     """Collapse a 2 x N symmetric transition matrix to its BSC mixture.
 
     Output y with likelihoods (a, b) = (P(y|0), P(y|1)) carries probability
     (a + b)/2 and conditional crossover b/(a + b); ``canonicalize`` folds
     these outputs about 1/2 into the particles.  Asymmetric profiles, paired
-    within ``tol`` after sorting, are rejected, and so is any input that is
-    not two equal-length rows of finite numbers.
+    within TRANSITION_TOL after sorting, are rejected, and so is any input
+    that is not two equal-length rows of finite numbers.
     """
     try:
         mat = np.asarray(rows, dtype=np.float64)
@@ -77,27 +82,28 @@ def reduce_transition_matrix(rows: list[list[float]], tol: float = 1e-9) -> Chan
         raise ChannelFormatError("transition_matrix must have exactly two rows")
     if not np.isfinite(mat).all():
         raise ChannelFormatError("transition probabilities must be finite")
-    if np.any(mat < -tol):
+    if np.any(mat < -TRANSITION_TOL):
         raise ChannelFormatError("transition probabilities must be nonnegative")
     sums = mat.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > tol):
+    if np.any(np.abs(sums - 1.0) > TRANSITION_TOL):
         raise ChannelFormatError(f"transition rows sum to {sums.tolist()}, not 1")
-    mat = np.maximum(mat, 0.0)  # entries within tol below 0 count as 0
+    mat = np.maximum(mat, 0.0)  # entries within the tolerance below 0 count as 0
     outputs = []
     for a, b in mat.T:
         mass = (a + b) / 2.0
         if mass > 0.0:
             outputs.append((b / (a + b), mass))
-    # Outputs whose crossovers agree within tol form one profile atom; the
-    # profile is symmetric when the k-th atoms from either end pair up.
+    # Outputs whose crossovers agree within the tolerance form one profile
+    # atom, and the profile is symmetric when the k-th atoms from either end
+    # pair up.
     atoms: list[list[float]] = []
     for eps, mass in sorted(outputs):
-        if atoms and eps - atoms[-1][0] <= tol:
+        if atoms and eps - atoms[-1][0] <= TRANSITION_TOL:
             atoms[-1][1] += mass
         else:
             atoms.append([eps, mass])
     for (eps, mass), (e_mirror, mirror) in zip(atoms, reversed(atoms)):
-        if abs(eps + e_mirror - 1.0) > tol or abs(mass - mirror) > tol:
+        if abs(eps + e_mirror - 1.0) > TRANSITION_TOL or abs(mass - mirror) > TRANSITION_TOL:
             raise ChannelFormatError(
                 f"LR-profile asymmetric at {eps}: mass {mass} vs {mirror} at {e_mirror}"
             )

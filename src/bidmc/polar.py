@@ -163,15 +163,11 @@ class BranchRecord:
     def exact_reference(self) -> bool:
         return self.exact is not None
 
-    @property
-    def exact_size(self) -> int | None:
-        return None if self.exact is None else self.exact.size
-
     def to_json_dict(self) -> dict:
         return {
             "alpha": self.alpha,
             "clr": self.clr,
-            "exact_size": self.exact_size,
+            "exact_size": None if self.exact is None else self.exact.size,
             "quantized_size": self.quantized.size,
             "exact_reference": self.exact_reference,
         }
@@ -186,6 +182,10 @@ class ConstructionRun:
 
 def construct(base: Channel, depth: int, n: int) -> ConstructionRun:
     """Degrade-then-transform over every branch of length <= depth.
+
+    The run's ``records`` are in (length, bits) order: the root "" first,
+    then each level's branches in the order of their bit strings, the one
+    order that the ``polar`` report and the ``branch-clr`` table read.
 
     Each level is one stacked pass over its branches, in branch order, on
     the stack layout of ``channel._Stack``: one ``_transforms`` call

@@ -415,7 +415,7 @@ def _optimal_cuts(stack: _Stack, n: int, pruning: bool) -> tuple[np.ndarray, np.
     return cuts, caps
 
 
-def dp_tables(qs: list[Channel], n: int, pruning: bool = True) -> list[tuple[PPlusPlan, DpTable]]:
+def dp_tables(qs: list[Channel], n: int, pruning: bool) -> list[tuple[PPlusPlan, DpTable]]:
     """Each channel's plan with its ``DpTable`` (capacity and counters), by
     the DP with or without ``pruning`` over stacks of the channels.
 

@@ -199,7 +199,7 @@ def test_criterion_06_baseline_ordering():
     means = {}
     for n in range(4, 11):
         nsamp = 300 if n <= 8 else 200
-        rec = arikan_clr(106, range(1000 * n, 1000 * n + nsamp), n)
+        rec = arikan_clr(106, range(1000 * n, 1000 * n + nsamp), n, c_stats=False)
         keep = rec["size"] > n
         cq, c_opt, c_tv, c_tvs = (rec[key][keep] for key in ("capacity", "opt", "tv", "tv_star"))
         i = np.flatnonzero(keep)  # instance 1000 n + i

@@ -169,7 +169,7 @@ def test_opt_clr_record_runs_one_pruned_pass(monkeypatch):
     experiments._opt_clr_counted(7, range(5), 24, 5)
     assert count.runs[False] == [] and count.runs[True] == [5]
     count = _Counter(monkeypatch)
-    [row] = experiments.opt_clr_rows(7, [24], [5], 5, compare_full=True)
+    [row] = experiments.opt_clr_rows(7, [24], [5], 5, jobs=1, compare_full=True)
     assert count.runs[False] == [] and count.runs[True] == [5]
     monkeypatch.undo()
     qs = [random_channel(instance_rng(7, i), 24) for i in range(5)]

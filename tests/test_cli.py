@@ -256,10 +256,14 @@ def test_transition_matrix_entries_within_tol_below_zero_count_as_zero(tmp_path,
     assert chan.weights.tolist() == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
-def test_transition_matrix_canonicalize_errors_are_format_errors():
-    # Symmetric, but the columns' masses sum to 1.5.
+def test_transition_matrix_canonicalize_errors_are_format_errors(monkeypatch):
+    # Symmetric, but the columns' masses sum to 1.5, which a tolerance of 1
+    # lets past the rows' checks to canonicalize.
+    import bidmc.io as io_mod
+
+    monkeypatch.setattr(io_mod, "TRANSITION_TOL", 1.0)
     with pytest.raises(ChannelFormatError, match="weights sum"):
-        reduce_transition_matrix([[0.9, 0.6], [0.6, 0.9]], tol=1.0)
+        reduce_transition_matrix([[0.9, 0.6], [0.6, 0.9]])
 
 
 _CHANNEL_COMMANDS = {
@@ -324,6 +328,36 @@ def test_bad_output_path_exits_2_and_writes_nothing(bad_output, q3_file, tmp_pat
     assert out == ""
     assert err.startswith("error: ")
     assert not wit_path.exists() and not chan_path.exists()
+
+
+# Each run names one file twice, as two outputs or as an input and an output.
+_COLLIDING = {
+    "report-on-channel": ["degrade", "{q}", "--n", "4", "--output-channel", "{out}", "--output", "{out}"],
+    "witness-on-input": ["degrade", "{q}", "--n", "4", "--emit-witness", "{q}"],
+    "witness-on-report": ["degrade", "{q}", "--n", "4", "--emit-witness", "{out}", "--output", "{out}"],
+    "channel-on-input-link": ["degrade", "{q}", "--n", "4", "--output-channel", "{link}"],
+    "check-witness-on-degraded": ["check", "{w}", "{q}", "--emit-witness", "{w}"],
+    "check-report-on-source": ["check", "{w}", "{q}", "--output", "{q}"],
+    "analyze-report-on-input": ["analyze", "{q}", "--output", "{q}"],
+    "polar-report-on-input-link": ["polar", "{link}", "--n", "2", "--output", "{q}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLLIDING))
+def test_colliding_paths_exit_2_and_leave_every_file_unchanged(case, tmp_path, capsys):
+    q = random_channel(instance_rng(0, 0), 8)
+    paths = {key: tmp_path / f"{key}.json" for key in ("q", "w", "out")}
+    paths["q"].write_text(json.dumps(channel_to_json_dict(q)))
+    paths["w"].write_text(json.dumps(channel_to_json_dict(arikan_minus(arikan_minus(q)))))
+    paths["out"].write_text("an earlier report\n")
+    paths["link"] = tmp_path / "link.json"
+    paths["link"].symlink_to(paths["q"])
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = [a.format(**{key: str(path) for key, path in paths.items()}) for a in _COLLIDING[case]]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: output path ")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("method,n", [("opt", 3), ("tv", 3), ("opt", 4)])

@@ -1,16 +1,19 @@
 """Known defects, each pinned as a strict ``xfail`` beside a passing test
 of the facts its reproducer stands on; the change that mends a defect
-drops its marker.  ROADMAP items 7 and 12(b) name these tests."""
+drops its marker.  ROADMAP items 2, 7 and 12(b) name these tests."""
 
 import pytest
 
 from bidmc import (
+    PStarPlan,
     arikan_plus,
     c_optimal_degradation,
+    canonicalize,
     capacity,
     construct,
     instance_rng,
     is_c_degradation,
+    plan_witness,
     random_channel,
     realize_pplus,
     refine_cuts,
@@ -64,3 +67,24 @@ def test_a_quantized_branch_lies_below_its_transform(above_its_transform):
     # transform's, so the record's CLR reads 0.
     quantized, transform = above_its_transform
     assert capacity(quantized) <= capacity(transform)
+
+
+def _dust_at_a_segment_end():
+    """Particle 2, of weight 1e-20, ends the first segment of the plan
+    ``PStarPlan(q, (3,), (0.5,))``, whose full split the plan rewrites."""
+    return canonicalize([(0.1, 0.5), (0.2, 1e-20), (0.3, 0.5), (0.4, 1e-300)])
+
+
+def test_the_cut_plan_routes_the_dust_particle_at_a_segment_end():
+    q = _dust_at_a_segment_end()
+    plan = PStarPlan(q, (3,), (0.5,))
+    assert (plan.indices, plan.splits) == ((2,), (0.0,))
+    assert plan_witness(PPlusPlan(q, (3,))).entries.sum(axis=1).tolist() == q.weights.tolist()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a segment plan drops dust at its end")
+def test_a_segment_plan_routes_the_dust_particle_at_a_segment_end():
+    # The rewritten plan (2,), (0.0,) leaves particle 2 out of every
+    # segment: its witness row sums to 0.0, not 1e-20.
+    q = _dust_at_a_segment_end()
+    assert plan_witness(PStarPlan(q, (3,), (0.5,))).entries.sum(axis=1)[1] == 1e-20

@@ -156,6 +156,14 @@ def test_construct_clr_nonnegative_and_exact_relations():
             assert capacity(rec.quantized) <= capacity(rec.exact) + 1e-9
 
 
+def test_construct_records_run_in_length_then_bits_order():
+    # The bases of the benchmark's polar-chain workload on seed 0; the
+    # polar report and the branch-clr table read this order.
+    for i in range(40):
+        alphas = list(construct(random_channel(instance_rng(0, i), 4), 5, 4).records)
+        assert alphas == sorted(alphas, key=lambda a: (len(a), a)) and len(alphas) == 2**6 - 1
+
+
 def test_construct_validates_args():
     with pytest.raises(ValueError):
         construct(bsc(0.1), 0, 4)
